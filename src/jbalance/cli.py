@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flows import (FlowError, balancing_flow, grid_from_potential, jflow_run,
-                    quantization_comparison)
+from .flows import FlowError, balancing_flow, quantization_comparison
 from .geometry import GeometryError, mixed_density, volume_density
 from .presets import make_problem, normal_cone_from_facet, problem_names
 from .quantisation import HermitianForm, QuantisationError
@@ -100,7 +99,7 @@ def write_csv(path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def _random_diag_forms(q, rng, count, spread=1.0):
@@ -185,17 +184,13 @@ def cmd_flow(cfg):
         print(f"flow k={k}: ||mu0||_F {traj[0].diagnostics['mu0_fro']:.3e} -> "
               f"{traj[-1].diagnostics['mu0_fro']:.3e} over T={fcfg['T']}")
 
-    grid0 = grid_from_potential(P, u0, fcfg["grid"])
-    pde = jflow_run(grid0, problem.chi, problem.gamma, T=fcfg["compare_T"],
-                    snap_times=(fcfg["compare_T"] / 2,))
+    rows, meta, pde = quantization_comparison(P, problem.chi, problem.gamma,
+                                              problem.rule, u0, cfg["k_list"],
+                                              T=fcfg["compare_T"], nx=fcfg["grid"])
     for t, vals in sorted(pde.snapshots.items()):
-        _write_grid_csv(out / f"jflow_grid_t{t:g}.csv", grid0.xs, grid0.ys, vals, t)
+        _write_grid_csv(out / f"jflow_grid_t{t:g}.csv", pde.grid0.xs, pde.grid0.ys, vals, t)
     write_csv(out / "jflow_residual.csv", ["t", "sup_residual"],
               [[t, r] for t, r in pde.residual_log])
-
-    rows, meta = quantization_comparison(P, problem.chi, problem.gamma,
-                                         problem.rule, u0, cfg["k_list"],
-                                         T=fcfg["compare_T"], nx=fcfg["grid"])
     (out / "quantization_comparison.json").write_text(json.dumps(
         {"problem": problem.name, "meta": meta, "rows": rows}, indent=1))
     print("comparison:", ", ".join(f"k={r['k']} t={r['t']:g}: {r['distance']:.4f}"

@@ -49,21 +49,24 @@ class FlowState:
 # rescaled J-balancing flow (matrix ODE)
 # ---------------------------------------------------------------------------
 
-def _flow_rhs(q, H):
-    C = q.hilb_form(H)
+def _flow_rhs(q, H, C=None):
+    C = q.hilb_form(H) if C is None else C
     tr = float(np.trace(np.linalg.solve(H.matrix, C.matrix)).real)
     coeff = q.k * q.gamma
     return coeff * (C.matrix - (tr / q.n_plus_1) * H.matrix), C
 
 
-def balancing_flow(q, H0, dt, T, log_every=5, functional_m=4, mu_slack=1e-9):
+def balancing_flow(q, H0, dt, T, log_every=5, mu_slack=1e-9):
     """Integrate the rescaled J-balancing flow from H0 up to time T.
 
     Explicit RK4 with dt halving whenever positivity fails or ||mu0||_F^2
     increases beyond ``mu_slack`` relative slack (gradient-flow contract);
     dt recovers geometrically after sustained accepted steps.  Diagnostics
     (||mu0||_F, ||mu0||^2, I_{mu0}, log det H) are logged every ``log_every``
-    accepted steps plus the endpoints.
+    accepted steps plus the endpoints.  The map value C = Hilb(FS(H)) from
+    a step's acceptance check is the next step's first stage, so a step
+    costs four map applications; on torus-invariant forms the logged
+    I_{mu0} reuses that pass through the torus_pass memo.
 
     Returns a list of FlowState with HermitianForm payloads.
     """
@@ -74,14 +77,15 @@ def balancing_flow(q, H0, dt, T, log_every=5, functional_m=4, mu_slack=1e-9):
     dt_max = float(dt)
     dt = dt_max
     ld0 = H.logdet()
-    mu = q.mu0(H)
+    C = q.hilb_form(H)
+    mu = q.mu0(H, C)
     fro, op = q.mu0_norms(mu)
 
     def make_state(t, H, fro, op, with_energy=True):
         diag = {"mu0_fro": fro, "mu0_op": op, "mu0_sq": fro * fro,
                 "logdet": H.logdet()}
         if with_energy and H.diagonal:
-            diag["i_mu0"] = i_mu0(q, H, m=functional_m)
+            diag["i_mu0"] = i_mu0(q, H)
         return FlowState(t=t, payload=H, diagnostics=diag)
 
     states = [make_state(0.0, H, fro, op)]
@@ -90,7 +94,7 @@ def balancing_flow(q, H0, dt, T, log_every=5, functional_m=4, mu_slack=1e-9):
     while t < T - 1e-12:
         h = min(dt, T - t)
         try:
-            k1, _ = _flow_rhs(q, H)
+            k1, _ = _flow_rhs(q, H, C)
             H2 = HermitianForm(H.matrix + 0.5 * h * k1, q.k)
             k2, _ = _flow_rhs(q, H2)
             H3 = HermitianForm(H.matrix + 0.5 * h * k2, q.k)
@@ -101,7 +105,8 @@ def balancing_flow(q, H0, dt, T, log_every=5, functional_m=4, mu_slack=1e-9):
             # project back onto the exact invariant log det H = const (the
             # moment map is traceless; only integrator drift moves it)
             Hn = HermitianForm(Hn.matrix * np.exp((ld0 - Hn.logdet()) / q.n_plus_1), q.k)
-            mu_n = q.mu0(Hn)
+            C_n = q.hilb_form(Hn)
+            mu_n = q.mu0(Hn, C_n)
             fro_n, op_n = q.mu0_norms(mu_n)
             ok = fro_n * fro_n <= fro * fro * (1.0 + mu_slack) + 1e-300
         except QuantisationError:
@@ -115,7 +120,7 @@ def balancing_flow(q, H0, dt, T, log_every=5, functional_m=4, mu_slack=1e-9):
                     f"(||mu0||_F={fro:.3e}); positivity or monotonicity unrecoverable")
             continue
         t += h
-        H, fro, op = Hn, fro_n, op_n
+        H, C, fro, op = Hn, C_n, fro_n, op_n
         accepted += 1
         if accepted % 32 == 0 and dt < dt_max:
             dt = min(dt_max, dt * 2.0)
@@ -380,7 +385,8 @@ def quantization_comparison(P, chi, gamma, rule, u0, k_list, T, nx=48,
     (grid nodes where D^2 u0 is safely nondegenerate) of the potential
     difference after mean normalisation, the gauge freedom of potentials.
 
-    Returns (rows, meta): rows are dicts {k, t, distance}.
+    Returns (rows, meta, pde): rows are dicts {k, t, distance}; pde is the
+    JFlowResult of the continuum run, for callers that also write it out.
     """
     from .quantisation import Quantisation
 
@@ -414,4 +420,4 @@ def quantization_comparison(P, chi, gamma, rule, u0, k_list, T, nx=48,
             rows.append({"k": int(k), "t": float(t), "distance": dist})
     meta = {"nx": nx, "window_nodes": int(window.sum()), "T": T,
             "pde_steps": result.steps}
-    return rows, meta
+    return rows, meta, result

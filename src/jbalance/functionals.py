@@ -5,9 +5,12 @@ is a parameter, so quantisation-consistency comparisons can re-anchor both
 sides at the same reference metric).  All asserted properties are basepoint
 differences or monotonicity statements, hence normalisation-free.
 
-Time quadrature is composite Simpson, m = 16 by default.  For surfaces and
-linear potential paths the t-integrands are polynomials of degree <= 2, so
-Simpson is exact there and the only error is the spatial quadrature's.
+Time integrals.  For n <= 2 the mixed density (1/n) tr(adj(A) B) is linear
+in A, so along a linear potential path the J_chi integrand is linear in t
+and two endpoints give it exactly; the I_{mu_J} and AYM integrands are
+quadratic in t and 3-point Simpson is exact.  Only Bergman-geodesic paths,
+whose integrand is genuinely curved, use composite Simpson on their m + 1
+samples.
 
 Gauge note for the P_hat inequalities: P_hat(h, H) >= P_hat(FS(H), H) holds
 once the constant ambiguity of the h-potential is fixed (mean-zero against
@@ -46,6 +49,8 @@ class PotentialPath:
 
     @classmethod
     def linear(cls, u0, u1, m=16):
+        """Linear path (1-t) u0 + t u1.  ``m`` is validated and kept for
+        sampling (times), but energies along it are exact and ignore it."""
         return cls("linear", m, (u0, u1))
 
     @classmethod
@@ -88,74 +93,96 @@ class PotentialPath:
         return -(W @ lam)                      # d log rho / dt
 
 
+def _two_endpoint_j(q, phi, mix0, mix1):
+    """J_chi along a linear path with level-k velocity phi, exact for n <= 2:
+    the integrand is linear in t, so it is the mean of its endpoint values."""
+    return float(q.weights @ (phi * 0.5 * (mix0 + mix1))) / q.hilb_norm
+
+
 def j_energy(q, path, m=None):
     """J_chi difference along a path of level-k metrics.
 
     dJ/dt = (1/(gamma k^{n-1})) integral phi_t' chi wedge c1(h_t)^{n-1},
     with the measure realised as mix(D^2(k u_t), D^2 v) c_vol dx; the total
     measure mass is V, which pins the scale (J(e^{-c} h) = J(h) + c V).
+
+    Linear paths use the exact two-endpoint formula (``m`` is ignored);
+    positivity of the measure at both ends implies it along the path, since
+    the density is linear in t.  Bergman paths use composite Simpson on m
+    intervals (default: the path's own m).
     """
+    X = q.nodes
+    if path.kind == "linear":
+        u0, u1 = path._data
+        return _two_endpoint_j(q, path.velocity(0.0, X, level=q.k),
+                               q.mixed_measure(u0), q.mixed_measure(u1))
     m = path.m if m is None else m
     ts = path.times() if m == path.m else np.linspace(0.0, 1.0, m + 1)
     w = simpson_weights(len(ts) - 1)
-    X = q.nodes
     total = 0.0
     for wt, t in zip(w, ts):
-        u_t = path.potential(t)
-        mix = mixed_density(np.asarray(u_t.hessian(X)) * q.k, q.chi_hess) * q.rule.c_vol
-        if np.min(mix) < 0:
-            raise QuantisationError(f"convexity loss along the path at t={t:.3f}")
+        mix = q.mixed_measure(path.potential(t))
         total += wt * float(q.weights @ (path.velocity(t, X, level=q.k) * mix)) / q.hilb_norm
     return total
 
 
-def j_energy_between(q, u0, u1, m=16):
-    return j_energy(q, PotentialPath.linear(u0, u1, m=m))
+def j_energy_between(q, u0, u1):
+    """J_chi(u1) - J_chi(u0) along the linear path (exact)."""
+    return j_energy(q, PotentialPath.linear(u0, u1))
 
 
-def i_mu_j(u0, u1, chi, gamma, rule, m=16):
+def _linear_path_integral(u0, u1, rule, density):
+    """integral_0^1 integral (u1 - u0) density(D^2 u_t) dx dt along the linear
+    level-1 path, for a density at most quadratic in t: 3-point Simpson is
+    exact there."""
+    X = rule.nodes
+    vel = u1.value(X) - u0.value(X)
+    h0, h1 = np.asarray(u0.hessian(X)), np.asarray(u1.hessian(X))
+    total = 0.0
+    for wt, hess in zip((1.0, 4.0, 1.0), (h0, 0.5 * (h0 + h1), h1)):
+        total += wt * float(rule.weights @ (vel * density(hess)))
+    return total / 6.0
+
+
+def i_mu_j(u0, u1, chi, gamma, rule):
     """Continuum functional I_{mu_J}(omega_0, omega_1) along the linear path.
 
     integral_0^1 integral phi' ((1/gamma) chi wedge omega_t^{n-1} - omega_t^n) dt
     on level-1 potentials; path independent, cocyclic, decreasing along the
     J-flow.  For n = 2 the t-integrand is quadratic, so Simpson is exact.
     """
-    X = rule.nodes
-    w = simpson_weights(m)
-    chi_h = np.asarray(chi.hessian(X))
-    vel = u1.value(X) - u0.value(X)
-    total = 0.0
-    for wt, t in zip(w, np.linspace(0.0, 1.0, m + 1)):
-        hess = np.asarray(BlendPotential(u0, u1, t).hessian(X))
-        dens = (mixed_density(hess, chi_h) / gamma - volume_density(hess)) * rule.c_vol
-        total += wt * float(rule.weights @ (vel * dens))
-    return total
+    chi_h = np.asarray(chi.hessian(rule.nodes))
+    return _linear_path_integral(
+        u0, u1, rule,
+        lambda hess: (mixed_density(hess, chi_h) / gamma - volume_density(hess)) * rule.c_vol)
 
 
-def aym_energy(u0, u1, rule, m=16):
+def aym_energy(u0, u1, rule):
     """Aubin-Yau-Mabuchi energy -integral integral phi' omega_t^n dt along the
-    linear level-1 path (recorded by the convexity probes, no sign asserted)."""
-    X = rule.nodes
-    w = simpson_weights(m)
-    vel = u1.value(X) - u0.value(X)
-    total = 0.0
-    for wt, t in zip(w, np.linspace(0.0, 1.0, m + 1)):
-        dens = volume_density(np.asarray(BlendPotential(u0, u1, t).hessian(X))) * rule.c_vol
-        total += wt * float(rule.weights @ (vel * dens))
-    return -total
+    linear level-1 path (recorded by the convexity probes, no sign asserted);
+    the integrand is quadratic in t, so Simpson is exact."""
+    return -_linear_path_integral(u0, u1, rule,
+                                  lambda hess: volume_density(hess) * rule.c_vol)
 
 
-def i_mu0(q, H, m=8):
+def _j_from_anchor(q, u):
+    """J_chi(u) anchored at FS(Id), reusing the cached anchor pass."""
+    anchor = q.anchor_pass()
+    return _two_endpoint_j(q, q.k * u.value(q.nodes) - anchor.values,
+                           anchor.mix, q.mixed_measure(u))
+
+
+def i_mu0(q, H):
     """I_{mu0}(H) = J_chi(FS(H)) + (V/(N+1)) log det H, J anchored at FS(Id).
 
     Scale invariant, convex along Bergman geodesics, decreased by the map
-    Hilb o FS, critical exactly at J-balanced forms.
+    Hilb o FS, critical exactly at J-balanced forms.  Evaluated exactly from
+    the torus_pass of H and of Id, so torus-invariant H only.
     """
     H = H if isinstance(H, HermitianForm) else HermitianForm(H, q.k)
-    if not H.diagonal:
-        raise QuantisationError("i_mu0 evaluates on the torus-invariant slice")
-    u_id = q.fs_map(HermitianForm.identity(q.n_plus_1, q.k))
-    jval = j_energy_between(q, u_id, q.fs_map(H), m=m)
+    cur = q.torus_pass(H)
+    anchor = q.anchor_pass()
+    jval = _two_endpoint_j(q, cur.values - anchor.values, anchor.mix, cur.mix)
     return jval + (q.V / q.n_plus_1) * H.logdet()
 
 
@@ -167,7 +194,7 @@ def hilb_trace(q, u, H):
     return float(np.trace(np.linalg.solve(H.matrix, C.matrix)).real)
 
 
-def p_hat(q, u, H, m=16):
+def p_hat(q, u, H):
     """P_hat(h, H) = log sum ||S_i||^2_{Hilb(h)} - log(N+1) + log det H
     + ((N+1)/V) J_chi(h), J_chi anchored at FS(Id).
 
@@ -178,8 +205,7 @@ def p_hat(q, u, H, m=16):
     det H = det Hilb(h) (match_determinant).
     """
     H = H if isinstance(H, HermitianForm) else HermitianForm(H, q.k)
-    u_id = q.fs_map(HermitianForm.identity(q.n_plus_1, q.k))
-    jval = j_energy_between(q, u_id, u, m=m)
+    jval = _j_from_anchor(q, u)
     tr = hilb_trace(q, u, H)
     return float(np.log(tr) - np.log(q.n_plus_1) + H.logdet()
                  + (q.n_plus_1 / q.V) * jval)
@@ -207,23 +233,21 @@ def mean_normalised_against_fs(q, u, H):
     return shifted
 
 
-def i_hat(q, u, anchor=None, m=16):
+def i_hat(q, u, anchor=None):
     """I_hat_k(h) = J_chi(h) + (V/(N+1)) log det Hilb_chi(h).
 
     ``anchor`` fixes J's basepoint (default FS(Id) at this level); the
     log det term is reported raw, so quantisation-consistency comparisons
     should difference two i_hat values with a common anchor.
     """
-    if anchor is None:
-        anchor = q.fs_map(HermitianForm.identity(q.n_plus_1, q.k))
-    jval = j_energy_between(q, anchor, u, m=m)
+    jval = _j_from_anchor(q, u) if anchor is None else j_energy_between(q, anchor, u)
     return jval + (q.V / q.n_plus_1) * q.hilb_map(u).logdet()
 
 
-def i_hat_relative(q, u, reference, m=16):
+def i_hat_relative(q, u, reference):
     """I_hat_k(h) - I_hat_k(h_ref), both anchored at h_ref: the anchored
     difference whose 1/k rescaling converges to I_{mu_J}(h_ref, h)."""
-    jval = j_energy_between(q, reference, u, m=m)
+    jval = j_energy_between(q, reference, u)
     dld = q.hilb_map(u).logdet() - q.hilb_map(reference).logdet()
     return jval + (q.V / q.n_plus_1) * dld
 
@@ -243,10 +267,3 @@ def convexity_probe(values):
     if len(v) < 3:
         raise QuantisationError("need at least three samples")
     return float(np.min(v[:-2] - 2.0 * v[1:-1] + v[2:]))
-
-
-def probe_along_path(functional, path):
-    """Evaluate a scalar functional at the path samples and return
-    (min second difference, sampled values)."""
-    vals = [functional(path, t) for t in path.times()]
-    return convexity_probe(vals), vals

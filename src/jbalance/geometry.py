@@ -48,6 +48,30 @@ class PotentialField:
         raise NotImplementedError
 
 
+def softmax_covariance(W, points):
+    """Covariance of ``points`` (m, n) under each row of the softmax W (M, m).
+
+    Centred form, so exactly PSD with no cancellation where a row collapses
+    onto a single point (far-field nodes).  Built from elementwise products
+    and row dot products, which is faster here than the equivalent
+    three-operand einsum.  One (2, M, m) work buffer serves every entry and
+    the row sums go through np.vecdot, not einsum: both keep the peak
+    resident memory at that of the einsum form.
+    """
+    mean = W @ points
+    n = points.shape[1]
+    out = np.empty((len(W), n, n))
+    c, wc = np.empty((2,) + W.shape)
+    for i in range(n):
+        np.subtract(points[:, i], mean[:, i, None], out=c)
+        np.multiply(W, c, out=wc)
+        out[:, i, i] = np.vecdot(wc, c)
+        for j in range(i + 1, n):
+            np.subtract(points[:, j], mean[:, j, None], out=c)
+            out[:, i, j] = out[:, j, i] = np.vecdot(wc, c)
+    return out
+
+
 class LogSumExpPotential(PotentialField):
     """Potential u(x) = (log sum_a c_a e^{<p_a, x>} + offset) / level.
 
@@ -90,16 +114,12 @@ class LogSumExpPotential(PotentialField):
         return (self._softmax(X) @ self.points) / self.level
 
     def hessian(self, X):
-        # centered covariance form: exactly PSD, no cancellation where the
-        # softmax collapses onto a single vertex (far-field nodes)
         X = np.atleast_2d(X)
         out = np.empty((len(X), self.dim, self.dim))
         step = max(1, 2 ** 22 // max(1, len(self.points) * self.dim))
         for lo in range(0, len(X), step):
-            W = self._softmax(X[lo:lo + step])
-            mean = W @ self.points
-            centred = self.points[None, :, :] - mean[:, None, :]
-            out[lo:lo + step] = np.einsum("pm,pmi,pmj->pij", W, centred, centred)
+            out[lo:lo + step] = softmax_covariance(self._softmax(X[lo:lo + step]),
+                                                   self.points)
         return out / self.level
 
     def with_log_coeffs(self, log_coeffs):
@@ -379,7 +399,13 @@ class LatticeSectionBasis:
         return len(self.points)
 
     def basis_hash(self):
-        return hash((self.level, self.points.tobytes()))
+        """SHA-256 hex digest of the level and the points: stable across
+        processes and machines (unlike the salted built-in ``hash``)."""
+        import hashlib  # deferred: it loads OpenSSL, ~4 MB of resident memory
+
+        digest = hashlib.sha256(f"{self.level}:{self.points.shape}".encode())
+        digest.update(np.ascontiguousarray(self.points, dtype="<i8").tobytes())
+        return digest.hexdigest()
 
 
 def enumerate_lattice_points(P, k):

@@ -10,9 +10,13 @@ Normalisation conventions (fixed once, used everywhere):
   gauge, where M is the Gram matrix of Hilb(FS(H)); it vanishes exactly at
   fixed points of the det-normalised map Hilb o FS.
 * Torus-invariant (diagonal) data is the fast path: angular integrals vanish
-  identically and all sums are real.  Non-diagonal Hermitian forms run
-  through an equispaced-trapezoid angular grid, exact on the Fourier modes
-  of the section products.
+  identically and all sums are real.  One softmax S of logE - log d over
+  the basis (Quantisation.torus_pass) gives the FS potential values, its
+  Hessian (the softmax covariance, hence the mixed measure) and the Hilb
+  diagonal; the last pass is memoised, so the map, the moment map and
+  I_{mu0} at one H share it.  Non-diagonal Hermitian forms run through an
+  equispaced-trapezoid angular grid, exact on the Fourier modes of the
+  section products.
 
 All exponential sums are evaluated with per-node max shifts; a positive
 definiteness failure after any map application aborts with diagnostics
@@ -24,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (LogSumExpPotential, enumerate_lattice_points,
-                       j_constant_from_polytope, mixed_density, volume_density)
+                       j_constant_from_polytope, mixed_density,
+                       softmax_covariance, volume_density)
 
 
 class QuantisationError(RuntimeError):
@@ -155,6 +160,8 @@ class Quantisation:
         self.logE = self.basis.points.astype(float) @ self.nodes.T   # (N+1, M)
         self.chi_hess = np.asarray(chi.hessian(self.nodes))
         self.hilb_norm = self.gamma * self.k ** (P.dim - 1)
+        self._memo = None       # (diagonal bytes, TorusPass) of the last pass
+        self._anchor = None     # TorusPass of FS(Id), filled on first use
 
     @property
     def n_plus_1(self):
@@ -185,11 +192,58 @@ class Quantisation:
     def mixed_measure(self, u):
         """Density of chi wedge c1(h)^{n-1} over dx for h = e^{-k u}: the
         values (1/n) tr(adj(D^2(k u)) D^2 v) c_vol at the nodes."""
-        hess_k = np.asarray(u.hessian(self.nodes)) * self.k
+        return self._mix_from_hessian(np.asarray(u.hessian(self.nodes)) * self.k)
+
+    def _mix_from_hessian(self, hess_k):
+        """Mixed measure from the nodes' Hessians D^2(k u), checked >= 0."""
         mix = mixed_density(hess_k, self.chi_hess) * self.rule.c_vol
         if np.min(mix) < 0:
             raise QuantisationError("mixed measure not positive: potential not admissible")
         return mix
+
+    def torus_pass(self, H):
+        """FS and Hilb of a torus-invariant H from one softmax pass.
+
+        With S the (M, N+1) softmax of logE - log d over the basis (d the
+        diagonal of H), returns a TorusPass holding, at the nodes, the
+        level-k potential values k u_H, the mixed measure of FS(H) (from the
+        centred softmax covariance, which is D^2(k u_H)), and the Hilb
+        diagonal ((N+1)/V) d_a sum_p w_p mix_p S_pa / (gamma k^{n-1}).
+
+        The last pass is memoised on the exact bytes of d, so a moment map,
+        an energy and a map application at the same H share one pass.  The
+        returned arrays are read-only because they are shared.
+        """
+        if not isinstance(H, HermitianForm):
+            H = HermitianForm(H, self.k)
+        if not H.diagonal:
+            raise QuantisationError("torus_pass needs a torus-invariant (diagonal) H")
+        d = H.diag()
+        key = d.tobytes()
+        if self._memo is not None and self._memo[0] == key:
+            return self._memo[1]
+        A = self.logE.T - np.log(d)                           # (M, N+1)
+        amax = A.max(axis=1)
+        A -= amax[:, None]
+        S = np.exp(A, out=A)
+        rowsum = S.sum(axis=1)
+        S /= rowsum[:, None]
+        values = amax + np.log(rowsum) - np.log(self.n_plus_1 / self.V)
+        mix = self._mix_from_hessian(softmax_covariance(S, self.basis.points.astype(float)))
+        hilb = _checked_hilb_diagonal(
+            (self.n_plus_1 / self.V) * d * ((self.weights * mix) @ S) / self.hilb_norm)
+        for arr in (values, mix, hilb):
+            arr.setflags(write=False)
+        out = TorusPass(values=values, mix=mix, hilb=hilb)
+        self._memo = (key, out)
+        return out
+
+    def anchor_pass(self):
+        """torus_pass of H = Id, the FS(Id) basepoint of the energies;
+        computed on first use and kept for the life of the context."""
+        if self._anchor is None:
+            self._anchor = self.torus_pass(HermitianForm.identity(self.n_plus_1, self.k))
+        return self._anchor
 
     def hilb_map(self, u):
         """Hilb_chi of the torus-invariant metric e^{-k u}: diagonal Gram
@@ -200,9 +254,7 @@ class Quantisation:
         if not np.all(np.isfinite(W)):
             raise QuantisationError("overflow in section weights; quadrature box too wide for k")
         diag = (W * (self.weights * mix)[None, :]).sum(axis=1) / self.hilb_norm
-        if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
-            raise QuantisationError("Hilb produced a non-PD diagonal; refine the quadrature")
-        return HermitianForm(np.diag(diag), self.k)
+        return HermitianForm(np.diag(_checked_hilb_diagonal(diag)), self.k)
 
     def _theta_grid(self):
         T = self.n_theta
@@ -225,7 +277,7 @@ class Quantisation:
         if not isinstance(H, HermitianForm):
             H = HermitianForm(H, self.k)
         if H.diagonal and not force_general:
-            return self.hilb_map(self.fs_map(H))
+            return HermitianForm(np.diag(self.torus_pass(H).hilb), self.k)
         B = np.linalg.inv(H.matrix)
         B = 0.5 * (B + B.conj().T)
         pts = self.basis.points.astype(float)                 # (N+1, n)
@@ -325,14 +377,15 @@ class Quantisation:
         return abs(tr - self.n_plus_1) / self.n_plus_1
 
     def iterate_to_balance(self, H0, tol=1e-9, maxiter=500, norm="op",
-                           functional_m=8, track_energy=True):
+                           track_energy=True):
         """Iterate H <- det-normalised Hilb(FS(H)) until ||mu0|| < tol.
 
         Returns a BalanceResult whose history logs, per step, the moment map
         norms, the energy I_{mu0} (non-increasing along the iteration;
-        skipped when track_energy is off) and log det H.  Non-convergence is
-        reported, not raised: by the variational theory it indicates there
-        is no balanced metric at this level.
+        skipped when track_energy is off) and log det H.  On torus-invariant
+        forms C, mu0 and I_{mu0} come from one torus_pass per step.
+        Non-convergence is reported, not raised: by the variational theory
+        it indicates there is no balanced metric at this level.
         """
         from .functionals import i_mu0  # deferred: functionals builds on this module
 
@@ -345,7 +398,7 @@ class Quantisation:
             C = self.hilb_form(H)
             mu = self.mu0(H, C)
             fro, op = self.mu0_norms(mu)
-            energy = i_mu0(self, H, m=functional_m) if track_energy and H.diagonal else None
+            energy = i_mu0(self, H) if track_energy and H.diagonal else None
             history.append({"step": step, "mu0_fro": fro, "mu0_op": op,
                             "i_mu0": energy, "logdet": H.logdet()})
             if (op if norm == "op" else fro) < tol:
@@ -361,6 +414,22 @@ class Quantisation:
 
     def bergman_density(self, H):
         return BergmanDensity(self, H if isinstance(H, HermitianForm) else HermitianForm(H, self.k))
+
+
+def _checked_hilb_diagonal(diag):
+    if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
+        raise QuantisationError("Hilb produced a non-PD diagonal; refine the quadrature")
+    return diag
+
+
+@dataclass(frozen=True)
+class TorusPass:
+    """Output of Quantisation.torus_pass at the quadrature nodes: level-k
+    potential values k u_H, mixed measure of FS(H), and the Hilb diagonal."""
+
+    values: np.ndarray
+    mix: np.ndarray
+    hilb: np.ndarray
 
 
 @dataclass

@@ -133,8 +133,8 @@ def test_criterion_06_quantum_limit(square_o21):
     u_crit = separable_critical_potential(pb.polytope, pb.l2_spec)
     u0 = geo.SumPotential([u_crit, geo.GaussianBump(0.06, [0.3, -0.2], 1.2)])
     T = 1.0
-    rows, _ = fl.quantization_comparison(pb.polytope, pb.chi, pb.gamma,
-                                         pb.rule, u0, [2, 4, 8], T=T, nx=48)
+    rows, _, _ = fl.quantization_comparison(pb.polytope, pb.chi, pb.gamma,
+                                            pb.rule, u0, [2, 4, 8], T=T, nx=48)
     at_T = {r["k"]: r["distance"] for r in rows if r["t"] == T}
     cmp_ok = at_T[2] > at_T[4] > at_T[8]
     report(6, "quantum limit trends on (P1xP1, O(1,1), O(2,1))",
@@ -164,13 +164,13 @@ def test_criterion_07_functional_identities(square_problem, square_o21):
     for _ in range(50):
         H = random_diagonal(q, rng)
         u = q.fs_map(random_diagonal(q, rng))
-        worst_id = max(worst_id, abs(F.p_hat(q, q.fs_map(H), H, m=8)
-                                     - (q.n_plus_1 / q.V) * F.i_mu0(q, H, m=8)))
+        worst_id = max(worst_id, abs(F.p_hat(q, q.fs_map(H), H)
+                                     - (q.n_plus_1 / q.V) * F.i_mu0(q, H)))
         ug = F.mean_normalised_against_fs(q, u, H)
-        chain_ok &= F.p_hat(q, ug, H, m=8) >= F.p_hat(q, q.fs_map(H), H, m=8) - 1e-9
+        chain_ok &= F.p_hat(q, ug, H) >= F.p_hat(q, q.fs_map(H), H) - 1e-9
         C = q.hilb_map(u)
         Hm = F.match_determinant(H, C)
-        chain_ok &= F.p_hat(q, u, Hm, m=8) >= F.p_hat(q, u, C, m=8) - 1e-9
+        chain_ok &= F.p_hat(q, u, Hm) >= F.p_hat(q, u, C) - 1e-9
     chain_ok &= worst_id < 1e-8
 
     # quantisation consistency of I_hat
@@ -178,7 +178,7 @@ def test_criterion_07_functional_identities(square_problem, square_o21):
     coeffs = np.array([0.6, -0.1, -0.2, 0.3])
     u = pb2.u_ref.with_log_coeffs(coeffs - coeffs.mean())
     target = F.i_mu_j(pb2.u_ref, u, pb2.chi, pb2.gamma, pb2.rule)
-    diffs = [abs(F.i_hat_relative(pb2.quantisation(k), u, pb2.u_ref, m=8) / k - target)
+    diffs = [abs(F.i_hat_relative(pb2.quantisation(k), u, pb2.u_ref) / k - target)
              for k in (2, 4, 8)]
     trend_ok = diffs[0] > diffs[1] > diffs[2]
 
@@ -198,7 +198,7 @@ def test_criterion_08_convexity(square_problem):
     for _ in range(10):
         path = F.PotentialPath.bergman(q, random_diagonal(q, rng),
                                        random_diagonal(q, rng), m=8)
-        vals = [F.i_mu0(q, path.form_at(t), m=8) for t in path.times()]
+        vals = [F.i_mu0(q, path.form_at(t)) for t in path.times()]
         worst = min(worst, F.convexity_probe(vals))
         lds = [path.form_at(t).logdet() for t in path.times()]
         worst_ld = max(worst_ld, float(np.max(np.abs(np.diff(lds, 2)))))

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from fractions import Fraction as Fr
 from pathlib import Path
 
@@ -51,6 +52,8 @@ def test_balance_artifacts_and_determinism(tmp_path):
     assert rows[0] == ["step", "mu0_fro", "mu0_op", "i_mu0", "logdet"]
     fro = [float(r[1]) for r in rows[1:]]
     assert fro[-1] < 1e-9
+    # every cell is plain text that float() reads (no numpy scalar reprs)
+    assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row)
 
 
 def test_balance_convergence_failure_exit(tmp_path):
@@ -140,7 +143,17 @@ def test_custom_polytope_json(tmp_path):
     assert run(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == cli.EXIT_OK
 
 
-def test_flow_artifacts(tmp_path):
+def test_flow_artifacts(tmp_path, monkeypatch):
+    # the continuum J-flow runs once; the comparison reuses that run
+    from jbalance import flows
+    pde_runs = []
+    real_run = flows.jflow_run
+
+    def counting_run(*args, **kwargs):
+        pde_runs.append(1)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "jflow_run", counting_run)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "problem": "P1xP1-O11-O11", "k_list": [2], "resolution": 48, "seed": 1,
@@ -159,3 +172,4 @@ def test_flow_artifacts(tmp_path):
     assert int(rows[1][0]) == 24
     comp = json.loads((out / "quantization_comparison.json").read_text())
     assert {r["t"] for r in comp["rows"]} == {0.0, 0.1, 0.2}
+    assert len(pde_runs) == 1

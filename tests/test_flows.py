@@ -207,7 +207,7 @@ def test_quantization_comparison(square_o21):
     pb = square_o21
     coeffs = np.array([0.35, -0.2, 0.15, -0.3])
     u0 = pb.u_ref.with_log_coeffs(coeffs - coeffs.mean())
-    rows, meta = fl.quantization_comparison(
+    rows, meta, _ = fl.quantization_comparison(
         pb.polytope, pb.chi, pb.gamma, pb.rule, u0, [2, 4], T=0.4, nx=32)
     by = {(r["k"], r["t"]): r["distance"] for r in rows}
     # t = 0 distances decrease in k (Bergman approximation of the start)
@@ -220,9 +220,10 @@ def test_quantization_comparison_stationary(square_problem):
     # stay within the t=0 distance plus a small slack
     pb = square_problem
     chi = geo.ScaledPotential(pb.u_ref, pb.gamma)
-    rows, _ = fl.quantization_comparison(
+    rows, _, _ = fl.quantization_comparison(
         pb.polytope, chi, pb.gamma, pb.rule, pb.u_ref, [2, 3], T=0.4, nx=32)
     by = {(r["k"], r["t"]): r["distance"] for r in rows}
     for k in (2, 3):
         for t in (0.2, 0.4):
             assert by[(k, t)] <= by[(k, 0.0)] + 5e-3
+

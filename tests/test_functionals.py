@@ -115,7 +115,7 @@ def test_i_mu0_decreases_under_t_map(square_problem):
     rng = np.random.default_rng(6)
     for _ in range(15):
         H = random_diagonal(q, rng)
-        assert F.i_mu0(q, q.t_map(H), m=8) <= F.i_mu0(q, H, m=8) + 1e-12
+        assert F.i_mu0(q, q.t_map(H)) <= F.i_mu0(q, H) + 1e-12
 
 
 def test_i_mu0_convex_along_bergman_geodesics(square_problem):
@@ -124,7 +124,7 @@ def test_i_mu0_convex_along_bergman_geodesics(square_problem):
     for _ in range(4):
         path = F.PotentialPath.bergman(q, random_diagonal(q, rng),
                                        random_diagonal(q, rng), m=8)
-        vals = [F.i_mu0(q, path.form_at(t), m=8) for t in path.times()]
+        vals = [F.i_mu0(q, path.form_at(t)) for t in path.times()]
         assert F.convexity_probe(vals) >= -1e-8
 
 
@@ -144,7 +144,7 @@ def test_j_fs_convex_along_geodesics(square_problem):
     for _ in range(3):
         path = F.PotentialPath.bergman(q, random_diagonal(q, rng),
                                        random_diagonal(q, rng), m=8)
-        vals = [F.j_energy_between(q, u_id, q.fs_map(path.form_at(t)), m=8)
+        vals = [F.j_energy_between(q, u_id, q.fs_map(path.form_at(t)))
                 for t in path.times()]
         assert F.convexity_probe(vals) >= -1e-8
 
@@ -155,7 +155,7 @@ def test_i_hat_decreases_under_fs_hilb(square_problem):
     for _ in range(10):
         u = q.fs_map(random_diagonal(q, rng))
         u2 = q.fs_map(q.hilb_map(u))
-        assert F.i_hat(q, u2, m=8) <= F.i_hat(q, u, m=8) + 1e-10
+        assert F.i_hat(q, u2) <= F.i_hat(q, u) + 1e-10
 
 
 def test_i_hat_minimum_at_balanced(square_problem):
@@ -165,10 +165,10 @@ def test_i_hat_minimum_at_balanced(square_problem):
                                tol=1e-10, maxiter=300, norm="fro",
                                track_energy=False)
     u_bal = q.fs_map(res.H)
-    base = F.i_hat(q, u_bal, m=8)
+    base = F.i_hat(q, u_bal)
     for _ in range(8):
         u = q.fs_map(random_diagonal(q, rng))
-        assert F.i_hat(q, u, m=8) >= base - 1e-9
+        assert F.i_hat(q, u) >= base - 1e-9
 
 
 def test_i_hat_quantisation_consistency(square_o21):
@@ -179,7 +179,7 @@ def test_i_hat_quantisation_consistency(square_o21):
     diffs = []
     for k in (2, 4, 8):
         q = pb.quantisation(k)
-        diffs.append(abs(F.i_hat_relative(q, u, pb.u_ref, m=8) / k - target))
+        diffs.append(abs(F.i_hat_relative(q, u, pb.u_ref) / k - target))
     assert diffs[0] > diffs[1] > diffs[2]
 
 

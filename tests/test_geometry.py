@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -41,6 +46,22 @@ def test_lattice_points_lexicographic():
     pts = sq.lattice_points(2)
     as_tuples = [tuple(p) for p in pts]
     assert as_tuples == sorted(as_tuples)
+
+
+def test_basis_hash_reproducible_across_processes():
+    # different hash seeds: the salted built-in hash() would differ
+    code = ("from jbalance.geometry import enumerate_lattice_points, polytope_preset; "
+            "print(enumerate_lattice_points(polytope_preset('P2'), 3).basis_hash())")
+    src = str(Path(geo.__file__).resolve().parents[1])
+    digests = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
+    assert digests == {geo.enumerate_lattice_points(geo.polytope_preset("P2"), 3).basis_hash()}
+    assert geo.enumerate_lattice_points(geo.polytope_preset("P2"), 4).basis_hash() not in digests
 
 
 def test_ehrhart_degree_two():
