@@ -20,15 +20,22 @@ degenerates exponentially towards the toric boundary divisors, making
 explicit steps arbitrarily stiff there, so nodes whose initial Hessian falls
 below ``freeze_eps`` are held at their initial values: they form an
 exponentially thin collar of the divisors (manifold measure ~ freeze_eps)
-and the committed error is quantified by the grid refinement oracle.
+and the committed error is quantified by the grid refinement oracle.  Each
+step takes 0.9 of the forward-Euler bound of the discrete operator: the
+linearised flow is d(delta)/dt = (1/2) tr(D D^2 delta), D = A^{-1} B A^{-1}
+(A = D^2u, B = D^2v), and the diagonal of I + h L stays nonnegative iff
+h max(D11/dx^2 + D22/dy^2) <= 1 over the evolved nodes.  One interior
+Hessian per step serves the convexity check, the velocity, that bound and
+the logged residual.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .geometry import mixed_density, volume_density
+from .geometry import mixed_density, smallest_eigenvalue, volume_density
 from .quantisation import HermitianForm, QuantisationError
 
 
@@ -143,7 +150,7 @@ def critical_residual(u, chi, gamma, rule):
     X = rule.nodes
     hess = np.asarray(u.hessian(X))
     det = volume_density(hess)
-    if np.min(det) <= 0:
+    if not np.all(det > 0):
         raise FlowError("potential is not strictly convex on the nodes")
     r = mixed_density(hess, np.asarray(chi.hessian(X))) / det - gamma
     vol = rule.weights * det * rule.c_vol
@@ -168,7 +175,7 @@ def cone_condition_check(u, chi, gamma, rule):
     if n == 1:
         return float(np.min(S[..., 0, 0] / A[..., 0, 0]))
     detA = volume_density(A)
-    if np.min(detA) <= 0:
+    if not np.all(detA > 0):
         raise FlowError("potential is not strictly convex on the nodes")
     detS = volume_density(S)
     m = (S[..., 0, 0] * A[..., 1, 1] + S[..., 1, 1] * A[..., 0, 0]
@@ -197,13 +204,26 @@ def donaldson_necessary_check(data):
 # continuum J-flow on a grid
 # ---------------------------------------------------------------------------
 
+# Fraction of the forward-Euler bound that a continuum J-flow step takes.
+# The bound keeps the diagonal of I + h L nonnegative; the mixed-derivative
+# entries of the stencil can be negative, so it does not prove stability,
+# and jflow_run halves the fraction whenever a step loses convexity.
+EULER_FRACTION = 0.9
+
+
 @dataclass
 class GridPotential:
-    """Torus-invariant potential sampled on a rectangular log-coordinate box."""
+    """Torus-invariant potential sampled on a rectangular log-coordinate box.
+
+    ``hess`` is the interior Hessian of ``values`` when it is already known.
+    ``jflow_step`` sets it on the grids it returns and makes their values
+    read-only, so the stored Hessian cannot go stale.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
     values: np.ndarray
+    hess: tuple = field(default=None, repr=False)
 
     @property
     def dx(self):
@@ -217,15 +237,22 @@ class GridPotential:
         X, Y = np.meshgrid(self.xs, self.ys, indexing="ij")
         return np.stack([X.ravel(), Y.ravel()], axis=-1)
 
-    def copy(self):
-        return GridPotential(self.xs, self.ys, self.values.copy())
-
     def interior_hessian(self):
         u, dx, dy = self.values, self.dx, self.dy
-        uxx = (u[2:, 1:-1] - 2 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / dx ** 2
-        uyy = (u[1:-1, 2:] - 2 * u[1:-1, 1:-1] + u[1:-1, :-2]) / dy ** 2
-        uxy = (u[2:, 2:] + u[:-2, :-2] - u[2:, :-2] - u[:-2, 2:]) / (4 * dx * dy)
+        twice = 2 * u[1:-1, 1:-1]
+        uxx = (u[2:, 1:-1] - twice + u[:-2, 1:-1]) / dx ** 2
+        uyy = (u[1:-1, 2:] - twice + u[1:-1, :-2]) / dy ** 2
+        ddx = u[2:] - u[:-2]
+        uxy = (ddx[:, 2:] - ddx[:, :-2]) / (4 * dx * dy)
         return uxx, uyy, uxy
+
+
+def _with_hessian(xs, ys, values):
+    """A grid that owns ``values`` (made read-only) and carries its Hessian."""
+    values.flags.writeable = False
+    grid = GridPotential(xs, ys, values)
+    grid.hess = grid.interior_hessian()
+    return grid
 
 
 def dirichlet_box(P, slack=1e-6):
@@ -246,28 +273,42 @@ def grid_from_potential(P, u, nx, ny=None, box=None):
     return g
 
 
-def _ratio_interior(grid, vxx, vyy, vxy):
-    uxx, uyy, uxy = grid.interior_hessian()
+def _convex_det(hess, mask):
+    """det D^2u, or None unless D^2u is positive definite on the masked
+    nodes; NaN counts as a loss of convexity."""
+    uxx, uyy, uxy = hess
     det = uxx * uyy - uxy ** 2
+    return det if np.minimum(det, uxx).min(where=mask, initial=np.inf) > 0 else None
+
+
+def _velocity(hess, det, v_hess, gamma, mask):
+    """gamma - mix/det on the masked nodes, 0 elsewhere."""
+    uxx, uyy, uxy = hess
+    vxx, vyy, vxy = v_hess
     mix = 0.5 * (uxx * vyy + uyy * vxx - 2.0 * uxy * vxy)
-    return mix, det, uxx
+    return np.where(mask, gamma - np.divide(mix, det, out=np.zeros_like(det),
+                                            where=mask), 0.0)
 
 
 def jflow_step(grid, v_hess, gamma, dt, active=None):
     """One explicit Euler step of du/dt = gamma - (1/n) tr((D^2u)^{-1} D^2v).
 
     Dirichlet on the box boundary; ``active`` masks the interior nodes that
-    are evolved.  Returns (new grid, convexity_ok).
+    are evolved.  Returns (new grid, convexity_ok).  The step is refused,
+    returning ``grid`` itself with False, unless D^2u is positive definite on
+    the masked nodes both before and after it.  The new grid carries its
+    interior Hessian, which the next step reuses.
     """
-    vxx, vyy, vxy = v_hess
-    mix, det, uxx = _ratio_interior(grid, vxx, vyy, vxy)
-    mask = active if active is not None else np.ones_like(det, dtype=bool)
-    if np.any(det[mask] <= 0) or np.any(uxx[mask] <= 0):
+    hess = grid.interior_hessian() if grid.hess is None else grid.hess
+    mask = active if active is not None else np.ones_like(hess[0], dtype=bool)
+    det = _convex_det(hess, mask)
+    if det is None:
         return grid, False
-    rhs = np.where(mask, gamma - np.divide(mix, det, out=np.zeros_like(det),
-                                           where=mask), 0.0)
-    new = grid.copy()
-    new.values[1:-1, 1:-1] += dt * rhs
+    values = grid.values.copy()
+    values[1:-1, 1:-1] += dt * _velocity(hess, det, v_hess, gamma, mask)
+    new = _with_hessian(grid.xs, grid.ys, values)
+    if _convex_det(new.hess, mask) is None:
+        return grid, False
     return new, True
 
 
@@ -279,17 +320,24 @@ class JFlowResult:
     active: np.ndarray
     steps: int
     dts: list
+    halvings: int              # step refusals, each halving the step fraction
 
 
-def jflow_run(grid0, chi, gamma, T, dt=None, snap_times=(), freeze_eps=1e-3,
-              safety=0.8, monitor=None, max_halvings=40, active=None):
+def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
+              monitor=None, max_halvings=40, active=None):
     """Run the continuum J-flow to time T with adaptive explicit stepping.
 
-    The stable step size is computed each step from the frozen-collar
-    criterion: interior nodes with lambda_min(D^2 u_0) < freeze_eps are held
-    fixed (exponentially thin collar of the toric boundary), and on the
-    active set dt <= safety / max(lambda_max(A^{-1} B A^{-1}) * fd_symbol).
-    Convexity loss on the active set rejects the step and halves dt.
+    Interior nodes with lambda_min(D^2 u_0) < freeze_eps are held fixed (an
+    exponentially thin collar of the toric boundary).  Each step takes
+    ``EULER_FRACTION`` of the forward-Euler bound of the discrete operator
+    on the active nodes: linearised, the flow is d(delta)/dt =
+    (1/2) tr(D D^2 delta) with D = A^{-1} B A^{-1} (A = D^2u, B = D^2v), and
+    the 9-point stencil gives I + h L a nonnegative diagonal iff
+    h <= 1 / max(D11/dx^2 + D22/dy^2).  Steps ahead of a snapshot time or T
+    are shortened evenly, so none is a sliver.  One interior Hessian per step
+    gives the convexity check, the velocity, the bound and the residual
+    logged every 25 steps.  A step that loses convexity on the active set is
+    refused and the fraction halved for the rest of the run.
 
     ``active`` overrides the collar mask (interior-shaped boolean); a mask
     cut from the analytic initial Hessian keeps the effective domain
@@ -300,55 +348,49 @@ def jflow_run(grid0, chi, gamma, T, dt=None, snap_times=(), freeze_eps=1e-3,
     vgrid = GridPotential(grid0.xs, grid0.ys,
                           np.asarray(chi.value(grid0.mesh())).reshape(grid0.values.shape))
     v_hess = vgrid.interior_hessian()
+    grid = _with_hessian(grid0.xs, grid0.ys, grid0.values.copy())
 
     if active is None:
-        uxx, uyy, uxy = grid0.interior_hessian()
-        tr_h = uxx + uyy
-        det_h = uxx * uyy - uxy ** 2
-        lam_min = 0.5 * (tr_h - np.sqrt(np.maximum(tr_h ** 2 - 4 * det_h, 0.0)))
-        active = lam_min >= freeze_eps
+        active = smallest_eigenvalue(*grid.hess) >= freeze_eps
     if not np.any(active):
         raise FlowError("freeze_eps leaves no active nodes; refine the grid or box")
     monitor = active if monitor is None else (monitor & active)
+    vxx, vyy, vxy = (v[active] for v in v_hess)
+    sx, sy = 1.0 / grid0.dx ** 2, 1.0 / grid0.dy ** 2
 
-    def stable_dt(grid):
-        # effective diffusion tensor of the linearised step is (1/2) A^{-1}BA^{-1}
-        # with lambda_max <= tr(A^{-1}B) tr(A)/det(A)
-        uxx_, uyy_, uxy_ = grid.interior_hessian()
-        det = (uxx_ * uyy_ - uxy_ ** 2)[active]
-        mix = 0.5 * (uxx_ * v_hess[1] + uyy_ * v_hess[0] - 2 * uxy_ * v_hess[2])[active]
-        lam = np.abs(2.0 * mix / det) * (uxx_ + uyy_)[active] / det
-        sym = 4.0 / grid.dx ** 2 + 4.0 / grid.dy ** 2
-        return safety / (0.5 * float(np.max(lam)) * sym + 1e-300)
+    def euler_bound(hess):
+        # D = adj(A) B adj(A) / det(A)^2; diagonal of I + h L is
+        # 1 - h (D11/dx^2 + D22/dy^2)
+        uxx, uyy, uxy = (a[active] for a in hess)
+        det = uxx * uyy - uxy ** 2
+        d11 = uyy * uyy * vxx - 2.0 * uyy * uxy * vxy + uxy * uxy * vyy
+        d22 = uxy * uxy * vxx - 2.0 * uxx * uxy * vxy + uxx * uxx * vyy
+        return 1.0 / (float(np.max((sx * d11 + sy * d22) / (det * det))) + 1e-300)
 
-    def sup_residual(grid):
-        mix, det, _ = _ratio_interior(grid, *v_hess)
-        r = gamma - mix / det
-        return float(np.max(np.abs(r[monitor])))
+    def sup_residual(hess):
+        det = _convex_det(hess, active)
+        if det is None:
+            raise FlowError("potential is not strictly convex on the active nodes")
+        return float(np.max(np.abs(_velocity(hess, det, v_hess, gamma, active)[monitor])))
 
-    grid = grid0.copy()
     snaps = {}
     snap_times = sorted(set(list(snap_times) + [0.0, float(T)]))
     next_snap = 0
     t = 0.0
-    res_log = [(0.0, sup_residual(grid))]
+    res_log = [(0.0, sup_residual(grid.hess))]
     steps = 0
     halvings = 0
+    fraction = EULER_FRACTION
     dts = []
-    dt_cap = dt
     while next_snap < len(snap_times) and snap_times[next_snap] <= 1e-14:
         snaps[snap_times[next_snap]] = grid.values.copy()
         next_snap += 1
     while t < T - 1e-12:
-        h = stable_dt(grid)
-        if dt_cap is not None:
-            h = min(h, dt_cap)
-        h = min(h, T - t)
-        if next_snap < len(snap_times):
-            h = min(h, snap_times[next_snap] - t + 1e-15)
+        span = snap_times[next_snap] - t
+        h = span / max(1, math.ceil(span / (fraction * euler_bound(grid.hess))))
         new, ok = jflow_step(grid, v_hess, gamma, h, active)
         if not ok:
-            dt_cap = h * 0.5 if dt_cap is None else dt_cap * 0.5
+            fraction *= 0.5
             halvings += 1
             if halvings > max_halvings:
                 raise FlowError(f"convexity loss persists at t={t:.4g} after {max_halvings} halvings")
@@ -358,12 +400,12 @@ def jflow_run(grid0, chi, gamma, T, dt=None, snap_times=(), freeze_eps=1e-3,
         steps += 1
         dts.append(h)
         if steps % 25 == 0 or t >= T - 1e-12:
-            res_log.append((t, sup_residual(grid)))
-        if next_snap < len(snap_times) and t >= snap_times[next_snap] - 1e-12:
+            res_log.append((t, sup_residual(grid.hess)))
+        if t >= snap_times[next_snap] - 1e-12:
             snaps[snap_times[next_snap]] = grid.values.copy()
             next_snap += 1
     return JFlowResult(grid0=grid0, snapshots=snaps, residual_log=res_log,
-                       active=active, steps=steps, dts=dts)
+                       active=active, steps=steps, dts=dts, halvings=halvings)
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +437,8 @@ def quantization_comparison(P, chi, gamma, rule, u0, k_list, T, nx=48,
     X = grid0.mesh()
     nxy = grid0.values.shape
     hess0 = np.asarray(u0.hessian(X)).reshape(nxy[0], nxy[1], 2, 2)
-    tr_h = hess0[..., 0, 0] + hess0[..., 1, 1]
-    det_h = hess0[..., 0, 0] * hess0[..., 1, 1] - hess0[..., 0, 1] ** 2
-    lam_min = 0.5 * (tr_h - np.sqrt(np.maximum(tr_h ** 2 - 4 * det_h, 0.0)))
-    window = (lam_min >= window_eps)
+    window = smallest_eigenvalue(hess0[..., 0, 0], hess0[..., 1, 1],
+                                 hess0[..., 0, 1]) >= window_eps
     result = jflow_run(grid0, chi, gamma, T, snap_times=snap_times)
     Xw = X.reshape(nxy[0], nxy[1], 2)[window]
 
@@ -419,5 +459,6 @@ def quantization_comparison(P, chi, gamma, rule, u0, k_list, T, nx=48,
             dist = _mean_normalised_sup(u_k.value(Xw), cont)
             rows.append({"k": int(k), "t": float(t), "distance": dist})
     meta = {"nx": nx, "window_nodes": int(window.sum()), "T": T,
-            "pde_steps": result.steps}
+            "pde_steps": result.steps, "pde_halvings": result.halvings,
+            "pde_min_dt": min(result.dts, default=0.0)}
     return rows, meta, result

@@ -655,6 +655,15 @@ def mixed_density(hess_a, hess_b):
                   - 2.0 * A[..., 0, 1] * B[..., 0, 1])
 
 
+def smallest_eigenvalue(hxx, hyy, hxy):
+    """Elementwise smallest eigenvalue of the symmetric 2x2 matrices
+    [[hxx, hxy], [hxy, hyy]]; the discriminant is clipped at 0 against
+    rounding."""
+    tr = hxx + hyy
+    det = hxx * hyy - hxy ** 2
+    return 0.5 * (tr - np.sqrt(np.maximum(tr ** 2 - 4 * det, 0.0)))
+
+
 def calibrate(rule, P, k, u_ref):
     """Fix c_vol so that integral det(D^2(k u_ref)) c_vol dx = k^n L1^n.
 

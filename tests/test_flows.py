@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -157,16 +159,71 @@ def test_jflow_residual_monotone(square_problem):
     assert all(rl[i + 1] <= rl[i] + 1e-12 for i in range(len(rl) - 1))
 
 
-def test_jflow_step_rejects_convexity_loss(square_problem):
+def _bump(values):
+    values[10:14, 10:14] += 5.0
+
+
+def _nan_node(values):
+    values[14, 12] = np.nan
+
+
+@pytest.mark.parametrize("poison", [_bump, _nan_node], ids=["bump", "nan"])
+def test_jflow_step_rejects_convexity_loss(square_problem, poison):
     pb = square_problem
     grid = fl.grid_from_potential(pb.polytope, pb.u_ref, 24)
     # poison the interior so the Hessian loses convexity
-    grid.values[10:14, 10:14] += 5.0
+    poison(grid.values)
     X = grid.mesh()
     vgrid = fl.GridPotential(grid.xs, grid.ys,
                              np.asarray(pb.chi.value(X)).reshape(grid.values.shape))
     _, ok = fl.jflow_step(grid, vgrid.interior_hessian(), pb.gamma, 1e-3)
     assert not ok
+
+
+def test_jflow_steps_at_euler_bound(square_o21):
+    # the flow benchmark's continuum input: steps at the forward-Euler bound
+    # of the discrete operator reach t = 0.05 in about 700
+    pb = square_o21
+    coeffs = 0.05 * np.random.default_rng(0).standard_normal(pb.polytope.ehrhart_count(1))
+    u0 = pb.u_ref.with_log_coeffs(coeffs - coeffs.mean())
+    grid0 = fl.grid_from_potential(pb.polytope, u0, 48)
+    out = fl.jflow_run(grid0, pb.chi, pb.gamma, T=0.05, snap_times=(0.025,))
+    assert out.steps <= 1000 and out.halvings == 0
+
+
+def test_jflow_one_hessian_per_step(square_problem, monkeypatch):
+    pb = square_problem
+    calls = []
+    real = fl.GridPotential.interior_hessian
+    monkeypatch.setattr(fl.GridPotential, "interior_hessian",
+                        lambda self: calls.append(1) or real(self))
+    pert = pb.u_ref.with_log_coeffs(np.array([0.4, -0.3, 0.2, -0.3]))
+    grid0 = fl.grid_from_potential(pb.polytope, pert, 24)
+    out = fl.jflow_run(grid0, pb.chi, pb.gamma, T=0.1)
+    assert out.halvings == 0 and out.steps > 25
+    # one for chi, one for the start, one per accepted step
+    assert len(calls) == out.steps + 2
+
+
+def test_jflow_refusals_halve_the_step(square_problem, monkeypatch):
+    # steps far beyond the forward-Euler bound lose convexity; each refusal
+    # halves the step fraction until the run proceeds
+    pb = square_problem
+    pert = pb.u_ref.with_log_coeffs(np.array([0.4, -0.3, 0.2, -0.3]))
+    grid0 = fl.grid_from_potential(pb.polytope, pert, 24)
+    ref = fl.jflow_run(grid0, pb.chi, pb.gamma, T=0.1)
+    monkeypatch.setattr(fl, "EULER_FRACTION", 64.0)
+    out = fl.jflow_run(grid0, pb.chi, pb.gamma, T=0.1)
+    assert 0 < out.halvings <= 8 and len(out.dts) == out.steps
+    assert np.max(np.abs(out.snapshots[0.1] - ref.snapshots[0.1])) < 1e-3
+
+
+def test_residual_checks_reject_nan_hessians(square_problem):
+    pb = square_problem
+    rule = SimpleNamespace(nodes=np.array([[0.0, 0.0], [np.nan, 0.3]]))
+    for check in (fl.critical_residual, fl.cone_condition_check):
+        with pytest.raises(fl.FlowError):
+            check(pb.u_ref, pb.chi, pb.gamma, rule)
 
 
 def test_jflow_grid_convergence_order(square_problem):
