@@ -7,7 +7,9 @@ Exit codes: 0 success, 2 config/usage error, 3 convergence or check failure,
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -20,7 +22,7 @@ from .presets import make_problem, normal_cone_from_facet, problem_names
 from .quantisation import HermitianForm, QuantisationError
 from .stability import (NormalConeConfig, StabilityError, blowup_table,
                         cone_criteria, df_weight, inequality_checks, j_weight,
-                        trivial_table)
+                        rational, trivial_table)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,7 +50,76 @@ class ConfigError(ValueError):
     pass
 
 
+def _int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v):
+    return (_int(v) or isinstance(v, float)) and math.isfinite(v)
+
+
+def _exact(v):
+    try:
+        rational(v, "r")
+    except StabilityError:
+        return False
+    return True
+
+
+# key -> (what a valid value is, test); "flow" and "stability" are checked
+# key by key against their own tables
+_POSITIVE = ("a positive number", lambda v: _number(v) and v > 0)
+_NON_NEGATIVE = ("a non-negative number", lambda v: _number(v) and v >= 0)
+_POSITIVE_INT = ("a positive integer", lambda v: _int(v) and v > 0)
+_OPTIONAL_INT = ("null or a positive integer", lambda v: v is None or _POSITIVE_INT[1](v))
+_OBJECT = ("a JSON object", lambda v: isinstance(v, dict))
+_SCHEMA = {
+    "problem": ("a preset name or an object", lambda v: isinstance(v, (str, dict))),
+    "k_list": ("a non-empty ascending list of positive integers",
+               lambda v: isinstance(v, list) and v != []
+               and all(_int(k) and k > 0 for k in v) and v == sorted(v)),
+    "resolution": _OPTIONAL_INT,
+    "n_theta": _OPTIONAL_INT,
+    "tol": _POSITIVE,
+    "norm": ("'fro' or 'op'", lambda v: v in ("fro", "op")),
+    "maxiter": _POSITIVE_INT,
+    "health_tol": _POSITIVE,
+    "seed": ("a non-negative integer", lambda v: _int(v) and v >= 0),
+    "out": ("a path string", lambda v: isinstance(v, str)),
+    "flow": _OBJECT,
+    "stability": _OBJECT,
+}
+_SECTIONS = {
+    "flow": {"dt": _POSITIVE, "T": _NON_NEGATIVE, "grid": _POSITIVE_INT,
+             "compare_T": _NON_NEGATIVE,
+             "start_amplitude": ("a number", _number)},
+    "stability": {
+        "r_values": ("a list of integers or rational strings",
+                     lambda v: isinstance(v, list) and all(map(_exact, v))),
+        "facet": ("a non-negative integer", lambda v: _int(v) and v >= 0),
+        "klt": ("true or false", lambda v: isinstance(v, bool)),
+        "centre": ("an object with keys dd, l1d, l2d, kd and optionally r_min",
+                   lambda v: isinstance(v, dict)
+                   and {"dd", "l1d", "l2d", "kd"} <= set(v)
+                   <= {"dd", "l1d", "l2d", "kd", "r_min"}),
+        "class_data": _OBJECT, "table": _OBJECT, "weights": _OBJECT},
+}
+
+
+def _check(values, schema, where=""):
+    for key, val in values.items():
+        if key not in schema:
+            raise ConfigError(f"unknown config key '{where}{key}'; "
+                              f"known: {', '.join(sorted(schema))}")
+        what, ok = schema[key]
+        if not ok(val):
+            raise ConfigError(f"config key '{where}{key}' must be {what}, got {val!r}")
+
+
 def load_config(path, overrides=None):
+    """DEFAULTS, updated by the JSON object at ``path`` and then by the
+    non-None ``overrides``; every key and value type is checked before any
+    work starts, so a bad config ends in ConfigError (exit 2)."""
     cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
     if path:
         try:
@@ -57,21 +128,16 @@ def load_config(path, overrides=None):
             raise ConfigError(f"cannot read config {path}: {exc}")
         if not isinstance(user, dict):
             raise ConfigError("config must be a JSON object")
+        _check(user, _SCHEMA)
         for key, val in user.items():
-            if key in ("flow", "stability") and isinstance(val, dict):
+            if key in _SECTIONS:
+                _check(val, _SECTIONS[key], f"{key}.")
                 cfg[key].update(val)
             else:
                 cfg[key] = val
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            cfg[key] = val
-    ks = cfg["k_list"]
-    if not ks or list(ks) != sorted(int(k) for k in ks) or min(ks) < 1:
-        raise ConfigError("k_list must be non-empty positive integers, ascending")
-    cfg["k_list"] = [int(k) for k in ks]
-    for name in ("tol", "health_tol"):
-        if cfg[name] <= 0:
-            raise ConfigError(f"{name} must be positive")
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    _check(overrides, _SCHEMA)
+    cfg.update(overrides)
     return cfg
 
 
@@ -227,28 +293,30 @@ def cmd_stability(cfg):
         "gamma_canonical": str(verdicts["gamma_canonical"]),
         "verdicts": [v.as_dict() for v in verdicts["verdicts"]]}, indent=1))
 
-    from .stability import IntersectionTable
+    # the blow-up table does not depend on r: build it once; each r still
+    # passes NormalConeConfig's checks (r > 0, r >= r_min)
+    r_values = [rational(r, "stability.r_values") for r in scfg["r_values"]]
+    base = None
     if "table" in scfg:
-        fixed = IntersectionTable.from_json(scfg["table"])
-        make_table = lambda r: fixed
-    else:
+        from .stability import IntersectionTable
+        table = IntersectionTable.from_json(scfg["table"])
+    elif r_values:
         if "centre" in scfg:
             c = scfg["centre"]
-            make_cfg = lambda r: NormalConeConfig(dd=c["dd"], l1d=c["l1d"],
-                                                  l2d=c["l2d"], kd=c["kd"], r=r,
-                                                  r_min=c.get("r_min", 1))
+            base = NormalConeConfig(dd=c["dd"], l1d=c["l1d"], l2d=c["l2d"],
+                                    kd=c["kd"], r=r_values[0],
+                                    r_min=c.get("r_min", 1))
         else:
-            make_cfg = lambda r: normal_cone_from_facet(problem.polytope,
-                                                        problem.l2_spec,
-                                                        scfg.get("facet", 0), r=r)
-        make_table = lambda r: blowup_table(data, make_cfg(r))
+            base = normal_cone_from_facet(problem.polytope, problem.l2_spec,
+                                          scfg.get("facet", 0), r=r_values[0])
+        table = blowup_table(data, base)
     rows = []
     triv = trivial_table()
     rows.append(["trivial", str(j_weight(triv, gamma, 1)),
                  str(df_weight(triv, data, 1)), "", "", "", ""])
-    for r in scfg["r_values"]:
-        r = Fraction(r)
-        table = make_table(r)
+    for r in r_values:
+        if base is not None:
+            dataclasses.replace(base, r=r)
         rep = inequality_checks(table, r)
         rows.append([str(r), str(j_weight(table, gamma, r)),
                      str(df_weight(table, data, r)),
@@ -260,9 +328,9 @@ def cmd_stability(cfg):
     if "weights" in scfg:
         wp = WeightPolynomials.from_json(scfg["weights"])
         chout = []
-        for r in scfg["r_values"]:
-            res = chow_hilbert_weight(wp, Fraction(r))
-            chout.append([str(Fraction(r)), str(res["e_top"]),
+        for r in r_values:
+            res = chow_hilbert_weight(wp, r)
+            chout.append([str(r), str(res["e_top"]),
                           str(res["j_weight_normalised"])])
         write_csv(out / "chow_weights.csv",
                   ["r", "e_top", "j_weight_normalised"], chout)

@@ -593,6 +593,12 @@ def _axis_rule(resolution, scale, center):
     return x, w * jac
 
 
+def check_resolution(resolution):
+    """Refuse a quadrature resolution (nodes per axis) below 4."""
+    if resolution < 4:
+        raise GeometryError("resolution >= 4 required")
+
+
 def build_quadrature(P, resolution, kmax=1, scale=None):
     """Quadrature over R^n adapted to exponential-sum-ratio integrands.
 
@@ -602,8 +608,7 @@ def build_quadrature(P, resolution, kmax=1, scale=None):
     occurring densities; ``kmax`` is recorded so consumers can check the
     rule against the finest level they integrate.
     """
-    if resolution < 4:
-        raise GeometryError("resolution >= 4 required")
+    check_resolution(resolution)
     # Axis-aligned fans push forward to rational integrands with distant
     # poles (spectrally exact); a skew ray such as P^2's diagonal leaves a
     # corner non-analyticity whose algebraic order improves with the scale.

@@ -4,12 +4,14 @@ the tests and the verification battery."""
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import (AxisPotential, DelzantPolytope, GeometryError,
                        LogSumExpPotential, ScaledPotential, SumPotential,
-                       build_quadrature, calibrate, j_constant_from_polytope,
+                       build_quadrature, calibrate, check_resolution,
+                       j_constant_from_polytope,
                        line_bundle_class, polytope_preset, reference_potential)
 from .stability import SurfaceClassData
 
@@ -37,14 +39,17 @@ def chi_potential(P, l2_spec, mode="reference"):
 
 @dataclass
 class Problem:
-    """Everything a batch computation needs for one (M, L1, L2) triple."""
+    """Everything a batch computation needs for one (M, L1, L2) triple.
+
+    ``meta`` holds the quadrature's ``resolution`` and ``kmax``; the rule
+    itself is built and calibrated on first use, so work that reads only
+    exact class data (the stability sweep) never pays for it."""
 
     name: str
     polytope: DelzantPolytope
     l2_spec: object
     chi: object
     gamma_exact: Fraction
-    rule: object
     u_ref: object
     chi_mode: str = "reference"
     meta: dict = field(default_factory=dict)
@@ -52,6 +57,13 @@ class Problem:
     @property
     def gamma(self):
         return float(self.gamma_exact)
+
+    @cached_property
+    def rule(self):
+        """The quadrature rule, calibrated against the reference potential."""
+        rule = build_quadrature(self.polytope, self.meta["resolution"],
+                                kmax=self.meta["kmax"])
+        return calibrate(rule, self.polytope, 1, self.u_ref)
 
     def quantisation(self, k, n_theta=None):
         from .quantisation import Quantisation, QuantisationError
@@ -91,7 +103,10 @@ def normal_cone_from_facet(P, l2_spec, facet_index=0, r=1, r_min=1):
     """NormalConeConfig for the centre D = a toric boundary divisor, with all
     pairings computed exactly from the fan."""
     from .geometry import line_bundle_class, pair_classes
-    from .stability import NormalConeConfig
+    from .stability import NormalConeConfig, StabilityError
+    if not 0 <= facet_index < P.num_facets:
+        raise StabilityError(f"facet {facet_index} out of range: {P.name} has "
+                             f"facets 0..{P.num_facets - 1}")
     d = [0] * P.num_facets
     d[facet_index] = 1
     c1 = line_bundle_class(P, "L1")
@@ -119,8 +134,9 @@ def make_problem(name, resolution=None, kmax=4, chi_mode=None, polytope=None,
                  l2_spec=None):
     """Build a Problem from a preset name or explicit polytope + L2 data.
 
-    The quadrature rule is built at the requested resolution and calibrated
-    against the reference potential.  Preset defaults: 64 on product fans,
+    The resolution is checked here; the quadrature rule is built at it and
+    calibrated against the reference potential on first use of
+    ``Problem.rule``.  Preset defaults: 64 on product fans,
     96 on P^2 (its skew ray converges algebraically); 48 is the documented
     minimum for the level-4 trace-identity health bound of 1e-6 on product
     fans, and k = 8 work should use 80+.
@@ -137,13 +153,12 @@ def make_problem(name, resolution=None, kmax=4, chi_mode=None, polytope=None,
         chi_mode = chi_mode or "reference"
     else:
         raise GeometryError(f"unknown problem {name!r}; presets: {problem_names()}")
-    u_ref = reference_potential(P)
-    rule = calibrate(build_quadrature(P, resolution, kmax=kmax), P, 1, u_ref)
+    check_resolution(resolution)
     gamma = j_constant_from_polytope(P, l2)
     # chi needs gamma > 0 and a globally generated L2; stability-only runs
     # (e.g. L2 = K on a Fano) work from the class data alone
     chi = chi_potential(P, l2, mode=chi_mode) if gamma > 0 else None
     return Problem(name=name, polytope=P, l2_spec=l2, chi=chi,
-                   gamma_exact=gamma, rule=rule,
-                   u_ref=u_ref, chi_mode=chi_mode,
+                   gamma_exact=gamma, u_ref=reference_potential(P),
+                   chi_mode=chi_mode,
                    meta={"resolution": resolution, "kmax": kmax})

@@ -11,6 +11,18 @@ Intersection calculus on the 3-fold blow-up along the curve D x {0} (surface
 case n = 2): products of three pulled-back surface classes vanish,
 p*a . p*b . E = 0, p*a . E^2 = -(a.D), E^3 = -D^2, and the relative
 canonical class is K_{B/M x P^1} = E.
+
+With those zeroes a table has four free entries, E^2.L1, E^2.L2, E^2.K and
+E^3, and every weight below is a linear combination of the four pairings
+of A = r L1 - E that ``IntersectionTable.square`` returns in closed form:
+
+    A^2 . a = E^2 . a                   for a in {L1, L2, K},
+    A^2 . E = -2 r E^2.L1 + E^3,
+    A^3     = r A^2.L1 - A^2.E = 3 r E^2.L1 - E^3.
+
+On a blow-up table these read A^2 . E = 2 r L1.D - D^2 and
+A^3 = D^2 - 3 r L1.D.  ``df_weight`` still checks its decomposition
+identity against the generic trilinear ``IntersectionTable.product``.
 """
 
 from dataclasses import dataclass
@@ -22,12 +34,21 @@ class StabilityError(ValueError):
     """Inconsistent class data or invalid configuration."""
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10 ** 12)
-    return Fraction(x)
+def rational(value, name):
+    """``value`` as an exact Fraction: an integer, a Fraction or a decimal /
+    rational string.  Floats are refused, since the rational a float was
+    meant to be is a guess; ``name`` labels the field in the error."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise StabilityError(f"{name} must be an integer or a decimal/rational string "
+                         f"such as \"1/3\", not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +84,7 @@ class SurfaceClassData:
 
     def __post_init__(self):
         for name in ("l1l1", "l1l2", "l2l2", "kl1", "kl2", "kk"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+            object.__setattr__(self, name, rational(getattr(self, name), name))
         if self.l1l1 <= 0:
             raise StabilityError("L1^2 must be positive")
         if not self.mori:
@@ -77,13 +98,16 @@ class SurfaceClassData:
         """Directly supplied pairing values, e.g.
         {"L1L1": 1, "L1L2": 1, ..., "mori": [{"name": "C", "l1": 1,
         "l2": 1, "k": -3}], "klt": true}."""
-        gens = tuple(CurveClass(name=g.get("name", f"C{i}"), l1=_frac(g["l1"]),
-                                l2=_frac(g["l2"]), k=_frac(g["k"]))
-                     for i, g in enumerate(data["mori"]))
-        return cls(l1l1=_frac(data["L1L1"]), l1l2=_frac(data["L1L2"]),
-                   l2l2=_frac(data["L2L2"]), kl1=_frac(data["KL1"]),
-                   kl2=_frac(data["KL2"]), kk=_frac(data["KK"]),
-                   mori=gens, klt=bool(data.get("klt", True)))
+        try:
+            gens = tuple(CurveClass(name=g.get("name", f"C{i}"),
+                                    **{f: rational(g[f], f"mori[{i}].{f}")
+                                       for f in ("l1", "l2", "k")})
+                         for i, g in enumerate(data["mori"]))
+            return cls(l1l1=data["L1L1"], l1l2=data["L1L2"], l2l2=data["L2L2"],
+                       kl1=data["KL1"], kl2=data["KL2"], kk=data["KK"],
+                       mori=gens, klt=bool(data.get("klt", True)))
+        except KeyError as exc:
+            raise StabilityError(f"class data lacks {exc}")
 
     @classmethod
     def from_polytope(cls, P, l2_spec, klt=True):
@@ -136,7 +160,7 @@ class NormalConeConfig:
 
     def __post_init__(self):
         for name in ("dd", "l1d", "l2d", "kd", "r", "r_min"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+            object.__setattr__(self, name, rational(getattr(self, name), name))
         if self.l1d <= 0:
             raise StabilityError("L1.D must be positive for an effective centre")
         if self.r <= 0:
@@ -155,7 +179,8 @@ class IntersectionTable:
     def __init__(self, entries):
         self._t = {}
         for key, val in entries.items():
-            self._t[tuple(sorted(key))] = _frac(val)
+            key = tuple(sorted(key))
+            self._t[key] = rational(val, "/".join(key))
         for key in combinations_with_replacement(sorted(_BASIS), 3):
             if key not in self._t:
                 raise StabilityError(f"missing triple product {key}")
@@ -163,11 +188,13 @@ class IntersectionTable:
                 raise StabilityError(f"three pulled-back classes must vanish: {key}")
             if key.count("E") == 1 and self._t[key] != 0:
                 raise StabilityError(f"p*a . p*b . E must vanish: {key}")
+        self._e2 = {a: self.triple(a, "E", "E") for a in ("L1", "L2", "K")}
+        self._e3 = self.triple("E", "E", "E")
 
     @classmethod
     def from_json(cls, data):
-        """Entries keyed 'A/B/C' with rational string or numeric values."""
-        return cls({tuple(k.split("/")): Fraction(str(v)) for k, v in data.items()})
+        """Entries keyed 'A/B/C' with integer or rational string values."""
+        return cls({tuple(k.split("/")): v for k, v in data.items()})
 
     def triple(self, a, b, c):
         return self._t[tuple(sorted((a, b, c)))]
@@ -184,8 +211,17 @@ class IntersectionTable:
                 for c, z in c3.items():
                     if z == 0:
                         continue
-                    total += x * y * z * self.triple(a, b, c)
+                    t = self.triple(a, b, c)
+                    if t != 0:
+                        total += x * y * z * t
         return total
+
+    def square(self, r):
+        """{a: (r L1 - E)^2 . a} over the basis, from the four free entries
+        (closed forms in the module docstring)."""
+        e2 = self._e2
+        return {"L1": e2["L1"], "L2": e2["L2"], "K": e2["K"],
+                "E": -2 * rational(r, "r") * e2["L1"] + self._e3}
 
     def to_dict(self):
         return {"/".join(k): str(v) for k, v in sorted(self._t.items())}
@@ -212,8 +248,16 @@ def trivial_table():
     return IntersectionTable({k: Fraction(0) for k in combinations_with_replacement(_BASIS, 3)})
 
 
-def _r_class(r):
-    return {"L1": _frac(r), "E": Fraction(-1)}
+def _exponent(r):
+    r = rational(r, "r")
+    if r <= 0:
+        raise StabilityError("r must be positive")
+    return r
+
+
+def _cube(square, r):
+    """(r L1 - E)^3 = r (r L1 - E)^2.L1 - (r L1 - E)^2.E."""
+    return r * square["L1"] - square["E"]
 
 
 def j_weight(table, gamma, r):
@@ -222,14 +266,9 @@ def j_weight(table, gamma, r):
 
         (r L1 - E)^2 . ( -(2/3) gamma r^{-1} (r L1 - E) + L2 ).
     """
-    r = _frac(r)
-    if r <= 0:
-        raise StabilityError("r must be positive")
-    gamma = _frac(gamma)
-    A = _r_class(r)
-    lead = table.product(A, A, A)
-    with_l2 = table.product(A, A, {"L2": Fraction(1)})
-    return -Fraction(2, 3) * gamma / r * lead + with_l2
+    r = _exponent(r)
+    sq = table.square(r)
+    return -Fraction(2, 3) * rational(gamma, "gamma") / r * _cube(sq, r) + sq["L2"]
 
 
 def df_weight(table, data, r):
@@ -238,17 +277,14 @@ def df_weight(table, data, r):
 
         DF = J_{K_M}-weight + (r L1 - E)^2 . E,
 
-    re-verified against the direct expansion with K_{B/M x P^1} = E."""
-    r = _frac(r)
-    if r <= 0:
-        raise StabilityError("r must be positive")
-    gamma_k = data.gamma_canonical()
-    A = _r_class(r)
-    j_k = (-Fraction(2, 3) * gamma_k / r * table.product(A, A, A)
-           + table.product(A, A, {"K": Fraction(1)}))
-    exc = table.product(A, A, {"E": Fraction(1)})
-    df = j_k + exc
-    direct = (-Fraction(2, 3) * gamma_k / r * table.product(A, A, A)
+    re-verified against the direct trilinear expansion with
+    K_{B/M x P^1} = E."""
+    r = _exponent(r)
+    lead = -Fraction(2, 3) * data.gamma_canonical() / r
+    sq = table.square(r)
+    df = lead * _cube(sq, r) + sq["K"] + sq["E"]
+    A = {"L1": r, "E": Fraction(-1)}
+    direct = (lead * table.product(A, A, A)
               + table.product(A, A, {"K": Fraction(1), "E": Fraction(1)}))
     if df != direct:
         raise StabilityError("DF decomposition identity violated (internal error)")
@@ -267,17 +303,16 @@ def inequality_checks(table, r, nef_classes=None):
     A violated inequality flags the configuration as outside the admissible
     semi-ample range.
     """
-    r = _frac(r)
-    A = _r_class(r)
-    report = {"r": r}
-    nef = [("L1", {"L1": Fraction(1)})]
+    r = rational(r, "r")
+    sq = table.square(r)
+    nef_vals = {"L1": sq["L1"]}
     for i, cls in enumerate(nef_classes or []):
-        nef.append((f"nef{i}", {k: _frac(v) for k, v in cls.items()}))
-    nef_vals = {name: table.product(A, A, cls) for name, cls in nef}
-    report["nef_pairings"] = nef_vals
-    report["ii_exceptional"] = table.product(A, A, {"E": Fraction(1)})
-    report["iii_combined"] = table.product(A, A, {"L1": r, "E": Fraction(2)})
-    report["surface"] = table.product(A, A, {"L1": r, "E": Fraction(1)})
+        nef_vals[f"nef{i}"] = sum((rational(v, f"nef{i}.{k}") * sq[k]
+                                   for k, v in cls.items()), Fraction(0))
+    report = {"r": r, "nef_pairings": nef_vals,
+              "ii_exceptional": sq["E"],
+              "iii_combined": r * sq["L1"] + 2 * sq["E"],
+              "surface": r * sq["L1"] + sq["E"]}
     report["admissible"] = (all(v <= 0 for v in nef_vals.values())
                             and report["ii_exceptional"] > 0
                             and report["iii_combined"] > 0
@@ -308,7 +343,7 @@ class WeightPolynomials:
     def __post_init__(self):
         for name, deg in (("h", self.n), ("w", self.n + 1),
                           ("hhat", self.m), ("what", self.m + 1)):
-            coeffs = tuple(_frac(c) for c in getattr(self, name))
+            coeffs = tuple(rational(c, name) for c in getattr(self, name))
             object.__setattr__(self, name, coeffs)
             if len(coeffs) != deg + 1:
                 raise StabilityError(f"{name} must have degree {deg}")
@@ -317,11 +352,12 @@ class WeightPolynomials:
 
     @classmethod
     def from_json(cls, data):
-        return cls(n=int(data["n"]), m=int(data["m"]),
-                   h=tuple(Fraction(str(c)) for c in data["h"]),
-                   w=tuple(Fraction(str(c)) for c in data["w"]),
-                   hhat=tuple(Fraction(str(c)) for c in data["hhat"]),
-                   what=tuple(Fraction(str(c)) for c in data["what"]))
+        try:
+            return cls(n=int(data["n"]), m=int(data["m"]), h=tuple(data["h"]),
+                       w=tuple(data["w"]), hhat=tuple(data["hhat"]),
+                       what=tuple(data["what"]))
+        except KeyError as exc:
+            raise StabilityError(f"weight polynomials lack {exc}")
 
     @property
     def a0(self):
@@ -355,9 +391,7 @@ def chow_hilbert_weight(wp, r):
     coefficient of e_{m+1}(r), which equals b0_hat a0 - b0 a0_hat (the
     numerator of the J-weight of the configuration).
     """
-    r = _frac(r)
-    if r <= 0:
-        raise StabilityError("r must be positive")
+    r = _exponent(r)
     hr = _poly_eval(wp.h, r)
     wr = _poly_eval(wp.w, r)
     # hat w(k) * (r h(r)): degree m+1 in k

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from jbalance import geometry as geo
 from jbalance.presets import make_problem
+
+# Property tests draw the same examples on every run (derandomize) and are
+# not timed per example, since CPU speed varies between runs on shared hosts.
+settings.register_profile("jbalance", derandomize=True, deadline=None, database=None)
+settings.load_profile("jbalance")
 
 
 @pytest.fixture(scope="session")

@@ -173,3 +173,88 @@ def test_flow_artifacts(tmp_path, monkeypatch):
     comp = json.loads((out / "quantization_comparison.json").read_text())
     assert {r["t"] for r in comp["rows"]} == {0.0, 0.1, 0.2}
     assert len(pde_runs) == 1
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"k_list": ["a"]}, "k_list"),
+    ({"resolution": "x"}, "resolution"),
+    ({"flow": 5}, "flow"),
+    ({"problem": "P2-O1-O1", "resoluton": 64}, "resoluton"),
+])
+def test_config_errors_exit_usage(tmp_path, capsys, config, key):
+    # bad keys and value types end in exit 2 with one line naming the key
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run(["stability", "--config", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and key in err
+    assert not (tmp_path / "o").exists()
+
+
+def _centre_config(tmp_path, l1d):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "problem": "P2-O1-O1",
+        "stability": {"r_values": ["1/10", 2],
+                      "centre": {"dd": 1, "l1d": l1d, "l2d": "0.5", "kd": -3,
+                                 "r_min": "1/10"}}}))
+    return cfg
+
+
+def test_stability_refuses_float_pairings(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert run(["stability", "--config", str(_centre_config(tmp_path, 0.1)),
+                "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "l1d" in err
+    assert not (out / "stability_sweep.csv").exists()
+
+
+def test_stability_reads_rational_strings_exactly(tmp_path):
+    out = tmp_path / "s"
+    for l1d in ("1/10", "0.1"):
+        assert run(["stability", "--config", str(_centre_config(tmp_path, l1d)),
+                    "--out", str(out)]) == cli.EXIT_OK
+        with open(out / "stability_sweep.csv") as fh:
+            rows = {r[0]: r for r in list(csv.reader(fh))[1:]}
+        assert set(rows) == {"trivial", "1/10", "2"}
+        for r in (Fr(1, 10), Fr(2)):
+            # gamma = 1 on P2-O1-O1; (r L1 - E)^3 = D^2 - 3 r L1.D, (r L1 - E)^2.L2 = -L2.D
+            cube = 1 - 3 * r * Fr(1, 10)
+            assert Fr(rows[str(r)][1]) == -Fr(2, 3) / r * cube - Fr(1, 2)
+            assert Fr(rows[str(r)][3]) == 2 * r * Fr(1, 10) - 1
+
+
+@pytest.mark.parametrize("r_values", [[1], list(range(1, 13))])
+def test_stability_builds_once_without_quadrature(tmp_path, monkeypatch, r_values):
+    from jbalance import presets
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stability path built a quadrature")
+
+    monkeypatch.setattr(presets, "build_quadrature", refuse)
+    monkeypatch.setattr(presets, "calibrate", refuse)
+    calls = {"blowup_table": 0, "normal_cone_from_facet": 0}
+    for name in calls:
+        real = getattr(cli, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "P1xP1-O11-O21",
+                               "stability": {"r_values": r_values, "facet": 1}}))
+    out = tmp_path / "s"
+    assert run(["stability", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    assert calls == {"blowup_table": 1, "normal_cone_from_facet": 1}
+    with open(out / "stability_sweep.csv") as fh:
+        assert len(list(csv.reader(fh))) == 2 + len(r_values)
+
+
+def test_resolution_checked_before_any_work(tmp_path):
+    # the quadrature is built lazily, but a resolution below 4 still exits 2
+    for command in ("stability", "verify"):
+        assert run([command, "--problem", "P2-O1-O1", "--resolution", "2",
+                    "--out", str(tmp_path / command)]) == cli.EXIT_USAGE

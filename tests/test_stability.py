@@ -1,7 +1,11 @@
 from fractions import Fraction as Fr
+from itertools import combinations_with_replacement, permutations
+from itertools import product as cartesian
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from jbalance import geometry as geo
 from jbalance import stability as st
@@ -249,3 +253,97 @@ def test_normal_cone_from_facet():
     sq = geo.polytope_preset("P1xP1")
     cfg = normal_cone_from_facet(sq, "O(2,1)", 0, r=1)
     assert (cfg.dd, cfg.l1d, cfg.l2d, cfg.kd) == (0, 1, 1, -2)
+
+
+# ---------------------------------------------------------------------------
+# closed-form pairings against the generic trilinear expansion
+# ---------------------------------------------------------------------------
+
+BASIS = ("L1", "L2", "K", "E")
+rationals = hs.fractions(min_value=-20, max_value=20, max_denominator=12)
+positive = hs.builds(Fr, hs.integers(1, 120), hs.integers(1, 12))
+
+
+@hs.composite
+def tables(draw):
+    """A validated table: the structural zeroes, with random E^2.a and E^3
+    supplied under a random ordering of each key."""
+    entries = {key: Fr(0) for key in combinations_with_replacement(BASIS, 3)}
+    for a in ("L1", "L2", "K"):
+        del entries[(a, "E", "E")]
+        entries[tuple(draw(hs.permutations((a, "E", "E"))))] = draw(rationals)
+    entries[("E", "E", "E")] = draw(rationals)
+    return st.IntersectionTable(entries)
+
+
+def class_data(kl1, l1l1=Fr(1)):
+    return st.SurfaceClassData(l1l1=l1l1, l1l2=1, l2l2=1, kl1=kl1, kl2=0, kk=0,
+                               mori=(st.CurveClass("C", Fr(1), Fr(1), Fr(-3)),))
+
+
+@given(tables(), positive, rationals, rationals, positive)
+def test_weights_match_trilinear_expansion(table, r, gamma, kl1, l1l1):
+    A = {"L1": r, "E": Fr(-1)}
+    cube = table.product(A, A, A)
+    assert st.j_weight(table, gamma, r) == (-Fr(2, 3) * gamma / r * cube
+                                            + table.product(A, A, {"L2": Fr(1)}))
+    data = class_data(kl1, l1l1)
+    assert st.df_weight(table, data, r) == (
+        -Fr(2, 3) * data.gamma_canonical() / r * cube
+        + table.product(A, A, {"K": Fr(1)}) + table.product(A, A, {"E": Fr(1)}))
+
+
+@given(tables(), positive, rationals, rationals, rationals)
+def test_inequality_checks_match_trilinear_expansion(table, r, a1, a2, ak):
+    A = {"L1": r, "E": Fr(-1)}
+    nef = {"L1": a1, "L2": a2, "K": ak}
+    rep = st.inequality_checks(table, r, nef_classes=[nef])
+    assert rep["nef_pairings"] == {"L1": table.product(A, A, {"L1": Fr(1)}),
+                                   "nef0": table.product(A, A, nef)}
+    assert rep["ii_exceptional"] == table.product(A, A, {"E": Fr(1)})
+    assert rep["iii_combined"] == table.product(A, A, {"L1": r, "E": Fr(2)})
+    assert rep["surface"] == table.product(A, A, {"L1": r, "E": Fr(1)})
+    assert rep["admissible"] == (max(rep["nef_pairings"].values()) <= 0
+                                 and rep["ii_exceptional"] > 0
+                                 and rep["iii_combined"] > 0 and rep["surface"] >= 0)
+
+
+@given(tables())
+def test_triple_symmetric_under_permutation(table):
+    for key in cartesian(BASIS, repeat=3):
+        values = {table.triple(*perm) for perm in permutations(key)}
+        assert len(values) == 1
+
+
+@given(rationals, positive, rationals, rationals, positive)
+def test_blowup_cube_closed_form(dd, l1d, l2d, kd, r):
+    cfg = st.NormalConeConfig(dd=dd, l1d=l1d, l2d=l2d, kd=kd, r=r, r_min=r)
+    table = st.blowup_table(p2_data(), cfg)
+    A = {"L1": r, "E": Fr(-1)}
+    assert table.product(A, A, A) == dd - 3 * r * l1d
+    assert table.square(r)["E"] == table.product(A, A, {"E": Fr(1)}) == 2 * r * l1d - dd
+
+
+def test_df_weight_raises_on_identity_mismatch():
+    # the closed-form side disagrees with the trilinear side: df_weight refuses
+    class Skewed(st.IntersectionTable):
+        def square(self, r):
+            sq = super().square(r)
+            return dict(sq, K=sq["K"] + 1)
+
+    entries = {key: Fr(0) for key in combinations_with_replacement(BASIS, 3)}
+    entries[("E", "E", "E")] = Fr(-1)
+    entries[("L1", "E", "E")] = Fr(-1)
+    with pytest.raises(st.StabilityError, match="decomposition identity"):
+        st.df_weight(Skewed(entries), p2_data(), 2)
+
+
+def test_rational_inputs_exact_and_floats_refused():
+    assert st.rational("1/3", "x") == Fr(1, 3)
+    assert st.rational("0.1", "x") == Fr(1, 10)
+    assert st.rational(4, "x") == 4
+    for bad in (0.1, 1.0, True, None, "abc", "1/0"):
+        with pytest.raises(st.StabilityError, match="l1d"):
+            st.rational(bad, "l1d")
+    with pytest.raises(st.StabilityError, match="l1d"):
+        st.NormalConeConfig(dd=1, l1d=0.1, l2d=1, kd=-3, r=1)
