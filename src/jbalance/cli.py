@@ -33,6 +33,8 @@ DEFAULTS = {
     "problem": "P2-O1-O1",
     "k_list": [3, 4],
     "resolution": 64,
+    # inert: no angular grid exists; kept because the benchmark's set-up
+    # probe and run record still read it
     "n_theta": None,
     "tol": 1e-9,
     "norm": "fro",
@@ -79,7 +81,7 @@ _SCHEMA = {
                lambda v: isinstance(v, list) and v != []
                and all(_int(k) and k > 0 for k in v) and v == sorted(v)),
     "resolution": _OPTIONAL_INT,
-    "n_theta": _OPTIONAL_INT,
+    "n_theta": _OPTIONAL_INT,   # inert, see DEFAULTS
     "tol": _POSITIVE,
     "norm": ("'fro' or 'op'", lambda v: v in ("fro", "op")),
     "maxiter": _POSITIVE_INT,
@@ -103,6 +105,16 @@ _SECTIONS = {
                    and {"dd", "l1d", "l2d", "kd"} <= set(v)
                    <= {"dd", "l1d", "l2d", "kd", "r_min"}),
         "class_data": _OBJECT, "table": _OBJECT, "weights": _OBJECT},
+}
+# a "problem" object: a preset "name", or a polytope and an L2
+_PROBLEM = {
+    "name": ("a string", lambda v: isinstance(v, str)),
+    "polytope": ("a preset name or an object with normals and offsets",
+                 lambda v: isinstance(v, str)
+                 or (isinstance(v, dict) and {"normals", "offsets"} <= set(v))),
+    "l2": ("a bundle string or a list of facet coefficients",
+           lambda v: isinstance(v, (str, list))),
+    "chi": ("'reference' or 'proportional'", lambda v: v in ("reference", "proportional")),
 }
 
 
@@ -143,17 +155,22 @@ def load_config(path, overrides=None):
 
 def build_problem(cfg):
     spec = cfg["problem"]
-    kmax = max(cfg["k_list"])
     if isinstance(spec, str):
-        return make_problem(spec, resolution=cfg["resolution"], kmax=kmax)
+        return make_problem(spec, resolution=cfg["resolution"])
     if isinstance(spec, dict):
+        _check(spec, _PROBLEM, "problem.")
+        if spec.get("name") not in problem_names():
+            for key in ("polytope", "l2"):
+                if key not in spec:
+                    raise ConfigError(f"config key 'problem.{key}' is missing; a problem "
+                                      f"object needs a preset 'name' or a polytope and an l2")
         polytope = spec.get("polytope")
         if isinstance(polytope, dict):
             from .geometry import DelzantPolytope
             polytope = DelzantPolytope(polytope["normals"], polytope["offsets"],
                                        name=polytope.get("name", "custom"))
         return make_problem(spec.get("name", "custom"),
-                            resolution=cfg["resolution"], kmax=kmax,
+                            resolution=cfg["resolution"],
                             polytope=polytope,
                             l2_spec=spec.get("l2"),
                             chi_mode=spec.get("chi", "reference"))
@@ -184,7 +201,7 @@ def cmd_balance(cfg):
     rng = np.random.default_rng(cfg["seed"])
     failures = 0
     for k in cfg["k_list"]:
-        q = problem.quantisation(k, n_theta=cfg["n_theta"])
+        q = problem.quantisation(k)
         health = max(q.trace_identity_residual(H)
                      for H in _random_diag_forms(q, rng, 2))
         if health > cfg["health_tol"]:
@@ -239,7 +256,7 @@ def cmd_flow(cfg):
     u0 = problem.u_ref.with_log_coeffs(coeffs - coeffs.mean())
 
     for k in cfg["k_list"]:
-        q = problem.quantisation(k, n_theta=cfg["n_theta"])
+        q = problem.quantisation(k)
         H0 = q.hilb_map(u0)
         traj = balancing_flow(q, H0, dt=fcfg["dt"], T=fcfg["T"])
         rows = [[s.t, s.diagnostics["mu0_fro"], s.diagnostics["mu0_sq"],
@@ -269,23 +286,22 @@ def cmd_flow(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_stability(cfg):
-    from .geometry import intersection_numbers
     from .stability import SurfaceClassData, WeightPolynomials, chow_hilbert_weight
 
     problem = build_problem(cfg)
     scfg = cfg["stability"]
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     try:
         if "class_data" in scfg:
             data = SurfaceClassData.from_json(scfg["class_data"])
         else:
             data = problem.class_data(klt=scfg.get("klt", True))
+        wp = WeightPolynomials.from_json(scfg["weights"]) if "weights" in scfg else None
     except StabilityError as exc:
         raise ConfigError(str(exc))
-    pair_tab = intersection_numbers(problem.polytope, problem.l2_spec)
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "pairings.csv", ["classes", "value"],
-              sorted(pair_tab.items()))
+              sorted(problem.pairings.items()))
     gamma = data.gamma()
     verdicts = cone_criteria(data)
     (out / "verdicts.json").write_text(json.dumps({
@@ -325,8 +341,7 @@ def cmd_stability(cfg):
     write_csv(out / "stability_sweep.csv",
               ["r", "j_weight", "df_weight", "ineq_ii", "ineq_iii",
                "ineq_surface", "admissible"], rows)
-    if "weights" in scfg:
-        wp = WeightPolynomials.from_json(scfg["weights"])
+    if wp is not None:
         chout = []
         for r in r_values:
             res = chow_hilbert_weight(wp, r)
@@ -362,8 +377,7 @@ def run_verification(cfg):
     ok = np.all(d2 == d2[0]) and Fraction(int(d2[0]), 2) == P.volume()
     add("ehrhart_polynomial", ok, f"counts k=1..6: {counts}")
 
-    from .geometry import intersection_numbers
-    tab = intersection_numbers(P, problem.l2_spec)
+    tab = problem.pairings
     add("intersection_volume", tab["L1L1"] == 2 * P.volume(),
         f"L1^2 = {tab['L1L1']}")
 
@@ -407,10 +421,9 @@ def run_verification(cfg):
     add("fs_scaling_invariance", dh < 1e-12, f"Hessian shift {dh:.2e}")
 
     # nef monotonicity on the Mori generators
-    from .geometry import line_bundle_class, mori_generators
+    from .geometry import mori_generators, surface_classes
     gens = mori_generators(P)
-    c1 = line_bundle_class(P, "L1")
-    c2 = line_bundle_class(P, problem.l2_spec)
+    c1, c2, _ = surface_classes(P, problem.l2_spec)
     nef_l2 = all(g.pair(c2) >= 0 for g in gens)
     nef_sum = all(g.pair(c2 + c1) >= 0 for g in gens)
     add("nef_monotone", (not nef_l2) or nef_sum, f"L2 nef: {nef_l2}")

@@ -31,11 +31,11 @@ the logged residual.
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .geometry import mixed_density, smallest_eigenvalue, volume_density
+from .geometry import (det_2x2, mixed_2x2, mixed_density, smallest_eigenvalue,
+                       volume_density)
 from .quantisation import HermitianForm, QuantisationError
 
 
@@ -72,8 +72,8 @@ def balancing_flow(q, H0, dt, T, log_every=5, mu_slack=1e-9):
     (||mu0||_F, ||mu0||^2, I_{mu0}, log det H) are logged every ``log_every``
     accepted steps plus the endpoints.  The map value C = Hilb(FS(H)) from
     a step's acceptance check is the next step's first stage, so a step
-    costs four map applications; on torus-invariant forms the logged
-    I_{mu0} reuses that pass through the torus_pass memo.
+    costs four map applications; the logged I_{mu0} reuses that pass
+    through the torus_pass memo.
 
     Returns a list of FlowState with HermitianForm payloads.
     """
@@ -91,7 +91,7 @@ def balancing_flow(q, H0, dt, T, log_every=5, mu_slack=1e-9):
     def make_state(t, H, fro, op, with_energy=True):
         diag = {"mu0_fro": fro, "mu0_op": op, "mu0_sq": fro * fro,
                 "logdet": H.logdet()}
-        if with_energy and H.diagonal:
+        if with_energy:
             diag["i_mu0"] = i_mu0(q, H)
         return FlowState(t=t, payload=H, diagnostics=diag)
 
@@ -178,26 +178,10 @@ def cone_condition_check(u, chi, gamma, rule):
     if not np.all(detA > 0):
         raise FlowError("potential is not strictly convex on the nodes")
     detS = volume_density(S)
-    m = (S[..., 0, 0] * A[..., 1, 1] + S[..., 1, 1] * A[..., 0, 0]
-         - 2.0 * S[..., 0, 1] * A[..., 0, 1])
+    m = 2.0 * mixed_density(S, A)   # tr(adj(S) A)
     disc = np.maximum(m * m - 4.0 * detA * detS, 0.0)
     lam_min = (m - np.sqrt(disc)) / (2.0 * detA)
     return float(np.min(lam_min))
-
-
-def donaldson_necessary_check(data):
-    """Donaldson's necessary Chern-class inequality n gamma L1 - L2 > 0,
-    tested strictly against every Mori generator.  Returns (passed, margin,
-    per-generator pairings), all in exact rational arithmetic."""
-    gamma = Fraction(data.l1l2, data.l1l1)
-    n = 2
-    rows = []
-    margin = None
-    for gen in data.mori:
-        val = n * gamma * gen.l1 - gen.l2
-        rows.append({"generator": gen.name, "pairing": val})
-        margin = val if margin is None else min(margin, val)
-    return (margin is not None and margin > 0), margin, rows
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +261,13 @@ def _convex_det(hess, mask):
     """det D^2u, or None unless D^2u is positive definite on the masked
     nodes; NaN counts as a loss of convexity."""
     uxx, uyy, uxy = hess
-    det = uxx * uyy - uxy ** 2
+    det = det_2x2(uxx, uyy, uxy)
     return det if np.minimum(det, uxx).min(where=mask, initial=np.inf) > 0 else None
 
 
 def _velocity(hess, det, v_hess, gamma, mask):
     """gamma - mix/det on the masked nodes, 0 elsewhere."""
-    uxx, uyy, uxy = hess
-    vxx, vyy, vxy = v_hess
-    mix = 0.5 * (uxx * vyy + uyy * vxx - 2.0 * uxy * vxy)
+    mix = mixed_2x2(*hess, *v_hess)
     return np.where(mask, gamma - np.divide(mix, det, out=np.zeros_like(det),
                                             where=mask), 0.0)
 
@@ -362,7 +344,7 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
         # D = adj(A) B adj(A) / det(A)^2; diagonal of I + h L is
         # 1 - h (D11/dx^2 + D22/dy^2)
         uxx, uyy, uxy = (a[active] for a in hess)
-        det = uxx * uyy - uxy ** 2
+        det = det_2x2(uxx, uyy, uxy)
         d11 = uyy * uyy * vxx - 2.0 * uyy * uxy * vxy + uxy * uxy * vyy
         d22 = uxy * uxy * vxx - 2.0 * uxx * uxy * vxy + uxx * uxx * vyy
         return 1.0 / (float(np.max((sx * d11 + sy * d22) / (det * det))) + 1e-300)
@@ -418,7 +400,7 @@ def _mean_normalised_sup(a, b):
 
 
 def quantization_comparison(P, chi, gamma, rule, u0, k_list, T, nx=48,
-                            dt_ode=None, window_eps=5e-3, n_theta=None):
+                            dt_ode=None, window_eps=5e-3):
     """Distances between the balancing-flow Bergman potentials and the
     continuum J-flow at t in {0, T/2, T}.
 
@@ -444,7 +426,7 @@ def quantization_comparison(P, chi, gamma, rule, u0, k_list, T, nx=48,
 
     rows = []
     for k in k_list:
-        q = Quantisation(P, chi, int(k), rule, gamma=gamma, n_theta=n_theta)
+        q = Quantisation(P, chi, int(k), rule, gamma=gamma)
         H0 = q.hilb_map(u0)
         dt = dt_ode if dt_ode is not None else 0.25 / (q.k * gamma)
         Hs = {0.0: H0}

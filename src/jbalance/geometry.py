@@ -366,10 +366,6 @@ class DelzantPolytope:
     def ehrhart_count(self, k):
         return len(self.lattice_points(k))
 
-    def interior_distances(self, X, k=1):
-        """Per-facet slacks <a_i, x> + k c_i, shape (M, num_facets)."""
-        return np.atleast_2d(X) @ self.normals.T + k * self.offsets
-
 
 def polytope_preset(name):
     """Named polarised toric surfaces: P2 = (P^2, O(1)), P1xP1 = (P^1xP^1,
@@ -477,6 +473,13 @@ def line_bundle_class(P, spec):
     return c
 
 
+def surface_classes(P, l2_spec):
+    """Class vectors (L1, L2, K) of the surface over its facet divisors;
+    the one place they are formed (see line_bundle_class for l2_spec)."""
+    return (line_bundle_class(P, "L1"), line_bundle_class(P, l2_spec),
+            line_bundle_class(P, "K"))
+
+
 def pair_classes(P, c1, c2):
     M = getattr(P, "_pairing_matrix", None)
     if M is None:
@@ -500,9 +503,7 @@ def intersection_numbers(P, l2_spec="L1"):
     if P.dim == 1:
         m = int(P.offsets.sum() if P.num_facets == 2 else 0)
         return {"L1L1": m}  # degree of the interval bundle, n=1 sanity only
-    c1 = line_bundle_class(P, "L1")
-    c2 = line_bundle_class(P, l2_spec)
-    ck = line_bundle_class(P, "K")
+    c1, c2, ck = surface_classes(P, l2_spec)
     tab = {
         "L1L1": pair_classes(P, c1, c1),
         "L1L2": pair_classes(P, c1, c2),
@@ -545,11 +546,6 @@ def mori_generators(P):
 def is_nef(P, class_vector, generators=None):
     gens = mori_generators(P) if generators is None else generators
     return all(g.pair(class_vector) >= 0 for g in gens)
-
-
-def j_constant_from_polytope(P, l2_spec):
-    tab = intersection_numbers(P, l2_spec)
-    return Fraction(tab["L1L2"], tab["L1L1"])
 
 
 # ---------------------------------------------------------------------------
@@ -599,14 +595,13 @@ def check_resolution(resolution):
         raise GeometryError("resolution >= 4 required")
 
 
-def build_quadrature(P, resolution, kmax=1, scale=None):
+def build_quadrature(P, resolution, scale=None):
     """Quadrature over R^n adapted to exponential-sum-ratio integrands.
 
     Per axis: Gauss-Legendre on (0,1) composed with x = scale*log(s/(1-s)),
     centered on the polytope's gradient image.  ``scale`` widens with the
     polytope so the logistic tails match the e^{-dist} decay of the
-    occurring densities; ``kmax`` is recorded so consumers can check the
-    rule against the finest level they integrate.
+    occurring densities.
     """
     check_resolution(resolution)
     # Axis-aligned fans push forward to rational integrands with distant
@@ -630,7 +625,7 @@ def build_quadrature(P, resolution, kmax=1, scale=None):
         nodes = np.stack([X.ravel(), Y.ravel()], axis=-1)
         weights = (WX * WY).ravel()
     return QuadratureRule(nodes=nodes, weights=weights, resolution=int(resolution),
-                          scales=scales, meta={"kmax": int(kmax), "map": "logistic*GL"})
+                          scales=scales, meta={"map": "logistic*GL"})
 
 
 def reference_potential(P):
@@ -639,12 +634,25 @@ def reference_potential(P):
     return LogSumExpPotential(P.lattice_points(1), level=1)
 
 
+# The 2x2 formulas on components: symmetric matrices [[xx, xy], [xy, yy]]
+# given entrywise, as finite-difference grids and node batches hold them.
+
+def det_2x2(xx, yy, xy):
+    """Elementwise det of the symmetric 2x2 matrices [[xx, xy], [xy, yy]]."""
+    return xx * yy - xy * xy
+
+
+def mixed_2x2(axx, ayy, axy, bxx, byy, bxy):
+    """Elementwise (1/2) tr(adj(A) B) of symmetric 2x2 matrices A and B."""
+    return 0.5 * (axx * byy + ayy * bxx - 2.0 * axy * bxy)
+
+
 def volume_density(hess):
-    """det of a batch of Hessians (M, n, n) -> (M,)."""
+    """det of a batch of symmetric Hessians (M, n, n) -> (M,)."""
     H = np.asarray(hess)
     if H.shape[-1] == 1:
         return H[..., 0, 0]
-    return H[..., 0, 0] * H[..., 1, 1] - H[..., 0, 1] * H[..., 1, 0]
+    return det_2x2(H[..., 0, 0], H[..., 1, 1], H[..., 0, 1])
 
 
 def mixed_density(hess_a, hess_b):
@@ -656,8 +664,8 @@ def mixed_density(hess_a, hess_b):
     A, B = np.asarray(hess_a), np.asarray(hess_b)
     if A.shape[-1] == 1:
         return B[..., 0, 0]
-    return 0.5 * (A[..., 0, 0] * B[..., 1, 1] + A[..., 1, 1] * B[..., 0, 0]
-                  - 2.0 * A[..., 0, 1] * B[..., 0, 1])
+    return mixed_2x2(A[..., 0, 0], A[..., 1, 1], A[..., 0, 1],
+                     B[..., 0, 0], B[..., 1, 1], B[..., 0, 1])
 
 
 def smallest_eigenvalue(hxx, hyy, hxy):
@@ -665,7 +673,7 @@ def smallest_eigenvalue(hxx, hyy, hxy):
     [[hxx, hxy], [hxy, hyy]]; the discriminant is clipped at 0 against
     rounding."""
     tr = hxx + hyy
-    det = hxx * hyy - hxy ** 2
+    det = det_2x2(hxx, hyy, hxy)
     return 0.5 * (tr - np.sqrt(np.maximum(tr ** 2 - 4 * det, 0.0)))
 
 
@@ -689,9 +697,3 @@ def calibrate(rule, P, k, u_ref):
     out = rule.with_c_vol(v_target / total)
     out.meta["calibrated"] = True
     return out
-
-
-def default_rule(P, resolution=64, k=1):
-    """build_quadrature + calibrate against the reference potential."""
-    rule = build_quadrature(P, resolution, kmax=k)
-    return calibrate(rule, P, 1, reference_potential(P))

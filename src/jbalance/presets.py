@@ -11,8 +11,8 @@ import numpy as np
 from .geometry import (AxisPotential, DelzantPolytope, GeometryError,
                        LogSumExpPotential, ScaledPotential, SumPotential,
                        build_quadrature, calibrate, check_resolution,
-                       j_constant_from_polytope,
-                       line_bundle_class, polytope_preset, reference_potential)
+                       intersection_numbers, line_bundle_class, pair_classes,
+                       polytope_preset, reference_potential, surface_classes)
 from .stability import SurfaceClassData
 
 
@@ -24,13 +24,12 @@ def l2_polytope(P, l2_spec):
     return DelzantPolytope(P.normals, c, name=f"{P.name}:{l2_spec}")
 
 
-def chi_potential(P, l2_spec, mode="reference"):
-    """A chi form in c1(L2): 'reference' takes the Fubini-Study type potential
-    of the L2 polytope; 'proportional' takes gamma * omega_ref (useful for
-    the exactly-critical sanity problems)."""
-    gamma = float(j_constant_from_polytope(P, l2_spec))
+def chi_potential(P, l2_spec, gamma, mode="reference"):
+    """A chi form in c1(L2), whose J-constant is ``gamma``: 'reference' takes
+    the Fubini-Study type potential of the L2 polytope; 'proportional' takes
+    gamma * omega_ref (useful for the exactly-critical sanity problems)."""
     if mode == "proportional":
-        return ScaledPotential(reference_potential(P), gamma)
+        return ScaledPotential(reference_potential(P), float(gamma))
     if mode == "reference":
         Q = l2_polytope(P, l2_spec)
         return LogSumExpPotential(Q.lattice_points(1), level=1)
@@ -41,13 +40,16 @@ def chi_potential(P, l2_spec, mode="reference"):
 class Problem:
     """Everything a batch computation needs for one (M, L1, L2) triple.
 
-    ``meta`` holds the quadrature's ``resolution`` and ``kmax``; the rule
-    itself is built and calibrated on first use, so work that reads only
-    exact class data (the stability sweep) never pays for it."""
+    ``pairings`` is the intersection_numbers table, computed once per
+    problem; gamma and the class data are read from it.  ``meta`` holds the
+    quadrature's ``resolution``; the rule itself is built and calibrated on
+    first use, so work that reads only exact class data (the stability
+    sweep) never pays for it."""
 
     name: str
     polytope: DelzantPolytope
     l2_spec: object
+    pairings: dict
     chi: object
     gamma_exact: Fraction
     u_ref: object
@@ -61,11 +63,12 @@ class Problem:
     @cached_property
     def rule(self):
         """The quadrature rule, calibrated against the reference potential."""
-        rule = build_quadrature(self.polytope, self.meta["resolution"],
-                                kmax=self.meta["kmax"])
+        rule = build_quadrature(self.polytope, self.meta["resolution"])
         return calibrate(rule, self.polytope, 1, self.u_ref)
 
     def quantisation(self, k, n_theta=None):
+        """Level-k Quantisation context.  ``n_theta`` is inert (see
+        Quantisation); the benchmark's set-up probe still passes it."""
         from .quantisation import Quantisation, QuantisationError
         if self.chi is None:
             raise QuantisationError(
@@ -75,7 +78,8 @@ class Problem:
                             gamma=self.gamma, n_theta=n_theta)
 
     def class_data(self, klt=True):
-        return SurfaceClassData.from_polytope(self.polytope, self.l2_spec, klt=klt)
+        return SurfaceClassData.from_polytope(self.polytope, self.l2_spec, klt=klt,
+                                              pairings=self.pairings)
 
 
 def separable_critical_potential(P, l2_spec):
@@ -102,16 +106,13 @@ def separable_critical_potential(P, l2_spec):
 def normal_cone_from_facet(P, l2_spec, facet_index=0, r=1, r_min=1):
     """NormalConeConfig for the centre D = a toric boundary divisor, with all
     pairings computed exactly from the fan."""
-    from .geometry import line_bundle_class, pair_classes
     from .stability import NormalConeConfig, StabilityError
     if not 0 <= facet_index < P.num_facets:
         raise StabilityError(f"facet {facet_index} out of range: {P.name} has "
                              f"facets 0..{P.num_facets - 1}")
     d = [0] * P.num_facets
     d[facet_index] = 1
-    c1 = line_bundle_class(P, "L1")
-    c2 = line_bundle_class(P, l2_spec)
-    ck = line_bundle_class(P, "K")
+    c1, c2, ck = surface_classes(P, l2_spec)
     return NormalConeConfig(dd=pair_classes(P, d, d), l1d=pair_classes(P, c1, d),
                             l2d=pair_classes(P, c2, d), kd=pair_classes(P, ck, d),
                             r=r, r_min=r_min, name=f"D{facet_index}")
@@ -130,7 +131,7 @@ def problem_names():
     return sorted(_PRESET_L2)
 
 
-def make_problem(name, resolution=None, kmax=4, chi_mode=None, polytope=None,
+def make_problem(name, resolution=None, chi_mode=None, polytope=None,
                  l2_spec=None):
     """Build a Problem from a preset name or explicit polytope + L2 data.
 
@@ -154,11 +155,11 @@ def make_problem(name, resolution=None, kmax=4, chi_mode=None, polytope=None,
     else:
         raise GeometryError(f"unknown problem {name!r}; presets: {problem_names()}")
     check_resolution(resolution)
-    gamma = j_constant_from_polytope(P, l2)
+    pairings = intersection_numbers(P, l2)
+    gamma = Fraction(pairings["L1L2"], pairings["L1L1"])  # L1.L2 / L1^2
     # chi needs gamma > 0 and a globally generated L2; stability-only runs
     # (e.g. L2 = K on a Fano) work from the class data alone
-    chi = chi_potential(P, l2, mode=chi_mode) if gamma > 0 else None
-    return Problem(name=name, polytope=P, l2_spec=l2, chi=chi,
+    chi = chi_potential(P, l2, gamma, mode=chi_mode) if gamma > 0 else None
+    return Problem(name=name, polytope=P, l2_spec=l2, pairings=pairings, chi=chi,
                    gamma_exact=gamma, u_ref=reference_potential(P),
-                   chi_mode=chi_mode,
-                   meta={"resolution": resolution, "kmax": kmax})
+                   chi_mode=chi_mode, meta={"resolution": resolution})

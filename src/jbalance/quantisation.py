@@ -9,14 +9,15 @@ Normalisation conventions (fixed once, used everywhere):
 * The moment map is mu0 = (V/(N+1)) (M - tr(M)/(N+1) Id) in an H-orthonormal
   gauge, where M is the Gram matrix of Hilb(FS(H)); it vanishes exactly at
   fixed points of the det-normalised map Hilb o FS.
-* Torus-invariant (diagonal) data is the fast path: angular integrals vanish
-  identically and all sums are real.  One softmax S of logE - log d over
-  the basis (Quantisation.torus_pass) gives the FS potential values, its
-  Hessian (the softmax covariance, hence the mixed measure) and the Hilb
-  diagonal; the last pass is memoised, so the map, the moment map and
-  I_{mu0} at one H share it.  Non-diagonal Hermitian forms run through an
-  equispaced-trapezoid angular grid, exact on the Fourier modes of the
-  section products.
+* Every map here works on torus-invariant (diagonal) data, the slice on
+  which each workflow starts and which Hilb o FS preserves; by uniqueness
+  the balanced form of torus-invariant data lies on it.  Angular integrals
+  vanish identically and all sums are real.  One softmax S of logE - log d
+  over the basis (Quantisation.torus_pass) gives the FS potential values,
+  its Hessian (the softmax covariance, hence the mixed measure) and the
+  Hilb diagonal; the last pass is memoised, so the map, the moment map and
+  I_{mu0} at one H share it.  A non-diagonal HermitianForm is refused with
+  a QuantisationError.
 
 All exponential sums are evaluated with per-node max shifts; a positive
 definiteness failure after any map application aborts with diagnostics
@@ -28,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (LogSumExpPotential, enumerate_lattice_points,
-                       j_constant_from_polytope, mixed_density,
-                       softmax_covariance, volume_density)
+                       mixed_density, softmax_covariance, volume_density)
 
 
 class QuantisationError(RuntimeError):
@@ -121,21 +121,21 @@ def metric_distance(H0, H1, k=None):
 
 
 class Quantisation:
-    """Fixed-level context: polytope, chi potential, basis, calibrated rule.
+    """Fixed-level context on the torus-invariant slice: polytope, chi
+    potential, basis, calibrated rule.
 
     Args:
         P: DelzantPolytope for (M, L1).
         chi: PotentialField whose Hessian is the chi form (level-1 data).
         k: quantum parameter.
         rule: calibrated QuadratureRule.
-        gamma: J-constant L2.L1^{n-1}/L1^n; alternatively pass l2_spec and it
-            is computed exactly from intersection numbers.
-        n_theta: angular points per axis for non-diagonal forms
-            (default 4k+3, always >= 2k+1 so the section Fourier modes are
-            integrated exactly).
+        gamma: J-constant L2.L1^{n-1}/L1^n.
+        n_theta: inert; no angular grid exists.  Kept, with the integer
+            attribute ``n_theta`` (default 4k+3), only because the
+            benchmark's set-up probe passes it and its run record reads it.
     """
 
-    def __init__(self, P, chi, k, rule, gamma=None, l2_spec=None, n_theta=None):
+    def __init__(self, P, chi, k, rule, gamma, n_theta=None):
         if not rule.meta.get("calibrated"):
             raise QuantisationError("quadrature rule must be calibrated (run geometry.calibrate)")
         self.P = P
@@ -144,16 +144,10 @@ class Quantisation:
         self.rule = rule
         self.basis = enumerate_lattice_points(P, k)
         self.V = float(2 * P.volume() if P.dim == 2 else P.volume())
-        if gamma is None:
-            if l2_spec is None:
-                raise QuantisationError("gamma or l2_spec required")
-            gamma = float(j_constant_from_polytope(P, l2_spec))
         self.gamma = float(gamma)
         if self.gamma <= 0:
             raise QuantisationError("gamma must be positive for the quantisation maps")
         self.n_theta = int(n_theta) if n_theta else 4 * self.k + 3
-        if self.n_theta < 2 * self.k + 1:
-            raise QuantisationError("n_theta must be at least 2k+1")
         # cached per-node data
         self.nodes = rule.nodes
         self.weights = rule.weights
@@ -167,19 +161,19 @@ class Quantisation:
     def n_plus_1(self):
         return self.basis.n_plus_1
 
-    # -- FS ----------------------------------------------------------------
-
-    def fs_map(self, H):
-        """FS(H) as a potential u_H with k u_H = log rho_H - log((N+1)/V).
-
-        Torus-invariant forms only; general Hermitian forms are handled by
-        the angular-grid integrators without ever forming an x-potential.
-        """
+    def _torus_form(self, H, what):
+        """H as a HermitianForm, refused unless it is torus-invariant."""
         if not isinstance(H, HermitianForm):
             H = HermitianForm(H, self.k)
         if not H.diagonal:
-            raise QuantisationError("fs_map as an x-potential needs a torus-invariant (diagonal) H")
-        d = H.diag()
+            raise QuantisationError(f"{what} needs a torus-invariant (diagonal) H")
+        return H
+
+    # -- FS ----------------------------------------------------------------
+
+    def fs_map(self, H):
+        """FS(H) as a potential u_H with k u_H = log rho_H - log((N+1)/V)."""
+        d = self._torus_form(H, "fs_map").diag()
         if np.any(d <= 0):
             raise QuantisationError("diagonal entries must be positive")
         return LogSumExpPotential(self.basis.points.astype(float),
@@ -214,11 +208,7 @@ class Quantisation:
         an energy and a map application at the same H share one pass.  The
         returned arrays are read-only because they are shared.
         """
-        if not isinstance(H, HermitianForm):
-            H = HermitianForm(H, self.k)
-        if not H.diagonal:
-            raise QuantisationError("torus_pass needs a torus-invariant (diagonal) H")
-        d = H.diag()
+        d = self._torus_form(H, "torus_pass").diag()
         key = d.tobytes()
         if self._memo is not None and self._memo[0] == key:
             return self._memo[1]
@@ -256,84 +246,17 @@ class Quantisation:
         diag = (W * (self.weights * mix)[None, :]).sum(axis=1) / self.hilb_norm
         return HermitianForm(np.diag(_checked_hilb_diagonal(diag)), self.k)
 
-    def _theta_grid(self):
-        T = self.n_theta
-        th = 2.0 * np.pi * np.arange(T) / T
-        if self.P.dim == 1:
-            return th[:, None]
-        A, B = np.meshgrid(th, th, indexing="ij")
-        return np.stack([A.ravel(), B.ravel()], axis=-1)
-
-    def hilb_form(self, H, force_general=False):
+    def hilb_form(self, H):
         """Gram matrix of Hilb_chi(FS(H)); T_{k,chi} read on Gram matrices.
-
-        Diagonal forms take the analytic-angular fast path.  General
-        Hermitian forms are integrated over the (x, theta) product grid,
-        trapezoid in theta; the per-node max shift cancels exactly between
-        the section products and the Bergman density.  ``force_general``
-        routes diagonal input through the angular grid (used by the
-        diagonal-closure tests).
-        """
-        if not isinstance(H, HermitianForm):
-            H = HermitianForm(H, self.k)
-        if H.diagonal and not force_general:
-            return HermitianForm(np.diag(self.torus_pass(H).hilb), self.k)
-        B = np.linalg.inv(H.matrix)
-        B = 0.5 * (B + B.conj().T)
-        pts = self.basis.points.astype(float)                 # (N+1, n)
-        shift = self.logE.max(axis=0)                         # (M,)
-        amp = np.exp(0.5 * (self.logE - shift[None, :])).T    # (M, N+1)
-        thetas = self._theta_grid()
-        n = self.P.dim
-        G = np.zeros((self.n_plus_1, self.n_plus_1), dtype=complex)
-        const = self.n_plus_1 / self.V
-        for th in thetas:
-            Z = amp * np.exp(1j * (pts @ th))[None, :]        # (M, N+1)
-            BZ = Z @ B.T                                      # (BZ)_a = sum_b B_{ab} z_b
-            W = Z.conj() * BZ                                 # W_{pa} = sum_b B_{ab} z_b zbar_a
-            rho = W.sum(axis=1).real
-            if np.min(rho) <= 0:
-                raise QuantisationError("Bergman density lost positivity on the angular grid")
-            # pair contractions of rho-derivatives (the max shift cancels in
-            # every ratio below)
-            A1 = np.einsum("pa,ai->pi", W, pts)
-            T1 = np.einsum("pa,ai,aj->pij", W, pts, pts)
-            ZA = Z[:, :, None] * pts[None, :, :]              # (M, N+1, n)
-            T2 = np.einsum("pai,ab,pbj->pij", ZA.conj(), B, ZA)
-            # curvature of log rho in the holomorphic coordinates
-            # w = x/2 + i theta: the Hermitian form
-            # Hxx + (1/4) Htt + (i/2)(K - K^T), which reduces to the
-            # x-Hessian on torus-invariant data
-            gx = A1.real / rho[:, None]
-            gt = 2.0 * A1.imag / rho[:, None]
-            hxx = 0.5 * (T1.real + T2.real) / rho[:, None, None] \
-                - np.einsum("pi,pj->pij", gx, gx)
-            htt = -2.0 * (T1.real - T2.real) / rho[:, None, None] \
-                - np.einsum("pi,pj->pij", gt, gt)
-            kxt = (T1.imag - T2.imag) / rho[:, None, None] \
-                - np.einsum("pi,pj->pij", gx, gt)
-            Gc = hxx + 0.25 * htt + 0.5j * (kxt - np.swapaxes(kxt, 1, 2))
-            if n == 1:
-                mix = self.chi_hess[..., 0, 0] * self.rule.c_vol
-            else:
-                mix = 0.5 * (Gc[..., 0, 0].real * self.chi_hess[..., 1, 1]
-                             + Gc[..., 1, 1].real * self.chi_hess[..., 0, 0]
-                             - 2.0 * Gc[..., 0, 1].real * self.chi_hess[..., 0, 1]
-                             ) * self.rule.c_vol
-            if np.min(mix) < 0:
-                raise QuantisationError("mixed measure not positive on the angular grid")
-            coef = self.weights * mix * const / rho
-            G += np.einsum("p,pa,pb->ab", coef, Z, Z.conj())
-        G /= self.hilb_norm * len(thetas)
-        G = 0.5 * (G + G.conj().T)
-        return HermitianForm(G, self.k)
+        Diagonal, from the torus_pass of H."""
+        H = self._torus_form(H, "hilb_form")
+        return HermitianForm(np.diag(self.torus_pass(H).hilb), self.k)
 
     # -- moment map and iteration ---------------------------------------------
 
     def t_map(self, H, normalise=False):
         """T_{k,chi} = Hilb_chi o FS read on Gram matrices."""
-        if not isinstance(H, HermitianForm):
-            H = HermitianForm(H, self.k)
+        H = self._torus_form(H, "t_map")
         C = self.hilb_form(H)
         if normalise:
             scale = np.exp((H.logdet() - C.logdet()) / self.n_plus_1)
@@ -344,22 +267,14 @@ class Quantisation:
         """Traceless moment map in the H-orthonormal gauge.
 
         mu0 = (V/(N+1)) (M - tr(M)/(N+1) Id) with M = H^{-1/2} C H^{-1/2},
-        C = Hilb(FS(H)); Hermitian, exactly traceless, Ad-equivariant under
-        unitary change of basis.
+        C = Hilb(FS(H)); on the torus-invariant slice M is the diagonal C/H,
+        so mu0 is diagonal and exactly traceless.
         """
-        if not isinstance(H, HermitianForm):
-            H = HermitianForm(H, self.k)
+        H = self._torus_form(H, "mu0")
         if C is None:
             C = self.hilb_form(H)
-        if H.diagonal and C.diagonal:
-            m = C.diag() / H.diag()
-            mu = np.diag(m - m.sum() / self.n_plus_1)
-        else:
-            lam, U = np.linalg.eigh(H.matrix)
-            inv_sqrt = (U * (lam ** -0.5)) @ U.conj().T
-            M = inv_sqrt @ C.matrix @ inv_sqrt
-            M = 0.5 * (M + M.conj().T)
-            mu = M - (np.trace(M).real / self.n_plus_1) * np.eye(self.n_plus_1)
+        m = C.diag() / H.diag()
+        mu = np.diag(m - m.sum() / self.n_plus_1)
         return (self.V / self.n_plus_1) * mu
 
     def mu0_norms(self, mu):
@@ -370,8 +285,7 @@ class Quantisation:
     def trace_identity_residual(self, H):
         """Relative defect of tr(Hilb(FS(H)) H^{-1}) = N+1; the quadrature
         health certificate."""
-        if not isinstance(H, HermitianForm):
-            H = HermitianForm(H, self.k)
+        H = self._torus_form(H, "trace_identity_residual")
         C = self.hilb_form(H)
         tr = float(np.trace(np.linalg.solve(H.matrix, C.matrix)).real)
         return abs(tr - self.n_plus_1) / self.n_plus_1
@@ -382,8 +296,8 @@ class Quantisation:
 
         Returns a BalanceResult whose history logs, per step, the moment map
         norms, the energy I_{mu0} (non-increasing along the iteration;
-        skipped when track_energy is off) and log det H.  On torus-invariant
-        forms C, mu0 and I_{mu0} come from one torus_pass per step.
+        skipped when track_energy is off) and log det H.  C, mu0 and I_{mu0}
+        come from one torus_pass per step.
         Non-convergence is reported, not raised: by the variational theory
         it indicates there is no balanced metric at this level.
         """
@@ -398,7 +312,7 @@ class Quantisation:
             C = self.hilb_form(H)
             mu = self.mu0(H, C)
             fro, op = self.mu0_norms(mu)
-            energy = i_mu0(self, H) if track_energy and H.diagonal else None
+            energy = i_mu0(self, H) if track_energy else None
             history.append({"step": step, "mu0_fro": fro, "mu0_op": op,
                             "i_mu0": energy, "logdet": H.logdet()})
             if (op if norm == "op" else fro) < tol:
@@ -411,9 +325,6 @@ class Quantisation:
             "per the variational theory this indicates the balanced metric "
             "may not exist at level k=%d" % (maxiter, norm, history[-1]["mu0_" + norm], self.k))
         return BalanceResult(H=H, converged=converged, history=history, message=message)
-
-    def bergman_density(self, H):
-        return BergmanDensity(self, H if isinstance(H, HermitianForm) else HermitianForm(H, self.k))
 
 
 def _checked_hilb_diagonal(diag):
@@ -442,48 +353,6 @@ class BalanceResult:
     def history_columns(self):
         cols = ["step", "mu0_fro", "mu0_op", "i_mu0", "logdet"]
         return cols, [[row[c] for c in cols] for row in self.history]
-
-
-class BergmanDensity:
-    """rho_H(x) = sum_{ab} (H^{-1})_{ab} e^{<(a+b)/2, x>} (torus slice).
-
-    For diagonal H this is the full Bergman function of an H-orthonormal
-    basis in log coordinates; log-derivatives are those of the underlying
-    exponential sum and D^2 log rho is a softmax covariance, hence PSD.
-    """
-
-    def __init__(self, q, H):
-        self.q = q
-        self.H = H
-        B = np.linalg.inv(H.matrix)
-        pts = q.basis.points.astype(float)
-        if H.diagonal:
-            self._pot = LogSumExpPotential(pts, log_coeffs=np.log(np.real(np.diag(B))), level=1)
-            self._mids = self._coeffs = None
-        else:
-            idx_a, idx_b = np.meshgrid(np.arange(len(pts)), np.arange(len(pts)), indexing="ij")
-            self._mids = 0.5 * (pts[idx_a.ravel()] + pts[idx_b.ravel()])
-            self._coeffs = B[idx_a.ravel(), idx_b.ravel()]
-            self._pot = None
-
-    def values(self, X):
-        X = np.atleast_2d(X)
-        if self._pot is not None:
-            A = X @ self._pot.points.T + self._pot.log_coeffs
-            shift = A.max(axis=1)
-            return np.exp(shift) * np.exp(A - shift[:, None]).sum(axis=1)
-        A = X @ self._mids.T
-        shift = A.max(axis=1)
-        vals = (np.exp(A - shift[:, None]) * self._coeffs[None, :]).sum(axis=1)
-        return np.exp(shift) * np.real(vals)
-
-    def log_values(self, X):
-        return np.log(self.values(X))
-
-    def log_hessian(self, X):
-        if self._pot is None:
-            raise QuantisationError("log-Hessian implemented for the diagonal fast path")
-        return self._pot.hessian(np.atleast_2d(X))
 
 
 # ---------------------------------------------------------------------------

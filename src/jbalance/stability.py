@@ -110,34 +110,25 @@ class SurfaceClassData:
             raise StabilityError(f"class data lacks {exc}")
 
     @classmethod
-    def from_polytope(cls, P, l2_spec, klt=True):
-        """Exact class data from the toric fan (bridges the geometry module)."""
-        from .geometry import (divisor_intersection_matrix, line_bundle_class,
-                               mori_generators, pair_classes)
-        c1 = line_bundle_class(P, "L1")
-        c2 = line_bundle_class(P, l2_spec)
-        ck = line_bundle_class(P, "K")
-        M = divisor_intersection_matrix(P)
-        gens = []
-        for g in mori_generators(P):
-            pair = lambda c: Fraction(int(sum(int(ci) * int(pi) for ci, pi in zip(c, g.pairings))))
-            gens.append(CurveClass(name=f"D{g.facet_index}", l1=pair(c1),
-                                   l2=pair(c2), k=pair(ck)))
-        return cls(l1l1=pair_classes(P, c1, c1), l1l2=pair_classes(P, c1, c2),
-                   l2l2=pair_classes(P, c2, c2), kl1=pair_classes(P, ck, c1),
-                   kl2=pair_classes(P, ck, c2), kk=pair_classes(P, ck, ck),
-                   mori=tuple(gens), klt=klt)
+    def from_polytope(cls, P, l2_spec, klt=True, pairings=None):
+        """Exact class data from the toric fan (bridges the geometry module):
+        the six pairings from geometry.intersection_numbers (or ``pairings``,
+        its table when already computed), the Mori generators' from
+        MoriGenerator.pair."""
+        from .geometry import intersection_numbers, mori_generators, surface_classes
+        tab = intersection_numbers(P, l2_spec) if pairings is None else pairings
+        classes = surface_classes(P, l2_spec)
+        gens = tuple(CurveClass(f"D{g.facet_index}", *(Fraction(g.pair(c)) for c in classes))
+                     for g in mori_generators(P))
+        return cls(l1l1=tab["L1L1"], l1l2=tab["L1L2"], l2l2=tab["L2L2"],
+                   kl1=tab["KL1"], kl2=tab["KL2"], kk=tab["KK"], mori=gens, klt=klt)
 
     def gamma(self):
+        """The J-constant gamma = L1.L2 / L1^2, exact."""
         return Fraction(self.l1l2, self.l1l1)
 
     def gamma_canonical(self):
         return Fraction(self.kl1, self.l1l1)
-
-
-def j_constant(data):
-    """The J-constant gamma = L1.L2 / L1^2, exact."""
-    return data.gamma()
 
 
 @dataclass(frozen=True)
@@ -352,12 +343,20 @@ class WeightPolynomials:
 
     @classmethod
     def from_json(cls, data):
+        """{"n": int, "m": int, "h": [...], "w": [...], "hhat": [...],
+        "what": [...]}, coefficients as for ``rational``."""
         try:
-            return cls(n=int(data["n"]), m=int(data["m"]), h=tuple(data["h"]),
-                       w=tuple(data["w"]), hhat=tuple(data["hhat"]),
-                       what=tuple(data["what"]))
+            n, m = data["n"], data["m"]
+            coeffs = {f: data[f] for f in ("h", "w", "hhat", "what")}
         except KeyError as exc:
             raise StabilityError(f"weight polynomials lack {exc}")
+        for f, v in (("n", n), ("m", m)):
+            if type(v) is not int:
+                raise StabilityError(f"weights.{f} must be an integer, not {v!r}")
+        for f, v in coeffs.items():
+            if not isinstance(v, list):
+                raise StabilityError(f"weights.{f} must be a list of coefficients, not {v!r}")
+        return cls(n=n, m=m, **{f: tuple(v) for f, v in coeffs.items()})
 
     @property
     def a0(self):

@@ -14,19 +14,19 @@ settings.load_profile("jbalance")
 @pytest.fixture(scope="session")
 def square_problem():
     """(P^1 x P^1, O(1,1), O(1,1)) with chi the reference FS form, gamma=1."""
-    return make_problem("P1xP1-O11-O11", resolution=64, kmax=6)
+    return make_problem("P1xP1-O11-O11", resolution=64)
 
 
 @pytest.fixture(scope="session")
 def square_o21():
     """(P^1 x P^1, O(1,1), O(2,1)), gamma = 3/2, resolution for k up to 8."""
-    return make_problem("P1xP1-O11-O21", resolution=80, kmax=8)
+    return make_problem("P1xP1-O11-O21", resolution=80)
 
 
 @pytest.fixture(scope="session")
 def p2_problem():
     """(P^2, O(1), O(1)) at the P^2 default resolution 96."""
-    return make_problem("P2-O1-O1", kmax=5)
+    return make_problem("P2-O1-O1")
 
 
 @pytest.fixture(scope="session")

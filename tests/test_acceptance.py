@@ -28,7 +28,7 @@ def report(num, name, ok, detail, elapsed, budget):
 
 
 def trace_identity_residuals(resolution, count=20, seed=0):
-    pb = make_problem("P1xP1-O11-O11", resolution=resolution, kmax=4)
+    pb = make_problem("P1xP1-O11-O11", resolution=resolution)
     q = pb.quantisation(4)
     assert q.n_plus_1 == 25
     rng = np.random.default_rng(seed)

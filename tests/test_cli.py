@@ -180,6 +180,8 @@ def test_flow_artifacts(tmp_path, monkeypatch):
     ({"resolution": "x"}, "resolution"),
     ({"flow": 5}, "flow"),
     ({"problem": "P2-O1-O1", "resoluton": 64}, "resoluton"),
+    ({"problem": {"polytop": "P2", "l2": "O(1)"}}, "'problem.polytop'"),
+    ({"problem": {"l2": "O(1)"}}, "problem.polytope"),
 ])
 def test_config_errors_exit_usage(tmp_path, capsys, config, key):
     # bad keys and value types end in exit 2 with one line naming the key
@@ -208,6 +210,20 @@ def test_stability_refuses_float_pairings(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "l1d" in err
     assert not (out / "stability_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("field, value", [("n", "x"), ("m", 1.5), ("h", "1"), ("what", 3)])
+def test_stability_bad_weights_exit_usage(tmp_path, capsys, field, value):
+    weights = {"n": 2, "m": 1, "h": ["1/2", "3/2", "1"], "w": ["-1/6", "0", "0", "0"],
+               "hhat": ["1", "0"], "what": ["-1/2", "0", "0"]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "P2-O1-O1", "stability": {
+        "r_values": [1], "weights": dict(weights, **{field: value})}}))
+    out = tmp_path / "s"
+    assert run(["stability", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and f"weights.{field}" in err
+    assert not out.exists()
 
 
 def test_stability_reads_rational_strings_exactly(tmp_path):
@@ -251,6 +267,24 @@ def test_stability_builds_once_without_quadrature(tmp_path, monkeypatch, r_value
     assert calls == {"blowup_table": 1, "normal_cone_from_facet": 1}
     with open(out / "stability_sweep.csv") as fh:
         assert len(list(csv.reader(fh))) == 2 + len(r_values)
+
+
+def test_stability_pairs_classes_once(tmp_path, monkeypatch):
+    # gamma, the class data and pairings.csv all read one pairing table
+    from jbalance import geometry, presets
+    calls = []
+    real = geometry.intersection_numbers
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "intersection_numbers", counted)
+    monkeypatch.setattr(presets, "intersection_numbers", counted)
+    assert run(["stability", "--problem", "P1xP1-O11-O21", "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert len(calls) == 1
+    with open(tmp_path / "pairings.csv") as fh:
+        assert dict(list(csv.reader(fh))[1:]) == {k: str(v) for k, v in real(*calls[0]).items()}
 
 
 def test_resolution_checked_before_any_work(tmp_path):

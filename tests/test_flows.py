@@ -7,7 +7,7 @@ from conftest import random_diagonal
 from jbalance import flows as fl
 from jbalance import geometry as geo
 from jbalance.quantisation import HermitianForm, metric_distance
-from jbalance.stability import SurfaceClassData
+from jbalance.stability import SurfaceClassData, cone_criteria
 
 
 # -- balancing flow ----------------------------------------------------------
@@ -123,18 +123,23 @@ def test_cone_condition_linear_invariance(square_o21):
 
 
 def test_donaldson_necessary_check():
+    # Donaldson's necessary condition 2 gamma L1 - L2 > 0 on every Mori
+    # generator: the donaldson_necessary verdict of cone_criteria
     P2 = geo.polytope_preset("P2")
     sq = geo.polytope_preset("P1xP1")
+
+    def verdict(P, l2):
+        out = cone_criteria(SurfaceClassData.from_polytope(P, l2))
+        (v,) = [v for v in out["verdicts"] if v.name == "donaldson_necessary"]
+        return v.holds, v.margin
+
     for d in (1, 2, 5):
-        ok, margin, _ = fl.donaldson_necessary_check(
-            SurfaceClassData.from_polytope(P2, f"O({d})"))
+        ok, margin = verdict(P2, f"O({d})")
         assert ok and margin == d
-    ok, margin, _ = fl.donaldson_necessary_check(
-        SurfaceClassData.from_polytope(sq, "O(3,1)"))
+    ok, margin = verdict(sq, "O(3,1)")
     assert ok and margin == 1
     # boundary case: one ruling pairs to zero, the strict test fails
-    ok, margin, _ = fl.donaldson_necessary_check(
-        SurfaceClassData.from_polytope(sq, "O(5,0)"))
+    ok, margin = verdict(sq, "O(5,0)")
     assert not ok and margin == 0
 
 

@@ -6,8 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from fractions import Fraction
+from math import gcd
+
+from hypothesis import assume, given
+from hypothesis import strategies as hs
 
 from jbalance import geometry as geo
+from jbalance.stability import SurfaceClassData
 
 
 def test_preset_polytopes_valid():
@@ -62,6 +67,48 @@ def test_basis_hash_reproducible_across_processes():
     assert len(digests) == 1
     assert digests == {geo.enumerate_lattice_points(geo.polytope_preset("P2"), 3).basis_hash()}
     assert geo.enumerate_lattice_points(geo.polytope_preset("P2"), 4).basis_hash() not in digests
+
+
+def corner_cut_polygon(base, scale, cuts):
+    """The preset ``base`` scaled by ``scale``, with each (vertex, size) of
+    ``cuts`` cutting off that vertex by a lattice corner of that size: the
+    new facet's normal is the sum of the two at the vertex (a toric
+    blow-up), so the result is Delzant unless a cut reaches a neighbour."""
+    P = geo.polytope_preset(base)
+    normals, offsets = P.normals.tolist(), (scale * P.offsets).tolist()
+    for vertex, size in cuts:
+        P = geo.DelzantPolytope(normals, offsets)
+        v = P.vertices[vertex % len(P.vertices)]
+        i, j = np.flatnonzero(np.abs(P.normals @ v + P.offsets) < 1e-9)
+        normals.append((P.normals[i] + P.normals[j]).tolist())
+        offsets.append(int(P.offsets[i] + P.offsets[j]) - size)
+    return geo.DelzantPolytope(normals, offsets)
+
+
+@given(hs.sampled_from(["P2", "P1xP1", "F1"]), hs.integers(2, 4),
+       hs.lists(hs.tuples(hs.integers(0, 7), hs.integers(1, 2)), max_size=3))
+def test_random_delzant_polygons_single_source(base, scale, cuts):
+    try:
+        P = corner_cut_polygon(base, scale, cuts)
+    except geo.GeometryError:
+        assume(False)
+    on_facet = np.abs(P.vertices @ P.normals.T + P.offsets) < 1e-9
+    assume(np.all(on_facet.sum(axis=0) == 2))  # every facet carries an edge
+    area = P.volume()
+    counts = [P.ehrhart_count(k) for k in range(1, 5)]
+    assert all(d == 2 * area for d in np.diff(counts, 2))
+    tab = geo.intersection_numbers(P, "L1")
+    assert tab["L1L1"] == 2 * area
+    # K.L1 is minus the lattice perimeter; K^2 = 12 - (number of rays)
+    edges = [P.vertices[on_facet[:, i]] for i in range(P.num_facets)]
+    lengths = [gcd(*(int(round(c)) for c in np.abs(e[1] - e[0]))) for e in edges]
+    assert tab["KL1"] == -sum(lengths)
+    assert tab["KK"] == 12 - P.num_facets
+    data = SurfaceClassData.from_polytope(P, "L1")
+    fields = (data.l1l1, data.l1l2, data.l2l2, data.kl1, data.kl2, data.kk)
+    assert fields == tuple(tab[key] for key in ("L1L1", "L1L2", "L2L2", "KL1", "KL2", "KK"))
+    for c in data.mori:
+        assert c.l1 == c.l2 == lengths[int(c.name[1:])]
 
 
 def test_ehrhart_degree_two():

@@ -24,10 +24,10 @@ def test_j_constant_examples():
     P2 = geo.polytope_preset("P2")
     sq = geo.polytope_preset("P1xP1")
     for d in (1, 3):
-        assert st.j_constant(st.SurfaceClassData.from_polytope(P2, f"O({d})")) == d
+        assert st.SurfaceClassData.from_polytope(P2, f"O({d})").gamma() == d
     for a, b in ((1, 1), (3, 1), (2, 5)):
-        assert st.j_constant(st.SurfaceClassData.from_polytope(sq, f"O({a},{b})")) == Fr(a + b, 2)
-    assert st.j_constant(st.SurfaceClassData.from_polytope(P2, "K")) == -3
+        assert st.SurfaceClassData.from_polytope(sq, f"O({a},{b})").gamma() == Fr(a + b, 2)
+    assert st.SurfaceClassData.from_polytope(P2, "K").gamma() == -3
 
 
 def test_surface_class_data_validation():

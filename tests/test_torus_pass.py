@@ -144,6 +144,7 @@ def test_torus_pass_rejects_non_diagonal(square_problem):
     q = square_problem.quantisation(3)
     M = np.eye(q.n_plus_1)
     M[0, 1] = M[1, 0] = 0.1
-    for evaluate in (q.torus_pass, lambda H: F.i_mu0(q, H)):
-        with pytest.raises(QuantisationError):
+    for evaluate in (q.torus_pass, q.hilb_form, q.mu0, q.t_map,
+                     q.trace_identity_residual, lambda H: F.i_mu0(q, H)):
+        with pytest.raises(QuantisationError, match=r"needs a torus-invariant \(diagonal\) H"):
             evaluate(HermitianForm(M, 3))
