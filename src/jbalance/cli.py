@@ -32,7 +32,9 @@ EXIT_HEALTH = 4
 DEFAULTS = {
     "problem": "P2-O1-O1",
     "k_list": [3, 4],
-    "resolution": 64,
+    # null: each preset's documented resolution (96 on P^2, 64 on product
+    # fans); 64 for custom problems
+    "resolution": None,
     # inert: no angular grid exists; kept because the benchmark's set-up
     # probe and run record still read it
     "n_theta": None,
@@ -239,8 +241,8 @@ def _write_grid_csv(path, xs, ys, values, t):
         writer.writerow([len(xs), len(ys), repr(float(xs[0])), repr(float(xs[-1])),
                          repr(float(ys[0])), repr(float(ys[-1])), repr(float(t))])
         writer.writerow(["values_row_major"])
-        for row in values:
-            writer.writerow([repr(float(v)) for v in row])
+        # the csv module's own line ending, one join per row
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in values.tolist())
 
 
 def cmd_flow(cfg):
@@ -255,9 +257,12 @@ def cmd_flow(cfg):
     coeffs = fcfg["start_amplitude"] * rng.standard_normal(P.ehrhart_count(1))
     u0 = problem.u_ref.with_log_coeffs(coeffs - coeffs.mean())
 
+    # the comparison below reuses each level's context and start
+    levels = []
     for k in cfg["k_list"]:
         q = problem.quantisation(k)
         H0 = q.hilb_map(u0)
+        levels.append((q, H0))
         traj = balancing_flow(q, H0, dt=fcfg["dt"], T=fcfg["T"])
         rows = [[s.t, s.diagnostics["mu0_fro"], s.diagnostics["mu0_sq"],
                  s.diagnostics.get("i_mu0", ""), s.diagnostics["logdet"]]
@@ -267,9 +272,8 @@ def cmd_flow(cfg):
         print(f"flow k={k}: ||mu0||_F {traj[0].diagnostics['mu0_fro']:.3e} -> "
               f"{traj[-1].diagnostics['mu0_fro']:.3e} over T={fcfg['T']}")
 
-    rows, meta, pde = quantization_comparison(P, problem.chi, problem.gamma,
-                                              problem.rule, u0, cfg["k_list"],
-                                              T=fcfg["compare_T"], nx=fcfg["grid"])
+    rows, meta, pde = quantization_comparison(levels, u0, T=fcfg["compare_T"],
+                                              nx=fcfg["grid"])
     for t, vals in sorted(pde.snapshots.items()):
         _write_grid_csv(out / f"jflow_grid_t{t:g}.csv", pde.grid0.xs, pde.grid0.ys, vals, t)
     write_csv(out / "jflow_residual.csv", ["t", "sup_residual"],

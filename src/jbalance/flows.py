@@ -25,8 +25,12 @@ step takes 0.9 of the forward-Euler bound of the discrete operator: the
 linearised flow is d(delta)/dt = (1/2) tr(D D^2 delta), D = A^{-1} B A^{-1}
 (A = D^2u, B = D^2v), and the diagonal of I + h L stays nonnegative iff
 h max(D11/dx^2 + D22/dy^2) <= 1 over the evolved nodes.  One interior
-Hessian per step serves the convexity check, the velocity, that bound and
-the logged residual.
+Hessian per step, carried with its determinant, serves the convexity check,
+the velocity, that bound and the logged residual.  Only the evolved nodes
+move, so the steps run on their bounding box plus a one-node halo of fixed
+values, cut from the grid with its spacing: about a quarter of the interior
+on the flow benchmark's input, with snapshots equal bit for bit to those of
+a full-grid run.
 """
 
 import math
@@ -199,23 +203,30 @@ EULER_FRACTION = 0.9
 class GridPotential:
     """Torus-invariant potential sampled on a rectangular log-coordinate box.
 
-    ``hess`` is the interior Hessian of ``values`` when it is already known.
-    ``jflow_step`` sets it on the grids it returns and makes their values
-    read-only, so the stored Hessian cannot go stale.
+    ``dx`` and ``dy`` default to the spacing of ``xs`` and ``ys``.  A grid
+    cut out of a larger one passes its parent's spacing, so that its
+    difference quotients are the parent's to the last bit: the spacing of
+    the cut coordinates can differ from it in the last place.
+
+    ``hess`` is the interior Hessian of ``values`` and ``det`` its
+    determinant, when they are already known.  ``jflow_step`` sets both on
+    the grids it returns and makes their values read-only, so they cannot go
+    stale.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     values: np.ndarray
+    dx: float = None
+    dy: float = None
     hess: tuple = field(default=None, repr=False)
+    det: np.ndarray = field(default=None, repr=False)
 
-    @property
-    def dx(self):
-        return float(self.xs[1] - self.xs[0])
-
-    @property
-    def dy(self):
-        return float(self.ys[1] - self.ys[0])
+    def __post_init__(self):
+        if self.dx is None:
+            self.dx = float(self.xs[1] - self.xs[0])
+        if self.dy is None:
+            self.dy = float(self.ys[1] - self.ys[0])
 
     def mesh(self):
         X, Y = np.meshgrid(self.xs, self.ys, indexing="ij")
@@ -231,12 +242,14 @@ class GridPotential:
         return uxx, uyy, uxy
 
 
-def _with_hessian(xs, ys, values):
-    """A grid that owns ``values`` (made read-only) and carries its Hessian."""
+def _with_hessian(grid, values):
+    """A grid on the nodes of ``grid`` that owns ``values`` (made read-only)
+    and carries their interior Hessian and its determinant."""
     values.flags.writeable = False
-    grid = GridPotential(xs, ys, values)
-    grid.hess = grid.interior_hessian()
-    return grid
+    new = GridPotential(grid.xs, grid.ys, values, grid.dx, grid.dy)
+    new.hess = new.interior_hessian()
+    new.det = det_2x2(*new.hess)
+    return new
 
 
 def dirichlet_box(P, slack=1e-6):
@@ -257,19 +270,17 @@ def grid_from_potential(P, u, nx, ny=None, box=None):
     return g
 
 
-def _convex_det(hess, mask):
-    """det D^2u, or None unless D^2u is positive definite on the masked
-    nodes; NaN counts as a loss of convexity."""
-    uxx, uyy, uxy = hess
-    det = det_2x2(uxx, uyy, uxy)
-    return det if np.minimum(det, uxx).min(where=mask, initial=np.inf) > 0 else None
+def _convex(hess, det, mask):
+    """Whether D^2u is positive definite on the masked nodes; NaN counts as
+    a loss of convexity."""
+    return np.minimum(det, hess[0]).min(where=mask, initial=np.inf) > 0
 
 
 def _velocity(hess, det, v_hess, gamma, mask):
     """gamma - mix/det on the masked nodes, 0 elsewhere."""
-    mix = mixed_2x2(*hess, *v_hess)
-    return np.where(mask, gamma - np.divide(mix, det, out=np.zeros_like(det),
-                                            where=mask), 0.0)
+    vel = np.zeros(det.shape)
+    np.divide(mixed_2x2(*hess, *v_hess), det, out=vel, where=mask)
+    return np.subtract(gamma, vel, out=vel, where=mask)
 
 
 def jflow_step(grid, v_hess, gamma, dt, active=None):
@@ -279,17 +290,21 @@ def jflow_step(grid, v_hess, gamma, dt, active=None):
     are evolved.  Returns (new grid, convexity_ok).  The step is refused,
     returning ``grid`` itself with False, unless D^2u is positive definite on
     the masked nodes both before and after it.  The new grid carries its
-    interior Hessian, which the next step reuses.
+    interior Hessian and that Hessian's determinant, which the next step
+    reuses.
     """
-    hess = grid.interior_hessian() if grid.hess is None else grid.hess
-    mask = active if active is not None else np.ones_like(hess[0], dtype=bool)
-    det = _convex_det(hess, mask)
-    if det is None:
+    if grid.hess is None:
+        hess = grid.interior_hessian()
+        det = det_2x2(*hess)
+    else:
+        hess, det = grid.hess, grid.det
+    mask = active if active is not None else np.ones_like(det, dtype=bool)
+    if not _convex(hess, det, mask):
         return grid, False
     values = grid.values.copy()
     values[1:-1, 1:-1] += dt * _velocity(hess, det, v_hess, gamma, mask)
-    new = _with_hessian(grid.xs, grid.ys, values)
-    if _convex_det(new.hess, mask) is None:
+    new = _with_hessian(grid, values)
+    if not _convex(new.hess, new.det, mask):
         return grid, False
     return new, True
 
@@ -300,9 +315,17 @@ class JFlowResult:
     snapshots: dict            # time -> values array
     residual_log: list         # (t, sup residual over monitored nodes)
     active: np.ndarray
+    box: tuple                 # shape of the bounding box of the active nodes
     steps: int
     dts: list
     halvings: int              # step refusals, each halving the step fraction
+
+
+def _bounding_box(mask):
+    """Row and column slices of the smallest box holding every True entry."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
 
 def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
@@ -321,6 +344,15 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
     logged every 25 steps.  A step that loses convexity on the active set is
     refused and the fraction halved for the rest of the run.
 
+    Only the active nodes move, so the steps run on the bounding box of the
+    active nodes plus a one-node halo of fixed values, cut from the full
+    grid with its spacing; the start Hessian and chi's Hessian are sliced
+    to it.  Every box node sees the stencil values it would see on the full
+    grid, so the snapshots, step sizes and residuals are those of a
+    full-grid run bit for bit.  Each snapshot is the box written back into
+    a copy of ``grid0.values``; ``JFlowResult.active`` stays the full
+    interior mask and ``JFlowResult.box`` records the box's shape.
+
     ``active`` overrides the collar mask (interior-shaped boolean); a mask
     cut from the analytic initial Hessian keeps the effective domain
     resolution independent, which refinement studies need.
@@ -328,49 +360,71 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
     # chi is discretised with the same stencil as u, so proportional data
     # (chi = gamma omega_u) is stationary exactly, not just to O(h^2)
     vgrid = GridPotential(grid0.xs, grid0.ys,
-                          np.asarray(chi.value(grid0.mesh())).reshape(grid0.values.shape))
+                          np.asarray(chi.value(grid0.mesh())).reshape(grid0.values.shape),
+                          grid0.dx, grid0.dy)
     v_hess = vgrid.interior_hessian()
-    grid = _with_hessian(grid0.xs, grid0.ys, grid0.values.copy())
-
+    hess0 = grid0.interior_hessian()
     if active is None:
-        active = smallest_eigenvalue(*grid.hess) >= freeze_eps
+        active = smallest_eigenvalue(*hess0) >= freeze_eps
     if not np.any(active):
         raise FlowError("freeze_eps leaves no active nodes; refine the grid or box")
     monitor = active if monitor is None else (monitor & active)
-    vxx, vyy, vxy = (v[active] for v in v_hess)
+
+    # the box in interior indices, and with its halo in grid indices
+    bi, bj = _bounding_box(active)
+    halo = (slice(bi.start, bi.stop + 2), slice(bj.start, bj.stop + 2))
+
+    def cut(a):
+        return np.ascontiguousarray(a[bi, bj])
+
+    box_active, box_monitor = cut(active), cut(monitor)
+    v_hess = tuple(map(cut, v_hess))
+    values = grid0.values[halo].copy()
+    values.flags.writeable = False
+    hess = tuple(map(cut, hess0))
+    grid = GridPotential(grid0.xs[halo[0]], grid0.ys[halo[1]], values, grid0.dx,
+                         grid0.dy, hess=hess, det=det_2x2(*hess))
+
+    vxx, vyy, vxy = v_hess
     sx, sy = 1.0 / grid0.dx ** 2, 1.0 / grid0.dy ** 2
 
-    def euler_bound(hess):
+    def euler_bound(grid):
         # D = adj(A) B adj(A) / det(A)^2; diagonal of I + h L is
         # 1 - h (D11/dx^2 + D22/dy^2)
-        uxx, uyy, uxy = (a[active] for a in hess)
-        det = det_2x2(uxx, uyy, uxy)
+        (uxx, uyy, uxy), det = grid.hess, grid.det
         d11 = uyy * uyy * vxx - 2.0 * uyy * uxy * vxy + uxy * uxy * vyy
         d22 = uxy * uxy * vxx - 2.0 * uxx * uxy * vxy + uxx * uxx * vyy
-        return 1.0 / (float(np.max((sx * d11 + sy * d22) / (det * det))) + 1e-300)
+        rate = np.divide(sx * d11 + sy * d22, det * det, out=np.zeros(det.shape),
+                         where=box_active)
+        return 1.0 / (float(rate.max(where=box_active, initial=-np.inf)) + 1e-300)
 
-    def sup_residual(hess):
-        det = _convex_det(hess, active)
-        if det is None:
+    def sup_residual(grid):
+        if not _convex(grid.hess, grid.det, box_active):
             raise FlowError("potential is not strictly convex on the active nodes")
-        return float(np.max(np.abs(_velocity(hess, det, v_hess, gamma, active)[monitor])))
+        vel = _velocity(grid.hess, grid.det, v_hess, gamma, box_active)
+        return float(np.abs(vel).max(where=box_monitor, initial=0.0))
+
+    def snapshot(grid):
+        full = grid0.values.copy()
+        full[halo] = grid.values
+        return full
 
     snaps = {}
     snap_times = sorted(set(list(snap_times) + [0.0, float(T)]))
     next_snap = 0
     t = 0.0
-    res_log = [(0.0, sup_residual(grid.hess))]
+    res_log = [(0.0, sup_residual(grid))]
     steps = 0
     halvings = 0
     fraction = EULER_FRACTION
     dts = []
     while next_snap < len(snap_times) and snap_times[next_snap] <= 1e-14:
-        snaps[snap_times[next_snap]] = grid.values.copy()
+        snaps[snap_times[next_snap]] = snapshot(grid)
         next_snap += 1
     while t < T - 1e-12:
         span = snap_times[next_snap] - t
-        h = span / max(1, math.ceil(span / (fraction * euler_bound(grid.hess))))
-        new, ok = jflow_step(grid, v_hess, gamma, h, active)
+        h = span / max(1, math.ceil(span / (fraction * euler_bound(grid))))
+        new, ok = jflow_step(grid, v_hess, gamma, h, box_active)
         if not ok:
             fraction *= 0.5
             halvings += 1
@@ -382,12 +436,13 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
         steps += 1
         dts.append(h)
         if steps % 25 == 0 or t >= T - 1e-12:
-            res_log.append((t, sup_residual(grid.hess)))
+            res_log.append((t, sup_residual(grid)))
         if t >= snap_times[next_snap] - 1e-12:
-            snaps[snap_times[next_snap]] = grid.values.copy()
+            snaps[snap_times[next_snap]] = snapshot(grid)
             next_snap += 1
     return JFlowResult(grid0=grid0, snapshots=snaps, residual_log=res_log,
-                       active=active, steps=steps, dts=dts, halvings=halvings)
+                       active=active, box=box_active.shape, steps=steps, dts=dts,
+                       halvings=halvings)
 
 
 # ---------------------------------------------------------------------------
@@ -399,36 +454,35 @@ def _mean_normalised_sup(a, b):
     return float(np.max(np.abs(d - np.mean(d))))
 
 
-def quantization_comparison(P, chi, gamma, rule, u0, k_list, T, nx=48,
-                            dt_ode=None, window_eps=5e-3):
+def quantization_comparison(levels, u0, T, nx=48, dt_ode=None, window_eps=5e-3):
     """Distances between the balancing-flow Bergman potentials and the
     continuum J-flow at t in {0, T/2, T}.
 
     Both flows start from matched data: the continuum from u0, the level-k
-    flow from Hilb_chi(h0^k).  Distances are sup over the comparison window
-    (grid nodes where D^2 u0 is safely nondegenerate) of the potential
-    difference after mean normalisation, the gauge freedom of potentials.
+    flow from H0 = Hilb_chi(h0^k).  ``levels`` holds the (Quantisation, H0)
+    pairs of one problem, built once by the caller; the continuum flow takes
+    the polytope, chi and gamma from them.  Distances are sup over the
+    comparison window (grid nodes where D^2 u0 is safely nondegenerate) of
+    the potential difference after mean normalisation, the gauge freedom of
+    potentials.
 
     Returns (rows, meta, pde): rows are dicts {k, t, distance}; pde is the
     JFlowResult of the continuum run, for callers that also write it out.
     """
-    from .quantisation import Quantisation
-
+    q0 = levels[0][0]
     snap_times = (0.0, T / 2.0, T)
-    grid0 = grid_from_potential(P, u0, nx)
+    grid0 = grid_from_potential(q0.P, u0, nx)
     X = grid0.mesh()
     nxy = grid0.values.shape
     hess0 = np.asarray(u0.hessian(X)).reshape(nxy[0], nxy[1], 2, 2)
     window = smallest_eigenvalue(hess0[..., 0, 0], hess0[..., 1, 1],
                                  hess0[..., 0, 1]) >= window_eps
-    result = jflow_run(grid0, chi, gamma, T, snap_times=snap_times)
+    result = jflow_run(grid0, q0.chi, q0.gamma, T, snap_times=snap_times)
     Xw = X.reshape(nxy[0], nxy[1], 2)[window]
 
     rows = []
-    for k in k_list:
-        q = Quantisation(P, chi, int(k), rule, gamma=gamma)
-        H0 = q.hilb_map(u0)
-        dt = dt_ode if dt_ode is not None else 0.25 / (q.k * gamma)
+    for q, H0 in levels:
+        dt = dt_ode if dt_ode is not None else 0.25 / (q.k * q.gamma)
         Hs = {0.0: H0}
         Ht = H0
         for t0, t1 in zip(snap_times[:-1], snap_times[1:]):
@@ -439,8 +493,10 @@ def quantization_comparison(P, chi, gamma, rule, u0, k_list, T, nx=48,
             u_k = q.fs_map(Hs[t])
             cont = result.snapshots[t][window]
             dist = _mean_normalised_sup(u_k.value(Xw), cont)
-            rows.append({"k": int(k), "t": float(t), "distance": dist})
+            rows.append({"k": q.k, "t": float(t), "distance": dist})
     meta = {"nx": nx, "window_nodes": int(window.sum()), "T": T,
             "pde_steps": result.steps, "pde_halvings": result.halvings,
-            "pde_min_dt": min(result.dts, default=0.0)}
+            "pde_min_dt": min(result.dts, default=0.0),
+            "pde_active_nodes": int(result.active.sum()),
+            "pde_box": list(result.box)}
     return rows, meta, result

@@ -258,6 +258,21 @@ class BlendPotential(PotentialField):
 # Delzant polytopes
 # ---------------------------------------------------------------------------
 
+def _integer_array(data, what):
+    """``data`` as an int64 array, refused with a GeometryError unless every
+    entry is an integer (integral floats included), so that lattice data is
+    never truncated."""
+    try:
+        arr = np.asarray(data)
+    except ValueError:      # ragged nesting; an object array is refused below
+        arr = np.asarray(None)
+    kind = arr.dtype.kind
+    if not (kind in "iu" or (kind == "f" and np.all(np.abs(arr) < 2.0 ** 53)
+                             and np.all(arr == np.round(arr)))):
+        raise GeometryError(f"{what} must be integers, got {data!r}")
+    return arr.astype(np.int64)
+
+
 class DelzantPolytope:
     """Lattice polytope {x : <a_i, x> + c_i >= 0} with unimodular vertex cones.
 
@@ -267,8 +282,8 @@ class DelzantPolytope:
     """
 
     def __init__(self, normals, offsets, name=None):
-        self.normals = np.asarray(normals, dtype=np.int64)
-        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.normals = _integer_array(normals, "facet normals")
+        self.offsets = _integer_array(offsets, "facet offsets")
         self.name = name
         if self.normals.ndim != 2 or len(self.normals) != len(self.offsets):
             raise GeometryError("need one offset per facet normal")
@@ -316,19 +331,28 @@ class DelzantPolytope:
         return np.array(verts)
 
     def _validate(self):
-        # vertices must be lattice points reproducing the facet data, and at
-        # each vertex the active normals must form a Z-basis (Delzant).
+        # vertices must be lattice points reproducing the facet data, at
+        # each vertex the active normals must form a Z-basis (Delzant), and
+        # each facet must carry n vertices: an inequality that cuts out no
+        # edge is redundant, and its divisor would get wrong pairings.
         if not np.allclose(self.vertices, np.round(self.vertices)):
             raise GeometryError("vertices are not lattice points")
-        for v in self.vertices:
-            vals = self.normals @ v + self.offsets
-            active = np.where(np.abs(vals) < 1e-9)[0]
-            if len(active) != self.dim:
-                raise GeometryError(f"vertex {v}: {len(active)} active facets, expected {self.dim}")
+        # facet incidence, elementwise (a BLAS matrix product grows peak memory)
+        on = np.abs((self.vertices[:, None, :] * self.normals).sum(axis=-1) + self.offsets) < 1e-9
+        for v, active in zip(self.vertices, on):
+            if active.sum() != self.dim:
+                raise GeometryError(f"vertex {v}: {active.sum()} active facets, "
+                                    f"expected {self.dim}")
             A = self.normals[active]
             det = A[0, 0] if self.dim == 1 else A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
             if abs(int(det)) != 1:
                 raise GeometryError(f"vertex {v}: normals do not form a Z-basis")
+        for i, count in enumerate(on.sum(axis=0)):
+            if count < self.dim:
+                raise GeometryError(
+                    f"facet {i} (normal {self.normals[i].tolist()}, offset "
+                    f"{int(self.offsets[i])}) carries {count} vertices, expected "
+                    f"{self.dim}: the inequality is redundant")
         if self.volume() <= 0:
             raise GeometryError("empty interior")
 
@@ -467,7 +491,7 @@ def line_bundle_class(P, spec):
                 return np.array([0, 0, a, b], dtype=np.int64)
             raise GeometryError(f"bundle {spec!r} not defined on preset {P.name!r}")
         raise GeometryError(f"cannot parse divisor class {spec!r}")
-    c = np.asarray(spec, dtype=np.int64)
+    c = _integer_array(spec, "divisor class coefficients")
     if c.shape != (P.num_facets,):
         raise GeometryError("divisor class needs one coefficient per facet")
     return c

@@ -133,8 +133,8 @@ def test_criterion_06_quantum_limit(square_o21):
     u_crit = separable_critical_potential(pb.polytope, pb.l2_spec)
     u0 = geo.SumPotential([u_crit, geo.GaussianBump(0.06, [0.3, -0.2], 1.2)])
     T = 1.0
-    rows, _, _ = fl.quantization_comparison(pb.polytope, pb.chi, pb.gamma,
-                                            pb.rule, u0, [2, 4, 8], T=T, nx=48)
+    levels = [(q, q.hilb_map(u0)) for q in map(pb.quantisation, (2, 4, 8))]
+    rows, _, _ = fl.quantization_comparison(levels, u0, T=T, nx=48)
     at_T = {r["k"]: r["distance"] for r in rows if r["t"] == T}
     cmp_ok = at_T[2] > at_T[4] > at_T[8]
     report(6, "quantum limit trends on (P1xP1, O(1,1), O(2,1))",

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as Fr
 from pathlib import Path
 
@@ -182,6 +185,12 @@ def test_flow_artifacts(tmp_path, monkeypatch):
     ({"problem": "P2-O1-O1", "resoluton": 64}, "resoluton"),
     ({"problem": {"polytop": "P2", "l2": "O(1)"}}, "'problem.polytop'"),
     ({"problem": {"l2": "O(1)"}}, "problem.polytope"),
+    ({"problem": {"polytope": {"normals": "x", "offsets": [0]}, "l2": [0, 0, 1]}},
+     "normals"),
+    ({"problem": {"polytope": {"normals": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                               "offsets": [0, 0, 1.7, 1]}, "l2": [0, 0, 1, 1]}},
+     "offsets"),
+    ({"problem": {"polytope": "P1xP1", "l2": [0, 0, 1.5, 1]}}, "divisor class"),
 ])
 def test_config_errors_exit_usage(tmp_path, capsys, config, key):
     # bad keys and value types end in exit 2 with one line naming the key
@@ -285,6 +294,33 @@ def test_stability_pairs_classes_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     with open(tmp_path / "pairings.csv") as fh:
         assert dict(list(csv.reader(fh))[1:]) == {k: str(v) for k, v in real(*calls[0]).items()}
+
+
+def test_presets_use_their_documented_resolution():
+    # no resolution in the config: each preset's own (96 on P^2)
+    for name, res in (("P2-O1-O1", 96), ("P1xP1-O11-O21", 64)):
+        problem = cli.build_problem(cli.load_config(None, {"problem": name}))
+        assert problem.meta["resolution"] == res
+
+
+def test_flow_artifacts_reproducible_across_processes(tmp_path):
+    # two processes (different hash seeds) write byte-identical artifacts
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "problem": "P1xP1-O11-O21", "k_list": [2], "resolution": 48, "seed": 5,
+        "flow": {"dt": 0.1, "T": 0.5, "grid": 24, "compare_T": 0.1,
+                 "start_amplitude": 0.2}}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for name, hash_seed in (("a", "1"), ("b", "2")):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        subprocess.run([sys.executable, "-m", "jbalance.cli", "flow", "--config", str(cfg),
+                        "--out", str(tmp_path / name)],
+                       env=env, check=True, capture_output=True, timeout=300)
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert len(names) == 6
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_resolution_checked_before_any_work(tmp_path):

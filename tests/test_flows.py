@@ -6,7 +6,7 @@ import pytest
 from conftest import random_diagonal
 from jbalance import flows as fl
 from jbalance import geometry as geo
-from jbalance.quantisation import HermitianForm, metric_distance
+from jbalance.quantisation import HermitianForm, Quantisation, metric_distance
 from jbalance.stability import SurfaceClassData, cone_criteria
 
 
@@ -196,6 +196,59 @@ def test_jflow_steps_at_euler_bound(square_o21):
     assert out.steps <= 1000 and out.halvings == 0
 
 
+def _replay_on_full_grid(grid0, chi, gamma, out):
+    """Snapshots of ``out``'s step sizes replayed through the public
+    jflow_step on the full grid with the full interior mask."""
+    vgrid = fl.GridPotential(grid0.xs, grid0.ys,
+                             np.asarray(chi.value(grid0.mesh())).reshape(grid0.values.shape))
+    v_hess = vgrid.interior_hessian()
+    times = sorted(out.snapshots)
+    snaps = {times[0]: grid0.values.copy()}
+    grid, t = grid0, 0.0
+    for h in out.dts:
+        grid, ok = fl.jflow_step(grid, v_hess, gamma, h, out.active)
+        assert ok
+        t += h
+        if t >= times[len(snaps)] - 1e-12:
+            snaps[times[len(snaps)]] = grid.values.copy()
+    return snaps
+
+
+def test_jflow_box_matches_full_grid(square_o21):
+    # the flow benchmark's continuum input: stepping only the active box
+    # gives the full-grid snapshots bit for bit
+    pb = square_o21
+    coeffs = 0.05 * np.random.default_rng(0).standard_normal(pb.polytope.ehrhart_count(1))
+    u0 = pb.u_ref.with_log_coeffs(coeffs - coeffs.mean())
+    grid0 = fl.grid_from_potential(pb.polytope, u0, 48)
+    out = fl.jflow_run(grid0, pb.chi, pb.gamma, T=0.05, snap_times=(0.025,))
+    assert out.box == (22, 22) and out.active.shape == (46, 46)
+    full = _replay_on_full_grid(grid0, pb.chi, pb.gamma, out)
+    assert full.keys() == out.snapshots.keys() == {0.0, 0.025, 0.05}
+    for t, values in out.snapshots.items():
+        assert np.array_equal(values, full[t])
+
+
+def test_jflow_box_matches_full_grid_l_shaped(square_problem):
+    # an L-shaped override leaves a masked quadrant inside the box
+    pb = square_problem
+    pert = pb.u_ref.with_log_coeffs(np.array([0.4, -0.3, 0.2, -0.3]))
+    grid0 = fl.grid_from_potential(pb.polytope, pert, 32)
+    active = np.zeros((30, 30), dtype=bool)
+    active[8:22, 8:22] = True
+    active[15:22, 15:22] = False
+    out = fl.jflow_run(grid0, pb.chi, pb.gamma, T=0.1, snap_times=(0.05,),
+                       active=active)
+    assert out.steps > 25 and out.box == (14, 14)
+    full = _replay_on_full_grid(grid0, pb.chi, pb.gamma, out)
+    for t, values in out.snapshots.items():
+        assert np.array_equal(values, full[t])
+    # the L moves; the masked quadrant and everything outside the L stay put
+    assert np.any(out.snapshots[0.1] != grid0.values)
+    assert np.array_equal(out.snapshots[0.1][1:-1, 1:-1][~active],
+                          grid0.values[1:-1, 1:-1][~active])
+
+
 def test_jflow_one_hessian_per_step(square_problem, monkeypatch):
     pb = square_problem
     calls = []
@@ -269,8 +322,8 @@ def test_quantization_comparison(square_o21):
     pb = square_o21
     coeffs = np.array([0.35, -0.2, 0.15, -0.3])
     u0 = pb.u_ref.with_log_coeffs(coeffs - coeffs.mean())
-    rows, meta, _ = fl.quantization_comparison(
-        pb.polytope, pb.chi, pb.gamma, pb.rule, u0, [2, 4], T=0.4, nx=32)
+    levels = [(q, q.hilb_map(u0)) for q in map(pb.quantisation, (2, 4))]
+    rows, meta, _ = fl.quantization_comparison(levels, u0, T=0.4, nx=32)
     by = {(r["k"], r["t"]): r["distance"] for r in rows}
     # t = 0 distances decrease in k (Bergman approximation of the start)
     assert by[(4, 0.0)] < by[(2, 0.0)]
@@ -282,8 +335,10 @@ def test_quantization_comparison_stationary(square_problem):
     # stay within the t=0 distance plus a small slack
     pb = square_problem
     chi = geo.ScaledPotential(pb.u_ref, pb.gamma)
-    rows, _, _ = fl.quantization_comparison(
-        pb.polytope, chi, pb.gamma, pb.rule, pb.u_ref, [2, 3], T=0.4, nx=32)
+    levels = [(q, q.hilb_map(pb.u_ref))
+              for q in (Quantisation(pb.polytope, chi, k, pb.rule, gamma=pb.gamma)
+                        for k in (2, 3))]
+    rows, _, _ = fl.quantization_comparison(levels, pb.u_ref, T=0.4, nx=32)
     by = {(r["k"], r["t"]): r["distance"] for r in rows}
     for k in (2, 3):
         for t in (0.2, 0.4):

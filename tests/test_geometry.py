@@ -35,6 +35,30 @@ def test_rejects_bad_polytopes():
         geo.DelzantPolytope([[1, 0], [0, 1]], [0, 0])
 
 
+@pytest.mark.parametrize("normals, offsets, what", [
+    ("x", [0], "normals"),
+    ([[1, 0], [0, 1], [-1, 0], [0, -1]], [0, 0, 1.7, 1], "offsets"),
+    ([[1, 0], [0, 1], [-1, 0], [0, 0.5]], [0, 0, 1, 1], "normals"),
+    ([[1, 0], [0, 1], [-1, 0], [0, -1]], [0, 0, [1], 1], "offsets"),
+])
+def test_rejects_non_integer_polytope_data(normals, offsets, what):
+    # refused, never truncated to a different polytope
+    with pytest.raises(geo.GeometryError, match=what):
+        geo.DelzantPolytope(normals, offsets)
+
+
+def test_integral_float_polytope_data_accepted():
+    P = geo.DelzantPolytope([[1, 0], [0, 1], [-1, 0], [0, -1]], [0, 0, 2.0, 1])
+    assert P.offsets.tolist() == [0, 0, 2, 1]
+
+
+def test_rejects_facet_without_edge():
+    # the unit square plus a far-away facet: the inequality cuts out no edge
+    # of P, and its divisor would get wrong Mori pairings
+    with pytest.raises(geo.GeometryError, match="facet 4"):
+        geo.DelzantPolytope([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]], [0, 0, 1, 1, 5])
+
+
 def test_lattice_points_spec_examples():
     P2 = geo.polytope_preset("P2")
     sq = geo.polytope_preset("P1xP1")
@@ -93,7 +117,8 @@ def test_random_delzant_polygons_single_source(base, scale, cuts):
     except geo.GeometryError:
         assume(False)
     on_facet = np.abs(P.vertices @ P.normals.T + P.offsets) < 1e-9
-    assume(np.all(on_facet.sum(axis=0) == 2))  # every facet carries an edge
+    # DelzantPolytope refuses a facet that carries no edge
+    assert np.all(on_facet.sum(axis=0) == 2)
     area = P.volume()
     counts = [P.ehrhart_count(k) for k in range(1, 5)]
     assert all(d == 2 * area for d in np.diff(counts, 2))
