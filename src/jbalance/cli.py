@@ -19,7 +19,7 @@ import numpy as np
 from .flows import FlowError, balancing_flow, quantization_comparison
 from .geometry import GeometryError, mixed_density, volume_density
 from .presets import make_problem, normal_cone_from_facet, problem_names
-from .quantisation import HermitianForm, QuantisationError
+from .quantisation import HermitianForm, QuantisationError, check_torus_size
 from .stability import (NormalConeConfig, StabilityError, blowup_table,
                         cone_criteria, df_weight, inequality_checks, j_weight,
                         rational, trivial_table)
@@ -187,9 +187,17 @@ def write_csv(path, header, rows):
             writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
-def _random_diag_forms(q, rng, count, spread=1.0):
-    return [HermitianForm.from_diagonal(np.exp(rng.uniform(-spread, spread, q.n_plus_1)), q.k)
-            for _ in range(count)]
+def _check_sizes(problem, k_list):
+    """Refuse, before any work, a run whose largest level would pass the
+    size cap (quantisation.check_torus_size; exit 2).  M is resolution^n,
+    so the quadrature rule is not built first."""
+    P = problem.polytope
+    check_torus_size(P, max(k_list), problem.meta["resolution"] ** P.dim)
+
+
+def _random_log_diagonals(q, rng, count, spread=1.0):
+    """``count`` random torus-invariant H, as vectors x = log diag H."""
+    return [rng.uniform(-spread, spread, q.n_plus_1) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +206,15 @@ def _random_diag_forms(q, rng, count, spread=1.0):
 
 def cmd_balance(cfg):
     problem = build_problem(cfg)
+    _check_sizes(problem, cfg["k_list"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg["seed"])
     failures = 0
     for k in cfg["k_list"]:
         q = problem.quantisation(k)
-        health = max(q.trace_identity_residual(H)
-                     for H in _random_diag_forms(q, rng, 2))
+        health = max(q.trace_identity_residual(x)
+                     for x in _random_log_diagonals(q, rng, 2))
         if health > cfg["health_tol"]:
             print(f"HEALTH k={k}: trace identity residual {health:.3e} exceeds "
                   f"{cfg['health_tol']:.1e}; increase resolution")
@@ -247,6 +256,7 @@ def _write_grid_csv(path, xs, ys, values, t):
 
 def cmd_flow(cfg):
     problem = build_problem(cfg)
+    _check_sizes(problem, cfg["k_list"])
     fcfg = cfg["flow"]
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -269,8 +279,11 @@ def cmd_flow(cfg):
                 for s in traj]
         write_csv(out / f"balancing_flow_k{k}.csv",
                   ["t", "mu0_fro", "mu0_sq", "i_mu0", "logdet"], rows)
+        end = traj[-1].diagnostics
         print(f"flow k={k}: ||mu0||_F {traj[0].diagnostics['mu0_fro']:.3e} -> "
-              f"{traj[-1].diagnostics['mu0_fro']:.3e} over T={fcfg['T']}")
+              f"{end['mu0_fro']:.3e} over T={fcfg['T']} (dt halvings: "
+              f"{end['halvings_positivity']} positivity, "
+              f"{end['halvings_mu0_rise']} ||mu0||^2 rise)")
 
     rows, meta, pde = quantization_comparison(levels, u0, T=fcfg["compare_T"],
                                               nx=fcfg["grid"])
@@ -367,6 +380,7 @@ def run_verification(cfg):
     """The invariant battery.  Returns (checks, exit_code) where checks are
     (name, passed, detail, is_health) tuples."""
     problem = build_problem(cfg)
+    _check_sizes(problem, cfg["k_list"])
     P = problem.polytope
     rule = problem.rule
     rng = np.random.default_rng(cfg["seed"])
@@ -375,10 +389,12 @@ def run_verification(cfg):
     def add(name, passed, detail, health=False):
         checks.append((name, bool(passed), detail, health))
 
-    # geometry: Ehrhart counts are a degree-2 polynomial with leading vol(P)
-    counts = [P.ehrhart_count(k) for k in range(1, 7)]
+    # geometry: enumerated lattice point counts are a degree-2 polynomial
+    # with leading vol(P), and the closed-form Ehrhart count agrees
+    counts = [len(P.lattice_points(k)) for k in range(1, 7)]
     d2 = np.diff(counts, 2)
-    ok = np.all(d2 == d2[0]) and Fraction(int(d2[0]), 2) == P.volume()
+    ok = (np.all(d2 == d2[0]) and Fraction(int(d2[0]), 2) == P.volume()
+          and counts == [P.ehrhart_count(k) for k in range(1, 7)])
     add("ehrhart_polynomial", ok, f"counts k=1..6: {counts}")
 
     tab = problem.pairings
@@ -389,8 +405,8 @@ def run_verification(cfg):
     kcal = min(3, max(cfg["k_list"]))
     q = problem.quantisation(kcal)
     worst = 0.0
-    for H in _random_diag_forms(q, rng, 3):
-        u = q.fs_map(H)
+    for x in _random_log_diagonals(q, rng, 3):
+        u = q.fs_map(x)
         total = rule.integrate(volume_density(np.asarray(u.hessian(rule.nodes)) * kcal)) * rule.c_vol
         worst = max(worst, abs(total / (kcal ** P.dim * q.V) - 1.0))
     add("calibration_consistency", worst < 1e-6, f"rel defect {worst:.2e}",
@@ -406,20 +422,20 @@ def run_verification(cfg):
     # trace identity at the largest requested level: the primary health check
     kmax = max(cfg["k_list"])
     qmax = problem.quantisation(kmax)
-    health = max(qmax.trace_identity_residual(H)
-                 for H in _random_diag_forms(qmax, rng, 3))
+    health = max(qmax.trace_identity_residual(x)
+                 for x in _random_log_diagonals(qmax, rng, 3))
     add("trace_identity", health < cfg["health_tol"],
         f"k={kmax} relative residual {health:.2e}", health=True)
 
     # moment map: exactly traceless, scale invariant metric distances
-    H = _random_diag_forms(qmax, rng, 1)[0]
-    mu = qmax.mu0(H)
+    x = _random_log_diagonals(qmax, rng, 1)[0]
+    mu = qmax.mu0(x)
     add("mu0_traceless", abs(np.trace(mu)) < 1e-12 * qmax.n_plus_1,
         f"tr mu0 = {np.trace(mu):.2e}")
 
     # fs scaling invariance: D^2 u_{cH} = D^2 u_H
-    u1 = qmax.fs_map(H)
-    u2 = qmax.fs_map(HermitianForm(H.matrix * 4.2, kmax))
+    u1 = qmax.fs_map(x)
+    u2 = qmax.fs_map(x + np.log(4.2))
     dh = np.max(np.abs(np.asarray(u1.hessian(rule.nodes[:50]))
                        - np.asarray(u2.hessian(rule.nodes[:50]))))
     add("fs_scaling_invariance", dh < 1e-12, f"Hessian shift {dh:.2e}")

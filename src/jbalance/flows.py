@@ -8,7 +8,8 @@ Balancing flow.  On Gram matrices the rescaled flow is realised as
 the traceless transport of the moment-map flow whose Bergman-potential
 velocity reproduces the continuum J-flow velocity gamma - chi wedge
 omega^{n-1}/omega^n at leading order in k; this pins the time scale to the
-continuum flow without reparameterisation.  log det H is an exact invariant
+continuum flow without reparameterisation.  On the torus-invariant slice H
+and C are diagonal, so the flow runs on the vector diag H.  log det H is an exact invariant
 of the flow (the moment map is traceless), I_{mu0} decreases exactly, and
 ||mu0||^2 decrease is enforced by the step controller (4th order explicit
 step, dt halving on rejection).
@@ -40,7 +41,7 @@ import numpy as np
 
 from .geometry import (det_2x2, mixed_2x2, mixed_density, smallest_eigenvalue,
                        volume_density)
-from .quantisation import HermitianForm, QuantisationError
+from .quantisation import HermitianForm, QuantisationError, log_diagonal
 
 
 class FlowError(RuntimeError):
@@ -60,11 +61,10 @@ class FlowState:
 # rescaled J-balancing flow (matrix ODE)
 # ---------------------------------------------------------------------------
 
-def _flow_rhs(q, H, C=None):
-    C = q.hilb_form(H) if C is None else C
-    tr = float(np.trace(np.linalg.solve(H.matrix, C.matrix)).real)
-    coeff = q.k * q.gamma
-    return coeff * (C.matrix - (tr / q.n_plus_1) * H.matrix), C
+def _flow_rhs(q, d, c):
+    """The flow's velocity on the diagonal d of H, given the Hilb diagonal
+    c = diag Hilb(FS(H)): k gamma (c - (sum(c/d)/(N+1)) d)."""
+    return q.k * q.gamma * (c - (np.sum(c / d) / q.n_plus_1) * d)
 
 
 def balancing_flow(q, H0, dt, T, log_every=5, mu_slack=1e-9):
@@ -74,69 +74,86 @@ def balancing_flow(q, H0, dt, T, log_every=5, mu_slack=1e-9):
     increases beyond ``mu_slack`` relative slack (gradient-flow contract);
     dt recovers geometrically after sustained accepted steps.  Diagnostics
     (||mu0||_F, ||mu0||^2, I_{mu0}, log det H) are logged every ``log_every``
-    accepted steps plus the endpoints.  The map value C = Hilb(FS(H)) from
-    a step's acceptance check is the next step's first stage, so a step
-    costs four map applications; the logged I_{mu0} reuses that pass
-    through the torus_pass memo.
+    accepted steps plus the endpoints, with the halvings so far by cause:
+    ``halvings_positivity`` (a stage or the step left the positive cone, or
+    a map refused it) and ``halvings_mu0_rise`` (||mu0||^2 rose).
+
+    The state is the diagonal d of H, a vector; each map application is the
+    torus_pass at log d.  The Hilb diagonal from a step's acceptance check is
+    the next step's first stage, so a step costs four map applications; the
+    logged I_{mu0} reuses that pass through the torus_pass memo.
 
     Returns a list of FlowState with HermitianForm payloads.
     """
     from .functionals import i_mu0
 
-    H = (H0 if isinstance(H0, HermitianForm) else HermitianForm(H0, q.k))
+    x = log_diagonal(q, H0, "balancing_flow")
+    d = np.exp(x)
     t = 0.0
     dt_max = float(dt)
     dt = dt_max
-    ld0 = H.logdet()
-    C = q.hilb_form(H)
-    mu = q.mu0(H, C)
-    fro, op = q.mu0_norms(mu)
+    ld0 = float(x.sum())
+    c = q.torus_pass(x).hilb
+    fro, op = q.mu0_norms(q.moment_vector(x, c))
+    halvings = {"positivity": 0, "mu0_rise": 0}
 
-    def make_state(t, H, fro, op, with_energy=True):
+    def make_state(t, d, x, fro, op, with_energy=True):
         diag = {"mu0_fro": fro, "mu0_op": op, "mu0_sq": fro * fro,
-                "logdet": H.logdet()}
+                "logdet": float(x.sum()),
+                "halvings_positivity": halvings["positivity"],
+                "halvings_mu0_rise": halvings["mu0_rise"]}
         if with_energy:
-            diag["i_mu0"] = i_mu0(q, H)
-        return FlowState(t=t, payload=H, diagnostics=diag)
+            diag["i_mu0"] = i_mu0(q, x)
+        return FlowState(t=t, payload=HermitianForm.from_diagonal(d, q.k),
+                         diagnostics=diag)
 
-    states = [make_state(0.0, H, fro, op)]
+    def stage(v):
+        if not np.all(v > 0):
+            raise QuantisationError("a balancing-flow stage left the positive cone")
+        return q.torus_pass(np.log(v)).hilb
+
+    states = [make_state(0.0, d, x, fro, op)]
     accepted = 0
-    halvings = 0
     while t < T - 1e-12:
         h = min(dt, T - t)
         try:
-            k1, _ = _flow_rhs(q, H, C)
-            H2 = HermitianForm(H.matrix + 0.5 * h * k1, q.k)
-            k2, _ = _flow_rhs(q, H2)
-            H3 = HermitianForm(H.matrix + 0.5 * h * k2, q.k)
-            k3, _ = _flow_rhs(q, H3)
-            H4 = HermitianForm(H.matrix + h * k3, q.k)
-            k4, _ = _flow_rhs(q, H4)
-            Hn = HermitianForm(H.matrix + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), q.k)
+            k1 = _flow_rhs(q, d, c)
+            d2 = d + 0.5 * h * k1
+            k2 = _flow_rhs(q, d2, stage(d2))
+            d3 = d + 0.5 * h * k2
+            k3 = _flow_rhs(q, d3, stage(d3))
+            d4 = d + h * k3
+            k4 = _flow_rhs(q, d4, stage(d4))
+            d_n = d + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.all(d_n > 0):
+                raise QuantisationError("a balancing-flow step left the positive cone")
             # project back onto the exact invariant log det H = const (the
             # moment map is traceless; only integrator drift moves it)
-            Hn = HermitianForm(Hn.matrix * np.exp((ld0 - Hn.logdet()) / q.n_plus_1), q.k)
-            C_n = q.hilb_form(Hn)
-            mu_n = q.mu0(Hn, C_n)
-            fro_n, op_n = q.mu0_norms(mu_n)
-            ok = fro_n * fro_n <= fro * fro * (1.0 + mu_slack) + 1e-300
+            d_n = d_n * np.exp((ld0 - np.log(d_n).sum()) / q.n_plus_1)
+            x_n = np.log(d_n)
+            c_n = q.torus_pass(x_n).hilb
+            fro_n, op_n = q.mu0_norms(q.moment_vector(x_n, c_n))
+            cause = None if fro_n * fro_n <= fro * fro * (1.0 + mu_slack) + 1e-300 \
+                else "mu0_rise"
         except QuantisationError:
-            ok = False
-        if not ok:
+            cause = "positivity"
+        if cause is not None:
             dt *= 0.5
-            halvings += 1
-            if halvings > 60:
+            halvings[cause] += 1
+            if sum(halvings.values()) > 60:
                 raise FlowError(
                     f"balancing flow stalled at t={t:.4g}: dt collapsed after 60 halvings "
-                    f"(||mu0||_F={fro:.3e}); positivity or monotonicity unrecoverable")
+                    f"({halvings['positivity']} positivity, {halvings['mu0_rise']} "
+                    f"||mu0||^2 rises; ||mu0||_F={fro:.3e}); positivity or "
+                    f"monotonicity unrecoverable")
             continue
         t += h
-        H, C, fro, op = Hn, C_n, fro_n, op_n
+        d, x, c, fro, op = d_n, x_n, c_n, fro_n, op_n
         accepted += 1
         if accepted % 32 == 0 and dt < dt_max:
             dt = min(dt_max, dt * 2.0)
         if accepted % log_every == 0 or t >= T - 1e-12:
-            states.append(make_state(t, H, fro, op))
+            states.append(make_state(t, d, x, fro, op))
     return states
 
 
@@ -313,7 +330,7 @@ def jflow_step(grid, v_hess, gamma, dt, active=None):
 class JFlowResult:
     grid0: GridPotential
     snapshots: dict            # time -> values array
-    residual_log: list         # (t, sup residual over monitored nodes)
+    residual_log: list         # (t, sup residual over the active nodes)
     active: np.ndarray
     box: tuple                 # shape of the bounding box of the active nodes
     steps: int
@@ -329,7 +346,7 @@ def _bounding_box(mask):
 
 
 def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
-              monitor=None, max_halvings=40, active=None):
+              max_halvings=40, active=None):
     """Run the continuum J-flow to time T with adaptive explicit stepping.
 
     Interior nodes with lambda_min(D^2 u_0) < freeze_eps are held fixed (an
@@ -368,7 +385,6 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
         active = smallest_eigenvalue(*hess0) >= freeze_eps
     if not np.any(active):
         raise FlowError("freeze_eps leaves no active nodes; refine the grid or box")
-    monitor = active if monitor is None else (monitor & active)
 
     # the box in interior indices, and with its halo in grid indices
     bi, bj = _bounding_box(active)
@@ -377,7 +393,7 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
     def cut(a):
         return np.ascontiguousarray(a[bi, bj])
 
-    box_active, box_monitor = cut(active), cut(monitor)
+    box_active = cut(active)
     v_hess = tuple(map(cut, v_hess))
     values = grid0.values[halo].copy()
     values.flags.writeable = False
@@ -402,7 +418,7 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
         if not _convex(grid.hess, grid.det, box_active):
             raise FlowError("potential is not strictly convex on the active nodes")
         vel = _velocity(grid.hess, grid.det, v_hess, gamma, box_active)
-        return float(np.abs(vel).max(where=box_monitor, initial=0.0))
+        return float(np.abs(vel).max(where=box_active, initial=0.0))
 
     def snapshot(grid):
         full = grid0.values.copy()
@@ -466,7 +482,9 @@ def quantization_comparison(levels, u0, T, nx=48, dt_ode=None, window_eps=5e-3):
     the potential difference after mean normalisation, the gauge freedom of
     potentials.
 
-    Returns (rows, meta, pde): rows are dicts {k, t, distance}; pde is the
+    Returns (rows, meta, pde): rows are dicts {k, t, distance}; meta holds
+    the grid and PDE step data and, per level, ``ode_halvings``: the
+    balancing flow's dt halvings by cause (see balancing_flow); pde is the
     JFlowResult of the continuum run, for callers that also write it out.
     """
     q0 = levels[0][0]
@@ -481,14 +499,19 @@ def quantization_comparison(levels, u0, T, nx=48, dt_ode=None, window_eps=5e-3):
     Xw = X.reshape(nxy[0], nxy[1], 2)[window]
 
     rows = []
+    ode_halvings = []
     for q, H0 in levels:
         dt = dt_ode if dt_ode is not None else 0.25 / (q.k * q.gamma)
         Hs = {0.0: H0}
         Ht = H0
+        counts = {"k": q.k, "positivity": 0, "mu0_rise": 0}
         for t0, t1 in zip(snap_times[:-1], snap_times[1:]):
             seg = balancing_flow(q, Ht, dt, t1 - t0, log_every=10**9)
             Ht = seg[-1].payload
             Hs[t1] = Ht
+            for cause in ("positivity", "mu0_rise"):
+                counts[cause] += seg[-1].diagnostics["halvings_" + cause]
+        ode_halvings.append(counts)
         for t in snap_times:
             u_k = q.fs_map(Hs[t])
             cont = result.snapshots[t][window]
@@ -498,5 +521,5 @@ def quantization_comparison(levels, u0, T, nx=48, dt_ode=None, window_eps=5e-3):
             "pde_steps": result.steps, "pde_halvings": result.halvings,
             "pde_min_dt": min(result.dts, default=0.0),
             "pde_active_nodes": int(result.active.sum()),
-            "pde_box": list(result.box)}
+            "pde_box": list(result.box), "ode_halvings": ode_halvings}
     return rows, meta, result

@@ -23,7 +23,7 @@ formula is kept exactly as defined.
 import numpy as np
 
 from .geometry import BlendPotential, mixed_density, volume_density
-from .quantisation import HermitianForm, QuantisationError
+from .quantisation import HermitianForm, QuantisationError, log_diagonal
 
 
 def simpson_weights(m):
@@ -88,9 +88,8 @@ class PotentialPath:
             return level * (u1.value(X) - u0.value(X))
         q, d0, d1 = self._data
         lam = np.log(d1) - np.log(d0)
-        pot = self.potential(t)
-        W = pot._softmax(X)                    # softmax over basis points
-        return -(W @ lam)                      # d log rho / dt
+        S = self.potential(t).moments(X, 1)[1]  # softmax over basis points
+        return -(lam @ S)                       # d log rho / dt
 
 
 def _two_endpoint_j(q, phi, mix0, mix1):
@@ -177,13 +176,14 @@ def i_mu0(q, H):
 
     Scale invariant, convex along Bergman geodesics, decreased by the map
     Hilb o FS, critical exactly at J-balanced forms.  Evaluated exactly from
-    the torus_pass of H and of Id, so torus-invariant H only.
+    the torus_pass of H and of Id, so torus-invariant H only; H may also be
+    given as x = log diag H.
     """
-    H = H if isinstance(H, HermitianForm) else HermitianForm(H, q.k)
-    cur = q.torus_pass(H)
+    x = log_diagonal(q, H, "i_mu0")
+    cur = q.torus_pass(x)
     anchor = q.anchor_pass()
     jval = _two_endpoint_j(q, cur.values - anchor.values, anchor.mix, cur.mix)
-    return jval + (q.V / q.n_plus_1) * H.logdet()
+    return jval + (q.V / q.n_plus_1) * float(x.sum())
 
 
 def hilb_trace(q, u, H):

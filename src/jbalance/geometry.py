@@ -14,6 +14,7 @@ there is exact integer/rational arithmetic.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import numpy as np
 
@@ -48,28 +49,75 @@ class PotentialField:
         raise NotImplementedError
 
 
-def softmax_covariance(W, points):
-    """Covariance of ``points`` (m, n) under each row of the softmax W (M, m).
+def softmax_moments(A, points, order=2):
+    """The one softmax kernel: the softmax over axis 0 of the log-weights A,
+    with its log-sum-exp and its first two moments.
 
-    Centred form, so exactly PSD with no cancellation where a row collapses
-    onto a single point (far-field nodes).  Built from elementwise products
-    and row dot products, which is faster here than the equivalent
-    three-operand einsum.  One (2, M, m) work buffer serves every entry and
-    the row sums go through np.vecdot, not einsum: both keep the peak
-    resident memory at that of the einsum form.
+    A is (m, M), basis-major: row a holds the log-weights of the exponent
+    point ``points[a]`` (``points`` is (m, n)) at the M nodes, and it is
+    overwritten with the softmax S.  Every reduction runs over axis 0, so
+    each elementwise operation sweeps whole contiguous rows.
+
+    Returns (lse, S, mean, cov):
+
+    * lse (M,): log sum_a e^{A_a}, per node (max-shifted);
+    * S (m, M): the softmax (A itself), for ``order`` >= 1;
+    * mean (n, M): the softmax average of the points, for ``order`` >= 1;
+    * cov (n, n, M): the centred second moments, component-major (cov[i, j]
+      is one contiguous (M,) row), for ``order`` 2.
+    Entries beyond ``order`` are None.
+
+    The second moments are centred on each node's heaviest point p*, where
+    A is exactly 0 after the max shift: sum_a S_a (p_a - p*)(p_a - p*)^T
+    minus the outer square of sum_a S_a (p_a - p*).  The differences
+    p_a - p* are exact, so a node whose softmax is one-hot gets exactly
+    zero moments, and one whose softmax lies on an edge of direction (1, 0),
+    (0, 1) or (1, +-1) (every preset's edges) exactly rank-one moments;
+    centring on the rounded mean would not.  Two (m, M) work buffers live
+    only inside the call.
     """
-    mean = W @ points
-    n = points.shape[1]
-    out = np.empty((len(W), n, n))
-    c, wc = np.empty((2,) + W.shape)
+    m, n = points.shape
+    amax = A.max(axis=0)
+    A -= amax
+    if order == 2:
+        # a heaviest point per node (the last on ties): the max over axis 0
+        # of row index times (A == 0), since argmax over axis 0 copies A
+        c, w = np.empty((2,) + A.shape)
+        np.equal(A, 0.0, out=c)
+        c *= np.arange(m, dtype=float)[:, None]
+        shift = [np.take(points[:, i], c.max(axis=0).astype(np.intp)) for i in range(n)]
+    S = np.exp(A, out=A)
+    total = S.sum(axis=0)
+    lse = np.log(total)
+    lse += amax
+    if order == 0:
+        return lse, None, None, None
+    S /= total
+    if order == 1:
+        return lse, S, points.T @ S, None
+    mean = np.empty((n, A.shape[1]))
+    cov = np.empty((n, n, A.shape[1]))
+    held = None                 # the coordinate whose p_a - p* c holds
+
+    def centre(j):
+        nonlocal held
+        if held != j:
+            np.subtract(points[:, j, None], shift[j], out=c)
+            held = j
+
     for i in range(n):
-        np.subtract(points[:, i], mean[:, i, None], out=c)
-        np.multiply(W, c, out=wc)
-        out[:, i, i] = np.vecdot(wc, c)
-        for j in range(i + 1, n):
-            np.subtract(points[:, j], mean[:, j, None], out=c)
-            out[:, i, j] = out[:, j, i] = np.vecdot(wc, c)
-    return out
+        centre(i)
+        np.multiply(S, c, out=w)
+        w.sum(axis=0, out=mean[i])
+        for j in range(i, n):
+            centre(j)
+            np.einsum("am,am->m", w, c, out=cov[i, j])
+    for i in range(n):
+        for j in range(i, n):
+            cov[i, j] -= mean[i] * mean[j]
+            cov[j, i] = cov[i, j]
+        mean[i] += shift[i]
+    return lse, S, mean, cov
 
 
 class LogSumExpPotential(PotentialField):
@@ -94,33 +142,22 @@ class LogSumExpPotential(PotentialField):
         self.level = int(level)
         self.offset = float(offset)
 
-    def _logw(self, X):
-        # (M, m) log-weights before normalisation, max-shifted per node
-        return np.asarray(X, dtype=float) @ self.points.T + self.log_coeffs
-
-    def _softmax(self, X):
-        A = self._logw(X)
-        A -= A.max(axis=1, keepdims=True)
-        W = np.exp(A)
-        return W / W.sum(axis=1, keepdims=True)
+    def moments(self, X, order):
+        """softmax_moments of the level-k potential's log-weights at the
+        nodes X (M, n): A = points @ X^T + log_coeffs, basis-major."""
+        A = self.points @ np.atleast_2d(np.asarray(X, dtype=float)).T
+        A += self.log_coeffs[:, None]
+        return softmax_moments(A, self.points, order)
 
     def value(self, X):
-        A = self._logw(X)
-        amax = A.max(axis=1)
-        lse = amax + np.log(np.exp(A - amax[:, None]).sum(axis=1))
-        return (lse + self.offset) / self.level
+        return (self.moments(X, 0)[0] + self.offset) / self.level
 
     def gradient(self, X):
-        return (self._softmax(X) @ self.points) / self.level
+        return self.moments(X, 1)[2].T / self.level
 
     def hessian(self, X):
-        X = np.atleast_2d(X)
-        out = np.empty((len(X), self.dim, self.dim))
-        step = max(1, 2 ** 22 // max(1, len(self.points) * self.dim))
-        for lo in range(0, len(X), step):
-            out[lo:lo + step] = softmax_covariance(self._softmax(X[lo:lo + step]),
-                                                   self.points)
-        return out / self.level
+        # (M, n, n), laid out component-major as the kernel returns it
+        return np.moveaxis(self.moments(X, 2)[3], -1, 0) / self.level
 
     def with_log_coeffs(self, log_coeffs):
         return LogSumExpPotential(self.points, log_coeffs, self.level, self.offset)
@@ -388,7 +425,18 @@ class DelzantPolytope:
         return pts[order]
 
     def ehrhart_count(self, k):
-        return len(self.lattice_points(k))
+        """Number of lattice points of kP, in closed form (nothing is
+        enumerated): (length) k + 1 for an interval and, by Pick's theorem,
+        area k^2 + (boundary points) k / 2 + 1 for a polygon."""
+        if k < 1 or k != int(k):
+            raise GeometryError("level k must be a positive integer")
+        k = int(k)
+        V = [[int(round(c)) for c in v] for v in self.vertices]
+        if self.dim == 1:
+            return (V[1][0] - V[0][0]) * k + 1
+        boundary = sum(gcd(V[i][0] - V[i - 1][0], V[i][1] - V[i - 1][1])
+                       for i in range(len(V)))
+        return int(self.volume() * k * k + Fraction(boundary * k, 2) + 1)
 
 
 def polytope_preset(name):

@@ -12,12 +12,19 @@ Normalisation conventions (fixed once, used everywhere):
 * Every map here works on torus-invariant (diagonal) data, the slice on
   which each workflow starts and which Hilb o FS preserves; by uniqueness
   the balanced form of torus-invariant data lies on it.  Angular integrals
-  vanish identically and all sums are real.  One softmax S of logE - log d
-  over the basis (Quantisation.torus_pass) gives the FS potential values,
-  its Hessian (the softmax covariance, hence the mixed measure) and the
-  Hilb diagonal; the last pass is memoised, so the map, the moment map and
-  I_{mu0} at one H share it.  A non-diagonal HermitianForm is refused with
-  a QuantisationError.
+  vanish identically and all sums are real.  A non-diagonal HermitianForm is
+  refused with a QuantisationError.
+
+Layout.  The slice is carried as the vector x = log diag H, and
+``logE`` = <a, x_p> is stored basis-major, (N+1, M): one row per section,
+one column per quadrature node.  One softmax S of logE - x over axis 0
+(geometry.softmax_moments, the package's one softmax kernel, via
+Quantisation.torus_pass) gives the FS potential values, its Hessian (the
+centred second moments of S, hence the mixed measure) and the Hilb
+diagonal; the last pass is memoised, so the map, the moment map and
+I_{mu0} at one H share it.  The balance iteration and the balancing flow
+run on these vectors; a HermitianForm appears only at the edges (inputs,
+returned results, logged states, JSON and metric_distance).
 
 All exponential sums are evaluated with per-node max shifts; a positive
 definiteness failure after any map application aborts with diagnostics
@@ -28,8 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (LogSumExpPotential, enumerate_lattice_points,
-                       mixed_density, softmax_covariance, volume_density)
+from .geometry import (GeometryError, LogSumExpPotential,
+                       enumerate_lattice_points, mixed_density,
+                       softmax_moments, volume_density)
+
+# Cap on the bytes of the (N+1) x M arrays that one level-k context works
+# with (logE, the softmax and the kernel's two work buffers), checked from
+# the Ehrhart count before any of them is allocated.
+MAX_TORUS_BYTES = 2 ** 30
 
 
 class QuantisationError(RuntimeError):
@@ -120,9 +133,47 @@ def metric_distance(H0, H1, k=None):
     return float(np.sqrt(np.sum(np.abs(A - B) ** 2)) / k)
 
 
+def check_torus_size(P, k, n_nodes):
+    """Refuse, with a GeometryError, a level k whose (N+1) x M arrays would
+    take more than MAX_TORUS_BYTES.  N+1 is the closed-form Ehrhart count,
+    so nothing is enumerated or allocated first."""
+    n_plus_1 = P.ehrhart_count(k)
+    need = 4 * 8 * n_plus_1 * int(n_nodes)
+    if need > MAX_TORUS_BYTES:
+        raise GeometryError(
+            f"level k={k} needs about {need / 2 ** 30:.3g} GiB for its (N+1) x M "
+            f"arrays (N+1 = {n_plus_1}, M = {n_nodes}), above the "
+            f"{MAX_TORUS_BYTES / 2 ** 30:g} GiB cap (quantisation.MAX_TORUS_BYTES)")
+
+
+def log_diagonal(q, H, what):
+    """x = log diag H for the torus-invariant H of the context q.
+
+    H is a HermitianForm, a square matrix, or x itself as a 1-D array.  It
+    is refused unless it is diagonal with positive entries (the form's
+    Cholesky check), x is finite and it has N+1 entries.
+    """
+    if isinstance(H, np.ndarray) and H.ndim == 1:
+        x = H
+        if not np.all(np.isfinite(x)):
+            raise QuantisationError(f"{what}: log-diagonal entries must be finite")
+    else:
+        if not isinstance(H, HermitianForm):
+            H = HermitianForm(H, q.k)
+        if not H.diagonal:
+            raise QuantisationError(f"{what} needs a torus-invariant (diagonal) H")
+        x = np.log(H.diag())
+    if x.shape != (q.n_plus_1,):
+        raise QuantisationError(f"{what}: shape mismatch, {x.shape} for N+1 = {q.n_plus_1}")
+    return x
+
+
 class Quantisation:
     """Fixed-level context on the torus-invariant slice: polytope, chi
     potential, basis, calibrated rule.
+
+    Every method that takes a torus-invariant H accepts a HermitianForm, a
+    square matrix or the vector x = log diag H (see log_diagonal).
 
     Args:
         P: DelzantPolytope for (M, L1).
@@ -138,6 +189,7 @@ class Quantisation:
     def __init__(self, P, chi, k, rule, gamma, n_theta=None):
         if not rule.meta.get("calibrated"):
             raise QuantisationError("quadrature rule must be calibrated (run geometry.calibrate)")
+        check_torus_size(P, k, len(rule.nodes))
         self.P = P
         self.chi = chi
         self.k = int(k)
@@ -151,33 +203,23 @@ class Quantisation:
         # cached per-node data
         self.nodes = rule.nodes
         self.weights = rule.weights
-        self.logE = self.basis.points.astype(float) @ self.nodes.T   # (N+1, M)
+        self.points = self.basis.points.astype(float)
+        self.logE = self.points @ self.nodes.T                # (N+1, M)
         self.chi_hess = np.asarray(chi.hessian(self.nodes))
         self.hilb_norm = self.gamma * self.k ** (P.dim - 1)
-        self._memo = None       # (diagonal bytes, TorusPass) of the last pass
+        self._memo = None       # (x bytes, TorusPass) of the last pass
         self._anchor = None     # TorusPass of FS(Id), filled on first use
 
     @property
     def n_plus_1(self):
         return self.basis.n_plus_1
 
-    def _torus_form(self, H, what):
-        """H as a HermitianForm, refused unless it is torus-invariant."""
-        if not isinstance(H, HermitianForm):
-            H = HermitianForm(H, self.k)
-        if not H.diagonal:
-            raise QuantisationError(f"{what} needs a torus-invariant (diagonal) H")
-        return H
-
     # -- FS ----------------------------------------------------------------
 
     def fs_map(self, H):
         """FS(H) as a potential u_H with k u_H = log rho_H - log((N+1)/V)."""
-        d = self._torus_form(H, "fs_map").diag()
-        if np.any(d <= 0):
-            raise QuantisationError("diagonal entries must be positive")
-        return LogSumExpPotential(self.basis.points.astype(float),
-                                  log_coeffs=-np.log(d),
+        return LogSumExpPotential(self.points,
+                                  log_coeffs=-log_diagonal(self, H, "fs_map"),
                                   level=self.k,
                                   offset=-np.log(self.n_plus_1 / self.V))
 
@@ -198,30 +240,25 @@ class Quantisation:
     def torus_pass(self, H):
         """FS and Hilb of a torus-invariant H from one softmax pass.
 
-        With S the (M, N+1) softmax of logE - log d over the basis (d the
-        diagonal of H), returns a TorusPass holding, at the nodes, the
-        level-k potential values k u_H, the mixed measure of FS(H) (from the
-        centred softmax covariance, which is D^2(k u_H)), and the Hilb
-        diagonal ((N+1)/V) d_a sum_p w_p mix_p S_pa / (gamma k^{n-1}).
+        With S the softmax of logE - x over the basis (axis 0, x = log diag
+        H), returns a TorusPass holding, at the nodes, the level-k potential
+        values k u_H, the mixed measure of FS(H) (from the centred second
+        moments of S, which are D^2(k u_H)), and the Hilb diagonal
+        ((N+1)/V) e^x_a sum_p w_p mix_p S_ap / (gamma k^{n-1}).
 
-        The last pass is memoised on the exact bytes of d, so a moment map,
+        The last pass is memoised on the exact bytes of x, so a moment map,
         an energy and a map application at the same H share one pass.  The
         returned arrays are read-only because they are shared.
         """
-        d = self._torus_form(H, "torus_pass").diag()
-        key = d.tobytes()
+        x = log_diagonal(self, H, "torus_pass")
+        key = x.tobytes()
         if self._memo is not None and self._memo[0] == key:
             return self._memo[1]
-        A = self.logE.T - np.log(d)                           # (M, N+1)
-        amax = A.max(axis=1)
-        A -= amax[:, None]
-        S = np.exp(A, out=A)
-        rowsum = S.sum(axis=1)
-        S /= rowsum[:, None]
-        values = amax + np.log(rowsum) - np.log(self.n_plus_1 / self.V)
-        mix = self._mix_from_hessian(softmax_covariance(S, self.basis.points.astype(float)))
+        lse, S, _, cov = softmax_moments(self.logE - x[:, None], self.points)
+        values = lse - np.log(self.n_plus_1 / self.V)
+        mix = self._mix_from_hessian(np.moveaxis(cov, -1, 0))
         hilb = _checked_hilb_diagonal(
-            (self.n_plus_1 / self.V) * d * ((self.weights * mix) @ S) / self.hilb_norm)
+            (self.n_plus_1 / self.V) * np.exp(x) * (S @ (self.weights * mix)) / self.hilb_norm)
         for arr in (values, mix, hilb):
             arr.setflags(write=False)
         out = TorusPass(values=values, mix=mix, hilb=hilb)
@@ -232,7 +269,7 @@ class Quantisation:
         """torus_pass of H = Id, the FS(Id) basepoint of the energies;
         computed on first use and kept for the life of the context."""
         if self._anchor is None:
-            self._anchor = self.torus_pass(HermitianForm.identity(self.n_plus_1, self.k))
+            self._anchor = self.torus_pass(np.zeros(self.n_plus_1))
         return self._anchor
 
     def hilb_map(self, u):
@@ -249,55 +286,59 @@ class Quantisation:
     def hilb_form(self, H):
         """Gram matrix of Hilb_chi(FS(H)); T_{k,chi} read on Gram matrices.
         Diagonal, from the torus_pass of H."""
-        H = self._torus_form(H, "hilb_form")
         return HermitianForm(np.diag(self.torus_pass(H).hilb), self.k)
 
     # -- moment map and iteration ---------------------------------------------
 
     def t_map(self, H, normalise=False):
         """T_{k,chi} = Hilb_chi o FS read on Gram matrices."""
-        H = self._torus_form(H, "t_map")
-        C = self.hilb_form(H)
+        x = log_diagonal(self, H, "t_map")
+        hilb = self.torus_pass(x).hilb
         if normalise:
-            scale = np.exp((H.logdet() - C.logdet()) / self.n_plus_1)
-            C = HermitianForm(C.matrix * scale, self.k)
-        return C
+            hilb = hilb * np.exp((x.sum() - np.log(hilb).sum()) / self.n_plus_1)
+        return HermitianForm(np.diag(hilb), self.k)
 
-    def mu0(self, H, C=None):
+    def moment_vector(self, x, hilb):
+        """The diagonal of mu0 (below) at x = log diag H, given the Hilb
+        diagonal of H."""
+        m = hilb / np.exp(x)
+        return (self.V / self.n_plus_1) * (m - m.sum() / self.n_plus_1)
+
+    def mu0(self, H):
         """Traceless moment map in the H-orthonormal gauge.
 
         mu0 = (V/(N+1)) (M - tr(M)/(N+1) Id) with M = H^{-1/2} C H^{-1/2},
         C = Hilb(FS(H)); on the torus-invariant slice M is the diagonal C/H,
         so mu0 is diagonal and exactly traceless.
         """
-        H = self._torus_form(H, "mu0")
-        if C is None:
-            C = self.hilb_form(H)
-        m = C.diag() / H.diag()
-        mu = np.diag(m - m.sum() / self.n_plus_1)
-        return (self.V / self.n_plus_1) * mu
+        x = log_diagonal(self, H, "mu0")
+        return np.diag(self.moment_vector(x, self.torus_pass(x).hilb))
 
     def mu0_norms(self, mu):
+        """(Frobenius, operator) norms of a moment map, given as its matrix
+        or as the vector of its diagonal."""
+        mu = np.asarray(mu)
         fro = float(np.sqrt(np.sum(np.abs(mu) ** 2)))
-        op = float(np.max(np.abs(np.linalg.eigvalsh(mu))))
-        return fro, op
+        eig = mu if mu.ndim == 1 else np.linalg.eigvalsh(mu)
+        return fro, float(np.max(np.abs(eig)))
 
     def trace_identity_residual(self, H):
-        """Relative defect of tr(Hilb(FS(H)) H^{-1}) = N+1; the quadrature
-        health certificate."""
-        H = self._torus_form(H, "trace_identity_residual")
-        C = self.hilb_form(H)
-        tr = float(np.trace(np.linalg.solve(H.matrix, C.matrix)).real)
+        """Relative defect of tr(Hilb(FS(H)) H^-1) = N+1; the quadrature
+        health certificate.  On the slice the trace is sum_a C_aa / H_aa."""
+        x = log_diagonal(self, H, "trace_identity_residual")
+        tr = float(np.sum(self.torus_pass(x).hilb / np.exp(x)))
         return abs(tr - self.n_plus_1) / self.n_plus_1
 
     def iterate_to_balance(self, H0, tol=1e-9, maxiter=500, norm="op",
                            track_energy=True):
         """Iterate H <- det-normalised Hilb(FS(H)) until ||mu0|| < tol.
 
-        Returns a BalanceResult whose history logs, per step, the moment map
-        norms, the energy I_{mu0} (non-increasing along the iteration;
-        skipped when track_energy is off) and log det H.  C, mu0 and I_{mu0}
-        come from one torus_pass per step.
+        Runs on x = log diag H: a step is x <- y - mean(y), y = log of the
+        Hilb diagonal, so log det H = sum(x) stays 0.  Returns a
+        BalanceResult whose H is a HermitianForm and whose history logs, per
+        step, the moment map norms, the energy I_{mu0} (non-increasing along
+        the iteration; skipped when track_energy is off) and log det H.
+        C, mu0 and I_{mu0} come from one torus_pass per step.
         Non-convergence is reported, not raised: by the variational theory
         it indicates there is no balanced metric at this level.
         """
@@ -305,26 +346,27 @@ class Quantisation:
 
         if norm not in ("op", "fro"):
             raise QuantisationError("norm must be 'op' or 'fro'")
-        H = (H0 if isinstance(H0, HermitianForm) else HermitianForm(H0, self.k)).det_normalised()
+        x = log_diagonal(self, H0, "iterate_to_balance")
+        x = x - x.mean()
         history = []
         converged = False
         for step in range(maxiter + 1):
-            C = self.hilb_form(H)
-            mu = self.mu0(H, C)
-            fro, op = self.mu0_norms(mu)
-            energy = i_mu0(self, H) if track_energy else None
+            hilb = self.torus_pass(x).hilb
+            fro, op = self.mu0_norms(self.moment_vector(x, hilb))
+            energy = i_mu0(self, x) if track_energy else None
             history.append({"step": step, "mu0_fro": fro, "mu0_op": op,
-                            "i_mu0": energy, "logdet": H.logdet()})
+                            "i_mu0": energy, "logdet": float(x.sum())})
             if (op if norm == "op" else fro) < tol:
                 converged = True
                 break
-            scale = np.exp(-C.logdet() / self.n_plus_1)
-            H = HermitianForm(C.matrix * scale, self.k)
+            y = np.log(hilb)
+            x = y - y.mean()
         message = "converged" if converged else (
             "no balanced metric found in %d iterations (||mu0||_%s = %.3e); "
             "per the variational theory this indicates the balanced metric "
             "may not exist at level k=%d" % (maxiter, norm, history[-1]["mu0_" + norm], self.k))
-        return BalanceResult(H=H, converged=converged, history=history, message=message)
+        return BalanceResult(H=HermitianForm.from_diagonal(np.exp(x), self.k),
+                             converged=converged, history=history, message=message)
 
 
 def _checked_hilb_diagonal(diag):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as Fr
 from pathlib import Path
 
@@ -175,6 +176,7 @@ def test_flow_artifacts(tmp_path, monkeypatch):
     assert int(rows[1][0]) == 24
     comp = json.loads((out / "quantization_comparison.json").read_text())
     assert {r["t"] for r in comp["rows"]} == {0.0, 0.1, 0.2}
+    assert [h["k"] for h in comp["meta"]["ode_halvings"]] == [2]
     assert len(pde_runs) == 1
 
 
@@ -321,6 +323,23 @@ def test_flow_artifacts_reproducible_across_processes(tmp_path):
     assert len(names) == 6
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, k_list, resolution", [
+    ("balance", "100000", None), ("flow", "2,100000", None),
+    ("verify", "3,100000", None), ("balance", "2", 100000)])
+def test_size_guard_exits_usage_before_allocating(tmp_path, capsys, command, k_list,
+                                                  resolution):
+    # the (N+1) x M footprint comes from the closed-form Ehrhart count and
+    # the resolution; above the cap the run ends at once with one line
+    argv = [command, "--problem", "P2-O1-O1", "--k-list", k_list, "--out", str(tmp_path)]
+    if resolution:
+        argv += ["--resolution", str(resolution)]
+    start = time.perf_counter()
+    assert run(argv) == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "MAX_TORUS_BYTES" in err
 
 
 def test_resolution_checked_before_any_work(tmp_path):

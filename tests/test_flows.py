@@ -48,6 +48,23 @@ def test_balancing_flow_monotone_diagnostics(square_problem):
     assert np.max(np.abs(np.array(lds) - lds[0])) < 1e-8
 
 
+def test_balancing_flow_counts_halvings_by_cause(square_problem):
+    # dt = 100 forces refusals of both kinds: RK4 stages that leave the
+    # positive cone, and steps that raise ||mu0||^2
+    q = square_problem.quantisation(2)
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, q.n_plus_1)
+    traj = fl.balancing_flow(q, x, dt=100.0, T=100.0, log_every=1)
+    counts = [(s.diagnostics["halvings_positivity"], s.diagnostics["halvings_mu0_rise"])
+              for s in traj]
+    assert counts[0] == (0, 0)
+    assert counts == sorted(counts)                # cumulative
+    positivity, mu0_rise = counts[-1]
+    assert positivity > 0 and mu0_rise > 0
+    musq = [s.diagnostics["mu0_sq"] for s in traj]
+    assert all(b <= a * (1 + 1e-9) for a, b in zip(musq, musq[1:]))
+    assert traj[-1].t == pytest.approx(100.0)
+
+
 # -- residuals and pointwise checks -----------------------------------------
 
 def test_critical_residual_exact_zero(square_problem):
@@ -328,6 +345,7 @@ def test_quantization_comparison(square_o21):
     # t = 0 distances decrease in k (Bergman approximation of the start)
     assert by[(4, 0.0)] < by[(2, 0.0)]
     assert meta["window_nodes"] > 0
+    assert meta["ode_halvings"] == [{"k": k, "positivity": 0, "mu0_rise": 0} for k in (2, 4)]
 
 
 def test_quantization_comparison_stationary(square_problem):

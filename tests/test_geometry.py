@@ -120,8 +120,9 @@ def test_random_delzant_polygons_single_source(base, scale, cuts):
     # DelzantPolytope refuses a facet that carries no edge
     assert np.all(on_facet.sum(axis=0) == 2)
     area = P.volume()
-    counts = [P.ehrhart_count(k) for k in range(1, 5)]
+    counts = [len(P.lattice_points(k)) for k in range(1, 5)]
     assert all(d == 2 * area for d in np.diff(counts, 2))
+    assert counts == [P.ehrhart_count(k) for k in range(1, 5)]
     tab = geo.intersection_numbers(P, "L1")
     assert tab["L1L1"] == 2 * area
     # K.L1 is minus the lattice perimeter; K^2 = 12 - (number of rays)
@@ -139,10 +140,15 @@ def test_random_delzant_polygons_single_source(base, scale, cuts):
 def test_ehrhart_degree_two():
     for name in ("P2", "P1xP1", "F1"):
         P = geo.polytope_preset(name)
-        counts = [P.ehrhart_count(k) for k in range(1, 7)]
+        counts = [len(P.lattice_points(k)) for k in range(1, 7)]
         second = np.diff(counts, 2)
         assert np.all(second == second[0])
         assert Fraction(int(second[0]), 2) == P.volume()
+        # the closed form (Pick) agrees with the enumeration
+        assert counts == [P.ehrhart_count(k) for k in range(1, 7)]
+    interval = geo.DelzantPolytope([[1], [-1]], [0, 3])
+    assert [interval.ehrhart_count(k) for k in (1, 5)] == [4, 16]
+    assert [len(interval.lattice_points(k)) for k in (1, 5)] == [4, 16]
 
 
 def test_intersection_numbers_examples():

@@ -1,10 +1,14 @@
 """Guards for Quantisation.torus_pass, the one-softmax kernel behind the
 torus-invariant FS/Hilb maps and the energy I_{mu0}."""
 
+import collections
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conftest import random_diagonal
+from jbalance import flows as fl
 from jbalance import functionals as F
 from jbalance import geometry as geo
 from jbalance.geometry import BlendPotential, LogSumExpPotential, QuadratureRule
@@ -148,3 +152,115 @@ def test_torus_pass_rejects_non_diagonal(square_problem):
                      q.trace_identity_residual, lambda H: F.i_mu0(q, H)):
         with pytest.raises(QuantisationError, match=r"needs a torus-invariant \(diagonal\) H"):
             evaluate(HermitianForm(M, 3))
+
+
+def test_log_diagonal_input_matches_form(square_problem):
+    # every torus-slice map takes x = log diag H as well as the form
+    q = square_problem.quantisation(3)
+    rng = np.random.default_rng(22)
+    H = random_diagonal(q, rng, spread=1.5)
+    x = np.log(H.diag())
+    by_form = q.torus_pass(H)
+    q._memo = None
+    by_vector = q.torus_pass(x)
+    for field in ("values", "mix", "hilb"):
+        assert np.array_equal(getattr(by_form, field), getattr(by_vector, field))
+    assert q.trace_identity_residual(x) == q.trace_identity_residual(H)
+    assert np.array_equal(q.mu0(x), q.mu0(H))
+    assert F.i_mu0(q, x) == F.i_mu0(q, H)
+    for bad, match in ((np.full(q.n_plus_1, np.inf), "finite"),
+                       (np.append(x, np.nan), "finite"),
+                       (x[:-1], "shape mismatch")):
+        with pytest.raises(QuantisationError, match=match):
+            q.torus_pass(bad)
+
+
+def longdouble_moments(A, points):
+    """Reference for softmax_moments: the softmax of each column of A and
+    the two-pass (mean first, then centred) weighted covariance of the
+    points, all in np.longdouble."""
+    L = A.astype(np.longdouble)
+    W = np.exp(L - L.max(axis=0))
+    W /= W.sum(axis=0)
+    P = points.astype(np.longdouble)
+    mean = np.einsum("am,ai->im", W, P)
+    D = P[:, :, None] - mean[None]                     # (m, n, M)
+    return W, mean, np.einsum("am,aim,ajm->ijm", W, D, D)
+
+
+def p1_problem(p1_sanity):
+    P, u, chi, rule = p1_sanity
+    return SimpleNamespace(polytope=P, chi=chi, rule=rule, gamma=1.0)
+
+
+@pytest.mark.parametrize("fixture,k", [("p1_sanity", 3), ("p1_sanity", 16),
+                                       ("p2_problem", 4), ("p2_problem", 16),
+                                       ("square_problem", 16)])
+def test_softmax_kernel_matches_longdouble_reference(request, fixture, k):
+    # dim 1 and 2, up to N+1 = 289 (P1xP1 at k = 16), on sampled quadrature
+    # nodes and on far-field nodes where the softmax collapses
+    pb = request.getfixturevalue(fixture)
+    if fixture == "p1_sanity":
+        pb = p1_problem(pb)
+    q, n_far = with_far_field(pb, k)
+    x = np.random.default_rng(k).uniform(-2.0, 2.0, q.n_plus_1)
+    cols = np.r_[np.arange(0, len(q.nodes) - n_far, 23), np.arange(len(q.nodes) - n_far, len(q.nodes))]
+    A = q.logE[:, cols] - x[:, None]
+    lse, S, mean, cov = geo.softmax_moments(A.copy(), q.points)
+    W, ref_mean, ref_cov = longdouble_moments(A, q.points)
+    # long double reaches far below the double range: what double rounds to
+    # 0 or to a subnormal is compared absolutely, against `tiny`
+    tiny = 1e-290
+    assert np.all(np.abs(S - W) <= 1e-13 * W + tiny)
+    assert np.all(np.abs(mean - ref_mean) <= 1e-13 * k)
+    # the covariance to a relative 1e-12 of its own scale, sqrt(C_ii C_jj):
+    # centred on the heaviest point, an entry loses at most a factor about
+    # N+1 to cancellation.  The reference itself is centred on its rounded
+    # mean, which leaves it an absolute error of about (eps k)^2 in long
+    # double precision, far above what double resolves where the softmax
+    # has collapsed.
+    floor = tiny + 16 * (np.finfo(np.longdouble).eps * k) ** 2
+    n = q.points.shape[1]
+    for i in range(n):
+        for j in range(n):
+            scale = np.sqrt(ref_cov[i, i] * ref_cov[j, j])
+            assert np.all(np.abs(cov[i, j] - ref_cov[i, j]) <= 1e-12 * scale + floor)
+    one_hot = np.count_nonzero(S, axis=0) == 1
+    assert one_hot.sum() >= 3
+    assert np.all(cov[:, :, one_hot] == 0.0)
+    # the mixed measure of the whole pass: nonnegative, and 0 at one-hot nodes
+    out = q.torus_pass(x)
+    S_all = geo.softmax_moments(q.logE - x[:, None], q.points, order=1)[1]
+    assert np.all(out.mix >= 0)
+    if n == 2:
+        assert np.all(out.mix[np.count_nonzero(S_all, axis=0) == 1] == 0.0)
+
+
+def test_balance_loops_do_no_per_step_linear_algebra(p2_problem, monkeypatch):
+    # the iteration and the balancing flow run on log-diagonal vectors: no
+    # dense solve, factorisation, eigenvalue or form construction per step,
+    # so the number of such calls does not grow with the step count
+    q = p2_problem.quantisation(2)
+    H0 = HermitianForm.identity(q.n_plus_1, 2)
+    calls = collections.Counter()
+    for name in ("solve", "cholesky", "eigvalsh", "slogdet"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _real=real, _name=name, **kw:
+                            calls.update([_name]) or _real(*a, **kw))
+    real_init = HermitianForm.__init__
+    monkeypatch.setattr(HermitianForm, "__init__",
+                        lambda self, *a, **kw: calls.update(["HermitianForm"])
+                        or real_init(self, *a, **kw))
+
+    def count(run):
+        calls.clear()
+        run()
+        return dict(calls)
+
+    short, long = (count(lambda: q.iterate_to_balance(H0, tol=1e-30, maxiter=steps))
+                   for steps in (2, 8))
+    assert short == long
+    short, long = (count(lambda: fl.balancing_flow(q, H0, dt=0.1, T=T, log_every=10**9))
+                   for T in (0.2, 0.8))
+    assert short == long
