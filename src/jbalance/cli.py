@@ -227,13 +227,17 @@ def cmd_balance(cfg):
         from .functionals import report_row
         (out / f"balanced_k{k}.json").write_text(json.dumps({
             "problem": problem.name, "k": k, "converged": res.converged,
-            "steps": len(res.history) - 1, "message": res.message,
+            "steps": len(res.history) - 1, "rejected": res.rejected,
+            "message": res.message,
             "health_residual": health,
             "energy": report_row("i_mu0", "FS(Id)", res.history[-1]["i_mu0"], q),
             "form": res.H.to_json(q.basis)}, indent=1))
         status = "ok" if res.converged else "NOT CONVERGED"
-        print(f"balance k={k}: {status} in {len(res.history)-1} steps, "
+        print(f"balance k={k}: {status} in {len(res.history)-1} steps "
+              f"({res.rejected} Anderson candidates rejected), "
               f"||mu0||_{cfg['norm']} = {res.history[-1]['mu0_' + cfg['norm']]:.3e}")
+        if res.message != "converged":
+            print(f"  {res.message}")
         if not res.converged:
             failures += 1
     return EXIT_FAILURE if failures else EXIT_OK
@@ -275,10 +279,12 @@ def cmd_flow(cfg):
         levels.append((q, H0))
         traj = balancing_flow(q, H0, dt=fcfg["dt"], T=fcfg["T"])
         rows = [[s.t, s.diagnostics["mu0_fro"], s.diagnostics["mu0_sq"],
-                 s.diagnostics.get("i_mu0", ""), s.diagnostics["logdet"]]
+                 s.diagnostics.get("i_mu0", ""), s.diagnostics["logdet"],
+                 s.diagnostics["halvings_positivity"], s.diagnostics["halvings_mu0_rise"]]
                 for s in traj]
         write_csv(out / f"balancing_flow_k{k}.csv",
-                  ["t", "mu0_fro", "mu0_sq", "i_mu0", "logdet"], rows)
+                  ["t", "mu0_fro", "mu0_sq", "i_mu0", "logdet",
+                   "halvings_positivity", "halvings_mu0_rise"], rows)
         end = traj[-1].diagnostics
         print(f"flow k={k}: ||mu0||_F {traj[0].diagnostics['mu0_fro']:.3e} -> "
               f"{end['mu0_fro']:.3e} over T={fcfg['T']} (dt halvings: "

@@ -318,6 +318,13 @@ def jflow_step(grid, v_hess, gamma, dt, active=None):
     mask = active if active is not None else np.ones_like(det, dtype=bool)
     if not _convex(hess, det, mask):
         return grid, False
+    return _euler_step(grid, hess, det, v_hess, gamma, dt, mask)
+
+
+def _euler_step(grid, hess, det, v_hess, gamma, dt, mask):
+    """The body of jflow_step, for a grid whose interior Hessian ``hess``
+    (determinant ``det``) is already known to be positive definite on
+    ``mask``: only the stepped grid is checked."""
     values = grid.values.copy()
     values[1:-1, 1:-1] += dt * _velocity(hess, det, v_hess, gamma, mask)
     new = _with_hessian(grid, values)
@@ -440,7 +447,8 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
     while t < T - 1e-12:
         span = snap_times[next_snap] - t
         h = span / max(1, math.ceil(span / (fraction * euler_bound(grid))))
-        new, ok = jflow_step(grid, v_hess, gamma, h, box_active)
+        # the start residual, or the last accepted step, proved the grid convex
+        new, ok = _euler_step(grid, grid.hess, grid.det, v_hess, gamma, h, box_active)
         if not ok:
             fraction *= 0.5
             halvings += 1

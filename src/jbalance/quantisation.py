@@ -26,6 +26,15 @@ I_{mu0} at one H share it.  The balance iteration and the balancing flow
 run on these vectors; a HermitianForm appears only at the edges (inputs,
 returned results, logged states, JSON and metric_distance).
 
+Balance iteration.  The balanced form is the fixed point of the
+det-normalised T = Hilb o FS.  Plain iteration of T decreases I_{mu0} but
+needs more steps as k grows; iterate_to_balance accelerates it with
+Anderson mixing (memory ANDERSON_MEMORY), safeguarded by that energy: a
+mixed candidate is kept only if it does not raise I_{mu0}, else the step is
+the plain one.  Because the discrete I_{mu0} is stationary at T's fixed
+point only up to quadrature error, a run whose candidates are mostly
+rejected reports it as a resolution problem.
+
 All exponential sums are evaluated with per-node max shifts; a positive
 definiteness failure after any map application aborts with diagnostics
 instead of regularising, since it signals inadequate quadrature.
@@ -43,6 +52,11 @@ from .geometry import (GeometryError, LogSumExpPotential,
 # with (logE, the softmax and the kernel's two work buffers), checked from
 # the Ehrhart count before any of them is allocated.
 MAX_TORUS_BYTES = 2 ** 30
+
+# Memory of the Anderson-accelerated balance iteration: the number of latest
+# iterates whose images it mixes, so at most ANDERSON_MEMORY - 1 secant
+# columns (Walker-Ni's depth m).
+ANDERSON_MEMORY = 6
 
 
 class QuantisationError(RuntimeError):
@@ -276,11 +290,13 @@ class Quantisation:
         """Hilb_chi of the torus-invariant metric e^{-k u}: diagonal Gram
         G_aa = (1/(gamma k^{n-1})) integral e^{<a,x> - k u} dmu_mix."""
         mix = self.mixed_measure(u)
-        uv = u.value(self.nodes)
-        W = np.exp(self.logE - self.k * uv[None, :])
-        if not np.all(np.isfinite(W)):
+        # one (N+1) x M temporary, exponentiated in place; exp gives no NaN
+        # from finite input, so its max is finite iff every entry is
+        W = self.logE - self.k * u.value(self.nodes)
+        np.exp(W, out=W)
+        if not np.isfinite(W.max()):
             raise QuantisationError("overflow in section weights; quadrature box too wide for k")
-        diag = (W * (self.weights * mix)[None, :]).sum(axis=1) / self.hilb_norm
+        diag = W @ (self.weights * mix) / self.hilb_norm
         return HermitianForm(np.diag(_checked_hilb_diagonal(diag)), self.k)
 
     def hilb_form(self, H):
@@ -329,18 +345,39 @@ class Quantisation:
         tr = float(np.sum(self.torus_pass(x).hilb / np.exp(x)))
         return abs(tr - self.n_plus_1) / self.n_plus_1
 
-    def iterate_to_balance(self, H0, tol=1e-9, maxiter=500, norm="op",
-                           track_energy=True):
-        """Iterate H <- det-normalised Hilb(FS(H)) until ||mu0|| < tol.
+    def iterate_to_balance(self, H0, tol=1e-9, maxiter=500, norm="op"):
+        """Solve x = T(x) for the balanced form, until ||mu0|| < tol.
 
-        Runs on x = log diag H: a step is x <- y - mean(y), y = log of the
-        Hilb diagonal, so log det H = sum(x) stays 0.  Returns a
-        BalanceResult whose H is a HermitianForm and whose history logs, per
-        step, the moment map norms, the energy I_{mu0} (non-increasing along
-        the iteration; skipped when track_energy is off) and log det H.
-        C, mu0 and I_{mu0} come from one torus_pass per step.
-        Non-convergence is reported, not raised: by the variational theory
-        it indicates there is no balanced metric at this level.
+        Runs on x = log diag H with the det-normalised map T(x) = y -
+        mean(y), y = log of the Hilb diagonal, so log det H = sum(x) stays
+        0.  The plain iteration x <- T(x) is Donaldson's: I_{mu0} decreases
+        along it, but its step count grows with k.  This is safeguarded
+        Anderson acceleration of it (Walker-Ni) on the residual g(x) =
+        T(x) - x: the candidate x_A is the combination of the images T of
+        the last ANDERSON_MEMORY iterates whose residuals cancel best in
+        least squares (_mixing_coefficients).  x_A gets its own torus_pass,
+        which is the next step's pass when x_A is accepted.
+        It is accepted only if that pass succeeds and I_{mu0}(x_A) <=
+        I_{mu0}(x), with no slack; otherwise the step is the plain T(x),
+        whose Hilb diagonal is in hand, and the memory is cleared.  So an
+        accepted candidate never raises I_{mu0}, a plain step decreases it
+        as in Donaldson's iteration (up to the quadrature gap below), and a
+        step costs one pass, or two when its candidate is rejected.
+
+        Returns a BalanceResult whose H is a HermitianForm and whose history
+        logs, per step, the moment map norms, the energy I_{mu0}, log det H
+        and the number of candidates rejected so far.
+
+        Health signal: the safeguard relies on the discrete I_{mu0} being
+        stationary where T is fixed, which holds only up to quadrature
+        error.  Where that gap is not far below tol (F1, or k >= 16, at
+        resolution 64), the candidates that head for T's fixed point raise
+        the discrete energy, most are rejected and the iteration falls back
+        to plain steps (which may then rise by that gap too).  When more
+        than half the candidates are rejected the message says so and
+        advises a finer rule.  Non-convergence is reported, not raised: by
+        the variational theory it indicates there is no balanced metric at
+        this level.
         """
         from .functionals import i_mu0  # deferred: functionals builds on this module
 
@@ -348,25 +385,98 @@ class Quantisation:
             raise QuantisationError("norm must be 'op' or 'fro'")
         x = log_diagonal(self, H0, "iterate_to_balance")
         x = x - x.mean()
+        hilb = self.torus_pass(x).hilb
+        energy = i_mu0(self, x)
+        dX, dG = [], []             # secant columns, oldest first
+        prev = None                 # (x, g) of the previous step
         history = []
+        candidates = rejected = 0
         converged = False
         for step in range(maxiter + 1):
-            hilb = self.torus_pass(x).hilb
             fro, op = self.mu0_norms(self.moment_vector(x, hilb))
-            energy = i_mu0(self, x) if track_energy else None
-            history.append({"step": step, "mu0_fro": fro, "mu0_op": op,
-                            "i_mu0": energy, "logdet": float(x.sum())})
+            history.append({"step": step, "mu0_fro": fro, "mu0_op": op, "i_mu0": energy,
+                            "logdet": float(x.sum()), "rejected": rejected})
             if (op if norm == "op" else fro) < tol:
                 converged = True
                 break
             y = np.log(hilb)
-            x = y - y.mean()
-        message = "converged" if converged else (
-            "no balanced metric found in %d iterations (||mu0||_%s = %.3e); "
-            "per the variational theory this indicates the balanced metric "
-            "may not exist at level k=%d" % (maxiter, norm, history[-1]["mu0_" + norm], self.k))
+            t = y - y.mean()
+            g = t - x
+            if prev is not None:
+                dX.append(x - prev[0])
+                dG.append(g - prev[1])
+                del dX[:1 - ANDERSON_MEMORY], dG[:1 - ANDERSON_MEMORY]
+            prev = (x, g)
+            accepted = False
+            gamma = _mixing_coefficients(dX, dG, g)
+            if len(gamma):
+                candidates += 1
+                x_a = t - sum(c * (a + b) for c, a, b in zip(gamma, dX, dG))
+                x_a -= x_a.mean()
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        hilb_a = self.torus_pass(x_a).hilb
+                        energy_a = i_mu0(self, x_a)
+                    accepted = energy_a <= energy
+                except QuantisationError:
+                    pass
+                if not accepted:
+                    # (x, g) stays as prev: the plain step from it starts
+                    # the new memory's first secant column
+                    rejected += 1
+                    dX.clear()
+                    dG.clear()
+            if accepted:
+                x, hilb, energy = x_a, hilb_a, energy_a
+            else:
+                x = t
+                hilb = self.torus_pass(x).hilb
+                energy = i_mu0(self, x)
+        if converged:
+            message = "converged"
+        else:
+            message = (
+                "no balanced metric found in %d iterations (||mu0||_%s = %.3e); "
+                "per the variational theory this indicates the balanced metric "
+                "may not exist at level k=%d" % (maxiter, norm, history[-1]["mu0_" + norm], self.k))
+        if 2 * rejected > candidates:
+            message += (
+                "; the I_mu0 safeguard rejected %d of %d Anderson candidates: the "
+                "discrete energy is not stationary at the fixed point to within "
+                "quadrature error; raise the resolution" % (rejected, candidates))
         return BalanceResult(H=HermitianForm.from_diagonal(np.exp(x), self.k),
-                             converged=converged, history=history, message=message)
+                             converged=converged, history=history, message=message,
+                             rejected=rejected)
+
+
+def _mixing_coefficients(dX, dG, g):
+    """Anderson mixing coefficients: the gamma minimising ||g - dG gamma||,
+    dG the matrix whose columns are the entries of ``dG``.
+
+    Modified Gram-Schmidt on the columns, oldest first, with elementwise
+    vector products only.  While a pivot falls below 1e-8 of its column's
+    norm, the oldest column is dropped from ``dG`` and ``dX`` alike and the
+    factorisation restarts; returns gamma for the columns that remain
+    (empty when none do).
+    """
+    while dG:
+        Q, R = [], np.zeros((len(dG), len(dG)))
+        for j, col in enumerate(dG):
+            v = col.copy()
+            for i, q in enumerate(Q):
+                R[i, j] = q @ v
+                v -= R[i, j] * q
+            R[j, j] = np.sqrt(v @ v)
+            if not R[j, j] > 1e-8 * np.sqrt(col @ col):
+                del dX[0], dG[0]
+                break
+            Q.append(v / R[j, j])
+        else:
+            gamma = np.array([q @ g for q in Q])
+            for i in reversed(range(len(Q))):
+                gamma[i] = (gamma[i] - R[i, i + 1:] @ gamma[i + 1:]) / R[i, i]
+            return gamma
+    return np.zeros(0)
 
 
 def _checked_hilb_diagonal(diag):
@@ -391,9 +501,10 @@ class BalanceResult:
     converged: bool
     history: list
     message: str
+    rejected: int       # Anderson candidates refused by the I_mu0 safeguard
 
     def history_columns(self):
-        cols = ["step", "mu0_fro", "mu0_op", "i_mu0", "logdet"]
+        cols = ["step", "mu0_fro", "mu0_op", "i_mu0", "logdet", "rejected"]
         return cols, [[row[c] for c in cols] for row in self.history]
 
 

@@ -67,10 +67,9 @@ def test_criterion_03_uniqueness(p2_problem):
     q = p2_problem.quantisation(4)
     rng = np.random.default_rng(1)
     r1 = q.iterate_to_balance(HermitianForm.identity(q.n_plus_1, 4),
-                              tol=1e-10, maxiter=500, norm="fro",
-                              track_energy=False)
+                              tol=1e-10, maxiter=500, norm="fro")
     r2 = q.iterate_to_balance(random_diagonal(q, rng), tol=1e-10, maxiter=500,
-                              norm="fro", track_energy=False)
+                              norm="fro")
     d = float(np.sqrt(np.sum((r1.H.det_normalised().matrix
                               - r2.H.det_normalised().matrix) ** 2)))
     report(3, "uniqueness of the balanced form from two starts",
@@ -84,8 +83,7 @@ def test_criterion_04_gradient_flow(p2_problem):
     q = p2_problem.quantisation(3)
     rng = np.random.default_rng(2)
     ref = q.iterate_to_balance(HermitianForm.identity(q.n_plus_1, 3),
-                               tol=1e-11, maxiter=500, norm="fro",
-                               track_energy=False)
+                               tol=1e-11, maxiter=500, norm="fro")
     H0 = random_diagonal(q, rng, spread=0.5).det_normalised()
     traj = fl.balancing_flow(q, H0, dt=0.1, T=25.0, log_every=4)
     musq = [s.diagnostics["mu0_sq"] for s in traj]
@@ -119,8 +117,7 @@ def test_criterion_06_quantum_limit(square_o21):
     for k in (2, 4, 8):
         q = pb.quantisation(k)
         bal = q.iterate_to_balance(HermitianForm.identity(q.n_plus_1, k),
-                                   tol=1e-9, maxiter=800, norm="fro",
-                                   track_energy=False)
+                                   tol=1e-9, maxiter=800, norm="fro")
         assert bal.converged
         sups.append(fl.critical_residual(q.fs_map(bal.H), pb.chi, pb.gamma,
                                          pb.rule)[0])

@@ -53,7 +53,8 @@ def test_balance_artifacts_and_determinism(tmp_path):
     assert payload["converged"]
     with open(out1 / "balance_k2.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["step", "mu0_fro", "mu0_op", "i_mu0", "logdet"]
+    assert rows[0] == ["step", "mu0_fro", "mu0_op", "i_mu0", "logdet", "rejected"]
+    assert int(rows[-1][5]) == payload["rejected"]
     fro = [float(r[1]) for r in rows[1:]]
     assert fro[-1] < 1e-9
     # every cell is plain text that float() reads (no numpy scalar reprs)
@@ -166,7 +167,9 @@ def test_flow_artifacts(tmp_path, monkeypatch):
     code = run(["flow", "--config", str(cfg), "--out", str(tmp_path / "f")])
     assert code == cli.EXIT_OK
     out = tmp_path / "f"
-    assert (out / "balancing_flow_k2.csv").exists()
+    with open(out / "balancing_flow_k2.csv") as fh:
+        header = next(csv.reader(fh))
+    assert header[-2:] == ["halvings_positivity", "halvings_mu0_rise"]
     assert (out / "quantization_comparison.json").exists()
     grids = sorted(out.glob("jflow_grid_t*.csv"))
     assert len(grids) == 3

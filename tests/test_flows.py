@@ -15,8 +15,7 @@ from jbalance.stability import SurfaceClassData, cone_criteria
 def test_balancing_flow_stationary_at_balance(square_problem):
     q = square_problem.quantisation(3)
     res = q.iterate_to_balance(HermitianForm.identity(q.n_plus_1, 3),
-                               tol=1e-11, maxiter=400, norm="fro",
-                               track_energy=False)
+                               tol=1e-11, maxiter=400, norm="fro")
     traj = fl.balancing_flow(q, res.H, dt=0.1, T=5.0)
     assert metric_distance(traj[-1].payload, res.H, q.k) < 1e-9
 
@@ -26,8 +25,7 @@ def test_balancing_flow_matches_iteration(p2_problem):
     q = p2_problem.quantisation(3)
     rng = np.random.default_rng(0)
     res = q.iterate_to_balance(HermitianForm.identity(q.n_plus_1, 3),
-                               tol=1e-11, maxiter=400, norm="fro",
-                               track_energy=False)
+                               tol=1e-11, maxiter=400, norm="fro")
     H0 = random_diagonal(q, rng, spread=0.5).det_normalised()
     traj = fl.balancing_flow(q, H0, dt=0.1, T=25.0)
     end = traj[-1].payload.det_normalised()
@@ -98,8 +96,7 @@ def test_balanced_residual_decreases_in_k(square_o21):
     for k in (2, 4):
         q = pb.quantisation(k)
         res = q.iterate_to_balance(HermitianForm.identity(q.n_plus_1, k),
-                                   tol=1e-9, maxiter=500, norm="fro",
-                                   track_energy=False)
+                                   tol=1e-9, maxiter=500, norm="fro")
         assert res.converged
         sups.append(fl.critical_residual(q.fs_map(res.H), pb.chi, pb.gamma, pb.rule)[0])
     assert sups[1] < sups[0]

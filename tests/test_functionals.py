@@ -162,8 +162,7 @@ def test_i_hat_minimum_at_balanced(square_problem):
     q = square_problem.quantisation(3)
     rng = np.random.default_rng(11)
     res = q.iterate_to_balance(HermitianForm.identity(q.n_plus_1, 3),
-                               tol=1e-10, maxiter=300, norm="fro",
-                               track_energy=False)
+                               tol=1e-10, maxiter=300, norm="fro")
     u_bal = q.fs_map(res.H)
     base = F.i_hat(q, u_bal)
     for _ in range(8):

@@ -146,8 +146,7 @@ def test_mu0_traceless_and_zero_iff_fixed(square_problem):
     assert abs(np.trace(mu)) < 1e-13 * q.n_plus_1
     # away from balance the moment map is visibly nonzero
     assert q.mu0_norms(mu)[0] > 1e-4
-    res = q.iterate_to_balance(H, tol=1e-10, maxiter=300, norm="fro",
-                               track_energy=False)
+    res = q.iterate_to_balance(H, tol=1e-10, maxiter=300, norm="fro")
     assert res.converged
     assert q.mu0_norms(q.mu0(res.H))[0] < 1e-9
     # det-normalised t_map returns the balanced form
@@ -167,10 +166,9 @@ def test_iterate_balance_uniqueness(p2_problem):
     q = p2_problem.quantisation(3)
     rng = np.random.default_rng(10)
     res1 = q.iterate_to_balance(HermitianForm.identity(q.n_plus_1, 3),
-                                tol=1e-10, maxiter=400, norm="fro",
-                                track_energy=False)
+                                tol=1e-10, maxiter=400, norm="fro")
     res2 = q.iterate_to_balance(random_diagonal(q, rng), tol=1e-10,
-                                maxiter=400, norm="fro", track_energy=False)
+                                maxiter=400, norm="fro")
     assert res1.converged and res2.converged
     d = np.max(np.abs(res1.H.det_normalised().matrix - res2.H.det_normalised().matrix))
     assert d < 1e-6
@@ -182,8 +180,7 @@ def test_iterate_balance_symmetry_oracle(p2_problem):
     # section points is the identity within tolerance
     q = p2_problem.quantisation(4)
     res = q.iterate_to_balance(HermitianForm.identity(q.n_plus_1, 4),
-                               tol=1e-10, maxiter=400, norm="fro",
-                               track_energy=False)
+                               tol=1e-10, maxiter=400, norm="fro")
     assert res.converged
     pts = [tuple(p) for p in q.basis.points]
     k = q.k
@@ -206,7 +203,7 @@ def test_iterate_divergence_report(square_problem):
     q = square_problem.quantisation(3)
     rng = np.random.default_rng(11)
     res = q.iterate_to_balance(random_diagonal(q, rng), tol=1e-16, maxiter=3,
-                               norm="fro", track_energy=False)
+                               norm="fro")
     assert not res.converged
     assert "no balanced metric" in res.message
 
