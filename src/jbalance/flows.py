@@ -182,7 +182,7 @@ def critical_residual(u, chi, gamma, rule):
 
 def cone_condition_check(u, chi, gamma, rule):
     """Minimum over nodes of the smallest eigenvalue of
-    n gamma D^2u - (n-1) D^2v relative to D^2u (surface case n = 2).
+    n gamma D^2u - (n-1) D^2v relative to D^2u, for n = 2: 2 gamma D^2u - D^2v.
 
     A positive value certifies the pointwise cone condition for the sampled
     metric; the result is invariant under simultaneous linear changes of
@@ -191,10 +191,7 @@ def cone_condition_check(u, chi, gamma, rule):
     X = rule.nodes
     A = np.asarray(u.hessian(X))
     B = np.asarray(chi.hessian(X))
-    n = A.shape[-1]
-    S = n * gamma * A - (n - 1) * B
-    if n == 1:
-        return float(np.min(S[..., 0, 0] / A[..., 0, 0]))
+    S = 2 * gamma * A - B
     detA = volume_density(A)
     if not np.all(detA > 0):
         raise FlowError("potential is not strictly convex on the nodes")

@@ -30,7 +30,7 @@ class GeometryError(ValueError):
 # ---------------------------------------------------------------------------
 
 class PotentialField:
-    """Convex potential on R^n with value/gradient/Hessian access.
+    """Convex potential on R^n with value and Hessian access.
 
     The convention throughout the package: a potential ``u`` is normalised
     per level, i.e. the fibre metric of L1^k is e^{-k u} and the level-k
@@ -42,16 +42,13 @@ class PotentialField:
     def value(self, X):
         raise NotImplementedError
 
-    def gradient(self, X):
-        raise NotImplementedError
-
     def hessian(self, X):
         raise NotImplementedError
 
 
 def softmax_moments(A, points, order=2):
     """The one softmax kernel: the softmax over axis 0 of the log-weights A,
-    with its log-sum-exp and its first two moments.
+    with its log-sum-exp and, for ``order`` 2, its first two moments.
 
     A is (m, M), basis-major: row a holds the log-weights of the exponent
     point ``points[a]`` (``points`` is (m, n)) at the M nodes, and it is
@@ -62,10 +59,10 @@ def softmax_moments(A, points, order=2):
 
     * lse (M,): log sum_a e^{A_a}, per node (max-shifted);
     * S (m, M): the softmax (A itself), for ``order`` >= 1;
-    * mean (n, M): the softmax average of the points, for ``order`` >= 1;
+    * mean (n, M): the softmax average of the points, for ``order`` 2;
     * cov (n, n, M): the centred second moments, component-major (cov[i, j]
       is one contiguous (M,) row), for ``order`` 2.
-    Entries beyond ``order`` are None.
+    Entries the ``order`` does not ask for are None.
 
     The second moments are centred on each node's heaviest point p*, where
     A is exactly 0 after the max shift: sum_a S_a (p_a - p*)(p_a - p*)^T
@@ -94,7 +91,7 @@ def softmax_moments(A, points, order=2):
         return lse, None, None, None
     S /= total
     if order == 1:
-        return lse, S, points.T @ S, None
+        return lse, S, None, None
     mean = np.empty((n, A.shape[1]))
     cov = np.empty((n, n, A.shape[1]))
     held = None                 # the coordinate whose p_a - p* c holds
@@ -152,9 +149,6 @@ class LogSumExpPotential(PotentialField):
     def value(self, X):
         return (self.moments(X, 0)[0] + self.offset) / self.level
 
-    def gradient(self, X):
-        return self.moments(X, 1)[2].T / self.level
-
     def hessian(self, X):
         # (M, n, n), laid out component-major as the kernel returns it
         return np.moveaxis(self.moments(X, 2)[3], -1, 0) / self.level
@@ -176,9 +170,6 @@ class ScaledPotential(PotentialField):
     def value(self, X):
         return self.factor * self.base.value(X)
 
-    def gradient(self, X):
-        return self.factor * self.base.gradient(X)
-
     def hessian(self, X):
         return self.factor * self.base.hessian(X)
 
@@ -195,9 +186,6 @@ class AffineTilt(PotentialField):
     def value(self, X):
         return self.base.value(X) + np.asarray(X) @ self.slope + self.const
 
-    def gradient(self, X):
-        return self.base.gradient(X) + self.slope
-
     def hessian(self, X):
         return self.base.hessian(X)
 
@@ -211,9 +199,6 @@ class SumPotential(PotentialField):
 
     def value(self, X):
         return sum(p.value(X) for p in self.parts)
-
-    def gradient(self, X):
-        return sum(p.gradient(X) for p in self.parts)
 
     def hessian(self, X):
         return sum(np.asarray(p.hessian(X)) for p in self.parts)
@@ -232,12 +217,6 @@ class AxisPotential(PotentialField):
 
     def value(self, X):
         return self.base.value(self._slice(X))
-
-    def gradient(self, X):
-        X = np.atleast_2d(X)
-        g = np.zeros_like(X, dtype=float)
-        g[:, self.axis] = self.base.gradient(self._slice(X))[:, 0]
-        return g
 
     def hessian(self, X):
         X = np.atleast_2d(X)
@@ -263,10 +242,6 @@ class GaussianBump(PotentialField):
     def value(self, X):
         return self._g(X)[1]
 
-    def gradient(self, X):
-        D, g = self._g(X)
-        return -D * (g / self.sigma ** 2)[:, None]
-
     def hessian(self, X):
         D, g = self._g(X)
         s2 = self.sigma ** 2
@@ -283,9 +258,6 @@ class BlendPotential(PotentialField):
 
     def value(self, X):
         return (1.0 - self.t) * self.u0.value(X) + self.t * self.u1.value(X)
-
-    def gradient(self, X):
-        return (1.0 - self.t) * self.u0.gradient(X) + self.t * self.u1.gradient(X)
 
     def hessian(self, X):
         return (1.0 - self.t) * self.u0.hessian(X) + self.t * self.u1.hessian(X)
@@ -314,8 +286,8 @@ class DelzantPolytope:
     """Lattice polytope {x : <a_i, x> + c_i >= 0} with unimodular vertex cones.
 
     ``normals`` are the inward primitive integer facet normals, ``offsets``
-    the integer constants c_i.  Dimension 2 is the production case; n = 1
-    (intervals, i.e. P^1 with O(m)) is kept for sanity checks.
+    the integer constants c_i.  Only polygons (n = 2, toric surfaces) are
+    accepted: every class, pairing and density here is a surface's.
     """
 
     def __init__(self, normals, offsets, name=None):
@@ -325,8 +297,9 @@ class DelzantPolytope:
         if self.normals.ndim != 2 or len(self.normals) != len(self.offsets):
             raise GeometryError("need one offset per facet normal")
         self.dim = self.normals.shape[1]
-        if self.dim not in (1, 2):
-            raise GeometryError("only n = 1, 2 supported")
+        if self.dim != 2:
+            raise GeometryError(f"polytope dimension {self.dim}: only polygons "
+                                f"(toric surfaces, n = 2) are supported")
         for a in self.normals:
             if np.gcd.reduce(np.abs(a)) != 1:
                 raise GeometryError(f"facet normal {a} is not primitive")
@@ -338,12 +311,6 @@ class DelzantPolytope:
         return len(self.normals)
 
     def _compute_vertices(self):
-        if self.dim == 1:
-            pts = [Fraction(-int(c), int(a[0])) for a, c in zip(self.normals, self.offsets)]
-            verts = sorted(set(pts))
-            if len(verts) != 2:
-                raise GeometryError("interval needs exactly two distinct endpoints")
-            return np.array([[float(v)] for v in verts])
         verts = []
         for i, j in combinations(range(self.num_facets), 2):
             A = self.normals[[i, j]]
@@ -381,7 +348,7 @@ class DelzantPolytope:
                 raise GeometryError(f"vertex {v}: {active.sum()} active facets, "
                                     f"expected {self.dim}")
             A = self.normals[active]
-            det = A[0, 0] if self.dim == 1 else A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+            det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
             if abs(int(det)) != 1:
                 raise GeometryError(f"vertex {v}: normals do not form a Z-basis")
         for i, count in enumerate(on.sum(axis=0)):
@@ -394,10 +361,8 @@ class DelzantPolytope:
             raise GeometryError("empty interior")
 
     def volume(self):
-        """Euclidean volume of P as an exact Fraction (shoelace for n = 2)."""
+        """Euclidean area of P as an exact Fraction (shoelace)."""
         V = [[Fraction(int(round(c))) for c in v] for v in self.vertices]
-        if self.dim == 1:
-            return V[1][0] - V[0][0]
         total = Fraction(0)
         for i in range(len(V)):
             x0, y0 = V[i]
@@ -426,14 +391,11 @@ class DelzantPolytope:
 
     def ehrhart_count(self, k):
         """Number of lattice points of kP, in closed form (nothing is
-        enumerated): (length) k + 1 for an interval and, by Pick's theorem,
-        area k^2 + (boundary points) k / 2 + 1 for a polygon."""
+        enumerated): by Pick's theorem, area k^2 + (boundary points) k / 2 + 1."""
         if k < 1 or k != int(k):
             raise GeometryError("level k must be a positive integer")
         k = int(k)
         V = [[int(round(c)) for c in v] for v in self.vertices]
-        if self.dim == 1:
-            return (V[1][0] - V[0][0]) * k + 1
         boundary = sum(gcd(V[i][0] - V[i - 1][0], V[i][1] - V[i - 1][1])
                        for i in range(len(V)))
         return int(self.volume() * k * k + Fraction(boundary * k, 2) + 1)
@@ -497,8 +459,6 @@ def divisor_intersection_matrix(P):
     Adjacent rays meet once; self-intersections from v_{i-1} + v_{i+1} = b v_i
     giving D_i^2 = -b.  Indexing follows P.normals.
     """
-    if P.dim != 2:
-        raise GeometryError("intersection theory implemented for surfaces only")
     order = _ccw_ray_order(P)
     d = len(order)
     M = np.zeros((d, d), dtype=np.int64)
@@ -572,9 +532,6 @@ def intersection_numbers(P, l2_spec="L1"):
             if a in table and b in table and table[a] != table[b]:
                 raise GeometryError(f"inconsistent pairings {a} != {b}")
         return table
-    if P.dim == 1:
-        m = int(P.offsets.sum() if P.num_facets == 2 else 0)
-        return {"L1L1": m}  # degree of the interval bundle, n=1 sanity only
     c1, c2, ck = surface_classes(P, l2_spec)
     tab = {
         "L1L1": pair_classes(P, c1, c1),
@@ -682,20 +639,16 @@ def build_quadrature(P, resolution, scale=None):
     widths = P.vertices.max(axis=0) - P.vertices.min(axis=0)
     centers = np.zeros(P.dim)
     if scale is None:
-        skew = P.dim == 2 and any(np.all(a != 0) for a in P.normals)
+        skew = any(np.all(a != 0) for a in P.normals)
         base = 3.0 if skew else 2.0
         scales = np.maximum(base, 1.0 + 0.5 * widths)
     else:
         scales = np.full(P.dim, float(scale))
     axes = [_axis_rule(resolution, scales[d], centers[d]) for d in range(P.dim)]
-    if P.dim == 1:
-        nodes = axes[0][0][:, None]
-        weights = axes[0][1]
-    else:
-        X, Y = np.meshgrid(axes[0][0], axes[1][0], indexing="ij")
-        WX, WY = np.meshgrid(axes[0][1], axes[1][1], indexing="ij")
-        nodes = np.stack([X.ravel(), Y.ravel()], axis=-1)
-        weights = (WX * WY).ravel()
+    X, Y = np.meshgrid(axes[0][0], axes[1][0], indexing="ij")
+    WX, WY = np.meshgrid(axes[0][1], axes[1][1], indexing="ij")
+    nodes = np.stack([X.ravel(), Y.ravel()], axis=-1)
+    weights = (WX * WY).ravel()
     return QuadratureRule(nodes=nodes, weights=weights, resolution=int(resolution),
                           scales=scales, meta={"map": "logistic*GL"})
 
@@ -720,10 +673,8 @@ def mixed_2x2(axx, ayy, axy, bxx, byy, bxy):
 
 
 def volume_density(hess):
-    """det of a batch of symmetric Hessians (M, n, n) -> (M,)."""
+    """det of a batch of symmetric 2x2 Hessians (M, 2, 2) -> (M,)."""
     H = np.asarray(hess)
-    if H.shape[-1] == 1:
-        return H[..., 0, 0]
     return det_2x2(H[..., 0, 0], H[..., 1, 1], H[..., 0, 1])
 
 
@@ -734,8 +685,6 @@ def mixed_density(hess_a, hess_b):
     Hessian of the chi potential.
     """
     A, B = np.asarray(hess_a), np.asarray(hess_b)
-    if A.shape[-1] == 1:
-        return B[..., 0, 0]
     return mixed_2x2(A[..., 0, 0], A[..., 1, 1], A[..., 0, 1],
                      B[..., 0, 0], B[..., 1, 1], B[..., 0, 1])
 
@@ -750,7 +699,7 @@ def smallest_eigenvalue(hxx, hyy, hxy):
 
 
 def calibrate(rule, P, k, u_ref):
-    """Fix c_vol so that integral det(D^2(k u_ref)) c_vol dx = k^n L1^n.
+    """Fix c_vol so that integral det(D^2(k u_ref)) c_vol dx = k^2 L1^2.
 
     Because det(D^2(k u)) = k^n det(D^2 u) pointwise, the calibrated value is
     independent of k and lands on n! up to quadrature error for any strictly
@@ -764,8 +713,7 @@ def calibrate(rule, P, k, u_ref):
         # of e^{-dist}); genuine non-convexity shows up strictly negative
         raise GeometryError("reference potential is not strictly convex on the nodes")
     total = rule.integrate(dens)
-    n = P.dim
-    v_target = float(k) ** n * float(2 * P.volume() if n == 2 else P.volume())
+    v_target = float(k) ** 2 * float(2 * P.volume())
     out = rule.with_c_vol(v_target / total)
     out.meta["calibrated"] = True
     return out

@@ -90,7 +90,7 @@ def separable_critical_potential(P, l2_spec):
     c_i = b_i / a_i satisfies chi wedge omega^{n-1} = gamma omega^n exactly,
     since the ratios v_i''/u_i'' = c_i average to gamma = (sum_i c_i)/n.
     """
-    if P.dim != 2 or any(np.sum(a != 0) > 1 for a in P.normals):
+    if any(np.sum(a != 0) > 1 for a in P.normals):
         raise GeometryError("separable critical metrics exist on product fans only")
     Q = l2_polytope(P, l2_spec)
     a = (P.vertices.max(axis=0) - P.vertices.min(axis=0))

@@ -9,11 +9,12 @@ Normalisation conventions (fixed once, used everywhere):
 * The moment map is mu0 = (V/(N+1)) (M - tr(M)/(N+1) Id) in an H-orthonormal
   gauge, where M is the Gram matrix of Hilb(FS(H)); it vanishes exactly at
   fixed points of the det-normalised map Hilb o FS.
-* Every map here works on torus-invariant (diagonal) data, the slice on
-  which each workflow starts and which Hilb o FS preserves; by uniqueness
-  the balanced form of torus-invariant data lies on it.  Angular integrals
-  vanish identically and all sums are real.  A non-diagonal HermitianForm is
-  refused with a QuantisationError.
+* Every map here works on torus-invariant data, the slice on which each
+  workflow starts and which Hilb o FS preserves; by uniqueness the balanced
+  form of torus-invariant data lies on it.  Such a form is diagonal in the
+  monomial basis, and HermitianForm holds just its positive diagonal.
+  Angular integrals vanish identically and all sums are real; no
+  (N+1) x (N+1) matrix is formed.
 
 Layout.  The slice is carried as the vector x = log diag H, and
 ``logE`` = <a, x_p> is stored basis-major, (N+1, M): one row per section,
@@ -22,9 +23,9 @@ one column per quadrature node.  One softmax S of logE - x over axis 0
 Quantisation.torus_pass) gives the FS potential values, its Hessian (the
 centred second moments of S, hence the mixed measure) and the Hilb
 diagonal; the last pass is memoised, so the map, the moment map and
-I_{mu0} at one H share it.  The balance iteration and the balancing flow
-run on these vectors; a HermitianForm appears only at the edges (inputs,
-returned results, logged states, JSON and metric_distance).
+I_{mu0} at one H share it.  Every map takes H as a HermitianForm or as
+the vector x itself; the balance iteration and the balancing flow run on
+the vectors and build a form only for what they return or log.
 
 Balance iteration.  The balanced form is the fixed point of the
 det-normalised T = Hilb o FS.  Plain iteration of T decreases I_{mu0} but
@@ -64,87 +65,90 @@ class QuantisationError(RuntimeError):
 
 
 class HermitianForm:
-    """Positive definite Hermitian Gram matrix on H^0(M, L1^k).
+    """Torus-invariant positive definite Hermitian form on H^0(M, L1^k).
+
+    In the monomial basis such a form is diagonal, so it is held as its
+    diagonal ``d``, stored exactly as given and checked once here: 1-D,
+    finite and positive.
 
     Args:
-        matrix: (N+1, N+1) Hermitian array (real symmetric also accepted).
+        diag: (N+1,) diagonal entries.
         level: quantum parameter k the basis belongs to.
     """
 
-    def __init__(self, matrix, level):
-        M = np.asarray(matrix)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise QuantisationError("square matrix required")
-        herm_defect = np.max(np.abs(M - M.conj().T))
-        if herm_defect > 1e-10 * max(1.0, float(np.max(np.abs(M)))):
-            raise QuantisationError(f"matrix is not Hermitian (defect {herm_defect:.2e})")
-        M = 0.5 * (M + M.conj().T)
-        if np.iscomplexobj(M) and not np.any(M.imag):
-            M = M.real
-        try:
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            raise QuantisationError("matrix is not positive definite")
-        self.matrix = M
+    def __init__(self, diag, level):
+        d = np.array(diag, dtype=float)
+        if d.ndim != 1:
+            raise QuantisationError("a torus-invariant form is given by its diagonal, "
+                                    f"a 1-D array; got shape {d.shape}")
+        if not np.all(np.isfinite(d) & (d > 0)):
+            raise QuantisationError("form diagonal must be finite and positive")
+        self.d = d
         self.level = int(level)
 
     @property
     def n_plus_1(self):
-        return self.matrix.shape[0]
-
-    @property
-    def diagonal(self):
-        off = self.matrix - np.diag(np.diag(self.matrix))
-        return not np.any(off)
+        return len(self.d)
 
     def diag(self):
-        return np.real(np.diag(self.matrix)).copy()
+        return self.d.copy()
 
     def logdet(self):
-        sign, ld = np.linalg.slogdet(self.matrix)
-        return float(ld)
+        return float(np.sum(np.log(self.d)))
 
     def det_normalised(self):
         scale = np.exp(-self.logdet() / self.n_plus_1)
-        return HermitianForm(self.matrix * scale, self.level)
+        return HermitianForm(self.d * scale, self.level)
 
     @classmethod
     def identity(cls, n_plus_1, level):
-        return cls(np.eye(n_plus_1), level)
+        return cls(np.ones(n_plus_1), level)
 
     @classmethod
     def from_diagonal(cls, diag, level):
-        return cls(np.diag(np.asarray(diag, dtype=float)), level)
+        return cls(diag, level)
 
     def to_json(self, basis=None):
-        M = np.asarray(self.matrix, dtype=complex)
+        """The full row-major matrix as [re, im] pairs: d_i on the diagonal,
+        0.0 elsewhere."""
+        n = self.n_plus_1
+        entries = [[0.0, 0.0] for _ in range(n * n)]
+        for i, v in enumerate(self.d.tolist()):
+            entries[i * (n + 1)] = [v, 0.0]
         return {
             "level": self.level,
             "basis_hash": None if basis is None else basis.basis_hash(),
-            "shape": self.n_plus_1,
-            "entries": [[z.real, z.imag] for z in M.ravel()],
+            "shape": n,
+            "entries": entries,
         }
 
     @classmethod
     def from_json(cls, data):
+        """Read to_json's layout.  Refuses, with a QuantisationError, a wrong
+        entry count, a nonzero off-diagonal or imaginary entry, and a diagonal
+        that is not positive."""
         n = int(data["shape"])
-        flat = np.array([complex(re, im) for re, im in data["entries"]])
-        return cls(flat.reshape(n, n), int(data["level"]))
+        try:
+            entries = np.array(data["entries"], dtype=float).reshape(n, n, 2)
+        except ValueError:
+            raise QuantisationError(f"form JSON: need {n * n} [re, im] entries for shape {n}")
+        real = entries[..., 0]
+        if np.any(entries[..., 1]) or np.any(real[~np.eye(n, dtype=bool)]):
+            raise QuantisationError("form JSON: off-diagonal or imaginary entries; "
+                                    "a torus-invariant form is real and diagonal")
+        return cls(np.diag(real), int(data["level"]))
 
     def __repr__(self):
-        return (f"HermitianForm(n_plus_1={self.n_plus_1}, level={self.level}, "
-                f"diagonal={self.diagonal})")
+        return f"HermitianForm(n_plus_1={self.n_plus_1}, level={self.level})"
 
 
 def metric_distance(H0, H1, k=None):
-    """Rescaled matrix distance d_k = (tr (H0-H1)^2 / k^2)^{1/2}."""
-    A = np.asarray(H0.matrix if isinstance(H0, HermitianForm) else H0)
-    B = np.asarray(H1.matrix if isinstance(H1, HermitianForm) else H1)
-    if A.shape != B.shape:
+    """Rescaled distance d_k = (tr (H0-H1)^2 / k^2)^{1/2} of two forms; k
+    defaults to the level of H0."""
+    if H0.n_plus_1 != H1.n_plus_1:
         raise QuantisationError("shape mismatch")
-    if k is None:
-        k = H0.level if isinstance(H0, HermitianForm) else 1
-    return float(np.sqrt(np.sum(np.abs(A - B) ** 2)) / k)
+    k = H0.level if k is None else k
+    return float(np.sqrt(np.sum((H0.d - H1.d) ** 2)) / k)
 
 
 def check_torus_size(P, k, n_nodes):
@@ -163,20 +167,17 @@ def check_torus_size(P, k, n_nodes):
 def log_diagonal(q, H, what):
     """x = log diag H for the torus-invariant H of the context q.
 
-    H is a HermitianForm, a square matrix, or x itself as a 1-D array.  It
-    is refused unless it is diagonal with positive entries (the form's
-    Cholesky check), x is finite and it has N+1 entries.
+    H is a HermitianForm or x itself as a 1-D array, which must be finite
+    and have N+1 entries.  Anything else, a matrix included, is refused.
     """
-    if isinstance(H, np.ndarray) and H.ndim == 1:
+    if isinstance(H, HermitianForm):
+        x = np.log(H.d)
+    elif isinstance(H, np.ndarray) and H.ndim == 1:
         x = H
         if not np.all(np.isfinite(x)):
             raise QuantisationError(f"{what}: log-diagonal entries must be finite")
     else:
-        if not isinstance(H, HermitianForm):
-            H = HermitianForm(H, q.k)
-        if not H.diagonal:
-            raise QuantisationError(f"{what} needs a torus-invariant (diagonal) H")
-        x = np.log(H.diag())
+        raise QuantisationError(f"{what} needs a torus-invariant (diagonal) H")
     if x.shape != (q.n_plus_1,):
         raise QuantisationError(f"{what}: shape mismatch, {x.shape} for N+1 = {q.n_plus_1}")
     return x
@@ -186,8 +187,9 @@ class Quantisation:
     """Fixed-level context on the torus-invariant slice: polytope, chi
     potential, basis, calibrated rule.
 
-    Every method that takes a torus-invariant H accepts a HermitianForm, a
-    square matrix or the vector x = log diag H (see log_diagonal).
+    Every method that takes a torus-invariant H accepts a HermitianForm or
+    the vector x = log diag H (see log_diagonal); the moment map is
+    returned as its diagonal.
 
     Args:
         P: DelzantPolytope for (M, L1).
@@ -209,7 +211,7 @@ class Quantisation:
         self.k = int(k)
         self.rule = rule
         self.basis = enumerate_lattice_points(P, k)
-        self.V = float(2 * P.volume() if P.dim == 2 else P.volume())
+        self.V = float(2 * P.volume())                     # L1^2
         self.gamma = float(gamma)
         if self.gamma <= 0:
             raise QuantisationError("gamma must be positive for the quantisation maps")
@@ -297,22 +299,18 @@ class Quantisation:
         if not np.isfinite(W.max()):
             raise QuantisationError("overflow in section weights; quadrature box too wide for k")
         diag = W @ (self.weights * mix) / self.hilb_norm
-        return HermitianForm(np.diag(_checked_hilb_diagonal(diag)), self.k)
-
-    def hilb_form(self, H):
-        """Gram matrix of Hilb_chi(FS(H)); T_{k,chi} read on Gram matrices.
-        Diagonal, from the torus_pass of H."""
-        return HermitianForm(np.diag(self.torus_pass(H).hilb), self.k)
+        return HermitianForm(_checked_hilb_diagonal(diag), self.k)
 
     # -- moment map and iteration ---------------------------------------------
 
     def t_map(self, H, normalise=False):
-        """T_{k,chi} = Hilb_chi o FS read on Gram matrices."""
+        """T_{k,chi} = Hilb_chi o FS read on Gram matrices, from the
+        torus_pass of H."""
         x = log_diagonal(self, H, "t_map")
         hilb = self.torus_pass(x).hilb
         if normalise:
             hilb = hilb * np.exp((x.sum() - np.log(hilb).sum()) / self.n_plus_1)
-        return HermitianForm(np.diag(hilb), self.k)
+        return HermitianForm(hilb, self.k)
 
     def moment_vector(self, x, hilb):
         """The diagonal of mu0 (below) at x = log diag H, given the Hilb
@@ -325,18 +323,15 @@ class Quantisation:
 
         mu0 = (V/(N+1)) (M - tr(M)/(N+1) Id) with M = H^{-1/2} C H^{-1/2},
         C = Hilb(FS(H)); on the torus-invariant slice M is the diagonal C/H,
-        so mu0 is diagonal and exactly traceless.
+        so mu0 is diagonal and exactly traceless.  Returns its diagonal.
         """
         x = log_diagonal(self, H, "mu0")
-        return np.diag(self.moment_vector(x, self.torus_pass(x).hilb))
+        return self.moment_vector(x, self.torus_pass(x).hilb)
 
     def mu0_norms(self, mu):
-        """(Frobenius, operator) norms of a moment map, given as its matrix
-        or as the vector of its diagonal."""
-        mu = np.asarray(mu)
-        fro = float(np.sqrt(np.sum(np.abs(mu) ** 2)))
-        eig = mu if mu.ndim == 1 else np.linalg.eigvalsh(mu)
-        return fro, float(np.max(np.abs(eig)))
+        """(Frobenius, operator) norms of a moment map, given as its
+        diagonal."""
+        return float(np.sqrt(np.sum(mu ** 2))), float(np.max(np.abs(mu)))
 
     def trace_identity_residual(self, H):
         """Relative defect of tr(Hilb(FS(H)) H^-1) = N+1; the quadrature

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from jbalance import geometry as geo
 from jbalance.presets import make_problem
 
 # Property tests draw the same examples on every run (derandomize) and are
@@ -29,23 +28,11 @@ def p2_problem():
     return make_problem("P2-O1-O1")
 
 
-@pytest.fixture(scope="session")
-def p1_sanity():
-    """n = 1 sanity setup: (P^1, O(1)) with chi = omega_ref."""
-    P = geo.DelzantPolytope([[1], [-1]], [0, 1], name="P1")
-    u = geo.reference_potential(P)
-    rule = geo.calibrate(geo.build_quadrature(P, 64), P, 1, u)
-    chi = geo.ScaledPotential(u, 1.0)
-    return P, u, chi, rule
+def random_form(n, level, rng, spread=1.0):
+    """A torus-invariant form with log-diagonal drawn from U(-spread, spread)."""
+    from jbalance.quantisation import HermitianForm
+    return HermitianForm.from_diagonal(np.exp(rng.uniform(-spread, spread, n)), level)
 
 
 def random_diagonal(q, rng, spread=1.0):
-    from jbalance.quantisation import HermitianForm
-    return HermitianForm.from_diagonal(np.exp(rng.uniform(-spread, spread, q.n_plus_1)), q.k)
-
-
-def random_hermitian(n, level, rng, mix=1.0):
-    from jbalance.quantisation import HermitianForm
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    M = np.diag(np.exp(rng.uniform(-0.5, 0.5, n))) + mix * (A @ A.conj().T) / n
-    return HermitianForm(M, level)
+    return random_form(q.n_plus_1, q.k, rng, spread)

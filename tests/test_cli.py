@@ -8,6 +8,7 @@ import time
 from fractions import Fraction as Fr
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from jbalance import cli
@@ -59,6 +60,45 @@ def test_balance_artifacts_and_determinism(tmp_path):
     assert fro[-1] < 1e-9
     # every cell is plain text that float() reads (no numpy scalar reprs)
     assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row)
+
+
+def test_balanced_form_json_reads_back_bit_for_bit(tmp_path):
+    # the form in balanced_k2.json is the balanced diagonal, to the last bit
+    from jbalance.quantisation import HermitianForm
+    out = tmp_path / "b"
+    assert run(["balance", "--problem", "P1xP1-O11-O11", "--k-list", "2",
+                "--resolution", "48", "--out", str(out)]) == cli.EXIT_OK
+    form = json.loads((out / "balanced_k2.json").read_text())["form"]
+    cfg = cli.load_config(None, {"problem": "P1xP1-O11-O11", "resolution": 48})
+    q = cli.build_problem(cfg).quantisation(2)
+    res = q.iterate_to_balance(HermitianForm.identity(q.n_plus_1, 2), tol=cfg["tol"],
+                               maxiter=cfg["maxiter"], norm=cfg["norm"])
+    H = HermitianForm.from_json(form)
+    assert H.level == 2 and np.array_equal(H.diag(), res.H.diag())
+    assert H.to_json(q.basis) == form
+
+
+def test_jobs_make_no_linear_algebra_call(tmp_path, monkeypatch):
+    # a torus-invariant form is its diagonal, so no job calls np.linalg.
+    # numpy's own Gauss-Legendre nodes (leggauss) use eigvalsh, so only a
+    # call made from a jbalance module raises.
+    def refuse(name, real):
+        def guarded(*args, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__", "").startswith("jbalance"):
+                raise AssertionError(f"jbalance called np.linalg.{name}")
+            return real(*args, **kwargs)
+        return guarded
+
+    for name in dir(np.linalg):
+        real = getattr(np.linalg, name)
+        if not name.startswith("_") and callable(real) and not isinstance(real, type):
+            monkeypatch.setattr(np.linalg, name, refuse(name, real))
+    cfg = tmp_path / "flow.json"
+    cfg.write_text(json.dumps({"flow": {"grid": 16, "T": 0.02, "compare_T": 0.02}}))
+    p2 = ["--problem", "P2-O1-O1", "--k-list", "2"]
+    for argv in (["balance", *p2], ["verify", *p2],
+                 ["flow", "--problem", "P1xP1-O11-O21", "--k-list", "2", "--config", str(cfg)]):
+        assert run([*argv, "--out", str(tmp_path / argv[0])]) == cli.EXIT_OK, argv[0]
 
 
 def test_balance_convergence_failure_exit(tmp_path):
@@ -196,15 +236,20 @@ def test_flow_artifacts(tmp_path, monkeypatch):
                                "offsets": [0, 0, 1.7, 1]}, "l2": [0, 0, 1, 1]}},
      "offsets"),
     ({"problem": {"polytope": "P1xP1", "l2": [0, 0, 1.5, 1]}}, "divisor class"),
+    ({"problem": {"polytope": {"normals": [[1], [-1]], "offsets": [0, 2]}, "l2": [0, 1]},
+      "k_list": [2]}, "dimension 1"),
 ])
 def test_config_errors_exit_usage(tmp_path, capsys, config, key):
-    # bad keys and value types end in exit 2 with one line naming the key
+    # bad keys, value types and polytopes end in exit 2 with one line naming
+    # the fault, before any subcommand writes its output directory
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
-    assert run(["stability", "--config", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
-    err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1 and key in err
-    assert not (tmp_path / "o").exists()
+    for command in ("balance", "flow", "stability", "verify"):
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
+        assert run(argv) == cli.EXIT_USAGE, command
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and key in err, (command, err)
+        assert not (tmp_path / "o").exists()
 
 
 def _centre_config(tmp_path, l1d):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_diagonal, random_hermitian
+from conftest import random_diagonal, random_form
 from jbalance import geometry as geo
 from jbalance.quantisation import (HermitianForm, Quantisation,
                                    QuantisationError, bergman_check,
@@ -9,33 +9,59 @@ from jbalance.quantisation import (HermitianForm, Quantisation,
 
 
 def test_hermitian_form_validation():
-    with pytest.raises(QuantisationError):
-        HermitianForm(np.array([[1.0, 2.0], [0.0, 1.0]]), 1)  # not Hermitian
-    with pytest.raises(QuantisationError):
-        HermitianForm(np.diag([1.0, -2.0]), 1)  # not PD
-    H = HermitianForm(np.diag([2.0, 3.0]), 2)
-    assert H.diagonal and H.n_plus_1 == 2
+    with pytest.raises(QuantisationError, match="1-D"):
+        HermitianForm(np.array([[1.0, 2.0], [0.0, 1.0]]), 1)  # a matrix
+    for bad in ([1.0, -2.0], [1.0, 0.0], [1.0, np.inf], [1.0, np.nan]):
+        with pytest.raises(QuantisationError, match="finite and positive"):
+            HermitianForm(bad, 1)
+    d = np.array([2.0, 3.0])
+    H = HermitianForm(d, 2)
+    assert H.n_plus_1 == 2 and np.array_equal(H.diag(), d)
+    assert H.logdet() == np.log(2.0) + np.log(3.0)
+    d[0] = 5.0                  # the form holds its own copy
+    assert H.diag()[0] == 2.0
 
 
 def test_hermitian_form_json_roundtrip():
     rng = np.random.default_rng(0)
-    H = random_hermitian(4, 3, rng)
+    H = random_form(4, 3, rng)
     H2 = HermitianForm.from_json(H.to_json())
     assert H2.level == 3
-    assert np.allclose(H.matrix, H2.matrix)
+    assert np.array_equal(H.diag(), H2.diag())
 
 
-def test_fs_map_round_p1(p1_sanity):
-    # P^1, k=1, H=Id: u_H = log(1 + e^x) + const
-    P, u, chi, rule = p1_sanity
-    q = Quantisation(P, chi, 1, rule, gamma=1.0)
-    uH = q.fs_map(HermitianForm.identity(2, 1))
-    x = np.linspace(-3, 3, 31)[:, None]
-    expect = np.log(1 + np.exp(x[:, 0]))
-    got = uH.value(x)
+def _form_json(entries, shape=2):
+    return {"level": 1, "basis_hash": None, "shape": shape, "entries": entries}
+
+
+@pytest.mark.parametrize("entries, match", [
+    ([[1.0, 0.0], [0.5, 0.0], [0.5, 0.0], [2.0, 0.0]], "off-diagonal"),
+    ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0, 1e-3]], "imaginary"),
+    ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-2.0, 0.0]], "positive"),
+    ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "positive"),
+    ([[1.0, 0.0], [0.0, 0.0], [2.0, 0.0]], "entries"),
+    ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0]], "entries"),
+])
+def test_hermitian_form_from_json_refuses_bad_entries(entries, match):
+    # a form read from outside must be real, diagonal, positive and complete
+    with pytest.raises(QuantisationError, match=match):
+        HermitianForm.from_json(_form_json(entries))
+
+
+def test_fs_map_round_p1(square_problem):
+    # P^1 x P^1, k=1, H=Id: u_H = log(1 + e^x) + log(1 + e^y) + const, the
+    # round metric of each P^1 factor
+    q = square_problem.quantisation(1)
+    uH = q.fs_map(HermitianForm.identity(4, 1))
+    t = np.linspace(-3, 3, 13)
+    X = np.stack(np.meshgrid(t, t[::-1] / 2, indexing="ij"), axis=-1).reshape(-1, 2)
+    expect = np.log(1 + np.exp(X[:, 0])) + np.log(1 + np.exp(X[:, 1]))
+    got = uH.value(X)
     assert np.allclose(got - got[0], expect - expect[0], atol=1e-12)
-    sig = np.exp(x[:, 0]) / (1 + np.exp(x[:, 0])) ** 2
-    assert np.allclose(np.asarray(uH.hessian(x))[:, 0, 0], sig, atol=1e-12)
+    sig = np.exp(X) / (1 + np.exp(X)) ** 2
+    hess = np.asarray(uH.hessian(X))
+    assert np.allclose(hess[:, [0, 1], [0, 1]], sig, atol=1e-12)
+    assert np.allclose(hess[:, 0, 1], 0.0, atol=1e-12)
 
 
 def test_fs_pointwise_normalisation(square_problem):
@@ -56,7 +82,7 @@ def test_fs_scaling_invariance(square_problem):
     rng = np.random.default_rng(2)
     H = random_diagonal(q, rng)
     u1 = q.fs_map(H)
-    u2 = q.fs_map(HermitianForm(H.matrix * 7.3, q.k))
+    u2 = q.fs_map(HermitianForm.from_diagonal(H.diag() * 7.3, q.k))
     X = q.nodes[:60]
     assert np.allclose(u2.value(X) - u1.value(X), -np.log(7.3) / q.k, atol=1e-12)
     assert np.allclose(u1.hessian(X), u2.hessian(X), atol=1e-13)
@@ -85,9 +111,8 @@ def test_hilb_symmetric_identity(square_problem):
     # round metric with chi = gamma omega: Gram proportional to the identity
     # within lattice-symmetry orbits (all of kP in one orbit at k=1)
     q = square_problem.quantisation(1)
-    G = q.hilb_form(HermitianForm.identity(q.n_plus_1, 1))
+    G = q.t_map(HermitianForm.identity(q.n_plus_1, 1))
     d = G.diag()
-    assert G.diagonal
     assert np.max(np.abs(d / d[0] - 1.0)) < 1e-12
 
 
@@ -120,7 +145,7 @@ def test_t_map_preserves_pd(square_problem):
     q = square_problem.quantisation(2)
     for _ in range(30):
         C = q.t_map(random_diagonal(q, rng, spread=1.5))
-        assert np.all(np.linalg.eigvalsh(C.matrix) > 0)
+        assert np.all(C.diag() > 0)
 
 
 def test_t_map_lattice_symmetry_equivariance(square_problem):
@@ -143,7 +168,7 @@ def test_mu0_traceless_and_zero_iff_fixed(square_problem):
     rng = np.random.default_rng(8)
     H = random_diagonal(q, rng)
     mu = q.mu0(H)
-    assert abs(np.trace(mu)) < 1e-13 * q.n_plus_1
+    assert abs(mu.sum()) < 1e-13 * q.n_plus_1
     # away from balance the moment map is visibly nonzero
     assert q.mu0_norms(mu)[0] > 1e-4
     res = q.iterate_to_balance(H, tol=1e-10, maxiter=300, norm="fro")
@@ -151,7 +176,7 @@ def test_mu0_traceless_and_zero_iff_fixed(square_problem):
     assert q.mu0_norms(q.mu0(res.H))[0] < 1e-9
     # det-normalised t_map returns the balanced form
     back = q.t_map(res.H, normalise=True)
-    assert np.max(np.abs(back.matrix - res.H.matrix)) < 1e-9
+    assert np.max(np.abs(back.diag() - res.H.diag())) < 1e-9
 
 
 def test_iterate_balance_symmetric_start(square_problem):
@@ -170,7 +195,7 @@ def test_iterate_balance_uniqueness(p2_problem):
     res2 = q.iterate_to_balance(random_diagonal(q, rng), tol=1e-10,
                                 maxiter=400, norm="fro")
     assert res1.converged and res2.converged
-    d = np.max(np.abs(res1.H.det_normalised().matrix - res2.H.det_normalised().matrix))
+    d = np.max(np.abs(res1.H.det_normalised().diag() - res2.H.det_normalised().diag()))
     assert d < 1e-6
 
 
@@ -264,13 +289,13 @@ def test_qk_operator(square_problem):
 
 def test_metric_distance():
     rng = np.random.default_rng(12)
-    H = random_hermitian(5, 2, rng)
+    H = random_form(5, 2, rng)
     assert metric_distance(H, H) == 0.0
     assert abs(metric_distance(HermitianForm.identity(5, 2),
-                               HermitianForm(2 * np.eye(5), 2))
+                               HermitianForm.from_diagonal(2 * np.ones(5), 2))
                - np.sqrt(5) / 2) < 1e-14
     for _ in range(10):
-        A, B, C = (random_hermitian(4, 1, rng) for _ in range(3))
+        A, B, C = (random_form(4, 1, rng) for _ in range(3))
         assert metric_distance(A, C) <= metric_distance(A, B) + metric_distance(B, C) + 1e-12
 
 

@@ -2,7 +2,6 @@
 torus-invariant FS/Hilb maps and the energy I_{mu0}."""
 
 import collections
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,12 +64,12 @@ def test_torus_pass_memo_never_stale(square_problem):
     rng = np.random.default_rng(20)
     H1, H2 = random_diagonal(q, rng), random_diagonal(q, rng)
     fresh = {}
-    for name, H in (("H1", H1), ("H2", H2), ("2H1", HermitianForm(2.0 * H1.matrix, 3))):
+    for name, H in (("H1", H1), ("H2", H2), ("2H1", HermitianForm(2.0 * H1.diag(), 3))):
         q._memo = None
         fresh[name] = q.torus_pass(H)
     q._memo = None
     for name, H in (("H1", H1), ("H1", H1), ("H2", H2), ("H1", H1),
-                    ("2H1", HermitianForm(2.0 * H1.matrix, 3)), ("H2", H2)):
+                    ("2H1", HermitianForm(2.0 * H1.diag(), 3)), ("H2", H2)):
         got = q.torus_pass(H)
         for field in ("values", "mix", "hilb"):
             assert np.array_equal(getattr(got, field), getattr(fresh[name], field))
@@ -146,13 +145,17 @@ def test_closed_form_energies_match_simpson(p2_problem, square_problem):
 
 
 def test_torus_pass_rejects_non_diagonal(square_problem):
+    # a form is its diagonal; a matrix, even a diagonal one, is refused
     q = square_problem.quantisation(3)
     M = np.eye(q.n_plus_1)
     M[0, 1] = M[1, 0] = 0.1
-    for evaluate in (q.torus_pass, q.hilb_form, q.mu0, q.t_map,
+    with pytest.raises(QuantisationError, match="1-D"):
+        HermitianForm(M, 3)
+    for evaluate in (q.torus_pass, q.mu0, q.t_map, q.fs_map,
                      q.trace_identity_residual, lambda H: F.i_mu0(q, H)):
-        with pytest.raises(QuantisationError, match=r"needs a torus-invariant \(diagonal\) H"):
-            evaluate(HermitianForm(M, 3))
+        for matrix in (M, np.eye(q.n_plus_1)):
+            with pytest.raises(QuantisationError, match=r"needs a torus-invariant \(diagonal\) H"):
+                evaluate(matrix)
 
 
 def test_log_diagonal_input_matches_form(square_problem):
@@ -189,26 +192,37 @@ def longdouble_moments(A, points):
     return W, mean, np.einsum("am,aim,ajm->ijm", W, D, D)
 
 
-def p1_problem(p1_sanity):
-    P, u, chi, rule = p1_sanity
-    return SimpleNamespace(polytope=P, chi=chi, rule=rule, gamma=1.0)
+def interval_kernel_data(k):
+    """Kernel input of dimension 1, fed directly: the points 0..k of the
+    interval [0, k], and the nodes of a 64-point logistic Gauss-Legendre rule
+    plus far-field nodes (with_far_field's, on one axis).  Returns (points,
+    logE, number of far-field nodes)."""
+    s = 0.5 * (np.polynomial.legendre.leggauss(64)[0] + 1.0)
+    far = np.concatenate([r * np.array([1.0, 0, -1, 0, -1, 1, 1]) for r in (30.0, 120.0, 800.0)])
+    nodes = np.concatenate([2.0 * np.log(s / (1.0 - s)), far])[:, None]
+    points = np.arange(k + 1, dtype=float)[:, None]
+    return points, points @ nodes.T, len(far)
 
 
+# "p1_sanity" stands for interval_kernel_data, the others are fixtures
 @pytest.mark.parametrize("fixture,k", [("p1_sanity", 3), ("p1_sanity", 16),
                                        ("p2_problem", 4), ("p2_problem", 16),
                                        ("square_problem", 16)])
 def test_softmax_kernel_matches_longdouble_reference(request, fixture, k):
-    # dim 1 and 2, up to N+1 = 289 (P1xP1 at k = 16), on sampled quadrature
-    # nodes and on far-field nodes where the softmax collapses
-    pb = request.getfixturevalue(fixture)
+    # dim 1 (AxisPotential's one-variable potentials reach it) and dim 2,
+    # up to N+1 = 289 (P1xP1 at k = 16), on sampled quadrature nodes and on
+    # far-field nodes where the softmax collapses
     if fixture == "p1_sanity":
-        pb = p1_problem(pb)
-    q, n_far = with_far_field(pb, k)
-    x = np.random.default_rng(k).uniform(-2.0, 2.0, q.n_plus_1)
-    cols = np.r_[np.arange(0, len(q.nodes) - n_far, 23), np.arange(len(q.nodes) - n_far, len(q.nodes))]
-    A = q.logE[:, cols] - x[:, None]
-    lse, S, mean, cov = geo.softmax_moments(A.copy(), q.points)
-    W, ref_mean, ref_cov = longdouble_moments(A, q.points)
+        points, logE, n_far = interval_kernel_data(k)
+    else:
+        q, n_far = with_far_field(request.getfixturevalue(fixture), k)
+        points, logE = q.points, q.logE
+    x = np.random.default_rng(k).uniform(-2.0, 2.0, len(points))
+    cols = np.r_[np.arange(0, logE.shape[1] - n_far, 23),
+                 np.arange(logE.shape[1] - n_far, logE.shape[1])]
+    A = logE[:, cols] - x[:, None]
+    lse, S, mean, cov = geo.softmax_moments(A.copy(), points)
+    W, ref_mean, ref_cov = longdouble_moments(A, points)
     # long double reaches far below the double range: what double rounds to
     # 0 or to a subnormal is compared absolutely, against `tiny`
     tiny = 1e-290
@@ -221,7 +235,7 @@ def test_softmax_kernel_matches_longdouble_reference(request, fixture, k):
     # double precision, far above what double resolves where the softmax
     # has collapsed.
     floor = tiny + 16 * (np.finfo(np.longdouble).eps * k) ** 2
-    n = q.points.shape[1]
+    n = points.shape[1]
     for i in range(n):
         for j in range(n):
             scale = np.sqrt(ref_cov[i, i] * ref_cov[j, j])
@@ -229,11 +243,11 @@ def test_softmax_kernel_matches_longdouble_reference(request, fixture, k):
     one_hot = np.count_nonzero(S, axis=0) == 1
     assert one_hot.sum() >= 3
     assert np.all(cov[:, :, one_hot] == 0.0)
-    # the mixed measure of the whole pass: nonnegative, and 0 at one-hot nodes
-    out = q.torus_pass(x)
-    S_all = geo.softmax_moments(q.logE - x[:, None], q.points, order=1)[1]
-    assert np.all(out.mix >= 0)
     if n == 2:
+        # the mixed measure of the whole pass: nonnegative, and 0 at one-hot nodes
+        out = q.torus_pass(x)
+        S_all = geo.softmax_moments(q.logE - x[:, None], q.points, order=1)[1]
+        assert np.all(out.mix >= 0)
         assert np.all(out.mix[np.count_nonzero(S_all, axis=0) == 1] == 0.0)
 
 
