@@ -363,7 +363,9 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
     are shortened evenly, so none is a sliver.  One interior Hessian per step
     gives the convexity check, the velocity, the bound and the residual
     logged every 25 steps.  A step that loses convexity on the active set is
-    refused and the fraction halved for the rest of the run.
+    refused and the fraction halved for the rest of the run; past
+    ``max_halvings`` refusals the FlowError names the active node of
+    smallest det D^2u, where the grid has degenerated.
 
     Only the active nodes move, so the steps run on the bounding box of the
     active nodes plus a one-node halo of fixed values, cut from the full
@@ -424,6 +426,18 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
         vel = _velocity(grid.hess, grid.det, v_hess, gamma, box_active)
         return float(np.abs(vel).max(where=box_active, initial=0.0))
 
+    def degenerate_node(grid):
+        # a step that loses convexity however far it is shortened means an
+        # active node's det D^2u has fallen to roundoff, not a step size
+        # fault: name the active node of smallest det on the last accepted
+        # grid, by its index in grid0.values
+        det = np.where(box_active, grid.det, np.inf)
+        i, j = np.unravel_index(np.argmin(det), det.shape)
+        gi, gj = bi.start + i + 1, bj.start + j + 1
+        return (f"convexity loss persists at t={t:.4g} after {max_halvings} halvings: "
+                f"D^2u degenerates at grid node ({gi}, {gj}) (x={grid0.xs[gi]:.4g}, "
+                f"y={grid0.ys[gj]:.4g}), det {det[i, j]:.2e}; use a finer flow.grid")
+
     def snapshot(grid):
         full = grid0.values.copy()
         full[halo] = grid.values
@@ -450,7 +464,7 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
             fraction *= 0.5
             halvings += 1
             if halvings > max_halvings:
-                raise FlowError(f"convexity loss persists at t={t:.4g} after {max_halvings} halvings")
+                raise FlowError(degenerate_node(grid))
             continue
         grid = new
         t += h

@@ -610,8 +610,9 @@ class QuadratureRule:
                               self.scales, c_vol=float(c), meta=dict(self.meta))
 
 
-def _axis_rule(resolution, scale, center):
-    t, w = np.polynomial.legendre.leggauss(resolution)
+def _axis_rule(t, w, scale, center):
+    """The Gauss-Legendre rule (t, w) on [-1, 1] mapped to the real line by
+    x = center + scale*log(s/(1-s)), s = (t+1)/2."""
     s = 0.5 * (t + 1.0)
     x = center + scale * np.log(s / (1.0 - s))
     jac = 0.5 * scale / (s * (1.0 - s))
@@ -644,7 +645,9 @@ def build_quadrature(P, resolution, scale=None):
         scales = np.maximum(base, 1.0 + 0.5 * widths)
     else:
         scales = np.full(P.dim, float(scale))
-    axes = [_axis_rule(resolution, scales[d], centers[d]) for d in range(P.dim)]
+    # both axes share the resolution, so one Gauss-Legendre rule serves both
+    t, w = np.polynomial.legendre.leggauss(resolution)
+    axes = [_axis_rule(t, w, scales[d], centers[d]) for d in range(P.dim)]
     X, Y = np.meshgrid(axes[0][0], axes[1][0], indexing="ij")
     WX, WY = np.meshgrid(axes[0][1], axes[1][1], indexing="ij")
     nodes = np.stack([X.ravel(), Y.ravel()], axis=-1)

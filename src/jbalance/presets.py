@@ -13,7 +13,7 @@ from .geometry import (AxisPotential, DelzantPolytope, GeometryError,
                        build_quadrature, calibrate, check_resolution,
                        intersection_numbers, line_bundle_class, pair_classes,
                        polytope_preset, reference_potential, surface_classes)
-from .stability import SurfaceClassData
+from .stability import SurfaceClassData, j_constant
 
 
 def l2_polytope(P, l2_spec):
@@ -156,7 +156,7 @@ def make_problem(name, resolution=None, chi_mode=None, polytope=None,
         raise GeometryError(f"unknown problem {name!r}; presets: {problem_names()}")
     check_resolution(resolution)
     pairings = intersection_numbers(P, l2)
-    gamma = Fraction(pairings["L1L2"], pairings["L1L1"])  # L1.L2 / L1^2
+    gamma = j_constant(pairings["L1L2"], pairings["L1L1"])
     # chi needs gamma > 0 and a globally generated L2; stability-only runs
     # (e.g. L2 = K on a Fano) work from the class data alone
     chi = chi_potential(P, l2, gamma, mode=chi_mode) if gamma > 0 else None

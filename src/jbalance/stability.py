@@ -21,8 +21,9 @@ of A = r L1 - E that ``IntersectionTable.square`` returns in closed form:
     A^3     = r A^2.L1 - A^2.E = 3 r E^2.L1 - E^3.
 
 On a blow-up table these read A^2 . E = 2 r L1.D - D^2 and
-A^3 = D^2 - 3 r L1.D.  ``df_weight`` still checks its decomposition
-identity against the generic trilinear ``IntersectionTable.product``.
+A^3 = D^2 - 3 r L1.D.  Every ``IntersectionTable`` certifies once, when it
+is built, that its closed forms equal the generic trilinear
+``IntersectionTable.product``; the weights are then the closed forms alone.
 """
 
 from dataclasses import dataclass
@@ -49,6 +50,11 @@ def rational(value, name):
             pass
     raise StabilityError(f"{name} must be an integer or a decimal/rational string "
                          f"such as \"1/3\", not {value!r}")
+
+
+def j_constant(l1_l2, l1_l1):
+    """The J-constant L1.L2 / L1^2 of a pair of classes, exact."""
+    return Fraction(l1_l2, l1_l1)
 
 
 @dataclass(frozen=True)
@@ -125,10 +131,11 @@ class SurfaceClassData:
 
     def gamma(self):
         """The J-constant gamma = L1.L2 / L1^2, exact."""
-        return Fraction(self.l1l2, self.l1l1)
+        return j_constant(self.l1l2, self.l1l1)
 
     def gamma_canonical(self):
-        return Fraction(self.kl1, self.l1l1)
+        """gamma_K = K_M.L1 / L1^2, the J-constant with L2 = K_M."""
+        return j_constant(self.kl1, self.l1l1)
 
 
 @dataclass(frozen=True)
@@ -154,10 +161,18 @@ class NormalConeConfig:
             object.__setattr__(self, name, rational(getattr(self, name), name))
         if self.l1d <= 0:
             raise StabilityError("L1.D must be positive for an effective centre")
-        if self.r <= 0:
-            raise StabilityError("exponent r must be positive")
-        if self.r < self.r_min:
-            raise StabilityError(f"r = {self.r} below the declared r_min = {self.r_min}")
+        check_exponent(self.r, self.r_min)
+
+
+def check_exponent(r, r_min=None):
+    """The exponent r as an exact Fraction, refused unless r > 0 and, when
+    ``r_min`` is given, r >= r_min."""
+    r = rational(r, "r")
+    if r <= 0:
+        raise StabilityError("exponent r must be positive")
+    if r_min is not None and r < r_min:
+        raise StabilityError(f"r = {r} below the declared r_min = {r_min}")
+    return r
 
 
 _BASIS = ("L1", "L2", "K", "E")
@@ -165,7 +180,19 @@ _BASIS = ("L1", "L2", "K", "E")
 
 class IntersectionTable:
     """Symmetric triple products among the pullbacks L1, L2, K and E on the
-    3-fold B; user-supplied tables are validated for the structural zeroes."""
+    3-fold B; user-supplied tables are validated for the structural zeroes.
+
+    Construction also certifies the closed forms of ``square`` against the
+    generic trilinear ``product``: for each basis class a,
+    ``square(r)[a] == product(A, A, {a: 1})`` with A = r L1 - E at r = 1,
+    2, 3.  Both sides are polynomials of degree <= 2 in r (``square``'s by
+    its closed forms, ``product``'s by trilinearity), so agreeing at three
+    points they agree at every r.  By trilinearity again,
+    A^3 = r A^2.L1 - A^2.E and A^2.(K + E) = A^2.K + A^2.E, so the DF
+    decomposition identity of ``df_weight``, and every pairing that
+    ``j_weight`` and ``inequality_checks`` read, equal the trilinear
+    expansion at every r > 0 without a per-r check.
+    """
 
     def __init__(self, entries):
         self._t = {}
@@ -181,6 +208,14 @@ class IntersectionTable:
                 raise StabilityError(f"p*a . p*b . E must vanish: {key}")
         self._e2 = {a: self.triple(a, "E", "E") for a in ("L1", "L2", "K")}
         self._e3 = self.triple("E", "E", "E")
+        for r in (1, 2, 3):
+            A = {"L1": Fraction(r), "E": Fraction(-1)}
+            sq = self.square(r)
+            for a in _BASIS:
+                if sq[a] != self.product(A, A, {a: Fraction(1)}):
+                    raise StabilityError(
+                        f"(r L1 - E)^2.{a} at r = {r} differs from the trilinear "
+                        f"expansion: decomposition identity violated (internal error)")
 
     @classmethod
     def from_json(cls, data):
@@ -239,16 +274,18 @@ def trivial_table():
     return IntersectionTable({k: Fraction(0) for k in combinations_with_replacement(_BASIS, 3)})
 
 
-def _exponent(r):
-    r = rational(r, "r")
-    if r <= 0:
-        raise StabilityError("r must be positive")
-    return r
-
-
 def _cube(square, r):
     """(r L1 - E)^3 = r (r L1 - E)^2.L1 - (r L1 - E)^2.E."""
     return r * square["L1"] - square["E"]
+
+
+def _j_weight(square, gamma, r):
+    return -Fraction(2, 3) * gamma / r * _cube(square, r) + square["L2"]
+
+
+def _df_weight(square, data, r):
+    lead = -Fraction(2, 3) * data.gamma_canonical() / r
+    return lead * _cube(square, r) + square["K"] + square["E"]
 
 
 def j_weight(table, gamma, r):
@@ -257,29 +294,20 @@ def j_weight(table, gamma, r):
 
         (r L1 - E)^2 . ( -(2/3) gamma r^{-1} (r L1 - E) + L2 ).
     """
-    r = _exponent(r)
-    sq = table.square(r)
-    return -Fraction(2, 3) * rational(gamma, "gamma") / r * _cube(sq, r) + sq["L2"]
+    r = check_exponent(r)
+    return _j_weight(table.square(r), rational(gamma, "gamma"), r)
 
 
 def df_weight(table, data, r):
     """Donaldson-Futaki invariant of (B, r L1 - E), up to the same positive
-    constant, via the relative-canonical decomposition
+    constant, via the relative-canonical decomposition (K_{B/M x P^1} = E)
 
         DF = J_{K_M}-weight + (r L1 - E)^2 . E,
 
-    re-verified against the direct trilinear expansion with
-    K_{B/M x P^1} = E."""
-    r = _exponent(r)
-    lead = -Fraction(2, 3) * data.gamma_canonical() / r
-    sq = table.square(r)
-    df = lead * _cube(sq, r) + sq["K"] + sq["E"]
-    A = {"L1": r, "E": Fraction(-1)}
-    direct = (lead * table.product(A, A, A)
-              + table.product(A, A, {"K": Fraction(1), "E": Fraction(1)}))
-    if df != direct:
-        raise StabilityError("DF decomposition identity violated (internal error)")
-    return df
+    in closed form; the table certified, when it was built, that this equals
+    the direct trilinear expansion at every r (see IntersectionTable)."""
+    r = check_exponent(r)
+    return _df_weight(table.square(r), data, r)
 
 
 def inequality_checks(table, r, nef_classes=None):
@@ -295,7 +323,10 @@ def inequality_checks(table, r, nef_classes=None):
     semi-ample range.
     """
     r = rational(r, "r")
-    sq = table.square(r)
+    return _inequality_checks(table.square(r), r, nef_classes)
+
+
+def _inequality_checks(sq, r, nef_classes=None):
     nef_vals = {"L1": sq["L1"]}
     for i, cls in enumerate(nef_classes or []):
         nef_vals[f"nef{i}"] = sum((rational(v, f"nef{i}.{k}") * sq[k]
@@ -390,7 +421,7 @@ def chow_hilbert_weight(wp, r):
     coefficient of e_{m+1}(r), which equals b0_hat a0 - b0 a0_hat (the
     numerator of the J-weight of the configuration).
     """
-    r = _exponent(r)
+    r = check_exponent(r)
     hr = _poly_eval(wp.h, r)
     wr = _poly_eval(wp.w, r)
     # hat w(k) * (r h(r)): degree m+1 in k

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -344,6 +345,62 @@ def test_stability_pairs_classes_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     with open(tmp_path / "pairings.csv") as fh:
         assert dict(list(csv.reader(fh))[1:]) == {k: str(v) for k, v in real(*calls[0]).items()}
+
+
+@pytest.mark.parametrize("stability, message", [
+    ({"r_values": [1, 0]}, "exponent r must be positive"),
+    ({"r_values": [2, "-1/2"]}, "exponent r must be positive"),
+    ({"r_values": [2, 3, "3/2"],
+      "centre": {"dd": 1, "l1d": 1, "l2d": 1, "kd": -3, "r_min": 2}},
+     "r = 3/2 below the declared r_min = 2"),
+    ({"r_values": [1, "1/2"]}, "r = 1/2 below the declared r_min = 1"),
+])
+def test_stability_refuses_bad_r_in_sweep(tmp_path, capsys, stability, message):
+    # every r of the sweep, not just the first, passes the centre's checks
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "P2-O1-O1", "stability": stability}))
+    assert run(["stability", "--config", str(cfg), "--out", str(tmp_path / "s")]) \
+        == cli.EXIT_USAGE
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and message in err
+
+
+def test_stability_product_calls_do_not_grow_with_r(tmp_path, monkeypatch):
+    # the tables certify their closed forms once; each r is then one
+    # closed-form evaluation, with no trilinear expansion
+    from jbalance.stability import IntersectionTable
+    calls = []
+    real = IntersectionTable.product
+
+    def counted(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(IntersectionTable, "product", counted)
+    counts = []
+    for r_values in ([1], list(range(1, 41))):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "P1xP1-O11-O21",
+                                   "stability": {"r_values": r_values}}))
+        calls.clear()
+        assert run(["stability", "--config", str(cfg),
+                    "--out", str(tmp_path / "s")]) == cli.EXIT_OK
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_flow_names_the_degenerate_node(tmp_path, capsys):
+    # on P2 at grid 16 one active node's det D^2u falls to roundoff, so no
+    # step size keeps it convex: exit 3 naming the node and a finer grid
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"flow": {"grid": 16, "T": 0.02, "compare_T": 0.02}}))
+    assert run(["flow", "--problem", "P2-O1-O1", "--k-list", "2", "--config", str(cfg),
+                "--out", str(tmp_path / "f")]) == cli.EXIT_FAILURE
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    match = re.search(r"after 40 halvings: D\^2u degenerates at grid node \(\d+, \d+\) "
+                      r"\(x=\S+, y=\S+\), det (\S+); use a finer flow\.grid$", err)
+    assert match and 0 < float(match.group(1)) < 1e-8, err
 
 
 def test_presets_use_their_documented_resolution():

@@ -338,6 +338,23 @@ def test_df_weight_raises_on_identity_mismatch():
         st.df_weight(Skewed(entries), p2_data(), 2)
 
 
+@pytest.mark.parametrize("entry", BASIS)
+def test_table_refuses_square_off_the_expansion(entry):
+    # the certificate runs when the table is built: a square that is off by a
+    # constant in any one entry is refused before any weight is read
+    class Off(st.IntersectionTable):
+        def square(self, r):
+            sq = super().square(r)
+            return dict(sq, **{entry: sq[entry] + Fr(1, 7)})
+
+    entries = {key: Fr(0) for key in combinations_with_replacement(BASIS, 3)}
+    entries[("E", "E", "E")] = Fr(-1)
+    entries[("L1", "E", "E")] = Fr(-1)
+    st.IntersectionTable(entries)
+    with pytest.raises(st.StabilityError, match=f"\\^2\\.{entry} at r = 1"):
+        Off(entries)
+
+
 def test_rational_inputs_exact_and_floats_refused():
     assert st.rational("1/3", "x") == Fr(1, 3)
     assert st.rational("0.1", "x") == Fr(1, 10)
