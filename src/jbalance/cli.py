@@ -2,7 +2,8 @@
 
 Reproducible batch computations with machine-readable outputs (JSON + CSV).
 Exit codes: 0 success, 2 config/usage error, 3 convergence or check failure,
-4 quadrature health failure (trace identity or calibration off tolerance).
+4 quadrature health failure (trace identity or calibration off tolerance,
+or a balance level whose I_mu0 safeguard stalled).
 """
 
 import argparse
@@ -19,10 +20,9 @@ from .flows import FlowError, balancing_flow, quantization_comparison
 from .geometry import GeometryError, mixed_density, volume_density
 from .presets import make_problem, normal_cone_from_facet, problem_names
 from .quantisation import HermitianForm, QuantisationError, check_torus_size
-from .stability import (NormalConeConfig, StabilityError, _df_weight,
-                        _inequality_checks, _j_weight, blowup_table,
-                        check_exponent, cone_criteria, df_weight, j_weight,
-                        rational, trivial_table)
+from .stability import (NormalConeConfig, StabilityError, SweepForms,
+                        blowup_table, check_exponent, cone_criteria, df_weight,
+                        j_weight, rational, trivial_table)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -195,6 +195,16 @@ def _check_sizes(problem, k_list):
     check_torus_size(P, max(k_list), problem.meta["resolution"] ** P.dim)
 
 
+def _numerical_problem(cfg):
+    """The problem of a balance, flow or verify run, refused (exit 2) before
+    any output is written if its chi form cannot be built (an L2 with no
+    polytope on the fan) or its largest level would pass the size cap."""
+    problem = build_problem(cfg)
+    problem.chi  # built on first use; stability runs never read it
+    _check_sizes(problem, cfg["k_list"])
+    return problem
+
+
 def _random_log_diagonals(q, rng, count, spread=1.0):
     """``count`` random torus-invariant H, as vectors x = log diag H."""
     return [rng.uniform(-spread, spread, q.n_plus_1) for _ in range(count)]
@@ -205,8 +215,7 @@ def _random_log_diagonals(q, rng, count, spread=1.0):
 # ---------------------------------------------------------------------------
 
 def cmd_balance(cfg):
-    problem = build_problem(cfg)
-    _check_sizes(problem, cfg["k_list"])
+    problem = _numerical_problem(cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg["seed"])
@@ -228,10 +237,16 @@ def cmd_balance(cfg):
         (out / f"balanced_k{k}.json").write_text(json.dumps({
             "problem": problem.name, "k": k, "converged": res.converged,
             "steps": len(res.history) - 1, "rejected": res.rejected,
+            "safeguard_stalled": res.safeguard_stalled,
             "message": res.message,
             "health_residual": health,
             "energy": report_row("i_mu0", "FS(Id)", res.history[-1]["i_mu0"], q),
             "form": res.H.to_json(q.basis)}, indent=1))
+        if res.safeguard_stalled:
+            print(f"HEALTH k={k}: the I_mu0 safeguard rejected {res.rejected} of "
+                  f"{res.candidates} Anderson candidates (trace identity residual "
+                  f"{health:.3e}); increase resolution")
+            return EXIT_HEALTH
         status = "ok" if res.converged else "NOT CONVERGED"
         print(f"balance k={k}: {status} in {len(res.history)-1} steps "
               f"({res.rejected} Anderson candidates rejected), "
@@ -259,8 +274,7 @@ def _write_grid_csv(path, xs, ys, values, t):
 
 
 def cmd_flow(cfg):
-    problem = build_problem(cfg)
-    _check_sizes(problem, cfg["k_list"])
+    problem = _numerical_problem(cfg)
     fcfg = cfg["flow"]
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -329,9 +343,9 @@ def cmd_stability(cfg):
         "gamma_canonical": str(verdicts["gamma_canonical"]),
         "verdicts": [v.as_dict() for v in verdicts["verdicts"]]}, indent=1))
 
-    # the blow-up table does not depend on r: build it once (its closed
-    # forms are certified there); each r is checked against r > 0 and the
-    # centre's r_min
+    # the blow-up table does not depend on r: build it and its sweep forms
+    # once (both certify their closed forms); each r is checked against
+    # r > 0 and the centre's r_min
     r_values = [rational(r, "stability.r_values") for r in scfg["r_values"]]
     r_min = None
     if "table" in scfg:
@@ -352,16 +366,14 @@ def cmd_stability(cfg):
     triv = trivial_table()
     rows.append(["trivial", str(j_weight(triv, gamma, 1)),
                  str(df_weight(triv, data, 1)), "", "", "", ""])
+    if r_values:
+        forms = SweepForms(table, gamma, data.gamma_canonical())
     for r in r_values:
         check_exponent(r, r_min)
-        sq = table.square(r)
-        rep = _inequality_checks(sq, r)
-        rows.append([str(r), str(_j_weight(sq, gamma, r)), str(_df_weight(sq, data, r)),
-                     str(rep["ii_exceptional"]), str(rep["iii_combined"]),
-                     str(rep["surface"]), rep["admissible"]])
+        *vals, admissible = forms.row(r)
+        rows.append([str(r), *map(str, vals), admissible])
     write_csv(out / "stability_sweep.csv",
-              ["r", "j_weight", "df_weight", "ineq_ii", "ineq_iii",
-               "ineq_surface", "admissible"], rows)
+              ["r", *SweepForms.COLUMNS, "admissible"], rows)
     if wp is not None:
         chout = []
         for r in r_values:
@@ -383,8 +395,7 @@ def cmd_stability(cfg):
 def run_verification(cfg):
     """The invariant battery.  Returns (checks, exit_code) where checks are
     (name, passed, detail, is_health) tuples."""
-    problem = build_problem(cfg)
-    _check_sizes(problem, cfg["k_list"])
+    problem = _numerical_problem(cfg)
     P = problem.polytope
     rule = problem.rule
     rng = np.random.default_rng(cfg["seed"])
@@ -453,10 +464,12 @@ def run_verification(cfg):
     add("nef_monotone", (not nef_l2) or nef_sum, f"L2 nef: {nef_l2}")
 
     # stability identities on the default centre: building its table
-    # certifies the DF decomposition identity at every r (IntersectionTable)
+    # certifies the DF decomposition identity at every r (IntersectionTable),
+    # and building its sweep forms certifies the r-sweep's closed forms
     try:
         data = problem.class_data()
-        blowup_table(data, normal_cone_from_facet(P, problem.l2_spec, 0, r=1))
+        table = blowup_table(data, normal_cone_from_facet(P, problem.l2_spec, 0, r=1))
+        SweepForms(table, data.gamma(), data.gamma_canonical())
         ok = all(j_weight(trivial_table(), data.gamma(), r) == 0 for r in (1, 2, 5))
         add("stability_identities", ok, "DF decomposition and E=0 zeroes")
     except StabilityError as exc:
@@ -481,24 +494,26 @@ def cmd_verify(cfg):
 # entry point
 # ---------------------------------------------------------------------------
 
+COMMANDS = {"balance": cmd_balance, "flow": cmd_flow,
+            "stability": cmd_stability, "verify": cmd_verify}
+
+
 def make_parser():
+    """One parser for every command: they all take the same options."""
     parser = argparse.ArgumentParser(
         prog="jbalance",
         description="Balanced-metric quantisation of the J-flow on toric surfaces")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("balance", cmd_balance), ("flow", cmd_flow),
-                     ("stability", cmd_stability), ("verify", cmd_verify)):
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config path")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--k-list", default=None,
-                       help="comma separated levels, e.g. 3,4,5")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--resolution", type=int, default=None)
-        p.add_argument("--problem", default=None,
-                       help=f"preset name; options: {problem_names()}")
-        p.set_defaults(func=fn)
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help=" | ".join(COMMANDS))
+    parser.add_argument("--config", default=None, help="JSON config path")
+    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--k-list", default=None,
+                        help="comma separated levels, e.g. 3,4,5")
+    parser.add_argument("--tol", type=float, default=None)
+    parser.add_argument("--resolution", type=int, default=None)
+    parser.add_argument("--problem", default=None,
+                        help=f"preset name; options: {problem_names()}")
     return parser
 
 
@@ -515,7 +530,7 @@ def main(argv=None):
             return EXIT_USAGE
     try:
         cfg = load_config(args.config, overrides)
-        return args.func(cfg)
+        return COMMANDS[args.command](cfg)
     except (ConfigError, GeometryError, StabilityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -42,15 +42,14 @@ class Problem:
 
     ``pairings`` is the intersection_numbers table, computed once per
     problem; gamma and the class data are read from it.  ``meta`` holds the
-    quadrature's ``resolution``; the rule itself is built and calibrated on
+    quadrature's ``resolution``; the rule and the chi form are built on
     first use, so work that reads only exact class data (the stability
-    sweep) never pays for it."""
+    sweep) never pays for them."""
 
     name: str
     polytope: DelzantPolytope
     l2_spec: object
     pairings: dict
-    chi: object
     gamma_exact: Fraction
     u_ref: object
     chi_mode: str = "reference"
@@ -59,6 +58,16 @@ class Problem:
     @property
     def gamma(self):
         return float(self.gamma_exact)
+
+    @cached_property
+    def chi(self):
+        """The chi form in c1(L2), or None when gamma <= 0 (only the
+        stability machinery applies then).  Raises GeometryError when L2 has
+        no polytope on the fan."""
+        if self.gamma_exact <= 0:
+            return None
+        return chi_potential(self.polytope, self.l2_spec, self.gamma_exact,
+                             mode=self.chi_mode)
 
     @cached_property
     def rule(self):
@@ -157,9 +166,9 @@ def make_problem(name, resolution=None, chi_mode=None, polytope=None,
     check_resolution(resolution)
     pairings = intersection_numbers(P, l2)
     gamma = j_constant(pairings["L1L2"], pairings["L1L1"])
-    # chi needs gamma > 0 and a globally generated L2; stability-only runs
-    # (e.g. L2 = K on a Fano) work from the class data alone
-    chi = chi_potential(P, l2, gamma, mode=chi_mode) if gamma > 0 else None
-    return Problem(name=name, polytope=P, l2_spec=l2, pairings=pairings, chi=chi,
+    # chi needs gamma > 0 and a globally generated L2, and is built on first
+    # use; stability-only runs (e.g. L2 = K on a Fano) work from the class
+    # data alone
+    return Problem(name=name, polytope=P, l2_spec=l2, pairings=pairings,
                    gamma_exact=gamma, u_ref=reference_potential(P),
                    chi_mode=chi_mode, meta={"resolution": resolution})

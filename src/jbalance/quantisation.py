@@ -369,8 +369,9 @@ class Quantisation:
         resolution 64), the candidates that head for T's fixed point raise
         the discrete energy, most are rejected and the iteration falls back
         to plain steps (which may then rise by that gap too).  When more
-        than half the candidates are rejected the message says so and
-        advises a finer rule.  Non-convergence is reported, not raised: by
+        than half the candidates are rejected the result's
+        ``safeguard_stalled`` is set and the message says so and advises a
+        finer rule.  Non-convergence is reported, not raised: by
         the variational theory it indicates there is no balanced metric at
         this level.
         """
@@ -434,14 +435,15 @@ class Quantisation:
                 "no balanced metric found in %d iterations (||mu0||_%s = %.3e); "
                 "per the variational theory this indicates the balanced metric "
                 "may not exist at level k=%d" % (maxiter, norm, history[-1]["mu0_" + norm], self.k))
-        if 2 * rejected > candidates:
-            message += (
+        result = BalanceResult(H=HermitianForm.from_diagonal(np.exp(x), self.k),
+                               converged=converged, history=history, message=message,
+                               rejected=rejected, candidates=candidates)
+        if result.safeguard_stalled:
+            result.message += (
                 "; the I_mu0 safeguard rejected %d of %d Anderson candidates: the "
                 "discrete energy is not stationary at the fixed point to within "
                 "quadrature error; raise the resolution" % (rejected, candidates))
-        return BalanceResult(H=HermitianForm.from_diagonal(np.exp(x), self.k),
-                             converged=converged, history=history, message=message,
-                             rejected=rejected)
+        return result
 
 
 def _mixing_coefficients(dX, dG, g):
@@ -497,6 +499,13 @@ class BalanceResult:
     history: list
     message: str
     rejected: int       # Anderson candidates refused by the I_mu0 safeguard
+    candidates: int     # Anderson candidates tried
+
+    @property
+    def safeguard_stalled(self):
+        """The health signal of iterate_to_balance: the safeguard refused
+        more than half the Anderson candidates."""
+        return 2 * self.rejected > self.candidates
 
     def history_columns(self):
         cols = ["step", "mu0_fro", "mu0_op", "i_mu0", "logdet", "rejected"]

@@ -24,8 +24,12 @@ On a blow-up table these read A^2 . E = 2 r L1.D - D^2 and
 A^3 = D^2 - 3 r L1.D.  Every ``IntersectionTable`` certifies once, when it
 is built, that its closed forms equal the generic trilinear
 ``IntersectionTable.product``; the weights are then the closed forms alone.
+An r-sweep goes one step further: ``SweepForms`` holds each of its values,
+times r, as a quadratic in r with integer coefficients, certified once per
+table, so a row costs one Fraction per value.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -283,8 +287,8 @@ def _j_weight(square, gamma, r):
     return -Fraction(2, 3) * gamma / r * _cube(square, r) + square["L2"]
 
 
-def _df_weight(square, data, r):
-    lead = -Fraction(2, 3) * data.gamma_canonical() / r
+def _df_weight(square, gamma_k, r):
+    lead = -Fraction(2, 3) * gamma_k / r
     return lead * _cube(square, r) + square["K"] + square["E"]
 
 
@@ -307,7 +311,7 @@ def df_weight(table, data, r):
     in closed form; the table certified, when it was built, that this equals
     the direct trilinear expansion at every r (see IntersectionTable)."""
     r = check_exponent(r)
-    return _df_weight(table.square(r), data, r)
+    return _df_weight(table.square(r), data.gamma_canonical(), r)
 
 
 def inequality_checks(table, r, nef_classes=None):
@@ -335,11 +339,80 @@ def _inequality_checks(sq, r, nef_classes=None):
               "ii_exceptional": sq["E"],
               "iii_combined": r * sq["L1"] + 2 * sq["E"],
               "surface": r * sq["L1"] + sq["E"]}
-    report["admissible"] = (all(v <= 0 for v in nef_vals.values())
-                            and report["ii_exceptional"] > 0
-                            and report["iii_combined"] > 0
-                            and report["surface"] >= 0)
+    report["admissible"] = _admissible(nef_vals.values(), report["ii_exceptional"],
+                                       report["iii_combined"], report["surface"])
     return report
+
+
+def _admissible(nef_pairings, ii, iii, surface):
+    return all(v <= 0 for v in nef_pairings) and ii > 0 and iii > 0 and surface >= 0
+
+
+class SweepForms:
+    """The rows of an r-sweep on one table as closed forms in r.
+
+    With a = E^2.L1, b = E^2.L2, c = E^2.K, e = E^3 (the four free entries
+    of the table), gamma and gamma_K, the sweep's values times r are
+    polynomials of degree <= 2 in r:
+
+        r J(r)       = (2/3) gamma e + (b - 2 gamma a) r,
+        r DF(r)      = (2/3) gamma_K e + (c + e - 2 gamma_K a) r - 2 a r^2,
+        r ii(r)      = e r - 2 a r^2,
+        r iii(r)     = 2 e r - 3 a r^2,
+        r surface(r) = e r - a r^2,
+
+    and the L1 nef pairing is a, whatever r.  Each form is held as integer
+    numerators (n0, n1, n2) over one positive denominator ``den`` shared by
+    all five, so at r = p/q a value is the one Fraction
+    (n0 q^2 + n1 p q + n2 p^2) / (den p q).
+
+    Construction certifies the forms against the reference helpers
+    ``_j_weight``, ``_df_weight`` and ``_inequality_checks`` on
+    ``table.square(r)`` at r = 1, 2, 3: r times each reference value also
+    has degree <= 2 in r (the square is affine in r and the cube is r times
+    one of its entries minus another), so agreeing at three points the two
+    sides agree at every r > 0.
+    """
+
+    COLUMNS = ("j_weight", "df_weight", "ineq_ii", "ineq_iii", "ineq_surface")
+
+    def __init__(self, table, gamma, gamma_k):
+        gamma = rational(gamma, "gamma")
+        gamma_k = rational(gamma_k, "gamma_K")
+        a, b, c = (table.triple(x, "E", "E") for x in ("L1", "L2", "K"))
+        e = table.triple("E", "E", "E")
+        zero = Fraction(0)
+        forms = ((Fraction(2, 3) * gamma * e, b - 2 * gamma * a, zero),
+                 (Fraction(2, 3) * gamma_k * e, c + e - 2 * gamma_k * a, -2 * a),
+                 (zero, e, -2 * a),
+                 (zero, 2 * e, -3 * a),
+                 (zero, e, -a))
+        self.den = math.lcm(*(x.denominator for form in forms for x in form))
+        self.numerators = tuple(tuple(x.numerator * (self.den // x.denominator) for x in form)
+                                for form in forms)
+        self.l1_pairing = a
+        for r in (1, 2, 3):
+            sq = table.square(r)
+            rep = _inequality_checks(sq, Fraction(r))
+            reference = (_j_weight(sq, gamma, r), _df_weight(sq, gamma_k, r),
+                         rep["ii_exceptional"], rep["iii_combined"], rep["surface"],
+                         rep["admissible"])
+            for name, got, want in zip(self.COLUMNS + ("admissible",),
+                                       self.row(Fraction(r)), reference):
+                if got != want:
+                    raise StabilityError(
+                        f"closed form of {name} at r = {r} reads {got}, the "
+                        f"reference helpers {want} (internal error)")
+
+    def row(self, r):
+        """(J, DF, ii, iii, surface, admissible) at the Fraction r > 0."""
+        p, q = r.numerator, r.denominator
+        qq, pq, pp = q * q, p * q, p * p
+        d = self.den * pq
+        nums = [n0 * qq + n1 * pq + n2 * pp for n0, n1, n2 in self.numerators]
+        # d > 0, so each value has the sign of its integer numerator
+        return (*[Fraction(n, d) for n in nums],
+                _admissible((self.l1_pairing,), *nums[2:]))
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ def test_balance_artifacts_and_determinism(tmp_path):
     for name in ("balance_k2.csv", "balanced_k2.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     payload = json.loads((out1 / "balanced_k2.json").read_text())
-    assert payload["converged"]
+    assert payload["converged"] and payload["safeguard_stalled"] is False
     with open(out1 / "balance_k2.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["step", "mu0_fro", "mu0_op", "i_mu0", "logdet", "rejected"]
@@ -452,3 +452,93 @@ def test_resolution_checked_before_any_work(tmp_path):
     for command in ("stability", "verify"):
         assert run([command, "--problem", "P2-O1-O1", "--resolution", "2",
                     "--out", str(tmp_path / command)]) == cli.EXIT_USAGE
+
+
+def test_one_parser_for_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bogus"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "balance | flow | stability | verify" in capsys.readouterr().out
+
+
+def test_bundle_without_polytope(tmp_path, capsys):
+    # O(2,-1) on P1xP1 pairs positively with L1 = O(1,1) (gamma = 1/2) but
+    # is not globally generated, so it has no chi form: the numerical
+    # commands exit 2 before writing output; stability needs only the class
+    # data and succeeds
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": {"polytope": "P1xP1", "l2": [0, 0, 2, -1]},
+                               "k_list": [2]}))
+    for command in ("balance", "flow", "verify"):
+        out = tmp_path / command
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.strip()
+        assert err == ("config error: bundle [0, 0, 2, -1] has no polytope on this fan "
+                       "(not globally generated)"), command
+        assert not out.exists()
+    out = tmp_path / "stability"
+    assert run(["stability", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    verdicts = json.loads((out / "verdicts.json").read_text())
+    assert verdicts["gamma"] == "1/2"
+    with open(out / "stability_sweep.csv") as fh:
+        assert len(list(csv.reader(fh))) == 2 + 10
+
+
+def test_balance_stalled_safeguard_exits_health(tmp_path, capsys):
+    # P2 at resolution 32, k=2: the trace identity (about 2.5e-6) passes a
+    # health_tol of 1e-5, but the I_mu0 safeguard refuses most Anderson
+    # candidates; the level's artifacts are written and marked, and the run
+    # exits 4
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"health_tol": 1e-5}))
+    out = tmp_path / "b"
+    assert run(["balance", "--problem", "P2-O1-O1", "--resolution", "32", "--k-list", "2",
+                "--config", str(cfg), "--out", str(out)]) == cli.EXIT_HEALTH
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    match = re.fullmatch(r"HEALTH k=2: the I_mu0 safeguard rejected (\d+) of (\d+) Anderson "
+                         r"candidates \(trace identity residual (\S+)\); increase resolution",
+                         lines[0])
+    assert match, lines[0]
+    rejected, candidates, residual = int(match[1]), int(match[2]), float(match[3])
+    assert 2 * rejected > candidates and residual < 1e-5
+    payload = json.loads((out / "balanced_k2.json").read_text())
+    assert payload["safeguard_stalled"] is True and payload["rejected"] == rejected
+    assert (out / "balance_k2.csv").exists()
+
+
+# the benchmark's stability jobs: every facet of every preset, and P2 with
+# O(1..5) at facet 0, over r = 1..40
+_PRESET_FACETS = {"P2-O1-O1": 3, "P2-O1-O2": 3, "P1xP1-O11-O11": 4,
+                  "P1xP1-O11-O21": 4, "P1xP1-O11-O31": 4}
+_SWEEP = {"r_values": list(range(1, 41))}
+STABILITY_JOBS = (
+    [(f"{name}-f{f}", {"problem": name, "stability": dict(_SWEEP, facet=f)})
+     for name, facets in _PRESET_FACETS.items() for f in range(facets)]
+    + [(f"P2-O{d}-custom-f0", {"problem": {"polytope": "P2", "l2": f"O({d})"},
+                               "stability": dict(_SWEEP, facet=0)}) for d in range(1, 6)])
+
+
+def test_stability_jobs_match_the_recorded_reference(tmp_path):
+    # the exact outputs the benchmark gates on, against the values recorded
+    # at the commit that introduced the reference
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "stability-seed.json"
+    with open(path) as fh:
+        reference = json.load(fh)
+    assert sorted(reference) == sorted(label for label, _ in STABILITY_JOBS)
+    for label, config in STABILITY_JOBS:
+        cfg = tmp_path / f"{label}.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / label
+        assert run(["stability", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        got = {}
+        for key in ("stability_sweep", "pairings"):
+            with open(out / f"{key}.csv", newline="") as fh:
+                got[key] = list(csv.reader(fh))[1:]
+        assert got["stability_sweep"] == reference[label]["sweep"], label
+        assert got["pairings"] == reference[label]["pairings"], label
+        assert json.loads((out / "verdicts.json").read_text()) == reference[label]["verdicts"]

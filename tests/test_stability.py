@@ -364,3 +364,68 @@ def test_rational_inputs_exact_and_floats_refused():
             st.rational(bad, "l1d")
     with pytest.raises(st.StabilityError, match="l1d"):
         st.NormalConeConfig(dd=1, l1d=0.1, l2d=1, kd=-3, r=1)
+
+
+# ---------------------------------------------------------------------------
+# closed-form sweep rows against the reference helpers
+# ---------------------------------------------------------------------------
+
+SWEEP_R = [Fr(r) for r in range(1, 61)] + [Fr(1, 10), Fr(7, 3), Fr(22, 7), Fr(3, 2), Fr(99, 100)]
+
+
+def reference_row(table, gamma, gamma_k, r):
+    sq = table.square(r)
+    rep = st._inequality_checks(sq, r)
+    return (st._j_weight(sq, gamma, r), st._df_weight(sq, gamma_k, r),
+            rep["ii_exceptional"], rep["iii_combined"], rep["surface"], rep["admissible"])
+
+
+def assert_forms_match(table, data):
+    forms = st.SweepForms(table, data.gamma(), data.gamma_canonical())
+    assert forms.den > 0
+    assert all(type(n) is int for form in forms.numerators for n in form)
+    for r in SWEEP_R:
+        assert forms.row(r) == reference_row(table, data.gamma(), data.gamma_canonical(), r)
+
+
+def test_sweep_forms_match_reference_on_every_preset_facet():
+    from jbalance.presets import make_problem, problem_names
+    for name in problem_names():
+        problem = make_problem(name)
+        data = problem.class_data()
+        for facet in range(problem.polytope.num_facets):
+            cfg = normal_cone_from_facet(problem.polytope, problem.l2_spec, facet)
+            assert_forms_match(st.blowup_table(data, cfg), data)
+
+
+@given(rationals, rationals, rationals, positive, rationals, positive, rationals, rationals)
+def test_sweep_forms_match_reference_on_drawn_class_data(l1l2, kl1, dd, l1d, l2d, l1l1,
+                                                         kd, kk):
+    data = st.SurfaceClassData(l1l1=l1l1, l1l2=l1l2, l2l2=1, kl1=kl1, kl2=0, kk=kk,
+                               mori=(st.CurveClass("C", Fr(1), Fr(1), Fr(-3)),))
+    cfg = st.NormalConeConfig(dd=dd, l1d=l1d, l2d=l2d, kd=kd, r=1)
+    assert_forms_match(st.blowup_table(data, cfg), data)
+
+
+@pytest.mark.parametrize("helper, column", [
+    ("_j_weight", "j_weight"), ("_df_weight", "df_weight"),
+    ("ii_exceptional", "ineq_ii"), ("iii_combined", "ineq_iii"),
+    ("surface", "ineq_surface")])
+def test_sweep_forms_refuse_a_disagreeing_form(monkeypatch, helper, column):
+    # a reference value off by a constant at any r is caught when the forms
+    # are built, before any row is read
+    if helper.startswith("_"):
+        real = getattr(st, helper)
+        monkeypatch.setattr(st, helper, lambda sq, g, r: real(sq, g, r) + Fr(1, 7))
+    else:
+        real = st._inequality_checks
+
+        def skewed(sq, r, nef_classes=None):
+            rep = real(sq, r, nef_classes)
+            return dict(rep, **{helper: rep[helper] + Fr(1, 7)})
+
+        monkeypatch.setattr(st, "_inequality_checks", skewed)
+    data = p2_data()
+    table = st.blowup_table(data, p2_line_cfg())
+    with pytest.raises(st.StabilityError, match=f"closed form of {column} at r = 1 "):
+        st.SweepForms(table, data.gamma(), data.gamma_canonical())
