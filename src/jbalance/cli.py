@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,8 @@ from .geometry import GeometryError, mixed_density, volume_density
 from .presets import make_problem, normal_cone_from_facet, problem_names
 from .quantisation import HermitianForm, QuantisationError, check_torus_size
 from .stability import (NormalConeConfig, StabilityError, SweepForms,
-                        blowup_table, check_exponent, cone_criteria, df_weight,
-                        j_weight, rational, trivial_table)
+                        blowup_table, check_exponent, cone_criteria, j_weight,
+                        rational, trivial_table)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -161,11 +162,14 @@ def build_problem(cfg):
         return make_problem(spec, resolution=cfg["resolution"])
     if isinstance(spec, dict):
         _check(spec, _PROBLEM, "problem.")
-        if spec.get("name") not in problem_names():
-            for key in ("polytope", "l2"):
-                if key not in spec:
-                    raise ConfigError(f"config key 'problem.{key}' is missing; a problem "
-                                      f"object needs a preset 'name' or a polytope and an l2")
+        preset = spec.get("name") in problem_names()
+        for key in ("polytope", "l2"):
+            if preset and key in spec:
+                raise ConfigError(f"config key 'problem.{key}' cannot go with the preset "
+                                  f"name {spec['name']!r}; a preset name takes only 'chi'")
+            if not preset and key not in spec:
+                raise ConfigError(f"config key 'problem.{key}' is missing; a problem "
+                                  f"object needs a preset 'name' or a polytope and an l2")
         polytope = spec.get("polytope")
         if isinstance(polytope, dict):
             from .geometry import DelzantPolytope
@@ -362,10 +366,8 @@ def cmd_stability(cfg):
                                           scfg.get("facet", 0), r=r_values[0])
         table = blowup_table(data, base)
         r_min = base.r_min
-    rows = []
-    triv = trivial_table()
-    rows.append(["trivial", str(j_weight(triv, gamma, 1)),
-                 str(df_weight(triv, data, 1)), "", "", "", ""])
+    # the trivial configuration has E = 0, so both of its weights are 0
+    rows = [["trivial", "0", "0", "", "", "", ""]]
     if r_values:
         forms = SweepForms(table, gamma, data.gamma_canonical())
     for r in r_values:
@@ -470,7 +472,8 @@ def run_verification(cfg):
         data = problem.class_data()
         table = blowup_table(data, normal_cone_from_facet(P, problem.l2_spec, 0, r=1))
         SweepForms(table, data.gamma(), data.gamma_canonical())
-        ok = all(j_weight(trivial_table(), data.gamma(), r) == 0 for r in (1, 2, 5))
+        triv = trivial_table()
+        ok = all(j_weight(triv, data.gamma(), r) == 0 for r in (1, 2, 5))
         add("stability_identities", ok, "DF decomposition and E=0 zeroes")
     except StabilityError as exc:
         add("stability_identities", False, str(exc))
@@ -517,9 +520,13 @@ def make_parser():
     return parser
 
 
+# built on first use and reused by every later call in the process: a parse
+# keeps no state between calls
+_parser = cache(make_parser)
+
+
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     overrides = {"out": args.out, "seed": args.seed, "tol": args.tol,
                  "resolution": args.resolution, "problem": args.problem}
     if args.k_list:

@@ -13,12 +13,19 @@ there is exact integer/rational arithmetic.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd
 
 import numpy as np
 
-PRESET_POLYTOPES = ("P2", "P1xP1", "F1")
+# preset name -> (inward facet normals, offsets)
+_PRESET_FACETS = {
+    "P2": ([[1, 0], [0, 1], [-1, -1]], [0, 0, 1]),
+    "P1xP1": ([[1, 0], [0, 1], [-1, 0], [0, -1]], [0, 0, 1, 1]),
+    "F1": ([[1, 0], [0, 1], [0, -1], [-1, -1]], [0, 0, 1, 2]),
+}
+PRESET_POLYTOPES = tuple(_PRESET_FACETS)
 
 
 class GeometryError(ValueError):
@@ -288,6 +295,8 @@ class DelzantPolytope:
     ``normals`` are the inward primitive integer facet normals, ``offsets``
     the integer constants c_i.  Only polygons (n = 2, toric surfaces) are
     accepted: every class, pairing and density here is a surface's.
+    ``normals``, ``offsets`` and ``vertices`` are read-only, so one instance
+    can be shared (``polytope_preset``).
     """
 
     def __init__(self, normals, offsets, name=None):
@@ -305,6 +314,8 @@ class DelzantPolytope:
                 raise GeometryError(f"facet normal {a} is not primitive")
         self.vertices = self._compute_vertices()
         self._validate()
+        for arr in (self.normals, self.offsets, self.vertices):
+            arr.setflags(write=False)
 
     @property
     def num_facets(self):
@@ -401,16 +412,14 @@ class DelzantPolytope:
         return int(self.volume() * k * k + Fraction(boundary * k, 2) + 1)
 
 
+@cache
 def polytope_preset(name):
     """Named polarised toric surfaces: P2 = (P^2, O(1)), P1xP1 = (P^1xP^1,
-    O(1,1)), F1 = first Hirzebruch surface with the standard trapezoid."""
-    if name == "P2":
-        return DelzantPolytope([[1, 0], [0, 1], [-1, -1]], [0, 0, 1], name="P2")
-    if name == "P1xP1":
-        return DelzantPolytope([[1, 0], [0, 1], [-1, 0], [0, -1]], [0, 0, 1, 1], name="P1xP1")
-    if name == "F1":
-        return DelzantPolytope([[1, 0], [0, 1], [0, -1], [-1, -1]], [0, 0, 1, 2], name="F1")
-    raise GeometryError(f"unknown preset {name!r}; options: {PRESET_POLYTOPES}")
+    O(1,1)), F1 = first Hirzebruch surface with the standard trapezoid.
+    Each is built once per process; every call returns that instance."""
+    if name not in _PRESET_FACETS:
+        raise GeometryError(f"unknown preset {name!r}; options: {PRESET_POLYTOPES}")
+    return DelzantPolytope(*_PRESET_FACETS[name], name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -42,22 +42,27 @@ class Problem:
 
     ``pairings`` is the intersection_numbers table, computed once per
     problem; gamma and the class data are read from it.  ``meta`` holds the
-    quadrature's ``resolution``; the rule and the chi form are built on
-    first use, so work that reads only exact class data (the stability
-    sweep) never pays for them."""
+    quadrature's ``resolution``; the reference potential, the rule and the
+    chi form are built on first use, so work that reads only exact class
+    data (the stability sweep) never pays for them.  A preset ``polytope``
+    is the one shared, read-only instance of ``polytope_preset``."""
 
     name: str
     polytope: DelzantPolytope
     l2_spec: object
     pairings: dict
     gamma_exact: Fraction
-    u_ref: object
     chi_mode: str = "reference"
     meta: dict = field(default_factory=dict)
 
     @property
     def gamma(self):
         return float(self.gamma_exact)
+
+    @cached_property
+    def u_ref(self):
+        """The reference potential of the polytope (level 1)."""
+        return reference_potential(self.polytope)
 
     @cached_property
     def chi(self):
@@ -170,5 +175,4 @@ def make_problem(name, resolution=None, chi_mode=None, polytope=None,
     # use; stability-only runs (e.g. L2 = K on a Fano) work from the class
     # data alone
     return Problem(name=name, polytope=P, l2_spec=l2, pairings=pairings,
-                   gamma_exact=gamma, u_ref=reference_potential(P),
-                   chi_mode=chi_mode, meta={"resolution": resolution})
+                   gamma_exact=gamma, chi_mode=chi_mode, meta={"resolution": resolution})

@@ -239,6 +239,9 @@ def test_flow_artifacts(tmp_path, monkeypatch):
     ({"problem": {"polytope": "P1xP1", "l2": [0, 0, 1.5, 1]}}, "divisor class"),
     ({"problem": {"polytope": {"normals": [[1], [-1]], "offsets": [0, 2]}, "l2": [0, 1]},
       "k_list": [2]}, "dimension 1"),
+    # a preset name fixes its polytope and L2; beside it only chi is taken
+    ({"problem": {"name": "P2-O1-O1", "l2": "O(2)"}}, "'problem.l2'"),
+    ({"problem": {"name": "P1xP1-O11-O21", "polytope": "P2"}}, "'problem.polytope'"),
 ])
 def test_config_errors_exit_usage(tmp_path, capsys, config, key):
     # bad keys, value types and polytopes end in exit 2 with one line naming
@@ -465,6 +468,21 @@ def test_one_parser_for_every_command(capsys):
     assert "balance | flow | stability | verify" in capsys.readouterr().out
 
 
+def test_reused_parser_keeps_calls_independent(tmp_path):
+    # main builds its parser once per process; no call sees an earlier one's
+    # arguments, so a call without --problem runs the default preset
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bogus"])
+    assert exc.value.code == cli.EXIT_USAGE
+    for name, argv in (("a", ["--problem", "P1xP1-O11-O21"]), ("b", [])):
+        assert run(["stability", *argv, "--out", str(tmp_path / name)]) == cli.EXIT_OK
+    verdicts = {name: json.loads((tmp_path / name / "verdicts.json").read_text())
+                for name in "ab"}
+    assert verdicts["a"]["problem"] == "P1xP1-O11-O21"
+    assert verdicts["b"]["problem"] == "P2-O1-O1"
+    assert cli._parser() is cli._parser()
+
+
 def test_bundle_without_polytope(tmp_path, capsys):
     # O(2,-1) on P1xP1 pairs positively with L1 = O(1,1) (gamma = 1/2) but
     # is not globally generated, so it has no chi form: the numerical
@@ -542,3 +560,17 @@ def test_stability_jobs_match_the_recorded_reference(tmp_path):
         assert got["stability_sweep"] == reference[label]["sweep"], label
         assert got["pairings"] == reference[label]["pairings"], label
         assert json.loads((out / "verdicts.json").read_text()) == reference[label]["verdicts"]
+
+
+def test_stability_jobs_skip_unused_work(tmp_path, monkeypatch):
+    # a stability job reads neither the reference potential nor the trivial
+    # table (E = 0 gives the row 0, 0): with both refused, every recorded
+    # job, on a preset or a custom polytope, still matches its reference
+    from jbalance import presets
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stability job built work that no output reads")
+
+    monkeypatch.setattr(presets, "reference_potential", refuse)
+    monkeypatch.setattr(cli, "trivial_table", refuse)
+    test_stability_jobs_match_the_recorded_reference(tmp_path)

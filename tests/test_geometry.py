@@ -23,6 +23,27 @@ def test_preset_polytopes_valid():
         geo.polytope_preset("P3")
 
 
+def test_preset_polygons_are_shared_and_read_only():
+    # one instance per preset and process, so no caller may write into it
+    from jbalance.presets import make_problem
+    P = geo.polytope_preset("P2")
+    assert geo.polytope_preset("P2") is P
+    before = [P.normals.copy(), P.offsets.copy(), P.vertices.copy()]
+    for arr in (P.normals, P.offsets, P.vertices):
+        with pytest.raises(ValueError):
+            arr[0] = 7
+        with pytest.raises(ValueError):
+            arr += 1
+    for arr, old in zip((P.normals, P.offsets, P.vertices), before):
+        assert np.array_equal(arr, old)
+    a, b = make_problem("P1xP1-O11-O21"), make_problem("P1xP1-O11-O21")
+    c = make_problem("P1xP1-O11-O11")
+    assert a.polytope is b.polytope is c.polytope is geo.polytope_preset("P1xP1")
+    assert a.pairings == b.pairings and a.pairings is not b.pairings
+    a.pairings["L1L2"] = None
+    assert b.pairings["L1L2"] == 3 and c.pairings["L1L2"] == 2
+
+
 def test_rejects_bad_polytopes():
     # non-primitive normal
     with pytest.raises(geo.GeometryError):
