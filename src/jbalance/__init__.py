@@ -1,6 +1,7 @@
 """Balanced-metric quantisation of the J-flow on polarised toric surfaces.
 
-Modules: geometry (polytopes, bases, quadrature, intersection numbers),
+Modules: kernel (the softmax kernel and its node blocks), geometry
+(potentials, polytopes, bases, quadrature, intersection numbers),
 quantisation (Hilb/FS maps, moment map, balance iteration, Bergman
 asymptotics), flows (balancing ODE, continuum J-flow, residuals),
 functionals (J_chi, I_{mu_J}, I_{mu0}, I_hat, P_hat), stability (exact

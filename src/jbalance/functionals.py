@@ -87,8 +87,10 @@ class PotentialPath:
             return level * (u1.value(X) - u0.value(X))
         q, x0, x1 = self._data
         lam = x1 - x0
-        S = self.potential(t).moments(X, 1)[1]  # softmax over basis points
-        return -(lam @ S)                       # d log rho / dt
+        out = np.empty(len(X))                  # d log rho / dt
+        for block, (_, S, _, _) in self.potential(t).moment_blocks(X, 1):
+            out[block] = -(lam @ S)             # S: softmax over basis points
+        return out
 
 
 def _two_endpoint_j(q, phi, mix0, mix1):

@@ -19,6 +19,9 @@ from math import gcd
 
 import numpy as np
 
+# softmax_moments keeps its public name geometry.softmax_moments
+from .kernel import node_blocks, softmax_moments
+
 # preset name -> (inward facet normals, offsets)
 _PRESET_FACETS = {
     "P2": ([[1, 0], [0, 1], [-1, -1]], [0, 0, 1]),
@@ -53,77 +56,6 @@ class PotentialField:
         raise NotImplementedError
 
 
-def softmax_moments(A, points, order=2):
-    """The one softmax kernel: the softmax over axis 0 of the log-weights A,
-    with its log-sum-exp and, for ``order`` 2, its first two moments.
-
-    A is (m, M), basis-major: row a holds the log-weights of the exponent
-    point ``points[a]`` (``points`` is (m, n)) at the M nodes, and it is
-    overwritten with the softmax S.  Every reduction runs over axis 0, so
-    each elementwise operation sweeps whole contiguous rows.
-
-    Returns (lse, S, mean, cov):
-
-    * lse (M,): log sum_a e^{A_a}, per node (max-shifted);
-    * S (m, M): the softmax (A itself), for ``order`` >= 1;
-    * mean (n, M): the softmax average of the points, for ``order`` 2;
-    * cov (n, n, M): the centred second moments, component-major (cov[i, j]
-      is one contiguous (M,) row), for ``order`` 2.
-    Entries the ``order`` does not ask for are None.
-
-    The second moments are centred on each node's heaviest point p*, where
-    A is exactly 0 after the max shift: sum_a S_a (p_a - p*)(p_a - p*)^T
-    minus the outer square of sum_a S_a (p_a - p*).  The differences
-    p_a - p* are exact, so a node whose softmax is one-hot gets exactly
-    zero moments, and one whose softmax lies on an edge of direction (1, 0),
-    (0, 1) or (1, +-1) (every preset's edges) exactly rank-one moments;
-    centring on the rounded mean would not.  Two (m, M) work buffers live
-    only inside the call.
-    """
-    m, n = points.shape
-    amax = A.max(axis=0)
-    A -= amax
-    if order == 2:
-        # a heaviest point per node (the last on ties): the max over axis 0
-        # of row index times (A == 0), since argmax over axis 0 copies A
-        c, w = np.empty((2,) + A.shape)
-        np.equal(A, 0.0, out=c)
-        c *= np.arange(m, dtype=float)[:, None]
-        shift = [np.take(points[:, i], c.max(axis=0).astype(np.intp)) for i in range(n)]
-    S = np.exp(A, out=A)
-    total = S.sum(axis=0)
-    lse = np.log(total)
-    lse += amax
-    if order == 0:
-        return lse, None, None, None
-    S /= total
-    if order == 1:
-        return lse, S, None, None
-    mean = np.empty((n, A.shape[1]))
-    cov = np.empty((n, n, A.shape[1]))
-    held = None                 # the coordinate whose p_a - p* c holds
-
-    def centre(j):
-        nonlocal held
-        if held != j:
-            np.subtract(points[:, j, None], shift[j], out=c)
-            held = j
-
-    for i in range(n):
-        centre(i)
-        np.multiply(S, c, out=w)
-        w.sum(axis=0, out=mean[i])
-        for j in range(i, n):
-            centre(j)
-            np.einsum("am,am->m", w, c, out=cov[i, j])
-    for i in range(n):
-        for j in range(i, n):
-            cov[i, j] -= mean[i] * mean[j]
-            cov[j, i] = cov[i, j]
-        mean[i] += shift[i]
-    return lse, S, mean, cov
-
-
 class LogSumExpPotential(PotentialField):
     """Potential u(x) = (log sum_a c_a e^{<p_a, x>} + offset) / level.
 
@@ -146,19 +78,25 @@ class LogSumExpPotential(PotentialField):
         self.level = int(level)
         self.offset = float(offset)
 
-    def moments(self, X, order):
-        """softmax_moments of the level-k potential's log-weights at the
-        nodes X (M, n): A = points @ X^T + log_coeffs, basis-major."""
-        A = self.points @ np.atleast_2d(np.asarray(X, dtype=float)).T
-        A += self.log_coeffs[:, None]
-        return softmax_moments(A, self.points, order)
+    def moment_blocks(self, X, order):
+        """node_blocks of the level-k potential's log-weights at the nodes
+        X (M, n), A = points @ X^T + log_coeffs: (block, softmax_moments)
+        pairs."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return node_blocks(self.points, X, self.log_coeffs, order=order)
 
     def value(self, X):
-        return (self.moments(X, 0)[0] + self.offset) / self.level
+        out = np.empty(len(np.atleast_2d(X)))
+        for block, (lse, _, _, _) in self.moment_blocks(X, 0):
+            out[block] = lse
+        return (out + self.offset) / self.level
 
     def hessian(self, X):
         # (M, n, n), laid out component-major as the kernel returns it
-        return np.moveaxis(self.moments(X, 2)[3], -1, 0) / self.level
+        cov = np.empty((self.dim, self.dim, len(np.atleast_2d(X))))
+        for block, (_, _, _, cov_block) in self.moment_blocks(X, 2):
+            cov[..., block] = cov_block
+        return np.moveaxis(cov, -1, 0) / self.level
 
     def with_log_coeffs(self, log_coeffs):
         return LogSumExpPotential(self.points, log_coeffs, self.level, self.offset)

@@ -16,16 +16,22 @@ Normalisation conventions (fixed once, used everywhere):
   Angular integrals vanish identically and all sums are real; no
   (N+1) x (N+1) matrix is formed.
 
-Layout.  The slice is carried as the vector x = log diag H, and
-``logE`` = <a, x_p> is stored basis-major, (N+1, M): one row per section,
-one column per quadrature node.  One softmax S of logE - x over axis 0
-(geometry.softmax_moments, the package's one softmax kernel, via
-Quantisation.torus_pass) gives the FS potential values, its Hessian (the
-centred second moments of S, hence the mixed measure) and the Hilb
-diagonal; the last pass is memoised, so the map, the moment map and
-I_{mu0} at one H share it.  Every map takes H as a HermitianForm or as
-the vector x itself; the balance iteration and the balancing flow run on
-the vectors and build a form only for what they return or log.
+Layout.  The slice is carried as the vector x = log diag H.  The
+log-weights <a, x_p> - x_a form a basis-major (N+1, M) array, one row per
+section and one column per quadrature node, which is never held whole:
+kernel.node_blocks forms it one block of nodes at a time (at most
+kernel.NODE_BLOCK_BYTES per block array; every benchmark level is one
+block).  Per block, one softmax S of the log-weights over axis 0
+(kernel.softmax_moments, the package's one softmax kernel) gives the FS
+potential values and its Hessian (the centred second moments of S, hence
+the mixed measure) at the block's nodes, and adds the block's share
+S_b @ (w mix)_b to the Hilb diagonal; that is Quantisation.torus_pass.
+The last pass is memoised, so the map, the moment map and I_{mu0} at one
+H share it.  A context therefore holds only (N+1)- and M-vectors between
+calls; the block arrays live in the kernel's one kept work buffer.  Every
+map takes H as a HermitianForm or as the vector x itself; the balance
+iteration and the balancing flow run on the vectors and build a form only
+for what they return or log.
 
 Balance iteration.  The balanced form is the fixed point of the
 det-normalised T = Hilb o FS.  Plain iteration of T decreases I_{mu0} but
@@ -46,13 +52,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (GeometryError, LogSumExpPotential,
-                       enumerate_lattice_points, mixed_density,
-                       softmax_moments, volume_density)
+                       enumerate_lattice_points, mixed_density, volume_density)
+from .kernel import node_block_size, node_blocks
 
-# Cap on the bytes of the (N+1) x M arrays that one level-k context works
-# with (logE, the softmax and the kernel's two work buffers), checked from
-# the Ehrhart count before any of them is allocated.
+# Cap on the bytes that one level-k context holds live, checked from the
+# Ehrhart count and the node count before anything is allocated: the three
+# (N+1) x block arrays of a node block (their size set by
+# kernel.NODE_BLOCK_BYTES) plus TORUS_VECTORS vectors of length N+1 and M.
 MAX_TORUS_BYTES = 2 ** 30
+
+# (N+1)- and M-vectors a level holds at once (nodes, weights, chi's Hessian,
+# the memoised passes, a map's Hessians and work vectors), counted with room.
+TORUS_VECTORS = 32
 
 # Memory of the Anderson-accelerated balance iteration: the number of latest
 # iterates whose images it mixes, so at most ANDERSON_MEMORY - 1 secant
@@ -152,15 +163,19 @@ def metric_distance(H0, H1, k=None):
 
 
 def check_torus_size(P, k, n_nodes):
-    """Refuse, with a GeometryError, a level k whose (N+1) x M arrays would
-    take more than MAX_TORUS_BYTES.  N+1 is the closed-form Ehrhart count,
-    so nothing is enumerated or allocated first."""
+    """Refuse, with a GeometryError, a level k whose live arrays would take
+    more than MAX_TORUS_BYTES: three (N+1) x block arrays of a node block
+    (a one-node tail may join the last block) and TORUS_VECTORS vectors of
+    length N+1 and M.  N+1 is the closed-form Ehrhart count, so nothing is
+    enumerated or allocated first."""
     n_plus_1 = P.ehrhart_count(k)
-    need = 4 * 8 * n_plus_1 * int(n_nodes)
+    n_nodes = int(n_nodes)
+    block = min(n_nodes, node_block_size(n_plus_1) + 1)
+    need = 8 * (3 * n_plus_1 * block + TORUS_VECTORS * (n_plus_1 + n_nodes))
     if need > MAX_TORUS_BYTES:
         raise GeometryError(
-            f"level k={k} needs about {need / 2 ** 30:.3g} GiB for its (N+1) x M "
-            f"arrays (N+1 = {n_plus_1}, M = {n_nodes}), above the "
+            f"level k={k} needs about {need / 2 ** 30:.3g} GiB for its node blocks "
+            f"and vectors (N+1 = {n_plus_1}, M = {n_nodes}), above the "
             f"{MAX_TORUS_BYTES / 2 ** 30:g} GiB cap (quantisation.MAX_TORUS_BYTES)")
 
 
@@ -220,7 +235,6 @@ class Quantisation:
         self.nodes = rule.nodes
         self.weights = rule.weights
         self.points = self.basis.points.astype(float)
-        self.logE = self.points @ self.nodes.T                # (N+1, M)
         self.chi_hess = np.asarray(chi.hessian(self.nodes))
         self.hilb_norm = self.gamma * self.k ** (P.dim - 1)
         self._memo = None       # (x bytes, TorusPass) of the last pass
@@ -229,6 +243,14 @@ class Quantisation:
     @property
     def n_plus_1(self):
         return self.basis.n_plus_1
+
+    @property
+    def logE(self):
+        """The log-weights <a, x_p>, basis-major (N+1, M), formed anew on
+        each read: this allocates an (N+1) x M array, which no map of the
+        context does (they run on kernel.node_blocks).  For checks and
+        small diagnostics only."""
+        return self.points @ self.nodes.T
 
     # -- FS ----------------------------------------------------------------
 
@@ -246,9 +268,10 @@ class Quantisation:
         values (1/n) tr(adj(D^2(k u)) D^2 v) c_vol at the nodes."""
         return self._mix_from_hessian(np.asarray(u.hessian(self.nodes)) * self.k)
 
-    def _mix_from_hessian(self, hess_k):
-        """Mixed measure from the nodes' Hessians D^2(k u), checked >= 0."""
-        mix = mixed_density(hess_k, self.chi_hess) * self.rule.c_vol
+    def _mix_from_hessian(self, hess_k, block=slice(None)):
+        """Mixed measure from the Hessians D^2(k u) at the nodes ``block``,
+        checked >= 0."""
+        mix = mixed_density(hess_k, self.chi_hess[block]) * self.rule.c_vol
         if np.min(mix) < 0:
             raise QuantisationError("mixed measure not positive: potential not admissible")
         return mix
@@ -256,11 +279,14 @@ class Quantisation:
     def torus_pass(self, H):
         """FS and Hilb of a torus-invariant H from one softmax pass.
 
-        With S the softmax of logE - x over the basis (axis 0, x = log diag
-        H), returns a TorusPass holding, at the nodes, the level-k potential
-        values k u_H, the mixed measure of FS(H) (from the centred second
-        moments of S, which are D^2(k u_H)), and the Hilb diagonal
-        ((N+1)/V) e^x_a sum_p w_p mix_p S_ap / (gamma k^{n-1}).
+        With S the softmax of <a, x_p> - x_a over the basis (axis 0, x =
+        log diag H), returns a TorusPass holding, at the nodes, the level-k
+        potential values k u_H, the mixed measure of FS(H) (from the centred
+        second moments of S, which are D^2(k u_H)), and the Hilb diagonal
+        ((N+1)/V) e^x_a sum_p w_p mix_p S_ap / (gamma k^{n-1}).  S is made
+        one node block at a time (kernel.node_blocks), and the sum over p
+        adds up the blocks' shares; values and mix do not depend on the
+        block size.
 
         The last pass is memoised on the exact bytes of x, so a moment map,
         an energy and a map application at the same H share one pass.  The
@@ -270,11 +296,16 @@ class Quantisation:
         key = x.tobytes()
         if self._memo is not None and self._memo[0] == key:
             return self._memo[1]
-        lse, S, _, cov = softmax_moments(self.logE - x[:, None], self.points)
-        values = lse - np.log(self.n_plus_1 / self.V)
-        mix = self._mix_from_hessian(np.moveaxis(cov, -1, 0))
+        values = np.empty(len(self.nodes))
+        mix = np.empty(len(self.nodes))
+        moments = np.zeros(self.n_plus_1)      # sum_p w_p mix_p S_ap
+        for block, (lse, S, _, cov) in node_blocks(self.points, self.nodes, -x, order=2):
+            values[block] = lse
+            mix[block] = self._mix_from_hessian(np.moveaxis(cov, -1, 0), block)
+            moments += S @ (self.weights[block] * mix[block])
+        values -= np.log(self.n_plus_1 / self.V)
         hilb = _checked_hilb_diagonal(
-            (self.n_plus_1 / self.V) * np.exp(x) * (S @ (self.weights * mix)) / self.hilb_norm)
+            (self.n_plus_1 / self.V) * np.exp(x) * moments / self.hilb_norm)
         for arr in (values, mix, hilb):
             arr.setflags(write=False)
         out = TorusPass(values=values, mix=mix, hilb=hilb)
@@ -291,15 +322,17 @@ class Quantisation:
     def hilb_map(self, u):
         """Hilb_chi of the torus-invariant metric e^{-k u}: diagonal Gram
         G_aa = (1/(gamma k^{n-1})) integral e^{<a,x> - k u} dmu_mix."""
-        mix = self.mixed_measure(u)
-        # one (N+1) x M temporary, exponentiated in place; exp gives no NaN
-        # from finite input, so its max is finite iff every entry is
-        W = self.logE - self.k * u.value(self.nodes)
-        np.exp(W, out=W)
-        if not np.isfinite(W.max()):
-            raise QuantisationError("overflow in section weights; quadrature box too wide for k")
-        diag = W @ (self.weights * mix) / self.hilb_norm
-        return HermitianForm(_checked_hilb_diagonal(diag), self.k)
+        wmix = self.weights * self.mixed_measure(u)
+        diag = np.zeros(self.n_plus_1)
+        for block, W in node_blocks(self.points, self.nodes,
+                                    node_offsets=-(self.k * u.value(self.nodes))):
+            # exponentiated in place; exp gives no NaN from finite input,
+            # so its max is finite iff every entry is
+            np.exp(W, out=W)
+            if not np.isfinite(W.max()):
+                raise QuantisationError("overflow in section weights; quadrature box too wide for k")
+            diag += W @ wmix[block]
+        return HermitianForm(_checked_hilb_diagonal(diag / self.hilb_norm), self.k)
 
     # -- moment map and iteration ---------------------------------------------
 

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction as Fr
 from pathlib import Path
 
@@ -448,6 +449,38 @@ def test_size_guard_exits_usage_before_allocating(tmp_path, capsys, command, k_l
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "MAX_TORUS_BYTES" in err
+
+
+def test_size_guard_admits_large_k_without_allocating():
+    # P1xP1-O11-O21 at k = 32 and resolution 192: N+1 = 1089 and M = 36864,
+    # whose (N+1) x M doubles alone take 306 MiB.  Only node blocks and
+    # vectors stay live, so the level is admitted; the check builds nothing.
+    from jbalance.presets import make_problem
+    problem = make_problem("P1xP1-O11-O21", resolution=192)
+    tracemalloc.start()
+    try:
+        cli._check_sizes(problem, [2, 32])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+    assert "rule" not in vars(problem)
+
+
+def test_jobs_never_form_the_full_log_weights(tmp_path, monkeypatch):
+    # Quantisation.logE allocates an (N+1) x M array on each read; no job
+    # reads it
+    from jbalance.quantisation import Quantisation
+
+    def refuse(self):
+        raise AssertionError("a job read Quantisation.logE")
+
+    monkeypatch.setattr(Quantisation, "logE", property(refuse))
+    cfg = tmp_path / "flow.json"
+    cfg.write_text(json.dumps({"flow": {"grid": 20, "T": 0.02, "compare_T": 0.02}}))
+    p2 = ["--problem", "P2-O1-O1", "--k-list", "2"]
+    for argv in (["balance", *p2], ["verify", *p2], ["flow", *p2, "--config", str(cfg)]):
+        assert run([*argv, "--out", str(tmp_path / argv[0])]) == cli.EXIT_OK, argv[0]
 
 
 def test_resolution_checked_before_any_work(tmp_path):

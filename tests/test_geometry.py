@@ -12,6 +12,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as hs
 
 from jbalance import geometry as geo
+from jbalance import kernel
 from jbalance.stability import SurfaceClassData
 
 
@@ -305,3 +306,39 @@ def test_affine_tilt_preserves_hessian(square_problem):
     X = square_problem.rule.nodes[:40]
     assert np.allclose(tilted.hessian(X), u.hessian(X))
     assert not np.allclose(tilted.value(X), u.value(X))
+
+
+def test_node_blocks_cover_the_nodes_and_join_a_one_node_tail(monkeypatch):
+    # 64 nodes per block: blocks start at multiples of 64, and a last block
+    # of one node joins the one before it; the potential's values and
+    # Hessians are those of one block, bit for bit
+    points = geo.polytope_preset("P2").lattice_points(3).astype(float)
+    rng = np.random.default_rng(5)
+    u = geo.LogSumExpPotential(points, rng.uniform(-1.0, 1.0, len(points)))
+    for n_nodes in (1, 63, 64, 65, 129, 130, 200):
+        nodes = 4.0 * rng.standard_normal((n_nodes, 2))
+        monkeypatch.setattr(kernel, "NODE_BLOCK_BYTES", 8 * len(points) * 256)
+        value, hessian = u.value(nodes), u.hessian(nodes)
+        monkeypatch.setattr(kernel, "NODE_BLOCK_BYTES", 8 * len(points) * 64)
+        blocks = [block for block, _ in kernel.node_blocks(points, nodes)]
+        assert [b.start for b in blocks] == list(range(0, 64 * len(blocks), 64))
+        assert blocks[-1].stop == n_nodes
+        assert all(b.stop - b.start > 1 for b in blocks) or n_nodes == 1
+        assert np.array_equal(u.value(nodes), value)
+        assert np.array_equal(u.hessian(nodes), hessian)
+
+
+def test_node_blocks_lend_their_work_buffer_to_one_evaluation(monkeypatch):
+    # two evaluations consumed in step each get a buffer of their own, so
+    # neither overwrites the other's blocks
+    points = geo.polytope_preset("P1xP1").lattice_points(2).astype(float)
+    rng = np.random.default_rng(6)
+    nodes = 3.0 * rng.standard_normal((300, 2))
+    offsets = [rng.uniform(-1.0, 1.0, len(points)) for _ in range(2)]
+    monkeypatch.setattr(kernel, "NODE_BLOCK_BYTES", 8 * len(points) * 64)
+    alone = [[S.copy() for _, (_, S, _, _) in kernel.node_blocks(points, nodes, off, order=1)]
+             for off in offsets]
+    in_step = zip(*(kernel.node_blocks(points, nodes, off, order=1) for off in offsets))
+    for i, ((_, (_, S0, _, _)), (_, (_, S1, _, _))) in enumerate(in_step):
+        assert np.array_equal(S0, alone[0][i]) and np.array_equal(S1, alone[1][i])
+    assert len(alone[0]) == 5

@@ -2,6 +2,7 @@
 torus-invariant FS/Hilb maps and the energy I_{mu0}."""
 
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from conftest import random_diagonal
 from jbalance import flows as fl
 from jbalance import functionals as F
 from jbalance import geometry as geo
+from jbalance import kernel
 from jbalance.geometry import BlendPotential, LogSumExpPotential, QuadratureRule
-from jbalance.quantisation import HermitianForm, Quantisation, QuantisationError
+from jbalance.quantisation import (TORUS_VECTORS, HermitianForm, Quantisation,
+                                   QuantisationError)
 
 
 def with_far_field(pb, k):
@@ -57,6 +60,55 @@ def test_torus_pass_matches_potential_and_hilb_map(request, fixture, k):
         assert_rel(out.hilb, q.hilb_map(u).diag())
         assert np.all(out.mix[-n_far:] >= 0)
         assert np.min(out.mix[-n_far:]) == 0.0
+
+
+@pytest.mark.parametrize("fixture,k", [("p2_problem", 4), ("square_problem", 3)])
+def test_node_blocks_match_one_block(request, monkeypatch, fixture, k):
+    # budgets of 100 and 255 nodes, rounded down to blocks of 64 and 192,
+    # split the level, far-field nodes included, into many blocks; against
+    # one block holding every node, the per-node outputs agree bit for bit
+    # and the Hilb diagonal, a sum over the blocks, to roundoff.  (Blocks
+    # of 255 nodes change bits of mix with OpenBLAS 0.3.31: its product
+    # treats a block's last partial group of nodes differently.)
+    q, _ = with_far_field(request.getfixturevalue(fixture), k)
+    H = random_diagonal(q, np.random.default_rng(30 + k), spread=2.0)
+    u = q.fs_map(H)
+
+    def evaluate(budget_nodes, nodes_per_block):
+        monkeypatch.setattr(kernel, "NODE_BLOCK_BYTES", 8 * q.n_plus_1 * budget_nodes)
+        assert kernel.node_block_size(q.n_plus_1) == nodes_per_block
+        q._memo = None
+        return q.torus_pass(H), u.value(q.nodes), u.hessian(q.nodes), q.hilb_map(u).diag()
+
+    whole = len(q.nodes) // 64 * 64 + 64
+    one = evaluate(whole, whole)
+    for budget_nodes, nodes_per_block in ((100, 64), (255, 192)):
+        assert len(q.nodes) > 20 * nodes_per_block
+        got = evaluate(budget_nodes, nodes_per_block)
+        for field in ("values", "mix"):
+            assert np.array_equal(getattr(got[0], field), getattr(one[0], field))
+        assert np.array_equal(got[1], one[1]) and np.array_equal(got[2], one[2])
+        assert_rel(got[0].hilb, one[0].hilb, 1e-13)
+        assert_rel(got[3], one[3], 1e-13)
+
+
+def test_torus_pass_holds_no_basis_by_node_array(square_o21):
+    # k = 16 at resolution 80: (N+1) x M = 289 x 6400 doubles (14 MiB), over
+    # ten block budgets.  Building the context and running one pass stay
+    # within a few block arrays and the context's vectors.
+    pb = square_o21
+    pb.rule, pb.chi         # built on first use, before the trace
+    k = 16
+    n_plus_1, n_nodes = pb.polytope.ehrhart_count(k), len(pb.rule.nodes)
+    assert 8 * n_plus_1 * n_nodes > 10 * kernel.NODE_BLOCK_BYTES
+    x = np.random.default_rng(40).uniform(-1.0, 1.0, n_plus_1)
+    tracemalloc.start()
+    try:
+        pb.quantisation(k).torus_pass(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * kernel.NODE_BLOCK_BYTES + 8 * TORUS_VECTORS * (n_plus_1 + n_nodes)
 
 
 def test_torus_pass_memo_never_stale(square_problem):
