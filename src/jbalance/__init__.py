@@ -1,11 +1,11 @@
 """Balanced-metric quantisation of the J-flow on polarised toric surfaces.
 
-Modules: kernel (the softmax kernel and its node blocks), geometry
-(potentials, polytopes, bases, quadrature, intersection numbers),
-quantisation (Hilb/FS maps, moment map, balance iteration, Bergman
-asymptotics), flows (balancing ODE, continuum J-flow, residuals),
-functionals (J_chi, I_{mu_J}, I_{mu0}, I_hat, P_hat), stability (exact
-test-configuration weights) and cli (batch runner).
+Modules: kernel (the softmax kernel and its node blocks, under every map
+and Bergman check), geometry (potentials, polytopes, bases, quadrature,
+intersection numbers), quantisation (Hilb/FS maps, moment map, balance
+iteration, Bergman asymptotics), flows (balancing ODE, continuum J-flow,
+residuals), functionals (J_chi, I_{mu_J}, I_{mu0}, I_hat, P_hat), stability
+(exact test-configuration weights) and cli (batch runner).
 """
 
 from .geometry import (AffineTilt, AxisPotential, BlendPotential,
@@ -16,7 +16,7 @@ from .geometry import (AffineTilt, AxisPotential, BlendPotential,
                        intersection_numbers, mori_generators, polytope_preset,
                        reference_potential)
 from .quantisation import (HermitianForm, Quantisation, QuantisationError,
-                           bergman_check, metric_distance, qk_operator)
+                           bergman_check, qk_operator)
 from .functionals import (PotentialPath, aym_energy, convexity_probe, i_hat,
                           i_hat_relative, i_mu0, i_mu_j, j_energy,
                           j_energy_between, match_determinant, p_hat)

@@ -458,12 +458,11 @@ def run_verification(cfg):
     add("fs_scaling_invariance", dh < 1e-12, f"Hessian shift {dh:.2e}")
 
     # nef monotonicity on the Mori generators
-    from .geometry import mori_generators, surface_classes
+    from .geometry import is_nef, mori_generators, surface_classes
     gens = mori_generators(P)
     c1, c2, _ = surface_classes(P, problem.l2_spec)
-    nef_l2 = all(g.pair(c2) >= 0 for g in gens)
-    nef_sum = all(g.pair(c2 + c1) >= 0 for g in gens)
-    add("nef_monotone", (not nef_l2) or nef_sum, f"L2 nef: {nef_l2}")
+    nef_l2 = is_nef(P, c2, gens)
+    add("nef_monotone", (not nef_l2) or is_nef(P, c2 + c1, gens), f"L2 nef: {nef_l2}")
 
     # stability identities on the default centre: building its table
     # certifies the DF decomposition identity at every r (IntersectionTable),

@@ -135,9 +135,10 @@ def node_blocks(points, nodes, offsets=None, node_offsets=None, order=None):
     m, M = len(points), len(nodes)
     size = node_block_size(m)
     edges = [0, *range(size, M - 1, size), M]
-    work = _spare_work.pop() if _spare_work else np.empty(0)
-    if work.size < 3 * m * min(M, size + 1):
-        work = np.empty(3 * m * min(M, size + 1))
+    need = 3 * m * min(M, size + 1)
+    if _spare_work and _spare_work[0].size < need:
+        _spare_work.clear()     # freed before the larger buffer is made
+    work = _spare_work.pop() if _spare_work else np.empty(need)
     try:
         for lo, hi in zip(edges[:-1], edges[1:]):
             block = slice(lo, hi)

@@ -27,11 +27,13 @@ potential values and its Hessian (the centred second moments of S, hence
 the mixed measure) at the block's nodes, and adds the block's share
 S_b @ (w mix)_b to the Hilb diagonal; that is Quantisation.torus_pass.
 The last pass is memoised, so the map, the moment map and I_{mu0} at one
-H share it.  A context therefore holds only (N+1)- and M-vectors between
-calls; the block arrays live in the kernel's one kept work buffer.  Every
-map takes H as a HermitianForm or as the vector x itself; the balance
-iteration and the balancing flow run on the vectors and build a form only
-for what they return or log.
+H share it.  hilb_map and the Bergman checks (bergman_check, qk_operator)
+sum over the same node blocks (Quantisation._section_sums).  A context
+therefore holds only (N+1)- and M-vectors between calls; the block arrays
+live in the kernel's one kept work buffer.  Every map takes H as a
+HermitianForm or as the vector x itself; the balance iteration and the
+balancing flow run on the vectors and build a form only for what they
+return or log.
 
 Balance iteration.  The balanced form is the fixed point of the
 det-normalised T = Hilb o FS.  Plain iteration of T decreases I_{mu0} but
@@ -153,15 +155,6 @@ class HermitianForm:
         return f"HermitianForm(n_plus_1={self.n_plus_1}, level={self.level})"
 
 
-def metric_distance(H0, H1, k=None):
-    """Rescaled distance d_k = (tr (H0-H1)^2 / k^2)^{1/2} of two forms; k
-    defaults to the level of H0."""
-    if H0.n_plus_1 != H1.n_plus_1:
-        raise QuantisationError("shape mismatch")
-    k = H0.level if k is None else k
-    return float(np.sqrt(np.sum((H0.d - H1.d) ** 2)) / k)
-
-
 def check_torus_size(P, k, n_nodes):
     """Refuse, with a GeometryError, a level k whose live arrays would take
     more than MAX_TORUS_BYTES: three (N+1) x block arrays of a node block
@@ -244,14 +237,6 @@ class Quantisation:
     def n_plus_1(self):
         return self.basis.n_plus_1
 
-    @property
-    def logE(self):
-        """The log-weights <a, x_p>, basis-major (N+1, M), formed anew on
-        each read: this allocates an (N+1) x M array, which no map of the
-        context does (they run on kernel.node_blocks).  For checks and
-        small diagnostics only."""
-        return self.points @ self.nodes.T
-
     # -- FS ----------------------------------------------------------------
 
     def fs_map(self, H):
@@ -323,16 +308,21 @@ class Quantisation:
         """Hilb_chi of the torus-invariant metric e^{-k u}: diagonal Gram
         G_aa = (1/(gamma k^{n-1})) integral e^{<a,x> - k u} dmu_mix."""
         wmix = self.weights * self.mixed_measure(u)
-        diag = np.zeros(self.n_plus_1)
-        for block, W in node_blocks(self.points, self.nodes,
-                                    node_offsets=-(self.k * u.value(self.nodes))):
+        diag = self._section_sums(-(self.k * u.value(self.nodes)), wmix)
+        return HermitianForm(_checked_hilb_diagonal(diag / self.hilb_norm), self.k)
+
+    def _section_sums(self, node_offsets, columns):
+        """sum_p e^{<a, x_p> + node_offsets_p} columns_p per section a, for
+        columns (M,) or (M, c), one node block at a time; refuses overflow."""
+        sums = np.zeros((self.n_plus_1,) + columns.shape[1:])
+        for block, W in node_blocks(self.points, self.nodes, node_offsets=node_offsets):
             # exponentiated in place; exp gives no NaN from finite input,
             # so its max is finite iff every entry is
             np.exp(W, out=W)
             if not np.isfinite(W.max()):
                 raise QuantisationError("overflow in section weights; quadrature box too wide for k")
-            diag += W @ wmix[block]
-        return HermitianForm(_checked_hilb_diagonal(diag / self.hilb_norm), self.k)
+            sums += W @ columns[block]
+        return sums
 
     # -- moment map and iteration ---------------------------------------------
 
@@ -557,21 +547,24 @@ def bergman_check(P, chi, u, k_list, rule, gamma):
     sup_nodes | rho_k V mix / ((N+1) gamma det) - 1 |, the distance of
     (V/(N+1)) rho_k from gamma omega^n / (chi wedge omega^{n-1}).  The mass
     column is the exact-orthonormality integral of rho_k against the Hilb
-    measure, equal to N+1 by construction.
+    measure, equal to N+1 by construction.  rho_k is the kernel's
+    log-sum-exp of <a,x> - k u - log G_aa, exponentiated.
     """
     X = rule.nodes
+    value1 = u.value(X)
     hess1 = np.asarray(u.hessian(X))
     det1 = volume_density(hess1)
-    mix1 = mixed_density(hess1, np.asarray(chi.hessian(X)))
-    target = gamma * det1 / mix1
     rows = []
     for k in k_list:
         q = Quantisation(P, chi, k, rule, gamma=gamma)
-        G = q.hilb_map(u)
-        inv_diag = 1.0 / G.diag()
-        logw = q.logE - k * u.value(X)[None, :]
-        rho = (np.exp(logw) * inv_diag[:, None]).sum(axis=0)
-        mass = q.rule.integrate(rho * q.mixed_measure(u)) / q.hilb_norm
+        target = gamma * det1 / mixed_density(hess1, q.chi_hess)
+        offsets = -(k * value1)
+        mix = q._mix_from_hessian(hess1 * k)
+        G = _checked_hilb_diagonal(q._section_sums(offsets, q.weights * mix) / q.hilb_norm)
+        rho = np.empty(len(X))
+        for block, (lse, *_) in node_blocks(q.points, X, -np.log(G), offsets, order=0):
+            rho[block] = np.exp(lse)
+        mass = rule.integrate(rho * mix) / q.hilb_norm
         dev = float(np.max(np.abs(rho * q.V / (q.n_plus_1 * target) - 1.0)))
         rows.append({"k": int(k), "n_plus_1": q.n_plus_1, "deviation": dev,
                      "mass": float(mass)})
@@ -596,13 +589,16 @@ def qk_operator(q, f, u, omega_values):
     X = q.nodes
     fv = np.asarray(f(X) if callable(f) else f, dtype=float)
     om = np.asarray(omega_values, dtype=float)
-    W = np.exp(q.logE - q.k * u.value(X)[None, :])      # (N+1, M)
-    base = W * (q.weights * om)[None, :]
-    G = base.sum(axis=1)                                # Hilb_Omega diagonal
+    offsets = -(q.k * u.value(X))
+    wom = q.weights * om
+    G, J = q._section_sums(offsets, np.stack([wom, wom * fv], axis=1)).T
     if np.any(G <= 0):
         raise QuantisationError("Hilb_Omega is not positive definite")
-    J = base @ fv                                       # (N+1,)
-    qf = (q.V / q.n_plus_1) * (W * (J / G ** 2)[:, None]).sum(axis=0)
+    coef = J / G ** 2
+    qf = np.empty(len(X))
+    for block, W in node_blocks(q.points, X, node_offsets=offsets):
+        qf[block] = coef @ np.exp(W, out=W)
+    qf *= q.V / q.n_plus_1
     hess1 = np.asarray(u.hessian(X))
     target = (volume_density(hess1) * q.rule.c_vol / om) * fv
     deviation = float(np.max(np.abs(qf - target)))

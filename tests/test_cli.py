@@ -467,20 +467,38 @@ def test_size_guard_admits_large_k_without_allocating():
     assert "rule" not in vars(problem)
 
 
-def test_jobs_never_form_the_full_log_weights(tmp_path, monkeypatch):
-    # Quantisation.logE allocates an (N+1) x M array on each read; no job
-    # reads it
-    from jbalance.quantisation import Quantisation
+def test_jobs_never_form_the_full_log_weights(tmp_path, square_o21):
+    # P1xP1-O11-O21 at k = 12 and resolution 80: N+1 = 169 and M = 6400,
+    # whose (N+1) x M doubles take 8.3 MiB.  The verify and flow jobs and
+    # the balance iteration each stay below that, within a few node block
+    # arrays and the level's vectors.  (The balance job itself also writes
+    # its form as a dense (N+1)^2 JSON matrix, so it is bounded through
+    # iterate_to_balance.)
+    from jbalance import kernel
+    from jbalance.quantisation import TORUS_VECTORS, HermitianForm
 
-    def refuse(self):
-        raise AssertionError("a job read Quantisation.logE")
+    k = 12
+    q = square_o21.quantisation(k)
+    n_plus_1, n_nodes = q.n_plus_1, len(q.nodes)
+    bound = 4 * kernel.NODE_BLOCK_BYTES + 8 * TORUS_VECTORS * (n_plus_1 + n_nodes)
+    assert 8 * n_plus_1 * n_nodes > bound
 
-    monkeypatch.setattr(Quantisation, "logE", property(refuse))
+    def traced(run):
+        tracemalloc.start()
+        try:
+            return run(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     cfg = tmp_path / "flow.json"
     cfg.write_text(json.dumps({"flow": {"grid": 20, "T": 0.02, "compare_T": 0.02}}))
-    p2 = ["--problem", "P2-O1-O1", "--k-list", "2"]
-    for argv in (["balance", *p2], ["verify", *p2], ["flow", *p2, "--config", str(cfg)]):
-        assert run([*argv, "--out", str(tmp_path / argv[0])]) == cli.EXIT_OK, argv[0]
+    problem = ["--problem", "P1xP1-O11-O21", "--k-list", str(k), "--resolution", "80"]
+    for argv in (["verify", *problem], ["flow", *problem, "--config", str(cfg)]):
+        code, peak = traced(lambda: run([*argv, "--out", str(tmp_path / argv[0])]))
+        assert code == cli.EXIT_OK and peak < bound, (argv[0], code, peak)
+    H0 = HermitianForm.identity(n_plus_1, k)
+    _, peak = traced(lambda: q.iterate_to_balance(H0, maxiter=4))
+    assert peak < bound, ("balance", peak)
 
 
 def test_resolution_checked_before_any_work(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_diagonal
 from jbalance import flows as fl
 from jbalance import geometry as geo
-from jbalance.quantisation import HermitianForm, Quantisation, metric_distance
+from jbalance.quantisation import HermitianForm, Quantisation
 from jbalance.stability import SurfaceClassData, cone_criteria
 
 
@@ -17,7 +17,8 @@ def test_balancing_flow_stationary_at_balance(square_problem):
     res = q.iterate_to_balance(HermitianForm.identity(q.n_plus_1, 3),
                                tol=1e-11, maxiter=400, norm="fro")
     traj = fl.balancing_flow(q, res.H, dt=0.1, T=5.0)
-    assert metric_distance(traj[-1].payload, res.H, q.k) < 1e-9
+    # the rescaled distance (tr (H - H_bal)^2 / k^2)^{1/2}
+    assert np.sqrt(np.sum((traj[-1].payload.d - res.H.d) ** 2)) / q.k < 1e-9
 
 
 def test_balancing_flow_matches_iteration(p2_problem):

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_diagonal, random_form
 from jbalance import geometry as geo
-from jbalance.quantisation import (HermitianForm, Quantisation,
+from jbalance import kernel
+from jbalance.quantisation import (TORUS_VECTORS, HermitianForm, Quantisation,
                                    QuantisationError, bergman_check,
-                                   metric_distance, qk_operator)
+                                   qk_operator)
 
 
 def test_hermitian_form_validation():
@@ -268,7 +271,7 @@ def test_qk_operator(square_problem):
     q = make(3)
     om = geo.volume_density(np.asarray(u.hessian(X))) * pb.rule.c_vol
     qf1, _ = qk_operator(q, np.ones(len(X)), u, om)
-    logw = q.logE - q.k * u.value(X)[None, :]
+    logw = q.points @ X.T - q.k * u.value(X)[None, :]
     G = (np.exp(logw) * (q.weights * om)[None, :]).sum(axis=1)
     rho = (np.exp(logw) / G[:, None]).sum(axis=0)
     assert np.allclose(qf1, q.V / q.n_plus_1 * rho, rtol=1e-12)
@@ -287,16 +290,54 @@ def test_qk_operator(square_problem):
     assert dev6 < dev3
 
 
-def test_metric_distance():
-    rng = np.random.default_rng(12)
-    H = random_form(5, 2, rng)
-    assert metric_distance(H, H) == 0.0
-    assert abs(metric_distance(HermitianForm.identity(5, 2),
-                               HermitianForm.from_diagonal(2 * np.ones(5), 2))
-               - np.sqrt(5) / 2) < 1e-14
-    for _ in range(10):
-        A, B, C = (random_form(4, 1, rng) for _ in range(3))
-        assert metric_distance(A, C) <= metric_distance(A, B) + metric_distance(B, C) + 1e-12
+def test_bergman_check_and_qk_operator_hold_no_basis_by_node_array(square_o21):
+    # k = 16 at resolution 80: (N+1) x M = 289 x 6400 doubles (14 MiB), over
+    # ten block budgets.  Both functions stay within a few block arrays and
+    # the level's vectors, and agree with the whole section weights
+    # e^{<a, x> - k u}, formed here as one (N+1) x M array.
+    pb = square_o21
+    k = 16
+    coeffs = np.array([0.5, -0.2, 0.1, -0.4])
+    u = pb.u_ref.with_log_coeffs(coeffs - coeffs.mean())
+    q = pb.quantisation(k)
+    X = q.nodes
+    n_plus_1, n_nodes = q.n_plus_1, len(X)
+    assert 8 * n_plus_1 * n_nodes > 10 * kernel.NODE_BLOCK_BYTES
+    om = geo.volume_density(np.asarray(u.hessian(X))) * q.rule.c_vol
+    f = np.exp(-0.5 * np.sum(X ** 2, axis=1))
+
+    def traced(run):
+        tracemalloc.start()
+        try:
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * kernel.NODE_BLOCK_BYTES + 8 * TORUS_VECTORS * (n_plus_1 + n_nodes)
+        return out
+
+    (row,) = traced(lambda: bergman_check(pb.polytope, pb.chi, u, [k], pb.rule, pb.gamma))
+    qf, dev = traced(lambda: qk_operator(q, f, u, om))
+
+    W = np.exp(q.points @ X.T - k * u.value(X)[None, :])
+    hess1 = np.asarray(u.hessian(X))
+    mix = q.mixed_measure(u)
+    G = W @ (q.weights * mix) / q.hilb_norm
+    rho = (W / G[:, None]).sum(axis=0)
+    target = pb.gamma * geo.volume_density(hess1) / geo.mixed_density(hess1, q.chi_hess)
+    ref_dev = np.max(np.abs(rho * q.V / (n_plus_1 * target) - 1.0))
+    ref_mass = q.rule.integrate(rho * mix) / q.hilb_norm
+    assert row["n_plus_1"] == n_plus_1
+    assert abs(row["deviation"] - ref_dev) <= 1e-12 * ref_dev
+    assert abs(row["mass"] - ref_mass) <= 1e-12 * ref_mass
+
+    base = W * (q.weights * om)[None, :]
+    G, J = base.sum(axis=1), base @ f
+    ref_qf = (q.V / n_plus_1) * ((J / G ** 2) @ W)
+    ref_target = geo.volume_density(hess1) * q.rule.c_vol / om * f
+    assert np.all(np.abs(qf - ref_qf) <= 1e-12 * np.abs(ref_qf))
+    ref_qdev = np.max(np.abs(ref_qf - ref_target))
+    assert abs(dev - ref_qdev) <= 1e-12 * ref_qdev
 
 
 def test_uncalibrated_rule_rejected(square_problem):

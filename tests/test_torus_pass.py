@@ -268,7 +268,7 @@ def test_softmax_kernel_matches_longdouble_reference(request, fixture, k):
         points, logE, n_far = interval_kernel_data(k)
     else:
         q, n_far = with_far_field(request.getfixturevalue(fixture), k)
-        points, logE = q.points, q.logE
+        points, logE = q.points, q.points @ q.nodes.T
     x = np.random.default_rng(k).uniform(-2.0, 2.0, len(points))
     cols = np.r_[np.arange(0, logE.shape[1] - n_far, 23),
                  np.arange(logE.shape[1] - n_far, logE.shape[1])]
@@ -298,7 +298,7 @@ def test_softmax_kernel_matches_longdouble_reference(request, fixture, k):
     if n == 2:
         # the mixed measure of the whole pass: nonnegative, and 0 at one-hot nodes
         out = q.torus_pass(x)
-        S_all = geo.softmax_moments(q.logE - x[:, None], q.points, order=1)[1]
+        S_all = geo.softmax_moments(logE - x[:, None], q.points, order=1)[1]
         assert np.all(out.mix >= 0)
         assert np.all(out.mix[np.count_nonzero(S_all, axis=0) == 1] == 0.0)
 
