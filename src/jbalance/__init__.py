@@ -20,9 +20,9 @@ from .quantisation import (HermitianForm, Quantisation, QuantisationError,
 from .functionals import (PotentialPath, aym_energy, convexity_probe, i_hat,
                           i_hat_relative, i_mu0, i_mu_j, j_energy,
                           j_energy_between, match_determinant, p_hat)
-from .flows import (FlowState, balancing_flow, cone_condition_check,
-                    critical_residual, grid_from_potential, jflow_run,
-                    jflow_step, quantization_comparison)
+from .flows import (FlowState, balancing_flow, critical_residual,
+                    grid_from_potential, jflow_run, jflow_step,
+                    quantization_comparison)
 from .stability import (CurveClass, IntersectionTable, NormalConeConfig,
                         StabilityError, SurfaceClassData, WeightPolynomials,
                         blowup_table, chow_hilbert_weight, cone_criteria,

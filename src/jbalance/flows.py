@@ -1,5 +1,5 @@
 """Time evolution: the rescaled balancing ODE, the continuum J-flow PDE,
-critical-equation residuals, cone checks and the quantum-classical harness.
+the critical-equation residual and the quantum-classical harness.
 
 Balancing flow.  On Gram matrices the rescaled flow is realised as
 
@@ -104,7 +104,7 @@ def balancing_flow(q, H0, dt, T, log_every=5, mu_slack=1e-9):
                 "halvings_mu0_rise": halvings["mu0_rise"]}
         if with_energy:
             diag["i_mu0"] = i_mu0(q, x)
-        return FlowState(t=t, payload=HermitianForm.from_diagonal(d, q.k),
+        return FlowState(t=t, payload=HermitianForm(d, q.k),
                          diagnostics=diag)
 
     def stage(v):
@@ -158,7 +158,7 @@ def balancing_flow(q, H0, dt, T, log_every=5, mu_slack=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# residuals and pointwise cone checks
+# the critical-equation residual
 # ---------------------------------------------------------------------------
 
 def critical_residual(u, chi, gamma, rule):
@@ -178,28 +178,6 @@ def critical_residual(u, chi, gamma, rule):
     sup = float(np.max(np.abs(r)))
     l2 = float(np.sqrt(np.sum(vol * r * r) / np.sum(vol)))
     return sup, l2
-
-
-def cone_condition_check(u, chi, gamma, rule):
-    """Minimum over nodes of the smallest eigenvalue of
-    n gamma D^2u - (n-1) D^2v relative to D^2u, for n = 2: 2 gamma D^2u - D^2v.
-
-    A positive value certifies the pointwise cone condition for the sampled
-    metric; the result is invariant under simultaneous linear changes of
-    coordinates (it is a generalised eigenvalue).
-    """
-    X = rule.nodes
-    A = np.asarray(u.hessian(X))
-    B = np.asarray(chi.hessian(X))
-    S = 2 * gamma * A - B
-    detA = volume_density(A)
-    if not np.all(detA > 0):
-        raise FlowError("potential is not strictly convex on the nodes")
-    detS = volume_density(S)
-    m = 2.0 * mixed_density(S, A)   # tr(adj(S) A)
-    disc = np.maximum(m * m - 4.0 * detA * detS, 0.0)
-    lam_min = (m - np.sqrt(disc)) / (2.0 * detA)
-    return float(np.min(lam_min))
 
 
 # ---------------------------------------------------------------------------

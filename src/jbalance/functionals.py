@@ -67,7 +67,7 @@ class PotentialPath:
         if self.kind != "bergman":
             raise QuantisationError("form_at only meaningful for Bergman paths")
         q, x0, x1 = self._data
-        return HermitianForm.from_diagonal(np.exp((1 - t) * x0 + t * x1), q.k)
+        return HermitianForm(np.exp((1 - t) * x0 + t * x1), q.k)
 
     def potential(self, t):
         if self.kind == "linear":

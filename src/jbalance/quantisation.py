@@ -117,39 +117,25 @@ class HermitianForm:
     def identity(cls, n_plus_1, level):
         return cls(np.ones(n_plus_1), level)
 
-    @classmethod
-    def from_diagonal(cls, diag, level):
-        return cls(diag, level)
-
     def to_json(self, basis=None):
-        """The full row-major matrix as [re, im] pairs: d_i on the diagonal,
-        0.0 elsewhere."""
-        n = self.n_plus_1
-        entries = [[0.0, 0.0] for _ in range(n * n)]
-        for i, v in enumerate(self.d.tolist()):
-            entries[i * (n + 1)] = [v, 0.0]
+        """The diagonal d_0, ..., d_N, the whole of a torus-invariant form."""
         return {
             "level": self.level,
             "basis_hash": None if basis is None else basis.basis_hash(),
-            "shape": n,
-            "entries": entries,
+            "diagonal": self.d.tolist(),
         }
 
     @classmethod
     def from_json(cls, data):
-        """Read to_json's layout.  Refuses, with a QuantisationError, a wrong
-        entry count, a nonzero off-diagonal or imaginary entry, and a diagonal
-        that is not positive."""
-        n = int(data["shape"])
+        """Read to_json's layout.  Refuses, with a QuantisationError, a
+        missing or non-numeric diagonal and one that is not 1-D, finite and
+        positive."""
         try:
-            entries = np.array(data["entries"], dtype=float).reshape(n, n, 2)
-        except ValueError:
-            raise QuantisationError(f"form JSON: need {n * n} [re, im] entries for shape {n}")
-        real = entries[..., 0]
-        if np.any(entries[..., 1]) or np.any(real[~np.eye(n, dtype=bool)]):
-            raise QuantisationError("form JSON: off-diagonal or imaginary entries; "
-                                    "a torus-invariant form is real and diagonal")
-        return cls(np.diag(real), int(data["level"]))
+            diag = np.array(data["diagonal"], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            raise QuantisationError("form JSON: need a 'diagonal' list of numbers; "
+                                    "a torus-invariant form is written as its diagonal")
+        return cls(diag, int(data["level"]))
 
     def __repr__(self):
         return f"HermitianForm(n_plus_1={self.n_plus_1}, level={self.level})"
@@ -458,7 +444,7 @@ class Quantisation:
                 "no balanced metric found in %d iterations (||mu0||_%s = %.3e); "
                 "per the variational theory this indicates the balanced metric "
                 "may not exist at level k=%d" % (maxiter, norm, history[-1]["mu0_" + norm], self.k))
-        result = BalanceResult(H=HermitianForm.from_diagonal(np.exp(x), self.k),
+        result = BalanceResult(H=HermitianForm(np.exp(x), self.k),
                                converged=converged, history=history, message=message,
                                rejected=rejected, candidates=candidates)
         if result.safeguard_stalled:

@@ -253,9 +253,6 @@ class IntersectionTable:
         return {"L1": e2["L1"], "L2": e2["L2"], "K": e2["K"],
                 "E": -2 * rational(r, "r") * e2["L1"] + self._e3}
 
-    def to_dict(self):
-        return {"/".join(k): str(v) for k, v in sorted(self._t.items())}
-
 
 def blowup_table(data, cfg):
     """IntersectionTable for the blow-up of M x P^1 along D x {0}."""

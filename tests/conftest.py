@@ -31,7 +31,7 @@ def p2_problem():
 def random_form(n, level, rng, spread=1.0):
     """A torus-invariant form with log-diagonal drawn from U(-spread, spread)."""
     from jbalance.quantisation import HermitianForm
-    return HermitianForm.from_diagonal(np.exp(rng.uniform(-spread, spread, n)), level)
+    return HermitianForm(np.exp(rng.uniform(-spread, spread, n)), level)
 
 
 def random_diagonal(q, rng, spread=1.0):

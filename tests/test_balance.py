@@ -44,7 +44,7 @@ def plain_balance(q, tol=1e-9, maxiter=2000):
     for _ in range(maxiter):
         hilb = q.torus_pass(x).hilb
         if q.mu0_norms(q.moment_vector(x, hilb))[0] < tol:
-            return HermitianForm.from_diagonal(np.exp(x), q.k).det_normalised()
+            return HermitianForm(np.exp(x), q.k).det_normalised()
         y = np.log(hilb)
         x = y - y.mean()
     raise AssertionError("plain iteration did not converge")

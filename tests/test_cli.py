@@ -469,11 +469,10 @@ def test_size_guard_admits_large_k_without_allocating():
 
 def test_jobs_never_form_the_full_log_weights(tmp_path, square_o21):
     # P1xP1-O11-O21 at k = 12 and resolution 80: N+1 = 169 and M = 6400,
-    # whose (N+1) x M doubles take 8.3 MiB.  The verify and flow jobs and
-    # the balance iteration each stay below that, within a few node block
-    # arrays and the level's vectors.  (The balance job itself also writes
-    # its form as a dense (N+1)^2 JSON matrix, so it is bounded through
-    # iterate_to_balance.)
+    # whose (N+1) x M doubles take 8.3 MiB.  The verify, flow and balance
+    # jobs and the balance iteration each stay below that, within a few node
+    # block arrays and the level's vectors; the balance job writes its form
+    # as the N+1 diagonal entries.
     from jbalance import kernel
     from jbalance.quantisation import TORUS_VECTORS, HermitianForm
 
@@ -493,7 +492,8 @@ def test_jobs_never_form_the_full_log_weights(tmp_path, square_o21):
     cfg = tmp_path / "flow.json"
     cfg.write_text(json.dumps({"flow": {"grid": 20, "T": 0.02, "compare_T": 0.02}}))
     problem = ["--problem", "P1xP1-O11-O21", "--k-list", str(k), "--resolution", "80"]
-    for argv in (["verify", *problem], ["flow", *problem, "--config", str(cfg)]):
+    for argv in (["verify", *problem], ["flow", *problem, "--config", str(cfg)],
+                 ["balance", *problem]):
         code, peak = traced(lambda: run([*argv, "--out", str(tmp_path / argv[0])]))
         assert code == cli.EXIT_OK and peak < bound, (argv[0], code, peak)
     H0 = HermitianForm.identity(n_plus_1, k)

@@ -103,40 +103,6 @@ def test_balanced_residual_decreases_in_k(square_o21):
     assert sups[1] < sups[0]
 
 
-def test_cone_condition_check(square_problem):
-    pb = square_problem
-    # chi = gamma omega, u' = u: relative form is gamma * identity
-    chi = geo.ScaledPotential(pb.u_ref, pb.gamma)
-    val = fl.cone_condition_check(pb.u_ref, chi, pb.gamma, pb.rule)
-    assert abs(val - pb.gamma) < 1e-10
-    # scaled chi -> 3 gamma omega: negative certificate
-    chi3 = geo.ScaledPotential(pb.u_ref, 3 * pb.gamma)
-    assert fl.cone_condition_check(pb.u_ref, chi3, pb.gamma, pb.rule) < 0
-
-
-def test_cone_condition_linear_invariance(square_o21):
-    # generalised eigenvalues are invariant under x -> T x; distinct
-    # eigenvalues keep the quadratic formula well conditioned
-    pb = square_o21
-    T = np.array([[1.0, 1.0], [0.0, 1.0]])
-    pts1 = pb.polytope.lattice_points(1).astype(float)
-    pts2 = geo.polytope_preset("P1xP1").lattice_points(1).astype(float) * [2, 1]
-    u2 = geo.LogSumExpPotential(pts1 @ T, level=1)
-    chi2 = geo.LogSumExpPotential(pts2 @ T, level=1)
-    X = np.array([[0.2, -0.4], [1.0, 0.5], [-0.7, 0.1]])
-
-    class FixedRule:
-        def __init__(self, nodes):
-            self.nodes = nodes
-
-    chi1 = geo.LogSumExpPotential(pts2, level=1)
-    # u2(x) = u1(Tx), so D^2u2(x) = T^t D^2u1(Tx) T and the generalised
-    # eigenvalues agree at matched nodes
-    v1 = fl.cone_condition_check(pb.u_ref, chi1, pb.gamma, FixedRule(X @ T.T))
-    v2 = fl.cone_condition_check(u2, chi2, pb.gamma, FixedRule(X))
-    assert abs(v1 - v2) < 1e-10
-
-
 def test_donaldson_necessary_check():
     # Donaldson's necessary condition 2 gamma L1 - L2 > 0 on every Mori
     # generator: the donaldson_necessary verdict of cone_criteria
@@ -294,9 +260,8 @@ def test_jflow_refusals_halve_the_step(square_problem, monkeypatch):
 def test_residual_checks_reject_nan_hessians(square_problem):
     pb = square_problem
     rule = SimpleNamespace(nodes=np.array([[0.0, 0.0], [np.nan, 0.3]]))
-    for check in (fl.critical_residual, fl.cone_condition_check):
-        with pytest.raises(fl.FlowError):
-            check(pb.u_ref, pb.chi, pb.gamma, rule)
+    with pytest.raises(fl.FlowError):
+        fl.critical_residual(pb.u_ref, pb.chi, pb.gamma, rule)
 
 
 def test_jflow_grid_convergence_order(square_problem):

@@ -107,7 +107,7 @@ def test_i_mu0_anchor_and_scale(square_problem):
     assert abs(F.i_mu0(q, HermitianForm.identity(q.n_plus_1, 3))) < 1e-14
     rng = np.random.default_rng(5)
     H = random_diagonal(q, rng)
-    assert abs(F.i_mu0(q, HermitianForm.from_diagonal(3.7 * H.diag(), 3)) - F.i_mu0(q, H)) < 1e-10
+    assert abs(F.i_mu0(q, HermitianForm(3.7 * H.diag(), 3)) - F.i_mu0(q, H)) < 1e-10
 
 
 def test_i_mu0_decreases_under_t_map(square_problem):

@@ -33,22 +33,22 @@ def test_hermitian_form_json_roundtrip():
     assert np.array_equal(H.diag(), H2.diag())
 
 
-def _form_json(entries, shape=2):
-    return {"level": 1, "basis_hash": None, "shape": shape, "entries": entries}
-
-
 @pytest.mark.parametrize("entries, match", [
-    ([[1.0, 0.0], [0.5, 0.0], [0.5, 0.0], [2.0, 0.0]], "off-diagonal"),
-    ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0, 1e-3]], "imaginary"),
-    ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-2.0, 0.0]], "positive"),
-    ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "positive"),
-    ([[1.0, 0.0], [0.0, 0.0], [2.0, 0.0]], "entries"),
-    ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0]], "entries"),
+    ([[1.0], [2.0]], "1-D"),
+    (None, "diagonal"),
+    ([1.0, -2.0], "positive"),
+    ([1.0, 0.0], "positive"),
+    ([1.0, np.nan], "positive"),
+    ([[1.0], [2.0, 3.0]], "diagonal"),
 ])
 def test_hermitian_form_from_json_refuses_bad_entries(entries, match):
-    # a form read from outside must be real, diagonal, positive and complete
+    # a form read from outside must be a 1-D, finite and positive diagonal;
+    # None leaves the diagonal out
+    data = {"level": 1, "basis_hash": None}
+    if entries is not None:
+        data["diagonal"] = entries
     with pytest.raises(QuantisationError, match=match):
-        HermitianForm.from_json(_form_json(entries))
+        HermitianForm.from_json(data)
 
 
 def test_fs_map_round_p1(square_problem):
@@ -85,7 +85,7 @@ def test_fs_scaling_invariance(square_problem):
     rng = np.random.default_rng(2)
     H = random_diagonal(q, rng)
     u1 = q.fs_map(H)
-    u2 = q.fs_map(HermitianForm.from_diagonal(H.diag() * 7.3, q.k))
+    u2 = q.fs_map(HermitianForm(H.diag() * 7.3, q.k))
     X = q.nodes[:60]
     assert np.allclose(u2.value(X) - u1.value(X), -np.log(7.3) / q.k, atol=1e-12)
     assert np.allclose(u1.hessian(X), u2.hessian(X), atol=1e-13)
@@ -138,7 +138,7 @@ def test_hilb_refinement_oracle():
     grams = []
     for rule in (base, fine):
         q = Quantisation(P2, chi, 2, rule, gamma=1.0)
-        u = q.fs_map(HermitianForm.from_diagonal(np.exp(coeffs), 2))
+        u = q.fs_map(HermitianForm(np.exp(coeffs), 2))
         grams.append(q.hilb_map(u).diag())
     assert np.max(np.abs(grams[0] / grams[1] - 1.0)) < 1e-8
 
@@ -160,7 +160,7 @@ def test_t_map_lattice_symmetry_equivariance(square_problem):
     pts = [tuple(p) for p in q.basis.points]
     perm = np.array([pts.index((p[1], p[0])) for p in pts])
     H = random_diagonal(q, rng)
-    Hp = HermitianForm.from_diagonal(H.diag()[perm], q.k)
+    Hp = HermitianForm(H.diag()[perm], q.k)
     lhs = q.t_map(Hp).diag()
     rhs = q.t_map(H).diag()[perm]
     assert np.max(np.abs(lhs / rhs - 1.0)) < 1e-13
