@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 from functools import cache
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .flows import FlowError, balancing_flow, quantization_comparison
+from .functionals import report_row
 from .geometry import GeometryError, mixed_density, volume_density
 from .presets import make_problem, normal_cone_from_facet, problem_names
 from .quantisation import HermitianForm, QuantisationError, check_torus_size
@@ -209,9 +211,38 @@ def _numerical_problem(cfg):
     return problem
 
 
+# Seeded draws: every draw is built from random.Random(seed).random(), the
+# one stream Python keeps across versions.  The package loads the stdlib
+# generator anyway; numpy.random (and the secrets, hmac and OpenSSL modules
+# it pulls in) would be loaded by each job on first use.
+
+def _uniforms(rng, n):
+    """``n`` uniform draws from [0, 1)."""
+    return np.fromiter((rng.random() for _ in range(n)), float, n)
+
+
+def _standard_normals(rng, n):
+    """``n`` standard normal draws, by Box-Muller on pairs of uniforms."""
+    m = (n + 1) // 2
+    u = _uniforms(rng, 2 * m)
+    r = np.sqrt(-2.0 * np.log1p(-u[:m]))   # 1 - u lies in (0, 1]
+    theta = 2.0 * np.pi * u[m:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+
+
 def _random_log_diagonals(q, rng, count, spread=1.0):
-    """``count`` random torus-invariant H, as vectors x = log diag H."""
-    return [rng.uniform(-spread, spread, q.n_plus_1) for _ in range(count)]
+    """``count`` random torus-invariant H, as vectors x = log diag H with
+    entries uniform in [-spread, spread)."""
+    return [spread * (2.0 * _uniforms(rng, q.n_plus_1) - 1.0) for _ in range(count)]
+
+
+def flow_start(problem, seed, amplitude):
+    """The start potential of ``flow``: u_ref with log coefficients
+    ``amplitude`` times standard normals drawn from ``seed``, centred to
+    mean zero."""
+    coeffs = amplitude * _standard_normals(random.Random(seed),
+                                           problem.polytope.ehrhart_count(1))
+    return problem.u_ref.with_log_coeffs(coeffs - coeffs.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +253,7 @@ def cmd_balance(cfg):
     problem = _numerical_problem(cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(cfg["seed"])
+    rng = random.Random(cfg["seed"])
     failures = 0
     for k in cfg["k_list"]:
         q = problem.quantisation(k)
@@ -237,7 +268,6 @@ def cmd_balance(cfg):
                                    norm=cfg["norm"])
         cols, rows = res.history_columns()
         write_csv(out / f"balance_k{k}.csv", cols, rows)
-        from .functionals import report_row
         (out / f"balanced_k{k}.json").write_text(json.dumps({
             "problem": problem.name, "k": k, "converged": res.converged,
             "steps": len(res.history) - 1, "rejected": res.rejected,
@@ -282,9 +312,7 @@ def cmd_flow(cfg):
     fcfg = cfg["flow"]
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(cfg["seed"])
-    coeffs = fcfg["start_amplitude"] * rng.standard_normal(problem.polytope.ehrhart_count(1))
-    u0 = problem.u_ref.with_log_coeffs(coeffs - coeffs.mean())
+    u0 = flow_start(problem, cfg["seed"], fcfg["start_amplitude"])
 
     # the comparison below reuses each level's context and start
     levels = []
@@ -400,7 +428,7 @@ def run_verification(cfg):
     problem = _numerical_problem(cfg)
     P = problem.polytope
     rule = problem.rule
-    rng = np.random.default_rng(cfg["seed"])
+    rng = random.Random(cfg["seed"])
     checks = []
 
     def add(name, passed, detail, health=False):

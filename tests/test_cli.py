@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import time
 import tracemalloc
 from fractions import Fraction as Fr
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -432,6 +434,41 @@ def test_flow_artifacts_reproducible_across_processes(tmp_path):
     assert len(names) == 6
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_seeded_draws():
+    # the same seed gives the same bits; the normals have mean 0 and variance 1
+    z = cli._standard_normals(random.Random(4), 20001)
+    assert z.shape == (20001,)
+    assert np.array_equal(z, cli._standard_normals(random.Random(4), 20001))
+    assert abs(z.mean()) < 0.03 and abs(z.var() - 1.0) < 0.05
+    q = SimpleNamespace(n_plus_1=1000)
+    x = np.concatenate(cli._random_log_diagonals(q, random.Random(4), 2, spread=0.5))
+    assert -0.5 <= x.min() < -0.49 and 0.49 < x.max() < 0.5
+
+
+def test_jobs_never_load_numpy_random(tmp_path):
+    # the seeded draws come from the stdlib generator: no balance, flow or
+    # verify job loads numpy.random (nor the secrets module it pulls in)
+    flow_cfg = tmp_path / "flow.json"
+    flow_cfg.write_text(json.dumps({
+        "problem": "P1xP1-O11-O11", "k_list": [2], "resolution": 48, "seed": 3,
+        "flow": {"dt": 0.1, "T": 0.2, "grid": 16, "compare_T": 0.05}}))
+    small = ["--problem", "P1xP1-O11-O11", "--k-list", "2", "--resolution", "48"]
+    jobs = [["balance", *small, "--out", str(tmp_path / "b")],
+            ["flow", "--config", str(flow_cfg), "--out", str(tmp_path / "f")],
+            ["verify", *small, "--out", str(tmp_path / "v")]]
+    script = ("import json, sys\n"
+              "from jbalance import cli\n"
+              f"codes = [cli.main(argv) for argv in {jobs!r}]\n"
+              "print(json.dumps([codes, sorted(m for m in ('numpy.random', 'secrets')"
+              " if m in sys.modules)]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          check=True, capture_output=True, text=True, timeout=300)
+    codes, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [cli.EXIT_OK] * 3
+    assert loaded == []
 
 
 @pytest.mark.parametrize("command, k_list, resolution", [

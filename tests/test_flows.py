@@ -6,6 +6,7 @@ import pytest
 from conftest import random_diagonal
 from jbalance import flows as fl
 from jbalance import geometry as geo
+from jbalance.cli import flow_start
 from jbalance.quantisation import HermitianForm, Quantisation
 from jbalance.stability import SurfaceClassData, cone_criteria
 
@@ -170,8 +171,7 @@ def test_jflow_steps_at_euler_bound(square_o21):
     # the flow benchmark's continuum input: steps at the forward-Euler bound
     # of the discrete operator reach t = 0.05 in about 700
     pb = square_o21
-    coeffs = 0.05 * np.random.default_rng(0).standard_normal(pb.polytope.ehrhart_count(1))
-    u0 = pb.u_ref.with_log_coeffs(coeffs - coeffs.mean())
+    u0 = flow_start(pb, seed=0, amplitude=0.05)
     grid0 = fl.grid_from_potential(pb.polytope, u0, 48)
     out = fl.jflow_run(grid0, pb.chi, pb.gamma, T=0.05, snap_times=(0.025,))
     assert out.steps <= 1000 and out.halvings == 0
@@ -199,8 +199,7 @@ def test_jflow_box_matches_full_grid(square_o21):
     # the flow benchmark's continuum input: stepping only the active box
     # gives the full-grid snapshots bit for bit
     pb = square_o21
-    coeffs = 0.05 * np.random.default_rng(0).standard_normal(pb.polytope.ehrhart_count(1))
-    u0 = pb.u_ref.with_log_coeffs(coeffs - coeffs.mean())
+    u0 = flow_start(pb, seed=0, amplitude=0.05)
     grid0 = fl.grid_from_potential(pb.polytope, u0, 48)
     out = fl.jflow_run(grid0, pb.chi, pb.gamma, T=0.05, snap_times=(0.025,))
     assert out.box == (22, 22) and out.active.shape == (46, 46)
