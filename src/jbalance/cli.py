@@ -23,9 +23,10 @@ from .functionals import report_row
 from .geometry import GeometryError, mixed_density, volume_density
 from .presets import make_problem, normal_cone_from_facet, problem_names
 from .quantisation import HermitianForm, QuantisationError, check_torus_size
-from .stability import (NormalConeConfig, StabilityError, SweepForms,
-                        blowup_table, check_exponent, cone_criteria, j_weight,
-                        rational, trivial_table)
+from .stability import (IntersectionTable, NormalConeConfig, StabilityError,
+                        SweepForms, blowup_table, certify_closed_forms,
+                        check_exponent, cone_criteria, j_weight, rational,
+                        trivial_table)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -364,42 +365,36 @@ def cmd_stability(cfg):
         wp = WeightPolynomials.from_json(scfg["weights"]) if "weights" in scfg else None
     except StabilityError as exc:
         raise ConfigError(str(exc))
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "pairings.csv", ["classes", "value"],
-              sorted(problem.pairings.items()))
-    gamma = data.gamma()
-    verdicts = cone_criteria(data)
-    (out / "verdicts.json").write_text(json.dumps({
-        "problem": problem.name, "gamma": str(verdicts["gamma"]),
-        "gamma_canonical": str(verdicts["gamma_canonical"]),
-        "verdicts": [v.as_dict() for v in verdicts["verdicts"]]}, indent=1))
-
-    # the blow-up table does not depend on r: build it and its sweep forms
-    # once (both certify their closed forms); each r is checked against
-    # r > 0 and the centre's r_min
+    # before any output: the blow-up table and its sweep forms, built once
+    # (certify_closed_forms is proved for every table by the test suite), and
+    # the least r checked against r > 0 and the centre's r_min
     r_values = [rational(r, "stability.r_values") for r in scfg["r_values"]]
-    r_min = None
+    r_low = check_exponent(min(r_values)) if r_values else None
     if "table" in scfg:
-        from .stability import IntersectionTable
         table = IntersectionTable.from_json(scfg["table"])
     elif r_values:
         if "centre" in scfg:
             c = scfg["centre"]
             base = NormalConeConfig(dd=c["dd"], l1d=c["l1d"], l2d=c["l2d"],
-                                    kd=c["kd"], r=r_values[0],
-                                    r_min=c.get("r_min", 1))
+                                    kd=c["kd"], r=r_low, r_min=c.get("r_min", 1))
         else:
             base = normal_cone_from_facet(problem.polytope, problem.l2_spec,
-                                          scfg.get("facet", 0), r=r_values[0])
+                                          scfg.get("facet", 0), r=r_low)
         table = blowup_table(data, base)
-        r_min = base.r_min
+    if r_values:
+        forms = SweepForms(table, data.gamma(), data.gamma_canonical())
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(out / "pairings.csv", ["classes", "value"],
+              sorted(problem.pairings.items()))
+    verdicts = cone_criteria(data)
+    (out / "verdicts.json").write_text(json.dumps({
+        "problem": problem.name, "gamma": str(verdicts["gamma"]),
+        "gamma_canonical": str(verdicts["gamma_canonical"]),
+        "verdicts": [v.as_dict() for v in verdicts["verdicts"]]}, indent=1))
     # the trivial configuration has E = 0, so both of its weights are 0
     rows = [["trivial", "0", "0", "", "", "", ""]]
-    if r_values:
-        forms = SweepForms(table, gamma, data.gamma_canonical())
     for r in r_values:
-        check_exponent(r, r_min)
         *vals, admissible = forms.row(r)
         rows.append([str(r), *map(str, vals), admissible])
     write_csv(out / "stability_sweep.csv",
@@ -492,13 +487,12 @@ def run_verification(cfg):
     nef_l2 = is_nef(P, c2, gens)
     add("nef_monotone", (not nef_l2) or is_nef(P, c2 + c1, gens), f"L2 nef: {nef_l2}")
 
-    # stability identities on the default centre: building its table
-    # certifies the DF decomposition identity at every r (IntersectionTable),
-    # and building its sweep forms certifies the r-sweep's closed forms
+    # stability identities on the default centre: the closed forms of its
+    # table (the DF decomposition identity) and of its r-sweep, certified
     try:
         data = problem.class_data()
         table = blowup_table(data, normal_cone_from_facet(P, problem.l2_spec, 0, r=1))
-        SweepForms(table, data.gamma(), data.gamma_canonical())
+        certify_closed_forms(table, data.gamma(), data.gamma_canonical())
         triv = trivial_table()
         ok = all(j_weight(triv, data.gamma(), r) == 0 for r in (1, 2, 5))
         add("stability_identities", ok, "DF decomposition and E=0 zeroes")

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import gcd
+from types import MappingProxyType
 
 import numpy as np
 
@@ -468,17 +469,27 @@ def pair_classes(P, c1, c2):
 
 
 def intersection_numbers(P, l2_spec="L1"):
-    """Surface pairing table {L1^2, L1.L2, L2^2, K.L1, K.L2, K^2}.
+    """Surface pairing table {L1^2, L1.L2, L2^2, K.L1, K.L2, K^2}, read-only.
 
     ``l2_spec`` follows line_bundle_class, or may be a dict of directly
     supplied pairing values (validated for the symmetric entries present).
+    A table from the fan is computed once per (polygon, L2) and kept on the
+    polygon, so later calls return that one instance.
     """
     if isinstance(l2_spec, dict):
         table = dict(l2_spec)
         for a, b in (("L1L2", "L2L1"), ("KL1", "L1K"), ("KL2", "L2K")):
             if a in table and b in table and table[a] != table[b]:
                 raise GeometryError(f"inconsistent pairings {a} != {b}")
-        return table
+        return MappingProxyType(table)
+    memo = P.__dict__.setdefault("_intersections", {})
+    key = l2_spec if isinstance(l2_spec, str) else tuple(line_bundle_class(P, l2_spec).tolist())
+    if key not in memo:
+        memo[key] = MappingProxyType(_pairing_table(P, l2_spec))
+    return memo[key]
+
+
+def _pairing_table(P, l2_spec):
     c1, c2, ck = surface_classes(P, l2_spec)
     tab = {
         "L1L1": pair_classes(P, c1, c1),

@@ -40,12 +40,12 @@ def chi_potential(P, l2_spec, gamma, mode="reference"):
 class Problem:
     """Everything a batch computation needs for one (M, L1, L2) triple.
 
-    ``pairings`` is the intersection_numbers table, computed once per
-    problem; gamma and the class data are read from it.  ``meta`` holds the
-    quadrature's ``resolution``; the reference potential, the rule and the
-    chi form are built on first use, so work that reads only exact class
-    data (the stability sweep) never pays for them.  A preset ``polytope``
-    is the one shared, read-only instance of ``polytope_preset``."""
+    ``pairings`` is the read-only intersection_numbers table, one per
+    (polygon, L2); gamma and the class data are read from it.  ``meta``
+    holds the quadrature's ``resolution``; the reference potential, the rule
+    and the chi form are built on first use, so work that reads only exact
+    class data (the stability sweep) never pays for them.  A preset
+    ``polytope`` is the one shared, read-only instance of ``polytope_preset``."""
 
     name: str
     polytope: DelzantPolytope

@@ -21,12 +21,11 @@ of A = r L1 - E that ``IntersectionTable.square`` returns in closed form:
     A^3     = r A^2.L1 - A^2.E = 3 r E^2.L1 - E^3.
 
 On a blow-up table these read A^2 . E = 2 r L1.D - D^2 and
-A^3 = D^2 - 3 r L1.D.  Every ``IntersectionTable`` certifies once, when it
-is built, that its closed forms equal the generic trilinear
-``IntersectionTable.product``; the weights are then the closed forms alone.
-An r-sweep goes one step further: ``SweepForms`` holds each of its values,
-times r, as a quadratic in r with integer coefficients, certified once per
-table, so a row costs one Fraction per value.
+A^3 = D^2 - 3 r L1.D.  The weights are the closed forms alone.  An r-sweep
+goes one step further: ``SweepForms`` holds each of its values, times r, as
+a quadratic in r with integer coefficients, so a row costs one Fraction per
+value.  ``certify_closed_forms`` checks both; the test suite runs it on a
+grid that proves them for every table.
 """
 
 import math
@@ -184,18 +183,16 @@ _BASIS = ("L1", "L2", "K", "E")
 
 class IntersectionTable:
     """Symmetric triple products among the pullbacks L1, L2, K and E on the
-    3-fold B; user-supplied tables are validated for the structural zeroes.
+    3-fold B; user-supplied tables are validated for the structural zeroes
+    and the missing entries, the only checks that depend on the data.
 
-    Construction also certifies the closed forms of ``square`` against the
-    generic trilinear ``product``: for each basis class a,
-    ``square(r)[a] == product(A, A, {a: 1})`` with A = r L1 - E at r = 1,
-    2, 3.  Both sides are polynomials of degree <= 2 in r (``square``'s by
-    its closed forms, ``product``'s by trilinearity), so agreeing at three
-    points they agree at every r.  By trilinearity again,
+    ``square``'s closed forms equal the trilinear ``product`` for every
+    table and r (``certify_closed_forms``, proved on a grid by the test
+    suite).  By trilinearity,
     A^3 = r A^2.L1 - A^2.E and A^2.(K + E) = A^2.K + A^2.E, so the DF
     decomposition identity of ``df_weight``, and every pairing that
     ``j_weight`` and ``inequality_checks`` read, equal the trilinear
-    expansion at every r > 0 without a per-r check.
+    expansion at every r > 0.
     """
 
     def __init__(self, entries):
@@ -212,14 +209,6 @@ class IntersectionTable:
                 raise StabilityError(f"p*a . p*b . E must vanish: {key}")
         self._e2 = {a: self.triple(a, "E", "E") for a in ("L1", "L2", "K")}
         self._e3 = self.triple("E", "E", "E")
-        for r in (1, 2, 3):
-            A = {"L1": Fraction(r), "E": Fraction(-1)}
-            sq = self.square(r)
-            for a in _BASIS:
-                if sq[a] != self.product(A, A, {a: Fraction(1)}):
-                    raise StabilityError(
-                        f"(r L1 - E)^2.{a} at r = {r} differs from the trilinear "
-                        f"expansion: decomposition identity violated (internal error)")
 
     @classmethod
     def from_json(cls, data):
@@ -256,17 +245,9 @@ class IntersectionTable:
 
 def blowup_table(data, cfg):
     """IntersectionTable for the blow-up of M x P^1 along D x {0}."""
-    alpha_dot_d = {"L1": cfg.l1d, "L2": cfg.l2d, "K": cfg.kd}
-    entries = {}
-    for key in combinations_with_replacement(sorted(_BASIS), 3):
-        e_count = key.count("E")
-        if e_count == 0 or e_count == 1:
-            entries[key] = Fraction(0)
-        elif e_count == 2:
-            (alpha,) = [s for s in key if s != "E"]
-            entries[key] = -alpha_dot_d[alpha]
-        else:
-            entries[key] = -cfg.dd
+    entries = dict.fromkeys(combinations_with_replacement(sorted(_BASIS), 3), Fraction(0))
+    entries.update({("E", "E", "K"): -cfg.kd, ("E", "E", "L1"): -cfg.l1d,
+                    ("E", "E", "L2"): -cfg.l2d, ("E", "E", "E"): -cfg.dd})
     return IntersectionTable(entries)
 
 
@@ -305,8 +286,8 @@ def df_weight(table, data, r):
 
         DF = J_{K_M}-weight + (r L1 - E)^2 . E,
 
-    in closed form; the table certified, when it was built, that this equals
-    the direct trilinear expansion at every r (see IntersectionTable)."""
+    in closed form, which equals the direct trilinear expansion at every r
+    (see IntersectionTable and ``certify_closed_forms``)."""
     r = check_exponent(r)
     return _df_weight(table.square(r), data.gamma_canonical(), r)
 
@@ -323,7 +304,7 @@ def inequality_checks(table, r, nef_classes=None):
     A violated inequality flags the configuration as outside the admissible
     semi-ample range.
     """
-    r = rational(r, "r")
+    r = check_exponent(r)
     return _inequality_checks(table.square(r), r, nef_classes)
 
 
@@ -361,14 +342,8 @@ class SweepForms:
     and the L1 nef pairing is a, whatever r.  Each form is held as integer
     numerators (n0, n1, n2) over one positive denominator ``den`` shared by
     all five, so at r = p/q a value is the one Fraction
-    (n0 q^2 + n1 p q + n2 p^2) / (den p q).
-
-    Construction certifies the forms against the reference helpers
-    ``_j_weight``, ``_df_weight`` and ``_inequality_checks`` on
-    ``table.square(r)`` at r = 1, 2, 3: r times each reference value also
-    has degree <= 2 in r (the square is affine in r and the cube is r times
-    one of its entries minus another), so agreeing at three points the two
-    sides agree at every r > 0.
+    (n0 q^2 + n1 p q + n2 p^2) / (den p q); ``certify_closed_forms`` checks
+    them against the reference helpers.
     """
 
     COLUMNS = ("j_weight", "df_weight", "ineq_ii", "ineq_iii", "ineq_surface")
@@ -388,18 +363,6 @@ class SweepForms:
         self.numerators = tuple(tuple(x.numerator * (self.den // x.denominator) for x in form)
                                 for form in forms)
         self.l1_pairing = a
-        for r in (1, 2, 3):
-            sq = table.square(r)
-            rep = _inequality_checks(sq, Fraction(r))
-            reference = (_j_weight(sq, gamma, r), _df_weight(sq, gamma_k, r),
-                         rep["ii_exceptional"], rep["iii_combined"], rep["surface"],
-                         rep["admissible"])
-            for name, got, want in zip(self.COLUMNS + ("admissible",),
-                                       self.row(Fraction(r)), reference):
-                if got != want:
-                    raise StabilityError(
-                        f"closed form of {name} at r = {r} reads {got}, the "
-                        f"reference helpers {want} (internal error)")
 
     def row(self, r):
         """(J, DF, ii, iii, surface, admissible) at the Fraction r > 0."""
@@ -410,6 +373,37 @@ class SweepForms:
         # d > 0, so each value has the sign of its integer numerator
         return (*[Fraction(n, d) for n in nums],
                 _admissible((self.l1_pairing,), *nums[2:]))
+
+
+def certify_closed_forms(table, gamma, gamma_k):
+    """The table's ``SweepForms``, once ``square`` equals the trilinear
+    ``product(A, A, {a: 1})`` (A = r L1 - E) for each basis class a, and each
+    row equals ``_j_weight``, ``_df_weight`` and ``_inequality_checks`` on the
+    square, at r = 1, 2, 3; else StabilityError.  Times r, every side is of
+    degree <= 2 in r and <= 1 in each of a, b, c, e, gamma and gamma_K, so
+    (Alon's Combinatorial Nullstellensatz) passing on a grid of two values
+    of each proves both identities for every table and r > 0."""
+    forms = SweepForms(table, gamma, gamma_k)
+    gamma, gamma_k = rational(gamma, "gamma"), rational(gamma_k, "gamma_K")
+    for r in (1, 2, 3):
+        A = {"L1": Fraction(r), "E": Fraction(-1)}
+        sq = table.square(r)
+        for a in _BASIS:
+            if sq[a] != table.product(A, A, {a: Fraction(1)}):
+                raise StabilityError(
+                    f"(r L1 - E)^2.{a} at r = {r} differs from the trilinear "
+                    f"expansion: decomposition identity violated (internal error)")
+        rep = _inequality_checks(sq, Fraction(r))
+        reference = (_j_weight(sq, gamma, r), _df_weight(sq, gamma_k, r),
+                     rep["ii_exceptional"], rep["iii_combined"], rep["surface"],
+                     rep["admissible"])
+        for name, got, want in zip(SweepForms.COLUMNS + ("admissible",),
+                                   forms.row(Fraction(r)), reference):
+            if got != want:
+                raise StabilityError(
+                    f"closed form of {name} at r = {r} reads {got}, the "
+                    f"reference helpers {want} (internal error)")
+    return forms
 
 
 # ---------------------------------------------------------------------------

@@ -336,21 +336,37 @@ def test_stability_builds_once_without_quadrature(tmp_path, monkeypatch, r_value
 
 
 def test_stability_pairs_classes_once(tmp_path, monkeypatch):
-    # gamma, the class data and pairings.csv all read one pairing table
+    # gamma, the class data and pairings.csv all read one pairing table, and
+    # a process computes one table per (polygon, L2): three jobs on two
+    # bundles of P1xP1 compute two
     from jbalance import geometry, presets
-    calls = []
-    real = geometry.intersection_numbers
+    monkeypatch.setattr(geometry.polytope_preset("P1xP1"), "_intersections", {},
+                        raising=False)
+    calls, computed = [], []
+    real, real_table = geometry.intersection_numbers, geometry._pairing_table
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
+    def computed_table(*args):
+        computed.append(args)
+        return real_table(*args)
+
     monkeypatch.setattr(geometry, "intersection_numbers", counted)
     monkeypatch.setattr(presets, "intersection_numbers", counted)
-    assert run(["stability", "--problem", "P1xP1-O11-O21", "--out", str(tmp_path)]) == cli.EXIT_OK
-    assert len(calls) == 1
-    with open(tmp_path / "pairings.csv") as fh:
-        assert dict(list(csv.reader(fh))[1:]) == {k: str(v) for k, v in real(*calls[0]).items()}
+    monkeypatch.setattr(geometry, "_pairing_table", computed_table)
+    for i, (problem, facet) in enumerate([("P1xP1-O11-O21", 0), ("P1xP1-O11-O21", 1),
+                                          ("P1xP1-O11-O11", 0)]):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": problem, "stability": {"facet": facet}}))
+        out = tmp_path / str(i)
+        assert run(["stability", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        assert len(calls) == i + 1
+        with open(out / "pairings.csv") as fh:
+            written = dict(list(csv.reader(fh))[1:])
+        assert written == {k: str(v) for k, v in real(*calls[i]).items()}
+    assert [args[1] for args in computed] == ["O(2,1)", "O(1,1)"]
 
 
 @pytest.mark.parametrize("stability, message", [
@@ -360,29 +376,40 @@ def test_stability_pairs_classes_once(tmp_path, monkeypatch):
       "centre": {"dd": 1, "l1d": 1, "l2d": 1, "kd": -3, "r_min": 2}},
      "r = 3/2 below the declared r_min = 2"),
     ({"r_values": [1, "1/2"]}, "r = 1/2 below the declared r_min = 1"),
+    ({"r_values": [2, 1, "1/2"], "centre": {"dd": 1, "l1d": 1, "l2d": 1, "kd": -3}},
+     "r = 1/2 below the declared r_min = 1"),
 ])
 def test_stability_refuses_bad_r_in_sweep(tmp_path, capsys, stability, message):
-    # every r of the sweep, not just the first, passes the centre's checks
+    # every r of the sweep, not just the first, passes the centre's checks,
+    # before any output is written
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"problem": "P2-O1-O1", "stability": stability}))
-    assert run(["stability", "--config", str(cfg), "--out", str(tmp_path / "s")]) \
-        == cli.EXIT_USAGE
+    out = tmp_path / "s"
+    assert run(["stability", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and message in err
+    assert not out.exists()
 
 
 def test_stability_product_calls_do_not_grow_with_r(tmp_path, monkeypatch):
-    # the tables certify their closed forms once; each r is then one
-    # closed-form evaluation, with no trilinear expansion
-    from jbalance.stability import IntersectionTable
+    # the closed forms are proved for every table by the test suite, so a
+    # job makes no trilinear expansion and calls no reference helper: each r
+    # is one closed-form evaluation
+    from jbalance import stability
     calls = []
-    real = IntersectionTable.product
 
-    def counted(self, *args):
-        calls.append(1)
-        return real(self, *args)
+    def counted(owner, name):
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(IntersectionTable, "product", counted)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(stability.IntersectionTable, "product")
+    for name in ("_j_weight", "_df_weight", "_inequality_checks"):
+        counted(stability, name)
     counts = []
     for r_values in ([1], list(range(1, 41))):
         cfg = tmp_path / "cfg.json"
@@ -392,7 +419,27 @@ def test_stability_product_calls_do_not_grow_with_r(tmp_path, monkeypatch):
         assert run(["stability", "--config", str(cfg),
                     "--out", str(tmp_path / "s")]) == cli.EXIT_OK
         counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    assert counts == [0, 0]
+
+
+def test_verify_fails_on_a_skewed_form(tmp_path, monkeypatch, capsys):
+    # verify certifies the closed forms on its default centre: one sweep
+    # form off by one numerator fails stability_identities with exit 3
+    from jbalance import stability
+    real = stability.SweepForms.__init__
+
+    def skewed(self, *args):
+        real(self, *args)
+        (n0, n1, n2), *rest = self.numerators
+        self.numerators = ((n0, n1 + 1, n2), *rest)
+
+    monkeypatch.setattr(stability.SweepForms, "__init__", skewed)
+    assert run(["verify", "--problem", "P1xP1-O11-O11", "--k-list", "2",
+                "--resolution", "48", "--out", str(tmp_path)]) == cli.EXIT_FAILURE
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].split()[:2] == ["FAIL", "stability_identities:"]
+    assert "closed form of j_weight at r = 1" in failed[0]
 
 
 def test_flow_names_the_degenerate_node(tmp_path, capsys):

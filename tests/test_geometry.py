@@ -40,8 +40,10 @@ def test_preset_polygons_are_shared_and_read_only():
     a, b = make_problem("P1xP1-O11-O21"), make_problem("P1xP1-O11-O21")
     c = make_problem("P1xP1-O11-O11")
     assert a.polytope is b.polytope is c.polytope is geo.polytope_preset("P1xP1")
-    assert a.pairings == b.pairings and a.pairings is not b.pairings
-    a.pairings["L1L2"] = None
+    # one pairing table per (polygon, L2) and process, shared and read-only
+    assert a.pairings is b.pairings is geo.intersection_numbers(a.polytope, "O(2,1)")
+    with pytest.raises(TypeError):
+        a.pairings["L1L2"] = None
     assert b.pairings["L1L2"] == 3 and c.pairings["L1L2"] == 2
 
 
@@ -183,6 +185,22 @@ def test_intersection_numbers_examples():
     for a, b in ((1, 1), (3, 1), (0, 2)):
         assert geo.intersection_numbers(sq, f"O({a},{b})")["L1L2"] == a + b
     assert geo.intersection_numbers(P2, "K")["L1L2"] == -3
+
+
+def test_intersection_numbers_are_memoised_and_read_only():
+    sq = geo.polytope_preset("P1xP1")
+    tab = geo.intersection_numbers(sq, "O(2,1)")
+    # one instance per key; a coefficient list and its string are two keys
+    assert geo.intersection_numbers(sq, "O(2,1)") is tab
+    assert geo.intersection_numbers(sq, [0, 0, 2, 1]) == tab
+    assert geo.intersection_numbers(sq, [0, 0, 2, 1]) is geo.intersection_numbers(sq, (0, 0, 2, 1))
+    for write in (lambda t: t.__setitem__("L1L2", 0), lambda t: t.pop("L1L2"),
+                  lambda t: t.update(L1L2=0), lambda t: t.__delitem__("KK")):
+        with pytest.raises((TypeError, AttributeError)):
+            write(tab)
+    assert dict(tab) == {"L1L1": 2, "L1L2": 3, "L2L2": 4, "KL1": -4, "KL2": -6, "KK": 8}
+    with pytest.raises(geo.GeometryError):
+        geo.intersection_numbers(sq, [0, 0, 2.5, 1])
 
 
 def test_intersection_table_symmetry_rejection():

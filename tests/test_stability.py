@@ -167,6 +167,15 @@ def test_inequality_checks_p2_line():
     assert st.inequality_checks(table, 1)["surface"] == 0
 
 
+@pytest.mark.parametrize("r", [0, "-1/2"])
+def test_inequality_checks_refuse_non_positive_r(r):
+    # the same exponent check as j_weight and df_weight
+    table = st.blowup_table(p2_data(), p2_line_cfg())
+    for weight in (lambda: st.j_weight(table, 1, r), lambda: st.inequality_checks(table, r)):
+        with pytest.raises(st.StabilityError, match="exponent r must be positive"):
+            weight()
+
+
 def test_chow_hilbert_weights():
     rng = np.random.default_rng(0)
     # zero weights give the zero normalised weight
@@ -324,35 +333,53 @@ def test_blowup_cube_closed_form(dd, l1d, l2d, kd, r):
     assert table.square(r)["E"] == table.product(A, A, {"E": Fr(1)}) == 2 * r * l1d - dd
 
 
-def test_df_weight_raises_on_identity_mismatch():
-    # the closed-form side disagrees with the trilinear side: df_weight refuses
+def free_table(a=Fr(-1), b=Fr(0), c=Fr(0), e=Fr(-1), cls=st.IntersectionTable):
+    """The ``cls`` table with the structural zeroes and free entries
+    E^2.L1 = a, E^2.L2 = b, E^2.K = c and E^3 = e."""
+    entries = {key: Fr(0) for key in combinations_with_replacement(BASIS, 3)}
+    entries.update({("L1", "E", "E"): a, ("L2", "E", "E"): b, ("K", "E", "E"): c,
+                    ("E", "E", "E"): e})
+    return cls(entries)
+
+
+def test_certificate_refuses_df_identity_mismatch():
+    # the closed-form side disagrees with the trilinear side: the certificate
+    # that df_weight's closed form rests on refuses it
     class Skewed(st.IntersectionTable):
         def square(self, r):
             sq = super().square(r)
             return dict(sq, K=sq["K"] + 1)
 
-    entries = {key: Fr(0) for key in combinations_with_replacement(BASIS, 3)}
-    entries[("E", "E", "E")] = Fr(-1)
-    entries[("L1", "E", "E")] = Fr(-1)
+    data = p2_data()
+    table = free_table(cls=Skewed)
     with pytest.raises(st.StabilityError, match="decomposition identity"):
-        st.df_weight(Skewed(entries), p2_data(), 2)
+        st.certify_closed_forms(table, data.gamma(), data.gamma_canonical())
+
+
+def skew_square(monkeypatch, entry):
+    """Make IntersectionTable.square off by a constant in one entry."""
+    real = st.IntersectionTable.square
+
+    def off(self, r):
+        sq = real(self, r)
+        return dict(sq, **{entry: sq[entry] + Fr(1, 7)})
+
+    monkeypatch.setattr(st.IntersectionTable, "square", off)
 
 
 @pytest.mark.parametrize("entry", BASIS)
-def test_table_refuses_square_off_the_expansion(entry):
-    # the certificate runs when the table is built: a square that is off by a
-    # constant in any one entry is refused before any weight is read
-    class Off(st.IntersectionTable):
-        def square(self, r):
-            sq = super().square(r)
-            return dict(sq, **{entry: sq[entry] + Fr(1, 7)})
-
-    entries = {key: Fr(0) for key in combinations_with_replacement(BASIS, 3)}
-    entries[("E", "E", "E")] = Fr(-1)
-    entries[("L1", "E", "E")] = Fr(-1)
-    st.IntersectionTable(entries)
+def test_table_refuses_square_off_the_expansion(monkeypatch, entry):
+    # a square that is off by a constant in any one entry is refused by the
+    # certificate, on one table and on the proof grid; building the table
+    # checks only its data
+    data = p2_data()
+    st.certify_closed_forms(free_table(), data.gamma(), data.gamma_canonical())
+    skew_square(monkeypatch, entry)
+    table = free_table()
     with pytest.raises(st.StabilityError, match=f"\\^2\\.{entry} at r = 1"):
-        Off(entries)
+        st.certify_closed_forms(table, data.gamma(), data.gamma_canonical())
+    with pytest.raises(st.StabilityError, match=f"\\^2\\.{entry} at r = 1"):
+        prove_closed_forms_on_grid()
 
 
 def test_rational_inputs_exact_and_floats_refused():
@@ -407,13 +434,8 @@ def test_sweep_forms_match_reference_on_drawn_class_data(l1l2, kl1, dd, l1d, l2d
     assert_forms_match(st.blowup_table(data, cfg), data)
 
 
-@pytest.mark.parametrize("helper, column", [
-    ("_j_weight", "j_weight"), ("_df_weight", "df_weight"),
-    ("ii_exceptional", "ineq_ii"), ("iii_combined", "ineq_iii"),
-    ("surface", "ineq_surface")])
-def test_sweep_forms_refuse_a_disagreeing_form(monkeypatch, helper, column):
-    # a reference value off by a constant at any r is caught when the forms
-    # are built, before any row is read
+def skew_reference(monkeypatch, helper):
+    """Make one reference value off by a constant at every r."""
     if helper.startswith("_"):
         real = getattr(st, helper)
         monkeypatch.setattr(st, helper, lambda sq, g, r: real(sq, g, r) + Fr(1, 7))
@@ -425,7 +447,85 @@ def test_sweep_forms_refuse_a_disagreeing_form(monkeypatch, helper, column):
             return dict(rep, **{helper: rep[helper] + Fr(1, 7)})
 
         monkeypatch.setattr(st, "_inequality_checks", skewed)
+
+
+@pytest.mark.parametrize("helper, column", [
+    ("_j_weight", "j_weight"), ("_df_weight", "df_weight"),
+    ("ii_exceptional", "ineq_ii"), ("iii_combined", "ineq_iii"),
+    ("surface", "ineq_surface")])
+def test_sweep_forms_refuse_a_disagreeing_form(monkeypatch, helper, column):
+    # a reference value off by a constant at any r is refused by the
+    # certificate, on one table and on the proof grid
+    skew_reference(monkeypatch, helper)
     data = p2_data()
     table = st.blowup_table(data, p2_line_cfg())
-    with pytest.raises(st.StabilityError, match=f"closed form of {column} at r = 1 "):
-        st.SweepForms(table, data.gamma(), data.gamma_canonical())
+    match = f"closed form of {column} at r = 1 "
+    with pytest.raises(st.StabilityError, match=match):
+        st.certify_closed_forms(table, data.gamma(), data.gamma_canonical())
+    with pytest.raises(st.StabilityError, match=match):
+        prove_closed_forms_on_grid()
+
+
+# ---------------------------------------------------------------------------
+# the closed forms proved for every table
+# ---------------------------------------------------------------------------
+
+# two values, with non-trivial denominators, for each of E^2.L1, E^2.L2,
+# E^2.K, E^3, gamma and gamma_K
+PROOF_GRID = ((Fr(-2, 3), Fr(5, 4)), (Fr(1, 5), Fr(-7, 2)), (Fr(3, 7), Fr(-9, 8)),
+              (Fr(-5, 6), Fr(11, 9)), (Fr(1, 3), Fr(-4, 5)), (Fr(-3, 2), Fr(7, 10)))
+
+
+def prove_closed_forms_on_grid():
+    """certify_closed_forms at every point of PROOF_GRID (r = 1, 2, 3 inside).
+
+    Times r, both sides of each identity have degree <= 1 in each of the
+    six grid variables and <= 2 in r, and every table has the structural
+    zeroes, so by the Combinatorial Nullstellensatz (Alon 1999) agreement
+    on this grid is agreement for every table, gamma, gamma_K and r > 0."""
+    for a, b, c, e, gamma, gamma_k in cartesian(*PROOF_GRID):
+        st.certify_closed_forms(free_table(a, b, c, e), gamma, gamma_k)
+
+
+def test_closed_forms_hold_for_every_table():
+    prove_closed_forms_on_grid()
+
+
+@pytest.mark.parametrize("form", range(5))
+@pytest.mark.parametrize("power", range(3))
+def test_proof_grid_refuses_a_skewed_numerator(monkeypatch, form, power):
+    # one numerator of one form off by one: the grid proof fails
+    real = st.SweepForms.__init__
+
+    def skewed(self, *args):
+        real(self, *args)
+        nums = [list(n) for n in self.numerators]
+        nums[form][power] += 1
+        self.numerators = tuple(map(tuple, nums))
+
+    monkeypatch.setattr(st.SweepForms, "__init__", skewed)
+    with pytest.raises(st.StabilityError,
+                       match=f"closed form of {st.SweepForms.COLUMNS[form]} at r = 1 "):
+        prove_closed_forms_on_grid()
+
+
+def test_proof_grid_refuses_a_skew_at_one_grid_point(monkeypatch):
+    # a skew that vanishes at all but the last grid point, so no single
+    # table but that one shows it: the grid visits it
+    real = st.SweepForms.__init__
+    last = tuple(values[-1] for values in PROOF_GRID)
+
+    def skewed(self, table, gamma, gamma_k):
+        real(self, table, gamma, gamma_k)
+        point = (*(table.triple(x, "E", "E") for x in ("L1", "L2", "K", "E")),
+                 gamma, gamma_k)
+        if point == last:
+            self.numerators = ((self.numerators[0][0] + 1, *self.numerators[0][1:]),
+                               *self.numerators[1:])
+
+    monkeypatch.setattr(st.SweepForms, "__init__", skewed)
+    with pytest.raises(st.StabilityError, match="closed form of j_weight at r = 1 "):
+        prove_closed_forms_on_grid()
+    data = p2_data()
+    st.certify_closed_forms(st.blowup_table(data, p2_line_cfg()), data.gamma(),
+                            data.gamma_canonical())
