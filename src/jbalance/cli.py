@@ -66,9 +66,13 @@ def _number(v):
     return (_int(v) or isinstance(v, float)) and math.isfinite(v)
 
 
-def _exact(v):
+def _exact_list(v):
+    """Whether v is a list of integers and rational strings; if it is, its
+    entries are replaced by their Fractions, so that each is parsed once."""
+    if not isinstance(v, list):
+        return False
     try:
-        rational(v, "r")
+        v[:] = [rational(r, "r") for r in v]
     except StabilityError:
         return False
     return True
@@ -102,8 +106,7 @@ _SECTIONS = {
              "compare_T": _NON_NEGATIVE,
              "start_amplitude": ("a number", _number)},
     "stability": {
-        "r_values": ("a list of integers or rational strings",
-                     lambda v: isinstance(v, list) and all(map(_exact, v))),
+        "r_values": ("a list of integers or rational strings", _exact_list),
         "facet": ("a non-negative integer", lambda v: _int(v) and v >= 0),
         "klt": ("true or false", lambda v: isinstance(v, bool)),
         "centre": ("an object with keys dd, l1d, l2d, kd and optionally r_min",
@@ -367,7 +370,8 @@ def cmd_stability(cfg):
         raise ConfigError(str(exc))
     # before any output: the blow-up table and its sweep forms, built once
     # (certify_closed_forms is proved for every table by the test suite), and
-    # the least r checked against r > 0 and the centre's r_min
+    # the least r checked against r > 0 and the centre's r_min.  A configured
+    # list holds the Fractions its schema check parsed; the default, integers
     r_values = [rational(r, "stability.r_values") for r in scfg["r_values"]]
     r_low = check_exponent(min(r_values)) if r_values else None
     if "table" in scfg:

@@ -81,7 +81,8 @@ def balancing_flow(q, H0, dt, T, log_every=5, mu_slack=1e-9):
     The state is the diagonal d of H, a vector; each map application is the
     torus_pass at log d.  The Hilb diagonal from a step's acceptance check is
     the next step's first stage, so a step costs four map applications; the
-    logged I_{mu0} reuses that pass through the torus_pass memo.
+    logged I_{mu0} reuses that pass through the torus_pass memo.  The start
+    pass is kept in q's memo, so a later flow from the same H0 reuses it.
 
     Returns a list of FlowState with HermitianForm payloads.
     """
@@ -93,7 +94,7 @@ def balancing_flow(q, H0, dt, T, log_every=5, mu_slack=1e-9):
     dt_max = float(dt)
     dt = dt_max
     ld0 = float(x.sum())
-    c = q.torus_pass(x).hilb
+    c = q.torus_pass(x, keep=True).hilb
     fro, op = q.mu0_norms(q.moment_vector(x, c))
     halvings = {"positivity": 0, "mu0_rise": 0}
 

@@ -11,6 +11,7 @@ Intersection numbers and Mori generators come from the normal fan; everything
 there is exact integer/rational arithmetic.
 """
 
+import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -377,13 +378,13 @@ class LatticeSectionBasis:
         return len(self.points)
 
     def basis_hash(self):
-        """SHA-256 hex digest of the level and the points: stable across
-        processes and machines (unlike the salted built-in ``hash``)."""
-        import hashlib  # deferred: it loads OpenSSL, ~4 MB of resident memory
-
-        digest = hashlib.sha256(f"{self.level}:{self.points.shape}".encode())
-        digest.update(np.ascontiguousarray(self.points, dtype="<i8").tobytes())
-        return digest.hexdigest()
+        """``"crc32:"`` and the CRC-32 (8 hex digits) of the level, the shape
+        and the points: stable across processes and machines (unlike the
+        salted built-in ``hash``).  A stamp, not a digest: nothing reads it
+        back."""
+        crc = zlib.crc32(f"{self.level}:{self.points.shape}".encode())
+        crc = zlib.crc32(np.ascontiguousarray(self.points, dtype="<i8").tobytes(), crc)
+        return f"crc32:{crc:08x}"
 
 
 def enumerate_lattice_points(P, k):
@@ -577,6 +578,51 @@ def _axis_rule(t, w, scale, center):
     return x, w * jac
 
 
+def gauss_legendre(n):
+    """Gauss-Legendre nodes and weights on [-1, 1] for n >= 2 nodes, bit for
+    bit those of ``np.polynomial.legendre.leggauss(n)`` (numpy 2.4), whose
+    arithmetic this repeats without loading numpy.polynomial: the
+    eigenvalues of the symmetric companion matrix of L_n (Golub-Welsch), one
+    Newton step, and the weights 1 / (L_{n-1} L_n') scaled, symmetrised and
+    normalised to total 2.  Only leggauss's terms that are exactly 0 for L_n
+    are left out, and L_n's derivative series is written in closed form
+    (small integers, so exact either way)."""
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    mat = np.zeros((n, n))
+    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    mat.reshape(-1)[1::n + 1] = off
+    mat.reshape(-1)[n::n + 1] = off
+    x = np.linalg.eigvalsh(mat)
+    c = np.zeros(n + 1)
+    c[n] = 1.0                                      # L_n
+    j = np.arange(n)
+    dc = np.where((n - j) % 2 == 1, 2.0 * j + 1.0, 0.0)   # L_n' (exact)
+    dy = _legendre_series(x, c)
+    df = _legendre_series(x, dc)
+    x -= dy / df
+    fm = _legendre_series(x, c[1:])                 # L_{n-1}
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    return x, w
+
+
+def _legendre_series(x, c):
+    """sum_i c_i L_i(x) for len(c) >= 2 by Clenshaw's recursion, in the
+    operation order of numpy's ``legval``."""
+    c0, c1 = c[-2], c[-1]
+    nd = len(c)
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        nd -= 1
+        c0 = c[-i] - c1 * ((nd - 1) / nd)
+        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 def check_resolution(resolution):
     """Refuse a quadrature resolution (nodes per axis) below 4."""
     if resolution < 4:
@@ -604,7 +650,7 @@ def build_quadrature(P, resolution, scale=None):
     else:
         scales = np.full(P.dim, float(scale))
     # both axes share the resolution, so one Gauss-Legendre rule serves both
-    t, w = np.polynomial.legendre.leggauss(resolution)
+    t, w = gauss_legendre(resolution)
     axes = [_axis_rule(t, w, scales[d], centers[d]) for d in range(P.dim)]
     X, Y = np.meshgrid(axes[0][0], axes[1][0], indexing="ij")
     WX, WY = np.meshgrid(axes[0][1], axes[1][1], indexing="ij")

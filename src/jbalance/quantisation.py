@@ -27,10 +27,11 @@ potential values and its Hessian (the centred second moments of S, hence
 the mixed measure) at the block's nodes, and adds the block's share
 S_b @ (w mix)_b to the Hilb diagonal; that is Quantisation.torus_pass.
 The last pass is memoised, so the map, the moment map and I_{mu0} at one
-H share it.  hilb_map and the Bergman checks (bergman_check, qk_operator)
-sum over the same node blocks (Quantisation._section_sums).  A context
-therefore holds only (N+1)- and M-vectors between calls; the block arrays
-live in the kernel's one kept work buffer.  Every map takes H as a
+H share it, and a balancing flow's start pass is kept beside it.  hilb_map
+and the Bergman checks (bergman_check, qk_operator) sum over the same node
+blocks (Quantisation._section_sums).  A context therefore holds only
+(N+1)- and M-vectors between calls; the block arrays live in the kernel's
+one kept work buffer.  Every map takes H as a
 HermitianForm or as the vector x itself; the balance iteration and the
 balancing flow run on the vectors and build a form only for what they
 return or log.
@@ -217,6 +218,7 @@ class Quantisation:
         self.chi_hess = np.asarray(chi.hessian(self.nodes))
         self.hilb_norm = self.gamma * self.k ** (P.dim - 1)
         self._memo = None       # (x bytes, TorusPass) of the last pass
+        self._kept = None       # the same, of the last pass asked to be kept
         self._anchor = None     # TorusPass of FS(Id), filled on first use
 
     @property
@@ -247,7 +249,7 @@ class Quantisation:
             raise QuantisationError("mixed measure not positive: potential not admissible")
         return mix
 
-    def torus_pass(self, H):
+    def torus_pass(self, H, keep=False):
         """FS and Hilb of a torus-invariant H from one softmax pass.
 
         With S the softmax of <a, x_p> - x_a over the basis (axis 0, x =
@@ -259,14 +261,23 @@ class Quantisation:
         adds up the blocks' shares; values and mix do not depend on the
         block size.
 
-        The last pass is memoised on the exact bytes of x, so a moment map,
-        an energy and a map application at the same H share one pass.  The
-        returned arrays are read-only because they are shared.
+        Two passes are memoised on the exact bytes of x: the last one, so a
+        moment map, an energy and a map application at the same H share one
+        pass, and the last one asked for with ``keep=True``, which later
+        passes do not evict: a balancing flow keeps its start, so a second
+        flow from the same H (the flow comparison's) does not recompute it.
+        The returned arrays are read-only because they are shared.
         """
         x = log_diagonal(self, H, "torus_pass")
         key = x.tobytes()
-        if self._memo is not None and self._memo[0] == key:
-            return self._memo[1]
+        memo = next((m for m in (self._memo, self._kept) if m and m[0] == key), None)
+        if memo is None:
+            memo = self._memo = (key, self._compute_pass(x))
+        if keep:
+            self._kept = memo
+        return memo[1]
+
+    def _compute_pass(self, x):
         values = np.empty(len(self.nodes))
         mix = np.empty(len(self.nodes))
         moments = np.zeros(self.n_plus_1)      # sum_p w_p mix_p S_ap
@@ -279,9 +290,7 @@ class Quantisation:
             (self.n_plus_1 / self.V) * np.exp(x) * moments / self.hilb_norm)
         for arr in (values, mix, hilb):
             arr.setflags(write=False)
-        out = TorusPass(values=values, mix=mix, hilb=hilb)
-        self._memo = (key, out)
-        return out
+        return TorusPass(values=values, mix=mix, hilb=hilb)
 
     def anchor_pass(self):
         """torus_pass of H = Id, the FS(Id) basepoint of the energies;

@@ -84,11 +84,15 @@ def test_balanced_form_json_reads_back_bit_for_bit(tmp_path):
 
 def test_jobs_make_no_linear_algebra_call(tmp_path, monkeypatch):
     # a torus-invariant form is its diagonal, so no job calls np.linalg.
-    # numpy's own Gauss-Legendre nodes (leggauss) use eigvalsh, so only a
-    # call made from a jbalance module raises.
+    # The one exception is the eigvalsh of the Gauss-Legendre rule
+    # (geometry.gauss_legendre, the Golub-Welsch step); every other call made
+    # from a jbalance module raises.
     def refuse(name, real):
         def guarded(*args, **kwargs):
-            if sys._getframe(1).f_globals.get("__name__", "").startswith("jbalance"):
+            caller = sys._getframe(1)
+            module = caller.f_globals.get("__name__", "")
+            rule = (module, caller.f_code.co_name) == ("jbalance.geometry", "gauss_legendre")
+            if module.startswith("jbalance") and not (name == "eigvalsh" and rule):
                 raise AssertionError(f"jbalance called np.linalg.{name}")
             return real(*args, **kwargs)
         return guarded
@@ -307,6 +311,24 @@ def test_stability_reads_rational_strings_exactly(tmp_path):
             assert Fr(rows[str(r)][3]) == 2 * r * Fr(1, 10) - 1
 
 
+def test_stability_parses_each_r_once(tmp_path, monkeypatch):
+    # the schema check keeps the Fractions it parsed, and the sweep reads them
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": "P2-O1-O1",
+                                "stability": {"r_values": [1, "3/2", "2.5"]}}))
+    cfg = cli.load_config(str(path), {"out": str(tmp_path / "s")})
+    assert cfg["stability"]["r_values"] == [1, Fr(3, 2), Fr(5, 2)]
+    assert all(type(r) is Fr for r in cfg["stability"]["r_values"])
+    real = cli.rational
+
+    def parsed_only(value, name):
+        assert type(value) is Fr, f"{name} {value!r} parsed again"
+        return real(value, name)
+
+    monkeypatch.setattr(cli, "rational", parsed_only)
+    assert cli.cmd_stability(cfg) == cli.EXIT_OK
+
+
 @pytest.mark.parametrize("r_values", [[1], list(range(1, 13))])
 def test_stability_builds_once_without_quadrature(tmp_path, monkeypatch, r_values):
     from jbalance import presets
@@ -483,6 +505,21 @@ def test_flow_artifacts_reproducible_across_processes(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_flow_job_computes_each_pass_once(tmp_path, monkeypatch):
+    # the comparison's flow at each level starts where the job's own flow
+    # started, and that start pass is kept in the level's memo
+    from jbalance.quantisation import Quantisation
+    computed = []
+    real = Quantisation._compute_pass
+    monkeypatch.setattr(Quantisation, "_compute_pass",
+                        lambda self, x: computed.append((self.k, x.tobytes())) or real(self, x))
+    cfg = tmp_path / "flow.json"
+    cfg.write_text(json.dumps({"flow": {"grid": 16, "T": 0.2, "compare_T": 0.05}}))
+    assert run(["flow", "--problem", "P1xP1-O11-O21", "--k-list", "2,4", "--config", str(cfg),
+                "--out", str(tmp_path / "f")]) == cli.EXIT_OK
+    assert computed and len(set(computed)) == len(computed)
+
+
 def test_seeded_draws():
     # the same seed gives the same bits; the normals have mean 0 and variance 1
     z = cli._standard_normals(random.Random(4), 20001)
@@ -496,7 +533,10 @@ def test_seeded_draws():
 
 def test_jobs_never_load_numpy_random(tmp_path):
     # the seeded draws come from the stdlib generator: no balance, flow or
-    # verify job loads numpy.random (nor the secrets module it pulls in)
+    # verify job loads numpy.random (nor the secrets module it pulls in).
+    # Nor does any job, stability included, load numpy.polynomial (the
+    # Gauss-Legendre rule is geometry.gauss_legendre) or hashlib and the
+    # OpenSSL module behind it (the basis stamp is a zlib CRC-32)
     flow_cfg = tmp_path / "flow.json"
     flow_cfg.write_text(json.dumps({
         "problem": "P1xP1-O11-O11", "k_list": [2], "resolution": 48, "seed": 3,
@@ -504,17 +544,19 @@ def test_jobs_never_load_numpy_random(tmp_path):
     small = ["--problem", "P1xP1-O11-O11", "--k-list", "2", "--resolution", "48"]
     jobs = [["balance", *small, "--out", str(tmp_path / "b")],
             ["flow", "--config", str(flow_cfg), "--out", str(tmp_path / "f")],
-            ["verify", *small, "--out", str(tmp_path / "v")]]
+            ["verify", *small, "--out", str(tmp_path / "v")],
+            ["stability", "--problem", "P2-O1-O1", "--out", str(tmp_path / "s")]]
+    refused = ("numpy.random", "secrets", "numpy.polynomial", "hashlib", "_hashlib")
     script = ("import json, sys\n"
               "from jbalance import cli\n"
               f"codes = [cli.main(argv) for argv in {jobs!r}]\n"
-              "print(json.dumps([codes, sorted(m for m in ('numpy.random', 'secrets')"
-              " if m in sys.modules)]))\n")
+              f"loaded = sorted(m for m in {refused!r} if m in sys.modules)\n"
+              "print(json.dumps([codes, loaded]))\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
                           check=True, capture_output=True, text=True, timeout=300)
     codes, loaded = json.loads(done.stdout.splitlines()[-1])
-    assert codes == [cli.EXIT_OK] * 3
+    assert codes == [cli.EXIT_OK] * 4
     assert loaded == []
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -120,6 +121,7 @@ def test_basis_hash_reproducible_across_processes():
     assert len(digests) == 1
     assert digests == {geo.enumerate_lattice_points(geo.polytope_preset("P2"), 3).basis_hash()}
     assert geo.enumerate_lattice_points(geo.polytope_preset("P2"), 4).basis_hash() not in digests
+    assert re.fullmatch(r"crc32:[0-9a-f]{8}", digests.pop())
 
 
 def corner_cut_polygon(base, scale, cuts):
@@ -239,6 +241,28 @@ def test_nef_monotone_under_ample():
             if geo.is_nef(sq, cls):
                 for amp in amples:
                     assert geo.is_nef(sq, cls + amp)
+
+
+def test_gauss_legendre_matches_numpy_bit_for_bit():
+    # the in-package rule repeats leggauss's arithmetic, so its nodes and
+    # weights are the installed numpy's to the last bit
+    for n in range(4, 321):
+        x, w = geo.gauss_legendre(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w), n
+
+
+def test_build_quadrature_unchanged_at_each_preset_resolution(monkeypatch):
+    # every preset's rule, nodes and weights, is the one numpy's leggauss gives
+    from jbalance.presets import make_problem, problem_names
+    cases = {(pb.polytope.name, pb.meta["resolution"]): pb.polytope
+             for pb in map(make_problem, problem_names())}
+    rules = {key: geo.build_quadrature(P, key[1]) for key, P in cases.items()}
+    monkeypatch.setattr(geo, "gauss_legendre", np.polynomial.legendre.leggauss)
+    for (name, res), P in cases.items():
+        ref = geo.build_quadrature(P, res)
+        assert np.array_equal(rules[name, res].nodes, ref.nodes), (name, res)
+        assert np.array_equal(rules[name, res].weights, ref.weights), (name, res)
 
 
 def test_quadrature_logistic_density_1d():
