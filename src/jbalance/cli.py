@@ -102,7 +102,8 @@ _SCHEMA = {
     "stability": _OBJECT,
 }
 _SECTIONS = {
-    "flow": {"dt": _POSITIVE, "T": _NON_NEGATIVE, "grid": _POSITIVE_INT,
+    "flow": {"dt": _POSITIVE, "T": _NON_NEGATIVE,
+             "grid": ("an integer >= 3", lambda v: _int(v) and v >= 3),
              "compare_T": _NON_NEGATIVE,
              "start_amplitude": ("a number", _number)},
     "stability": {

@@ -25,13 +25,13 @@ and the committed error is quantified by the grid refinement oracle.  Each
 step takes 0.9 of the forward-Euler bound of the discrete operator: the
 linearised flow is d(delta)/dt = (1/2) tr(D D^2 delta), D = A^{-1} B A^{-1}
 (A = D^2u, B = D^2v), and the diagonal of I + h L stays nonnegative iff
-h max(D11/dx^2 + D22/dy^2) <= 1 over the evolved nodes.  One interior
-Hessian per step, carried with its determinant, serves the convexity check,
-the velocity, that bound and the logged residual.  Only the evolved nodes
-move, so the steps run on their bounding box plus a one-node halo of fixed
-values, cut from the grid with its spacing: about a quarter of the interior
-on the flow benchmark's input, with snapshots equal bit for bit to those of
-a full-grid run.
+h max(D11/dx^2 + D22/dy^2) <= 1 over the evolved nodes.  Only the evolved
+nodes move, so the steps run on their bounding box plus a one-node halo of
+fixed values, cut from the grid with its spacing: about a quarter of the
+interior on the flow benchmark's input.  One kernel makes each step in
+place, in buffers made once: one row-wise interior Hessian per step, then
+the convexity check, velocity, bound and logged residual on the evolved
+nodes alone; the snapshots equal bit for bit those of a full-grid run.
 """
 
 import math
@@ -39,8 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (det_2x2, mixed_2x2, mixed_density, smallest_eigenvalue,
-                       volume_density)
+from .geometry import mixed_density, smallest_eigenvalue, volume_density
 from .quantisation import HermitianForm, QuantisationError, log_diagonal
 
 
@@ -200,11 +199,6 @@ class GridPotential:
     cut out of a larger one passes its parent's spacing, so that its
     difference quotients are the parent's to the last bit: the spacing of
     the cut coordinates can differ from it in the last place.
-
-    ``hess`` is the interior Hessian of ``values`` and ``det`` its
-    determinant, when they are already known.  ``jflow_step`` sets both on
-    the grids it returns and makes their values read-only, so they cannot go
-    stale.
     """
 
     xs: np.ndarray
@@ -212,8 +206,7 @@ class GridPotential:
     values: np.ndarray
     dx: float = None
     dy: float = None
-    hess: tuple = field(default=None, repr=False)
-    det: np.ndarray = field(default=None, repr=False)
+    _passes: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dx is None:
@@ -225,24 +218,34 @@ class GridPotential:
         X, Y = np.meshgrid(self.xs, self.ys, indexing="ij")
         return np.stack([X.ravel(), Y.ravel()], axis=-1)
 
-    def interior_hessian(self):
-        u, dx, dy = self.values, self.dx, self.dy
-        twice = 2 * u[1:-1, 1:-1]
-        uxx = (u[2:, 1:-1] - twice + u[:-2, 1:-1]) / dx ** 2
-        uyy = (u[1:-1, 2:] - twice + u[1:-1, :-2]) / dy ** 2
-        ddx = u[2:] - u[:-2]
-        uxy = (ddx[:, 2:] - ddx[:, :-2]) / (4 * dx * dy)
-        return uxx, uyy, uxy
-
-
-def _with_hessian(grid, values):
-    """A grid on the nodes of ``grid`` that owns ``values`` (made read-only)
-    and carries their interior Hessian and its determinant."""
-    values.flags.writeable = False
-    new = GridPotential(grid.xs, grid.ys, values, grid.dx, grid.dy)
-    new.hess = new.interior_hessian()
-    new.det = det_2x2(*new.hess)
-    return new
+    def interior_hessian(self, out=None):
+        """Central differences (uxx, uyy, uxy) at the interior nodes, shape
+        (3, nx - 2, ny - 2): a view of ``out``, a C-contiguous (3, nx - 2, ny)
+        array.  Each difference is one pass along the flat rows of ``values``,
+        so the halo columns of ``out`` get meaningless entries.  The passes'
+        views are kept while ``values`` and ``out`` stay the same arrays."""
+        u = self.values
+        if out is None:
+            out = np.empty((3, u.shape[0] - 2, u.shape[1]))
+        if self._passes is None or self._passes[0] is not u or self._passes[1] is not out:
+            n, ny, flat = out[0].size - 2, u.shape[1], u.reshape(-1)
+            # u at offsets (di, dj) from the rows' entries, named m -1, z 0, p +1
+            s = [flat[i * ny + j:i * ny + j + n] for i in range(3) for j in range(3)]
+            self._passes = (u if u.flags.c_contiguous else None, out, s,
+                            tuple(out.reshape(3, -1, copy=False)[:, 1:1 + n]), out[:, :, 1:-1])
+        _, _, (mm, mz, mp, zm, zz, zp, pm, pz, pp), (uxx, uyy, uxy), hess = self._passes
+        np.subtract(pp, mp, out=uxy)                   # uxx is scratch here
+        np.subtract(pm, mm, out=uxx)
+        np.subtract(uxy, uxx, out=uxy)
+        np.add(zz, zz, out=uyy)                        # twice the centre
+        np.subtract(pz, uyy, out=uxx)
+        np.add(uxx, mz, out=uxx)
+        np.subtract(zp, uyy, out=uyy)
+        np.add(uyy, zm, out=uyy)
+        uxx /= self.dx ** 2
+        uyy /= self.dy ** 2
+        uxy /= 4 * self.dx * self.dy
+        return hess
 
 
 def dirichlet_box(P, slack=1e-6):
@@ -263,17 +266,94 @@ def grid_from_potential(P, u, nx, ny=None, box=None):
     return g
 
 
-def _convex(hess, det, mask):
-    """Whether D^2u is positive definite on the masked nodes; NaN counts as
-    a loss of convexity."""
-    return np.minimum(det, hess[0]).min(where=mask, initial=np.inf) > 0
+class _State:
+    """A grid copy and, at the moving nodes, u, H = (uyy, uxy, uxx), det H, H*H."""
+
+    def __init__(self, grid, value_nodes):
+        self.grid = GridPotential(grid.xs, grid.ys, np.array(grid.values), grid.dx, grid.dy)
+        self.flat, self.value_nodes = self.grid.values.reshape(-1), value_nodes
+        self.u = self.flat[value_nodes]
+        self.Hdet, self.Q = np.empty((4, value_nodes.size)), np.empty((3, value_nodes.size))
+        self.H, self.det, self.xx_det = self.Hdet[:3], self.Hdet[3], self.Hdet[2:]
+        self.uyy, self.uxy, self.uxx = self.H
+        self.yy_xx, self.sq_yy_xy, self.sq_xy_xx = self.H[::2], self.Q[:2], self.Q[1:]
+
+    def settle(self):
+        """H*H and det H from H; whether H is positive definite (NaN is not)."""
+        np.multiply(self.H, self.H, out=self.Q)
+        np.multiply(self.uxx, self.uyy, out=self.det)
+        np.subtract(self.det, self.Q[1], out=self.det)
+        return np.minimum.reduce(self.xx_det, axis=None, initial=np.inf) > 0
 
 
-def _velocity(hess, det, v_hess, gamma, mask):
-    """gamma - mix/det on the masked nodes, 0 elsewhere."""
-    vel = np.zeros(det.shape)
-    np.divide(mixed_2x2(*hess, *v_hess), det, out=vel, where=mask)
-    return np.subtract(gamma, vel, out=vel, where=mask)
+class _Euler:
+    """Explicit Euler steps of the J-flow in buffers made once: ``step``
+    writes the spare state and swaps it in only if its H is convex.  The
+    stencil runs along the rows, the rest on the packed nodes of ``mask``.
+    Scaling by 2 is exact, so each result is the textbook formula's to the
+    bit: (1/2) tr(adj(H) D^2v) = uyy (vxx/2) + uxx (vyy/2) - uxy vxy, and the
+    bound's 2 uyy uxy vxy = (uyy uxy)(2 vxy); H*H's uxy^2 also serves det H."""
+
+    def __init__(self, grid, hess, v_hess, gamma, mask):
+        # hess, v_hess: interior Hessians (uxx, uyy, uxy) of u and chi on mask's shape
+        self.nodes = np.nonzero(mask)
+        size, width = self.nodes[0].size, grid.values.shape[1]
+        self.rows = np.empty((3, mask.shape[0], width))
+        at = self.nodes[0] * width + self.nodes[1] + 1
+        # the nodes in rows.ravel(), planes uyy, uxy, uxx; and in values.ravel()
+        self.row_nodes = np.array([at + plane * self.rows[0].size for plane in (1, 2, 0)])
+        self.states = [_State(grid, at + width) for _ in range(2)]
+        self.states[0].H[:] = np.asarray(hess)[[1, 2, 0]][:, mask]
+        self.start_convex = self.states[0].settle()
+        vxx, vyy, vxy = np.asarray(v_hess)[:, mask]
+        self.gamma = np.full(size, float(gamma))
+        self.vmix = np.stack([0.5 * vxx, vxy, 0.5 * vyy])
+        self.vxx, self.vyy, self.vxy2 = (np.stack([v, v]) for v in (vxx, vyy, 2.0 * vxy))
+        self.sxy = np.repeat([[1.0 / grid.dx ** 2], [1.0 / grid.dy ** 2]], size, axis=1)
+        self.prod, self.pair, self.vel = np.empty((3, size)), np.empty((2, size)), np.empty(size)
+        self.lead, self.planes = self.prod[:2], tuple(self.prod)
+
+    def velocity(self):
+        """gamma - (1/2) tr(adj(H) D^2v) / det H for the current state."""
+        state, P, (yy, xy, xx), vel = self.states[0], self.prod, self.planes, self.vel
+        np.multiply(state.H, self.vmix, out=P)
+        np.add(yy, xx, out=vel)
+        np.subtract(vel, xy, out=vel)
+        np.divide(vel, state.det, out=vel)
+        return np.subtract(self.gamma, vel, out=vel)
+
+    def sup_residual(self):
+        return float(np.maximum.reduce(np.abs(self.velocity(), out=self.vel), initial=0.0))
+
+    def euler_bound(self):
+        """1 / max(D11/dx^2 + D22/dy^2), D = adj(A) B adj(A) / det(A)^2 (A =
+        D^2u, B = D^2v): the diagonal of I + h L is 1 - h (D11/dx^2 + ...)."""
+        state, A, B, rate = self.states[0], self.lead, self.pair, self.vel
+        np.multiply(state.sq_yy_xy, self.vxx, out=A)   # uyy^2 vxx, uxy^2 vxx
+        np.multiply(state.yy_xx, state.uxy, out=B)     # uyy uxy, uxx uxy
+        np.multiply(B, self.vxy2, out=B)
+        np.subtract(A, B, out=A)
+        np.multiply(state.sq_xy_xx, self.vyy, out=B)   # uxy^2 vyy, uxx^2 vyy
+        np.add(A, B, out=A)                            # det^2 (D11, D22)
+        np.multiply(A, self.sxy, out=A)
+        np.add(*self.planes[:2], out=rate)
+        np.multiply(state.det, state.det, out=self.planes[2])
+        np.divide(rate, self.planes[2], out=rate)
+        return 1.0 / (float(np.maximum.reduce(rate, initial=-np.inf)) + 1e-300)
+
+    def step(self, dt):
+        """An Euler step of length dt; whether it was taken (H stayed convex)."""
+        cur, new = self.states
+        vel = self.velocity()
+        vel *= dt
+        np.add(cur.u, vel, out=new.u)
+        new.flat[new.value_nodes] = new.u
+        new.grid.interior_hessian(out=self.rows)
+        self.rows.take(self.row_nodes, out=new.H)
+        if not new.settle():
+            return False
+        self.states.reverse()
+        return True
 
 
 def jflow_step(grid, v_hess, gamma, dt, active=None):
@@ -282,31 +362,14 @@ def jflow_step(grid, v_hess, gamma, dt, active=None):
     Dirichlet on the box boundary; ``active`` masks the interior nodes that
     are evolved.  Returns (new grid, convexity_ok).  The step is refused,
     returning ``grid`` itself with False, unless D^2u is positive definite on
-    the masked nodes both before and after it.  The new grid carries its
-    interior Hessian and that Hessian's determinant, which the next step
-    reuses.
+    the masked nodes both before and after it.  It runs jflow_run's kernel.
     """
-    if grid.hess is None:
-        hess = grid.interior_hessian()
-        det = det_2x2(*hess)
-    else:
-        hess, det = grid.hess, grid.det
-    mask = active if active is not None else np.ones_like(det, dtype=bool)
-    if not _convex(hess, det, mask):
+    hess = grid.interior_hessian()
+    mask = np.ones(hess.shape[1:], dtype=bool) if active is None else active
+    euler = _Euler(grid, hess, v_hess, gamma, mask)
+    if not (euler.start_convex and euler.step(dt)):
         return grid, False
-    return _euler_step(grid, hess, det, v_hess, gamma, dt, mask)
-
-
-def _euler_step(grid, hess, det, v_hess, gamma, dt, mask):
-    """The body of jflow_step, for a grid whose interior Hessian ``hess``
-    (determinant ``det``) is already known to be positive definite on
-    ``mask``: only the stepped grid is checked."""
-    values = grid.values.copy()
-    values[1:-1, 1:-1] += dt * _velocity(hess, det, v_hess, gamma, mask)
-    new = _with_hessian(grid, values)
-    if not _convex(new.hess, new.det, mask):
-        return grid, False
-    return new, True
+    return euler.states[0].grid, True
 
 
 @dataclass
@@ -351,9 +414,10 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
     grid with its spacing; the start Hessian and chi's Hessian are sliced
     to it.  Every box node sees the stencil values it would see on the full
     grid, so the snapshots, step sizes and residuals are those of a
-    full-grid run bit for bit.  Each snapshot is the box written back into
-    a copy of ``grid0.values``; ``JFlowResult.active`` stays the full
-    interior mask and ``JFlowResult.box`` records the box's shape.
+    full-grid run bit for bit; jflow_step's kernel steps it in place, in
+    buffers made once.  Each snapshot is the box written back into a copy
+    of ``grid0.values``; ``JFlowResult.active`` stays the full interior
+    mask and ``JFlowResult.box`` records the box's shape.
 
     ``active`` overrides the collar mask (interior-shaped boolean); a mask
     cut from the analytic initial Hessian keeps the effective domain
@@ -374,85 +438,58 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
     # the box in interior indices, and with its halo in grid indices
     bi, bj = _bounding_box(active)
     halo = (slice(bi.start, bi.stop + 2), slice(bj.start, bj.stop + 2))
+    box_active = active[bi, bj]
+    box = GridPotential(grid0.xs[halo[0]], grid0.ys[halo[1]], grid0.values[halo],
+                        grid0.dx, grid0.dy)
+    euler = _Euler(box, hess0[:, bi, bj], v_hess[:, bi, bj], gamma, box_active)
+    if not euler.start_convex:
+        raise FlowError("potential is not strictly convex on the active nodes")
 
-    def cut(a):
-        return np.ascontiguousarray(a[bi, bj])
-
-    box_active = cut(active)
-    v_hess = tuple(map(cut, v_hess))
-    values = grid0.values[halo].copy()
-    values.flags.writeable = False
-    hess = tuple(map(cut, hess0))
-    grid = GridPotential(grid0.xs[halo[0]], grid0.ys[halo[1]], values, grid0.dx,
-                         grid0.dy, hess=hess, det=det_2x2(*hess))
-
-    vxx, vyy, vxy = v_hess
-    sx, sy = 1.0 / grid0.dx ** 2, 1.0 / grid0.dy ** 2
-
-    def euler_bound(grid):
-        # D = adj(A) B adj(A) / det(A)^2; diagonal of I + h L is
-        # 1 - h (D11/dx^2 + D22/dy^2)
-        (uxx, uyy, uxy), det = grid.hess, grid.det
-        d11 = uyy * uyy * vxx - 2.0 * uyy * uxy * vxy + uxy * uxy * vyy
-        d22 = uxy * uxy * vxx - 2.0 * uxx * uxy * vxy + uxx * uxx * vyy
-        rate = np.divide(sx * d11 + sy * d22, det * det, out=np.zeros(det.shape),
-                         where=box_active)
-        return 1.0 / (float(rate.max(where=box_active, initial=-np.inf)) + 1e-300)
-
-    def sup_residual(grid):
-        if not _convex(grid.hess, grid.det, box_active):
-            raise FlowError("potential is not strictly convex on the active nodes")
-        vel = _velocity(grid.hess, grid.det, v_hess, gamma, box_active)
-        return float(np.abs(vel).max(where=box_active, initial=0.0))
-
-    def degenerate_node(grid):
+    def degenerate_node():
         # a step that loses convexity however far it is shortened means an
         # active node's det D^2u has fallen to roundoff, not a step size
         # fault: name the active node of smallest det on the last accepted
         # grid, by its index in grid0.values
-        det = np.where(box_active, grid.det, np.inf)
-        i, j = np.unravel_index(np.argmin(det), det.shape)
-        gi, gj = bi.start + i + 1, bj.start + j + 1
+        det = euler.states[0].det
+        node = np.argmin(det)
+        gi, gj = bi.start + euler.nodes[0][node] + 1, bj.start + euler.nodes[1][node] + 1
         return (f"convexity loss persists at t={t:.4g} after {max_halvings} halvings: "
                 f"D^2u degenerates at grid node ({gi}, {gj}) (x={grid0.xs[gi]:.4g}, "
-                f"y={grid0.ys[gj]:.4g}), det {det[i, j]:.2e}; use a finer flow.grid")
+                f"y={grid0.ys[gj]:.4g}), det {det[node]:.2e}; use a finer flow.grid")
 
-    def snapshot(grid):
+    def snapshot():
         full = grid0.values.copy()
-        full[halo] = grid.values
+        full[halo] = euler.states[0].grid.values
         return full
 
     snaps = {}
     snap_times = sorted(set(list(snap_times) + [0.0, float(T)]))
     next_snap = 0
     t = 0.0
-    res_log = [(0.0, sup_residual(grid))]
+    res_log = [(0.0, euler.sup_residual())]
     steps = 0
     halvings = 0
     fraction = EULER_FRACTION
     dts = []
     while next_snap < len(snap_times) and snap_times[next_snap] <= 1e-14:
-        snaps[snap_times[next_snap]] = snapshot(grid)
+        snaps[snap_times[next_snap]] = snapshot()
         next_snap += 1
     while t < T - 1e-12:
         span = snap_times[next_snap] - t
-        h = span / max(1, math.ceil(span / (fraction * euler_bound(grid))))
-        # the start residual, or the last accepted step, proved the grid convex
-        new, ok = _euler_step(grid, grid.hess, grid.det, v_hess, gamma, h, box_active)
-        if not ok:
+        h = span / max(1, math.ceil(span / (fraction * euler.euler_bound())))
+        if not euler.step(h):
             fraction *= 0.5
             halvings += 1
             if halvings > max_halvings:
-                raise FlowError(degenerate_node(grid))
+                raise FlowError(degenerate_node())
             continue
-        grid = new
         t += h
         steps += 1
         dts.append(h)
         if steps % 25 == 0 or t >= T - 1e-12:
-            res_log.append((t, sup_residual(grid)))
+            res_log.append((t, euler.sup_residual()))
         if t >= snap_times[next_snap] - 1e-12:
-            snaps[snap_times[next_snap]] = snapshot(grid)
+            snaps[snap_times[next_snap]] = snapshot()
             next_snap += 1
     return JFlowResult(grid0=grid0, snapshots=snaps, residual_log=res_log,
                        active=active, box=box_active.shape, steps=steps, dts=dts,

@@ -578,6 +578,7 @@ def _axis_rule(t, w, scale, center):
     return x, w * jac
 
 
+@cache
 def gauss_legendre(n):
     """Gauss-Legendre nodes and weights on [-1, 1] for n >= 2 nodes, bit for
     bit those of ``np.polynomial.legendre.leggauss(n)`` (numpy 2.4), whose
@@ -586,7 +587,7 @@ def gauss_legendre(n):
     Newton step, and the weights 1 / (L_{n-1} L_n') scaled, symmetrised and
     normalised to total 2.  Only leggauss's terms that are exactly 0 for L_n
     are left out, and L_n's derivative series is written in closed form
-    (small integers, so exact either way)."""
+    (small integers, so exact either way).  Computed once per n, read-only."""
     scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
     mat = np.zeros((n, n))
     off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
@@ -607,6 +608,7 @@ def gauss_legendre(n):
     w = (w + w[::-1]) / 2
     x = (x - x[::-1]) / 2
     w *= 2. / w.sum()
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 

@@ -249,6 +249,9 @@ def test_flow_artifacts(tmp_path, monkeypatch):
     # a preset name fixes its polytope and L2; beside it only chi is taken
     ({"problem": {"name": "P2-O1-O1", "l2": "O(2)"}}, "'problem.l2'"),
     ({"problem": {"name": "P1xP1-O11-O21", "polytope": "P2"}}, "'problem.polytope'"),
+    # below 3 nodes a side the flow grid has no interior node
+    ({"flow": {"grid": 1}}, "'flow.grid'"),
+    ({"flow": {"grid": 2}}, "'flow.grid'"),
 ])
 def test_config_errors_exit_usage(tmp_path, capsys, config, key):
     # bad keys, value types and polytopes end in exit 2 with one line naming

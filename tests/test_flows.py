@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +8,7 @@ from conftest import random_diagonal
 from jbalance import flows as fl
 from jbalance import geometry as geo
 from jbalance.cli import flow_start
+from jbalance.presets import make_problem
 from jbalance.quantisation import HermitianForm, Quantisation
 from jbalance.stability import SurfaceClassData, cone_criteria
 
@@ -229,12 +231,118 @@ def test_jflow_box_matches_full_grid_l_shaped(square_problem):
                           grid0.values[1:-1, 1:-1][~active])
 
 
+def _reference_run(grid0, chi, gamma, T, snap_times, active):
+    """jflow_run's schedule on the full grid, with a fresh array for every
+    quantity of every step: the interior Hessian, its determinant, the
+    velocity (gamma - (1/2) tr(adj(A) B) / det A) and the forward-Euler bound
+    h <= 1 / max(D11/dx^2 + D22/dy^2), D = adj(A) B adj(A) / det(A)^2."""
+    def hessian(u):
+        twice = 2 * u[1:-1, 1:-1]
+        uxx = (u[2:, 1:-1] - twice + u[:-2, 1:-1]) / grid0.dx ** 2
+        uyy = (u[1:-1, 2:] - twice + u[1:-1, :-2]) / grid0.dy ** 2
+        ddx = u[2:] - u[:-2]
+        return uxx, uyy, (ddx[:, 2:] - ddx[:, :-2]) / (4 * grid0.dx * grid0.dy)
+
+    vxx, vyy, vxy = hessian(np.asarray(chi.value(grid0.mesh())).reshape(grid0.values.shape))
+
+    def velocity(uxx, uyy, uxy, det):
+        mix = 0.5 * (uxx * vyy + uyy * vxx - 2.0 * uxy * vxy)
+        return np.where(active, gamma - mix / np.where(active, det, 1.0), 0.0)
+
+    values, t, dts, res_log = grid0.values.copy(), 0.0, [], []
+    times = sorted({0.0, T, *snap_times})
+    snaps = {0.0: values.copy()}
+    while t < T - 1e-12:
+        uxx, uyy, uxy = hessian(values)
+        det = uxx * uyy - uxy * uxy
+        assert np.all((det > 0) & (uxx > 0) | ~active)
+        if not dts or len(dts) % 25 == 0:
+            res_log.append((t, float(np.abs(velocity(uxx, uyy, uxy, det))[active].max())))
+        d11 = uyy * uyy * vxx - 2.0 * uyy * uxy * vxy + uxy * uxy * vyy
+        d22 = uxy * uxy * vxx - 2.0 * uxx * uxy * vxy + uxx * uxx * vyy
+        rate = ((1.0 / grid0.dx ** 2) * d11 + (1.0 / grid0.dy ** 2) * d22) / (det * det)
+        span = times[len(snaps)] - t
+        h = span / max(1, math.ceil(span / (fl.EULER_FRACTION / (rate[active].max() + 1e-300))))
+        values = values.copy()
+        values[1:-1, 1:-1] += h * velocity(uxx, uyy, uxy, det)
+        t += h
+        dts.append(h)
+        if t >= times[len(snaps)] - 1e-12:
+            snaps[times[len(snaps)]] = values.copy()
+    uxx, uyy, uxy = hessian(values)
+    vel = velocity(uxx, uyy, uxy, uxx * uyy - uxy * uxy)
+    res_log.append((t, float(np.abs(vel)[active].max())))
+    return snaps, dts, res_log
+
+
+def _pde_inputs(name):
+    if name == "benchmark":
+        # the flow benchmark's continuum input
+        pb = make_problem("P1xP1-O11-O21", resolution=80)
+        grid0 = fl.grid_from_potential(pb.polytope, flow_start(pb, seed=0, amplitude=0.05), 48)
+        return pb, grid0, 0.05, None
+    # an L-shaped override: a masked quadrant inside the box
+    pb = make_problem("P1xP1-O11-O11", resolution=64)
+    pert = pb.u_ref.with_log_coeffs(np.array([0.4, -0.3, 0.2, -0.3]))
+    active = np.zeros((30, 30), dtype=bool)
+    active[8:22, 8:22] = True
+    active[15:22, 15:22] = False
+    return pb, fl.grid_from_potential(pb.polytope, pert, 32), 0.1, active
+
+
+@pytest.mark.parametrize("name", ["benchmark", "l_shaped"])
+def test_jflow_run_matches_reference_steps(name):
+    # the in-place kernel gives the reference's snapshots, step sizes and
+    # residuals to the last bit
+    pb, grid0, T, active = _pde_inputs(name)
+    out = fl.jflow_run(grid0, pb.chi, pb.gamma, T=T, snap_times=(T / 2,), active=active)
+    assert out.halvings == 0
+    snaps, dts, res_log = _reference_run(grid0, pb.chi, pb.gamma, T, (T / 2,), out.active)
+    assert out.dts == dts and out.residual_log == res_log
+    assert snaps.keys() == out.snapshots.keys()
+    for t, values in snaps.items():
+        assert values.tobytes() == out.snapshots[t].tobytes(), t
+
+
+def test_jflow_refused_steps_roll_back(square_problem, monkeypatch):
+    # a refused step leaves the current state as it was: with refusals, the
+    # snapshots are those of the accepted step sizes replayed one by one
+    pb = square_problem
+    pert = pb.u_ref.with_log_coeffs(np.array([0.4, -0.3, 0.2, -0.3]))
+    grid0 = fl.grid_from_potential(pb.polytope, pert, 24)
+    monkeypatch.setattr(fl, "EULER_FRACTION", 64.0)
+    out = fl.jflow_run(grid0, pb.chi, pb.gamma, T=0.1, snap_times=(0.05,))
+    assert out.halvings > 0
+    full = _replay_on_full_grid(grid0, pb.chi, pb.gamma, out)
+    assert full.keys() == out.snapshots.keys()
+    for t, values in out.snapshots.items():
+        assert values.tobytes() == full[t].tobytes(), t
+
+
+def test_jflow_steps_make_no_grids(square_problem, monkeypatch):
+    # the step loop works in buffers made once: a longer run builds no more
+    # GridPotential objects than a shorter one
+    pb = square_problem
+    pert = pb.u_ref.with_log_coeffs(np.array([0.4, -0.3, 0.2, -0.3]))
+    grid0 = fl.grid_from_potential(pb.polytope, pert, 24)
+    made = []
+    real = fl.GridPotential.__post_init__
+    monkeypatch.setattr(fl.GridPotential, "__post_init__",
+                        lambda self: made.append(1) or real(self))
+    counts = []
+    for T in (0.05, 0.1):
+        made.clear()
+        out = fl.jflow_run(grid0, pb.chi, pb.gamma, T=T)
+        counts.append((len(made), out.steps))
+    assert counts[0][0] == counts[1][0] and counts[0][1] < counts[1][1]
+
+
 def test_jflow_one_hessian_per_step(square_problem, monkeypatch):
     pb = square_problem
     calls = []
     real = fl.GridPotential.interior_hessian
     monkeypatch.setattr(fl.GridPotential, "interior_hessian",
-                        lambda self: calls.append(1) or real(self))
+                        lambda self, *args, **kw: calls.append(1) or real(self, *args, **kw))
     pert = pb.u_ref.with_log_coeffs(np.array([0.4, -0.3, 0.2, -0.3]))
     grid0 = fl.grid_from_potential(pb.polytope, pert, 24)
     out = fl.jflow_run(grid0, pb.chi, pb.gamma, T=0.1)

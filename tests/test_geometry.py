@@ -252,6 +252,22 @@ def test_gauss_legendre_matches_numpy_bit_for_bit():
         assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w), n
 
 
+def test_gauss_legendre_kept_read_only(monkeypatch):
+    # the rule depends only on n: later calls return the first call's arrays,
+    # read-only, and the quadrature built from them is unchanged
+    x, w = geo.gauss_legendre(96)
+    again = geo.gauss_legendre(96)
+    assert again[0] is x and again[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    P = geo.polytope_preset("P2")
+    rule = geo.build_quadrature(P, 96)
+    monkeypatch.setattr(geo, "gauss_legendre", geo.gauss_legendre.__wrapped__)
+    ref = geo.build_quadrature(P, 96)
+    assert np.array_equal(rule.nodes, ref.nodes) and np.array_equal(rule.weights, ref.weights)
+
+
 def test_build_quadrature_unchanged_at_each_preset_resolution(monkeypatch):
     # every preset's rule, nodes and weights, is the one numpy's leggauss gives
     from jbalance.presets import make_problem, problem_names
