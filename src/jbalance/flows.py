@@ -19,8 +19,8 @@ differences on a Dirichlet box large enough that the reference gradient is
 within 1e-6 of the polytope boundary.  In log coordinates the chart
 degenerates exponentially towards the toric boundary divisors, making
 explicit steps arbitrarily stiff there, so nodes whose initial Hessian falls
-below ``freeze_eps`` are held at their initial values: they form an
-exponentially thin collar of the divisors (manifold measure ~ freeze_eps)
+below ``FREEZE_EPS`` are held at their initial values: they form an
+exponentially thin collar of the divisors (manifold measure ~ FREEZE_EPS)
 and the committed error is quantified by the grid refinement oracle.  Each
 step takes 0.9 of the forward-Euler bound of the discrete operator: the
 linearised flow is d(delta)/dt = (1/2) tr(D D^2 delta), D = A^{-1} B A^{-1}
@@ -60,17 +60,22 @@ class FlowState:
 # rescaled J-balancing flow (matrix ODE)
 # ---------------------------------------------------------------------------
 
+# Relative slack of the balancing flow's gradient-flow check: a step whose
+# ||mu0||_F^2 exceeds the last accepted value by more than this is refused.
+MU0_SLACK = 1e-9
+
+
 def _flow_rhs(q, d, c):
     """The flow's velocity on the diagonal d of H, given the Hilb diagonal
     c = diag Hilb(FS(H)): k gamma (c - (sum(c/d)/(N+1)) d)."""
     return q.k * q.gamma * (c - (np.sum(c / d) / q.n_plus_1) * d)
 
 
-def balancing_flow(q, H0, dt, T, log_every=5, mu_slack=1e-9):
+def balancing_flow(q, H0, dt, T, log_every=5):
     """Integrate the rescaled J-balancing flow from H0 up to time T.
 
     Explicit RK4 with dt halving whenever positivity fails or ||mu0||_F^2
-    increases beyond ``mu_slack`` relative slack (gradient-flow contract);
+    increases beyond ``MU0_SLACK`` relative slack (gradient-flow contract);
     dt recovers geometrically after sustained accepted steps.  Diagnostics
     (||mu0||_F, ||mu0||^2, I_{mu0}, log det H) are logged every ``log_every``
     accepted steps plus the endpoints, with the halvings so far by cause:
@@ -97,13 +102,11 @@ def balancing_flow(q, H0, dt, T, log_every=5, mu_slack=1e-9):
     fro, op = q.mu0_norms(q.moment_vector(x, c))
     halvings = {"positivity": 0, "mu0_rise": 0}
 
-    def make_state(t, d, x, fro, op, with_energy=True):
+    def make_state(t, d, x, fro, op):
         diag = {"mu0_fro": fro, "mu0_op": op, "mu0_sq": fro * fro,
                 "logdet": float(x.sum()),
                 "halvings_positivity": halvings["positivity"],
-                "halvings_mu0_rise": halvings["mu0_rise"]}
-        if with_energy:
-            diag["i_mu0"] = i_mu0(q, x)
+                "halvings_mu0_rise": halvings["mu0_rise"], "i_mu0": i_mu0(q, x)}
         return FlowState(t=t, payload=HermitianForm(d, q.k),
                          diagnostics=diag)
 
@@ -133,7 +136,7 @@ def balancing_flow(q, H0, dt, T, log_every=5, mu_slack=1e-9):
             x_n = np.log(d_n)
             c_n = q.torus_pass(x_n).hilb
             fro_n, op_n = q.mu0_norms(q.moment_vector(x_n, c_n))
-            cause = None if fro_n * fro_n <= fro * fro * (1.0 + mu_slack) + 1e-300 \
+            cause = None if fro_n * fro_n <= fro * fro * (1.0 + MU0_SLACK) + 1e-300 \
                 else "mu0_rise"
         except QuantisationError:
             cause = "positivity"
@@ -189,6 +192,16 @@ def critical_residual(u, chi, gamma, rule):
 # entries of the stencil can be negative, so it does not prove stability,
 # and jflow_run halves the fraction whenever a step loses convexity.
 EULER_FRACTION = 0.9
+
+# jflow_run holds fixed the interior nodes whose initial Hessian has its
+# smallest eigenvalue below FREEZE_EPS, and gives up after MAX_HALVINGS
+# refused steps.
+FREEZE_EPS = 1e-3
+MAX_HALVINGS = 40
+
+# The Dirichlet box reaches where the reference gradient is within BOX_SLACK
+# of the polytope boundary.
+BOX_SLACK = 1e-6
 
 
 @dataclass
@@ -248,21 +261,16 @@ class GridPotential:
         return hess
 
 
-def dirichlet_box(P, slack=1e-6):
-    """Per-axis half-widths such that the reference gradient is within
-    ``slack`` of the polytope boundary: the exponential-sum slacks decay like
-    e^{-dist}, so log(1/slack) plus the polytope width suffices."""
-    widths = P.vertices.max(axis=0) - P.vertices.min(axis=0)
-    return np.log(1.0 / slack) + widths
-
-
-def grid_from_potential(P, u, nx, ny=None, box=None):
-    ny = nx if ny is None else ny
-    half = dirichlet_box(P) if box is None else np.asarray(box, dtype=float)
+def grid_from_potential(P, u, nx):
+    """u sampled on the nx x nx Dirichlet box of P.  Its per-axis half-widths
+    put the reference gradient within BOX_SLACK of the polytope boundary: the
+    exponential-sum slacks decay like e^{-dist}, so log(1/BOX_SLACK) plus the
+    polytope width suffices."""
+    half = np.log(1.0 / BOX_SLACK) + (P.vertices.max(axis=0) - P.vertices.min(axis=0))
     xs = np.linspace(-half[0], half[0], nx)
-    ys = np.linspace(-half[1], half[1], ny)
-    g = GridPotential(xs=xs, ys=ys, values=np.empty((nx, ny)))
-    g.values[:] = u.value(g.mesh()).reshape(nx, ny)
+    ys = np.linspace(-half[1], half[1], nx)
+    g = GridPotential(xs=xs, ys=ys, values=np.empty((nx, nx)))
+    g.values[:] = u.value(g.mesh()).reshape(nx, nx)
     return g
 
 
@@ -391,11 +399,10 @@ def _bounding_box(mask):
     return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
 
-def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
-              max_halvings=40, active=None):
+def jflow_run(grid0, chi, gamma, T, snap_times=(), active=None):
     """Run the continuum J-flow to time T with adaptive explicit stepping.
 
-    Interior nodes with lambda_min(D^2 u_0) < freeze_eps are held fixed (an
+    Interior nodes with lambda_min(D^2 u_0) < FREEZE_EPS are held fixed (an
     exponentially thin collar of the toric boundary).  Each step takes
     ``EULER_FRACTION`` of the forward-Euler bound of the discrete operator
     on the active nodes: linearised, the flow is d(delta)/dt =
@@ -406,7 +413,7 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
     gives the convexity check, the velocity, the bound and the residual
     logged every 25 steps.  A step that loses convexity on the active set is
     refused and the fraction halved for the rest of the run; past
-    ``max_halvings`` refusals the FlowError names the active node of
+    ``MAX_HALVINGS`` refusals the FlowError names the active node of
     smallest det D^2u, where the grid has degenerated.
 
     Only the active nodes move, so the steps run on the bounding box of the
@@ -431,9 +438,9 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
     v_hess = vgrid.interior_hessian()
     hess0 = grid0.interior_hessian()
     if active is None:
-        active = smallest_eigenvalue(*hess0) >= freeze_eps
+        active = smallest_eigenvalue(*hess0) >= FREEZE_EPS
     if not np.any(active):
-        raise FlowError("freeze_eps leaves no active nodes; refine the grid or box")
+        raise FlowError("FREEZE_EPS leaves no active nodes; refine the grid")
 
     # the box in interior indices, and with its halo in grid indices
     bi, bj = _bounding_box(active)
@@ -453,7 +460,7 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
         det = euler.states[0].det
         node = np.argmin(det)
         gi, gj = bi.start + euler.nodes[0][node] + 1, bj.start + euler.nodes[1][node] + 1
-        return (f"convexity loss persists at t={t:.4g} after {max_halvings} halvings: "
+        return (f"convexity loss persists at t={t:.4g} after {MAX_HALVINGS} halvings: "
                 f"D^2u degenerates at grid node ({gi}, {gj}) (x={grid0.xs[gi]:.4g}, "
                 f"y={grid0.ys[gj]:.4g}), det {det[node]:.2e}; use a finer flow.grid")
 
@@ -480,7 +487,7 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
         if not euler.step(h):
             fraction *= 0.5
             halvings += 1
-            if halvings > max_halvings:
+            if halvings > MAX_HALVINGS:
                 raise FlowError(degenerate_node())
             continue
         t += h
@@ -500,22 +507,27 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), freeze_eps=1e-3,
 # quantum-classical comparison
 # ---------------------------------------------------------------------------
 
+# The comparison window: grid nodes where the smallest eigenvalue of D^2 u0
+# is at least WINDOW_EPS, safely away from the degenerate toric boundary.
+WINDOW_EPS = 5e-3
+
+
 def _mean_normalised_sup(a, b):
     d = a - b
     return float(np.max(np.abs(d - np.mean(d))))
 
 
-def quantization_comparison(levels, u0, T, nx=48, dt_ode=None, window_eps=5e-3):
+def quantization_comparison(levels, u0, T, nx=48):
     """Distances between the balancing-flow Bergman potentials and the
     continuum J-flow at t in {0, T/2, T}.
 
     Both flows start from matched data: the continuum from u0, the level-k
     flow from H0 = Hilb_chi(h0^k).  ``levels`` holds the (Quantisation, H0)
     pairs of one problem, built once by the caller; the continuum flow takes
-    the polytope, chi and gamma from them.  Distances are sup over the
-    comparison window (grid nodes where D^2 u0 is safely nondegenerate) of
-    the potential difference after mean normalisation, the gauge freedom of
-    potentials.
+    the polytope, chi and gamma from them.  The level-k flow steps at
+    dt = 0.25/(k gamma).  Distances are sup over the comparison window (see
+    WINDOW_EPS) of the potential difference after mean normalisation, the
+    gauge freedom of potentials.
 
     Returns (rows, meta, pde): rows are dicts {k, t, distance}; meta holds
     the grid and PDE step data and, per level, ``ode_halvings``: the
@@ -529,14 +541,14 @@ def quantization_comparison(levels, u0, T, nx=48, dt_ode=None, window_eps=5e-3):
     nxy = grid0.values.shape
     hess0 = np.asarray(u0.hessian(X)).reshape(nxy[0], nxy[1], 2, 2)
     window = smallest_eigenvalue(hess0[..., 0, 0], hess0[..., 1, 1],
-                                 hess0[..., 0, 1]) >= window_eps
+                                 hess0[..., 0, 1]) >= WINDOW_EPS
     result = jflow_run(grid0, q0.chi, q0.gamma, T, snap_times=snap_times)
     Xw = X.reshape(nxy[0], nxy[1], 2)[window]
 
     rows = []
     ode_halvings = []
     for q, H0 in levels:
-        dt = dt_ode if dt_ode is not None else 0.25 / (q.k * q.gamma)
+        dt = 0.25 / (q.k * q.gamma)
         Hs = {0.0: H0}
         Ht = H0
         counts = {"k": q.k, "positivity": 0, "mu0_rise": 0}

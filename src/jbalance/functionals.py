@@ -1,8 +1,9 @@
 """Energy functionals: J_chi, I_{mu_J}, I_{mu0}, I_hat, P_hat, convexity probes.
 
-Basepoint conventions.  J_chi is anchored at FS(Id) per level k (the anchor
-is a parameter, so quantisation-consistency comparisons can re-anchor both
-sides at the same reference metric).  All asserted properties are basepoint
+Basepoint conventions.  J_chi is anchored at FS(Id) per level k in i_mu0,
+i_hat and p_hat; j_energy_between and i_hat_relative take the reference
+metric as an endpoint, so quantisation-consistency comparisons anchor both
+sides at the same metric.  All asserted properties are basepoint
 differences or monotonicity statements, hence normalisation-free.
 
 Time integrals.  For n <= 2 the mixed density (1/n) tr(adj(A) B) is linear
@@ -10,7 +11,7 @@ in A, so along a linear potential path the J_chi integrand is linear in t
 and two endpoints give it exactly; the I_{mu_J} and AYM integrands are
 quadratic in t and 3-point Simpson is exact.  Only Bergman-geodesic paths,
 whose integrand is genuinely curved, use composite Simpson on their m + 1
-samples.
+samples.  J_chi is path independent, so both give the same difference.
 
 Gauge note for the P_hat inequalities: P_hat(h, H) >= P_hat(FS(H), H) holds
 once the constant ambiguity of the h-potential is fixed (mean-zero against
@@ -22,7 +23,7 @@ formula is kept exactly as defined.
 
 import numpy as np
 
-from .geometry import BlendPotential, mixed_density, volume_density
+from .geometry import mixed_density, volume_density
 from .quantisation import HermitianForm, QuantisationError, log_diagonal
 
 
@@ -37,57 +38,38 @@ def simpson_weights(m):
 
 
 class PotentialPath:
-    """Path in the space of level-k metrics: linear in potentials, or a
-    Bergman geodesic H^{1/2} e^{tA} H^{1/2} between torus-invariant forms."""
+    """Bergman geodesic H^{1/2} e^{tA} H^{1/2} between torus-invariant
+    level-k forms, sampled at m + 1 equispaced times: log diag H is linear
+    in t along it."""
 
-    def __init__(self, kind, m, data):
+    def __init__(self, q, x0, x1, m):
         if m < 4 or m % 2:
             raise QuantisationError("sampling count m must be even and >= 4")
-        self.kind = kind
         self.m = int(m)
-        self._data = data
-
-    @classmethod
-    def linear(cls, u0, u1, m=16):
-        """Linear path (1-t) u0 + t u1.  ``m`` is validated and kept for
-        sampling (times), but energies along it are exact and ignore it."""
-        return cls("linear", m, (u0, u1))
+        self._data = (q, x0, x1)
 
     @classmethod
     def bergman(cls, q, H0, H1, m=16):
-        """Bergman geodesic between torus-invariant H0 and H1 (forms or log
-        diagonals): log diag H is linear in t along it."""
-        return cls("bergman", m, (q, log_diagonal(q, H0, "bergman"),
-                                  log_diagonal(q, H1, "bergman")))
+        """The geodesic from H0 to H1 (forms or log diagonals)."""
+        return cls(q, log_diagonal(q, H0, "bergman"), log_diagonal(q, H1, "bergman"), m)
 
     def times(self):
         return np.linspace(0.0, 1.0, self.m + 1)
 
     def form_at(self, t):
-        if self.kind != "bergman":
-            raise QuantisationError("form_at only meaningful for Bergman paths")
         q, x0, x1 = self._data
         return HermitianForm(np.exp((1 - t) * x0 + t * x1), q.k)
 
     def potential(self, t):
-        if self.kind == "linear":
-            u0, u1 = self._data
-            return BlendPotential(u0, u1, t)
         q, x0, x1 = self._data
         return q.fs_map(self.form_at(t))
 
-    def velocity(self, t, X, level=1):
-        """d/dt of the level-k potential phi_t = k u_t at the nodes X.
-
-        ``level`` is the k of the surrounding quantisation context; Bergman
-        paths are intrinsically level-k (the velocity is d log rho / dt).
-        """
-        if self.kind == "linear":
-            u0, u1 = self._data
-            return level * (u1.value(X) - u0.value(X))
+    def velocity(self, t, X):
+        """d/dt of the level-k potential phi_t at the nodes X: d log rho / dt,
+        since the path is intrinsically level-k."""
         q, x0, x1 = self._data
         lam = x1 - x0
-        out = np.empty(len(X))                  # d log rho / dt
+        out = np.empty(len(X))
         for block, (_, S, _, _) in self.potential(t).moment_blocks(X, 1):
             out[block] = -(lam @ S)             # S: softmax over basis points
         return out
@@ -99,36 +81,29 @@ def _two_endpoint_j(q, phi, mix0, mix1):
     return float(q.weights @ (phi * 0.5 * (mix0 + mix1))) / q.hilb_norm
 
 
-def j_energy(q, path, m=None):
-    """J_chi difference along a path of level-k metrics.
+def j_energy(q, path):
+    """J_chi difference along a Bergman geodesic, by composite Simpson on the
+    path's m + 1 samples.
 
     dJ/dt = (1/(gamma k^{n-1})) integral phi_t' chi wedge c1(h_t)^{n-1},
     with the measure realised as mix(D^2(k u_t), D^2 v) c_vol dx; the total
     measure mass is V, which pins the scale (J(e^{-c} h) = J(h) + c V).
-
-    Linear paths use the exact two-endpoint formula (``m`` is ignored);
-    positivity of the measure at both ends implies it along the path, since
-    the density is linear in t.  Bergman paths use composite Simpson on m
-    intervals (default: the path's own m).
     """
     X = q.nodes
-    if path.kind == "linear":
-        u0, u1 = path._data
-        return _two_endpoint_j(q, path.velocity(0.0, X, level=q.k),
-                               q.mixed_measure(u0), q.mixed_measure(u1))
-    m = path.m if m is None else m
-    ts = path.times() if m == path.m else np.linspace(0.0, 1.0, m + 1)
-    w = simpson_weights(len(ts) - 1)
     total = 0.0
-    for wt, t in zip(w, ts):
+    for wt, t in zip(simpson_weights(path.m), path.times()):
         mix = q.mixed_measure(path.potential(t))
-        total += wt * float(q.weights @ (path.velocity(t, X, level=q.k) * mix)) / q.hilb_norm
+        total += wt * float(q.weights @ (path.velocity(t, X) * mix)) / q.hilb_norm
     return total
 
 
 def j_energy_between(q, u0, u1):
-    """J_chi(u1) - J_chi(u0) along the linear path (exact)."""
-    return j_energy(q, PotentialPath.linear(u0, u1))
+    """J_chi(u1) - J_chi(u0), exact along the linear path (1-t) u0 + t u1:
+    positivity of the measure at both ends implies it along the path, since
+    the density is linear in t."""
+    X = q.nodes
+    return _two_endpoint_j(q, q.k * (u1.value(X) - u0.value(X)),
+                           q.mixed_measure(u0), q.mixed_measure(u1))
 
 
 def _linear_path_integral(u0, u1, rule, density):
@@ -159,8 +134,8 @@ def i_mu_j(u0, u1, chi, gamma, rule):
 
 def aym_energy(u0, u1, rule):
     """Aubin-Yau-Mabuchi energy -integral integral phi' omega_t^n dt along the
-    linear level-1 path (recorded by the convexity probes, no sign asserted);
-    the integrand is quadratic in t, so Simpson is exact."""
+    linear level-1 path (no sign asserted); the integrand is quadratic in t,
+    so Simpson is exact."""
     return -_linear_path_integral(u0, u1, rule,
                                   lambda hess: volume_density(hess) * rule.c_vol)
 
@@ -187,14 +162,10 @@ def i_mu0(q, H):
     return jval + (q.V / q.n_plus_1) * float(x.sum())
 
 
-def hilb_trace(q, u, H):
-    """sum_i ||S_i||^2_{Hilb(h)} for an H-orthonormal basis = tr(Hilb(h) H^{-1})."""
-    return float(np.sum(q.hilb_map(u).d / H.d))
-
-
 def p_hat(q, u, H):
     """P_hat(h, H) = log sum ||S_i||^2_{Hilb(h)} - log(N+1) + log det H
-    + ((N+1)/V) J_chi(h), J_chi anchored at FS(Id).
+    + ((N+1)/V) J_chi(h), J_chi anchored at FS(Id).  For an H-orthonormal
+    basis the sum is tr(Hilb(h) H^{-1}).
 
     Satisfies P_hat(FS(H), H) = ((N+1)/V) I_{mu0}(H) exactly given the trace
     identity; P_hat(h, H) >= P_hat(FS(H), H) holds in the mean-zero gauge of
@@ -203,7 +174,7 @@ def p_hat(q, u, H):
     det H = det Hilb(h) (match_determinant).
     """
     jval = _j_from_anchor(q, u)
-    tr = hilb_trace(q, u, H)
+    tr = float(np.sum(q.hilb_map(u).d / H.d))
     return float(np.log(tr) - np.log(q.n_plus_1) + H.logdet()
                  + (q.n_plus_1 / q.V) * jval)
 
@@ -230,14 +201,13 @@ def mean_normalised_against_fs(q, u, H):
     return shifted
 
 
-def i_hat(q, u, anchor=None):
-    """I_hat_k(h) = J_chi(h) + (V/(N+1)) log det Hilb_chi(h).
-
-    ``anchor`` fixes J's basepoint (default FS(Id) at this level); the
-    log det term is reported raw, so quantisation-consistency comparisons
-    should difference two i_hat values with a common anchor.
+def i_hat(q, u):
+    """I_hat_k(h) = J_chi(h) + (V/(N+1)) log det Hilb_chi(h), J_chi anchored
+    at FS(Id) at this level.  The log det term is reported raw, so
+    quantisation-consistency comparisons use i_hat_relative, anchored at a
+    common reference metric.
     """
-    jval = _j_from_anchor(q, u) if anchor is None else j_energy_between(q, anchor, u)
+    jval = _j_from_anchor(q, u)
     return jval + (q.V / q.n_plus_1) * q.hilb_map(u).logdet()
 
 

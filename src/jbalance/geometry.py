@@ -472,17 +472,10 @@ def pair_classes(P, c1, c2):
 def intersection_numbers(P, l2_spec="L1"):
     """Surface pairing table {L1^2, L1.L2, L2^2, K.L1, K.L2, K^2}, read-only.
 
-    ``l2_spec`` follows line_bundle_class, or may be a dict of directly
-    supplied pairing values (validated for the symmetric entries present).
-    A table from the fan is computed once per (polygon, L2) and kept on the
-    polygon, so later calls return that one instance.
+    ``l2_spec`` follows line_bundle_class.  A table is computed once per
+    (polygon, L2) and kept on the polygon, so later calls return that one
+    instance.
     """
-    if isinstance(l2_spec, dict):
-        table = dict(l2_spec)
-        for a, b in (("L1L2", "L2L1"), ("KL1", "L1K"), ("KL2", "L2K")):
-            if a in table and b in table and table[a] != table[b]:
-                raise GeometryError(f"inconsistent pairings {a} != {b}")
-        return MappingProxyType(table)
     memo = P.__dict__.setdefault("_intersections", {})
     key = l2_spec if isinstance(l2_spec, str) else tuple(line_bundle_class(P, l2_spec).tolist())
     if key not in memo:
@@ -707,22 +700,19 @@ def smallest_eigenvalue(hxx, hyy, hxy):
     return 0.5 * (tr - np.sqrt(np.maximum(tr ** 2 - 4 * det, 0.0)))
 
 
-def calibrate(rule, P, k, u_ref):
-    """Fix c_vol so that integral det(D^2(k u_ref)) c_vol dx = k^2 L1^2.
+def calibrate(rule, P, u_ref):
+    """Fix c_vol so that integral det(D^2 u_ref) c_vol dx = L1^2.
 
-    Because det(D^2(k u)) = k^n det(D^2 u) pointwise, the calibrated value is
-    independent of k and lands on n! up to quadrature error for any strictly
+    Because det(D^2(k u)) = k^n det(D^2 u) pointwise, the same c_vol serves
+    every level k, and lands on n! up to quadrature error for any strictly
     convex reference whose gradient image is the interior of P.
     """
-    X = rule.nodes
-    hess = np.asarray(u_ref.hessian(X)) * k
-    dens = volume_density(hess)
+    dens = volume_density(np.asarray(u_ref.hessian(rule.nodes)))
     if np.min(dens) < 0:
         # exact zeros can only come from far-field softmax collapse (underflow
         # of e^{-dist}); genuine non-convexity shows up strictly negative
         raise GeometryError("reference potential is not strictly convex on the nodes")
     total = rule.integrate(dens)
-    v_target = float(k) ** 2 * float(2 * P.volume())
-    out = rule.with_c_vol(v_target / total)
+    out = rule.with_c_vol(float(2 * P.volume()) / total)
     out.meta["calibrated"] = True
     return out

@@ -78,7 +78,7 @@ class Problem:
     def rule(self):
         """The quadrature rule, calibrated against the reference potential."""
         rule = build_quadrature(self.polytope, self.meta["resolution"])
-        return calibrate(rule, self.polytope, 1, self.u_ref)
+        return calibrate(rule, self.polytope, self.u_ref)
 
     def quantisation(self, k, n_theta=None):
         """Level-k Quantisation context.  ``n_theta`` is inert (see
@@ -117,9 +117,9 @@ def separable_critical_potential(P, l2_spec):
     return SumPotential(parts)
 
 
-def normal_cone_from_facet(P, l2_spec, facet_index=0, r=1, r_min=1):
+def normal_cone_from_facet(P, l2_spec, facet_index=0, r=1):
     """NormalConeConfig for the centre D = a toric boundary divisor, with all
-    pairings computed exactly from the fan."""
+    pairings computed exactly from the fan and NormalConeConfig's r_min."""
     from .stability import NormalConeConfig, StabilityError
     if not 0 <= facet_index < P.num_facets:
         raise StabilityError(f"facet {facet_index} out of range: {P.name} has "
@@ -129,7 +129,7 @@ def normal_cone_from_facet(P, l2_spec, facet_index=0, r=1, r_min=1):
     c1, c2, ck = surface_classes(P, l2_spec)
     return NormalConeConfig(dd=pair_classes(P, d, d), l1d=pair_classes(P, c1, d),
                             l2d=pair_classes(P, c2, d), kd=pair_classes(P, ck, d),
-                            r=r, r_min=r_min, name=f"D{facet_index}")
+                            r=r, name=f"D{facet_index}")
 
 
 _PRESET_L2 = {

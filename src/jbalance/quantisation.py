@@ -129,14 +129,17 @@ class HermitianForm:
     @classmethod
     def from_json(cls, data):
         """Read to_json's layout.  Refuses, with a QuantisationError, a
-        missing or non-numeric diagonal and one that is not 1-D, finite and
-        positive."""
+        missing or non-numeric diagonal, one that is not 1-D, finite and
+        positive, and a missing or non-integer level."""
         try:
             diag = np.array(data["diagonal"], dtype=float)
         except (KeyError, TypeError, ValueError):
             raise QuantisationError("form JSON: need a 'diagonal' list of numbers; "
                                     "a torus-invariant form is written as its diagonal")
-        return cls(diag, int(data["level"]))
+        level = data.get("level")
+        if not isinstance(level, int) or isinstance(level, bool):
+            raise QuantisationError(f"form JSON: need an integer 'level', got {level!r}")
+        return cls(diag, level)
 
     def __repr__(self):
         return f"HermitianForm(n_plus_1={self.n_plus_1}, level={self.level})"
@@ -321,14 +324,10 @@ class Quantisation:
 
     # -- moment map and iteration ---------------------------------------------
 
-    def t_map(self, H, normalise=False):
+    def t_map(self, H):
         """T_{k,chi} = Hilb_chi o FS read on Gram matrices, from the
         torus_pass of H."""
-        x = log_diagonal(self, H, "t_map")
-        hilb = self.torus_pass(x).hilb
-        if normalise:
-            hilb = hilb * np.exp((x.sum() - np.log(hilb).sum()) / self.n_plus_1)
-        return HermitianForm(hilb, self.k)
+        return HermitianForm(self.torus_pass(log_diagonal(self, H, "t_map")).hilb, self.k)
 
     def moment_vector(self, x, hilb):
         """The diagonal of mu0 (below) at x = log diag H, given the Hilb

@@ -106,15 +106,23 @@ class SurfaceClassData:
     def from_json(cls, data):
         """Directly supplied pairing values, e.g.
         {"L1L1": 1, "L1L2": 1, ..., "mori": [{"name": "C", "l1": 1,
-        "l2": 1, "k": -3}], "klt": true}."""
+        "l2": 1, "k": -3}], "klt": true}.  Refuses a "mori" that is not a
+        list of objects and a "klt" that is not a boolean."""
         try:
+            mori = data["mori"]
+            if not isinstance(mori, list) or not all(isinstance(g, dict) for g in mori):
+                raise StabilityError(f"class data 'mori' must be a list of objects "
+                                     f"with keys l1, l2, k, got {mori!r}")
+            klt = data.get("klt", True)
+            if not isinstance(klt, bool):
+                raise StabilityError(f"class data 'klt' must be true or false, got {klt!r}")
             gens = tuple(CurveClass(name=g.get("name", f"C{i}"),
                                     **{f: rational(g[f], f"mori[{i}].{f}")
                                        for f in ("l1", "l2", "k")})
-                         for i, g in enumerate(data["mori"]))
+                         for i, g in enumerate(mori))
             return cls(l1l1=data["L1L1"], l1l2=data["L1L2"], l2l2=data["L2L2"],
                        kl1=data["KL1"], kl2=data["KL2"], kk=data["KK"],
-                       mori=gens, klt=bool(data.get("klt", True)))
+                       mori=gens, klt=klt)
         except KeyError as exc:
             raise StabilityError(f"class data lacks {exc}")
 
@@ -179,12 +187,15 @@ def check_exponent(r, r_min=None):
 
 
 _BASIS = ("L1", "L2", "K", "E")
+# the sorted keys of a table: one per product of three basis classes
+_TRIPLES = frozenset(combinations_with_replacement(sorted(_BASIS), 3))
 
 
 class IntersectionTable:
     """Symmetric triple products among the pullbacks L1, L2, K and E on the
-    3-fold B; user-supplied tables are validated for the structural zeroes
-    and the missing entries, the only checks that depend on the data.
+    3-fold B; user-supplied tables are validated for malformed, repeated
+    and missing keys and the structural zeroes, the only checks that depend
+    on the data.
 
     ``square``'s closed forms equal the trilinear ``product`` for every
     table and r (``certify_closed_forms``, proved on a grid by the test
@@ -197,8 +208,13 @@ class IntersectionTable:
 
     def __init__(self, entries):
         self._t = {}
-        for key, val in entries.items():
-            key = tuple(sorted(key))
+        for spelling, val in entries.items():
+            key = tuple(sorted(spelling))
+            if key not in _TRIPLES:
+                raise StabilityError(f"triple product {'/'.join(spelling)!r} is not "
+                                     f"three of {', '.join(_BASIS)}")
+            if key in self._t:
+                raise StabilityError(f"triple product {'/'.join(key)} given under two spellings")
             self._t[key] = rational(val, "/".join(key))
         for key in combinations_with_replacement(sorted(_BASIS), 3):
             if key not in self._t:

@@ -285,6 +285,22 @@ def test_stability_refuses_float_pairings(tmp_path, capsys):
     assert not (out / "stability_sweep.csv").exists()
 
 
+@pytest.mark.parametrize("field, value", [("mori", [1]), ("mori", 5), ("klt", "no")])
+def test_stability_bad_class_data_exit_usage(tmp_path, capsys, field, value):
+    # a Mori entry that is not an object crashed with a traceback, and a
+    # non-boolean klt was read as true
+    data = {"L1L1": 1, "L1L2": 1, "L2L2": 1, "KL1": -3, "KL2": -3, "KK": 9,
+            "klt": True, "mori": [{"name": "line", "l1": 1, "l2": 1, "k": -3}]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "P2-O1-O1", "stability": {
+        "r_values": [1], "class_data": dict(data, **{field: value})}}))
+    out = tmp_path / "s"
+    assert run(["stability", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and f"'{field}'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value", [("n", "x"), ("m", 1.5), ("h", "1"), ("what", 3)])
 def test_stability_bad_weights_exit_usage(tmp_path, capsys, field, value):
     weights = {"n": 2, "m": 1, "h": ["1/2", "3/2", "1"], "w": ["-1/6", "0", "0", "0"],

@@ -10,8 +10,10 @@ from jbalance.quantisation import HermitianForm, QuantisationError
 
 def test_j_energy_constant_path(square_problem):
     q = square_problem.quantisation(2)
-    u = q.fs_map(HermitianForm.identity(q.n_plus_1, 2))
-    assert F.j_energy(q, F.PotentialPath.linear(u, u)) == 0.0
+    H = HermitianForm.identity(q.n_plus_1, 2)
+    u = q.fs_map(H)
+    assert F.j_energy_between(q, u, u) == 0.0
+    assert F.j_energy(q, F.PotentialPath.bergman(q, H, H)) == 0.0
 
 
 def test_j_energy_richardson(square_problem):
@@ -22,6 +24,21 @@ def test_j_energy_richardson(square_problem):
     v1 = F.j_energy(q, F.PotentialPath.bergman(q, H0, H1, m=32))
     v2 = F.j_energy(q, F.PotentialPath.bergman(q, H0, H1, m=64))
     assert abs(v1 - v2) < 1e-8
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_j_energy_same_along_both_paths(square_problem, k):
+    # J_chi is path independent: Simpson along the Bergman geodesic meets the
+    # exact linear J between its FS endpoints, at Simpson's order (about 16x
+    # per halving of the step)
+    q = square_problem.quantisation(k)
+    rng = np.random.default_rng(15 + k)
+    H0, H1 = random_diagonal(q, rng), random_diagonal(q, rng)
+    exact = F.j_energy_between(q, q.fs_map(H0), q.fs_map(H1))
+    gap = {m: abs(F.j_energy(q, F.PotentialPath.bergman(q, H0, H1, m=m)) - exact)
+           for m in (16, 32, 64)}
+    assert gap[64] < 1e-9
+    assert gap[16] >= 8 * gap[32]
 
 
 def test_j_energy_path_independence(square_problem):
@@ -216,11 +233,11 @@ def test_p_hat_hilb_inequality(square_problem):
 
 def test_potential_path_validation(square_problem):
     q = square_problem.quantisation(2)
-    u = q.fs_map(HermitianForm.identity(q.n_plus_1, 2))
+    H = HermitianForm.identity(q.n_plus_1, 2)
     with pytest.raises(QuantisationError):
-        F.PotentialPath.linear(u, u, m=5)   # odd m
+        F.PotentialPath.bergman(q, H, H, m=5)   # odd m
     with pytest.raises(QuantisationError):
-        F.PotentialPath.linear(u, u, m=2)   # below the minimum
+        F.PotentialPath.bergman(q, H, H, m=2)   # below the minimum
     with pytest.raises(QuantisationError):
         F.simpson_weights(3)
 

@@ -31,6 +31,15 @@ def test_hermitian_form_json_roundtrip():
     H2 = HermitianForm.from_json(H.to_json())
     assert H2.level == 3
     assert np.array_equal(H.diag(), H2.diag())
+    # a missing or non-integer level is refused like a bad diagonal
+    for level in (None, "3", 3.0, True):
+        data = H.to_json()
+        if level is None:
+            del data["level"]
+        else:
+            data["level"] = level
+        with pytest.raises(QuantisationError, match="level"):
+            HermitianForm.from_json(data)
 
 
 @pytest.mark.parametrize("entries, match", [
@@ -133,8 +142,8 @@ def test_hilb_refinement_oracle():
     chi = geo.ScaledPotential(u_ref, 1.0)
     rng = np.random.default_rng(5)
     coeffs = rng.uniform(-0.7, 0.7, 6)
-    fine = geo.calibrate(geo.build_quadrature(P2, 1280), P2, 1, u_ref)
-    base = geo.calibrate(geo.build_quadrature(P2, 128), P2, 1, u_ref)
+    fine = geo.calibrate(geo.build_quadrature(P2, 1280), P2, u_ref)
+    base = geo.calibrate(geo.build_quadrature(P2, 128), P2, u_ref)
     grams = []
     for rule in (base, fine):
         q = Quantisation(P2, chi, 2, rule, gamma=1.0)
@@ -178,8 +187,8 @@ def test_mu0_traceless_and_zero_iff_fixed(square_problem):
     assert res.converged
     assert q.mu0_norms(q.mu0(res.H))[0] < 1e-9
     # det-normalised t_map returns the balanced form
-    back = q.t_map(res.H, normalise=True)
-    assert np.max(np.abs(back.diag() - res.H.diag())) < 1e-9
+    back = q.t_map(res.H).det_normalised()
+    assert np.max(np.abs(back.diag() - res.H.det_normalised().diag())) < 1e-9
 
 
 def test_iterate_balance_symmetric_start(square_problem):

@@ -48,6 +48,16 @@ def test_normal_cone_config_validation():
         st.NormalConeConfig(dd=1, l1d=1, l2d=1, kd=-3, r=1, r_min=2)
 
 
+def test_intersection_table_refuses_malformed_keys():
+    # every key names three basis classes, and each product is given once
+    good = {"/".join(key): "0" for key in combinations_with_replacement(("E", "K", "L1", "L2"), 3)}
+    assert st.IntersectionTable.from_json(good).triple("E", "E", "E") == 0
+    for extra, match in (({"X/Y/Z": "0"}, "X/Y/Z"), ({"L1/E": "0"}, "L1/E"),
+                         ({"L1/E/E": "-1"}, "two spellings")):
+        with pytest.raises(st.StabilityError, match=match):
+            st.IntersectionTable.from_json(dict(good, **extra))
+
+
 def test_blowup_table_structure():
     table = st.blowup_table(p2_data(), p2_line_cfg())
     one = {"L1": Fr(1)}
