@@ -390,8 +390,9 @@ def cmd_stability(cfg):
         forms = SweepForms(table, data.gamma(), data.gamma_canonical())
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "pairings.csv", ["classes", "value"],
-              sorted(problem.pairings.items()))
+    # the pairings the verdicts and the sweep use: the class data's, which
+    # are the problem's own unless the config supplies them
+    write_csv(out / "pairings.csv", ["classes", "value"], sorted(data.pairings().items()))
     verdicts = cone_criteria(data)
     (out / "verdicts.json").write_text(json.dumps({
         "problem": problem.name, "gamma": str(verdicts["gamma"]),

@@ -97,7 +97,6 @@ def balancing_flow(q, H0, dt, T, log_every=5):
     t = 0.0
     dt_max = float(dt)
     dt = dt_max
-    ld0 = float(x.sum())
     c = q.torus_pass(x, keep=True).hilb
     fro, op = q.mu0_norms(q.moment_vector(x, c))
     halvings = {"positivity": 0, "mu0_rise": 0}
@@ -131,8 +130,11 @@ def balancing_flow(q, H0, dt, T, log_every=5):
             if not np.all(d_n > 0):
                 raise QuantisationError("a balancing-flow step left the positive cone")
             # project back onto the exact invariant log det H = const (the
-            # moment map is traceless; only integrator drift moves it)
-            d_n = d_n * np.exp((ld0 - np.log(d_n).sum()) / q.n_plus_1)
+            # moment map is traceless; only integrator drift moves it), the
+            # level set through d, so a step that leaves d as it is keeps it
+            # bit for bit: at the balanced point, where ||mu0|| is roundoff,
+            # projecting onto log det H0 itself would move every state
+            d_n = d_n * np.exp((x.sum() - np.log(d_n).sum()) / q.n_plus_1)
             x_n = np.log(d_n)
             c_n = q.torus_pass(x_n).hilb
             fro_n, op_n = q.mu0_norms(q.moment_vector(x_n, c_n))

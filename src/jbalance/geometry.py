@@ -539,7 +539,9 @@ class QuadratureRule:
 
     ``c_vol`` is 1.0 until ``calibrate`` is run; afterwards integral of
     det(D^2 u_ref) * c_vol equals L1^n by construction and every pi/2pi
-    convention is absorbed.
+    convention is absorbed.  ``meta["axes"]`` holds the per-axis nodes
+    (xi1, xi2) of a rule from build_quadrature, whose node i R2 + j is
+    (xi1_i, xi2_j); the separable torus pass reads the grid from it.
     """
 
     nodes: np.ndarray          # (M, n)
@@ -652,7 +654,8 @@ def build_quadrature(P, resolution, scale=None):
     nodes = np.stack([X.ravel(), Y.ravel()], axis=-1)
     weights = (WX * WY).ravel()
     return QuadratureRule(nodes=nodes, weights=weights, resolution=int(resolution),
-                          scales=scales, meta={"map": "logistic*GL"})
+                          scales=scales, meta={"map": "logistic*GL",
+                                               "axes": tuple(a for a, _ in axes)})
 
 
 def reference_potential(P):

@@ -5,7 +5,11 @@ Every exponential sum of the package is a softmax over exponent points p_a
 per point or per node, basis-major (one row per point, one column per
 node).  softmax_moments reduces such an array over its points;
 node_blocks forms it one block of nodes at a time, so that no (points x
-nodes) array is held whole.
+nodes) array is held whole.  The torus pass sums over the quadrature's
+tensor grid by matrix products instead (quantisation._TensorGrid), and
+comes here only for the nodes it cannot resolve there; hilb_map, the
+Bergman checks and LogSumExpPotential.value/hessian run on node blocks
+throughout.
 """
 
 import numpy as np
@@ -86,10 +90,13 @@ def softmax_moments(A, points, order=2, work=None):
 
 # Byte budget of one (m, nodes) array of node_blocks: an evaluation over M
 # nodes runs on blocks of at most this many bytes per array, and
-# softmax_moments holds three such arrays at a time.  At 1 MiB every level of
-# the benchmark (m x M up to 25 x 4096 and 6 x 9216) is one block, and a
-# torus pass at k = 8 to 32 was within noise of its fastest over budgets of
-# 128 KiB to 8 MiB (2-CPU Xeon host, 2 MiB L2 per core).
+# softmax_moments holds three such arrays at a time.  Node blocks serve the
+# exact nodes of the torus pass, hilb_map, the Bergman checks and the
+# potentials' values and Hessians.  At 1 MiB every such evaluation in the
+# benchmark (m x M up to 25 x 4096 and 6 x 9216) is one block, and a torus
+# pass run wholly on node blocks at k = 8 to 32 was within noise of its
+# fastest over budgets of 128 KiB to 8 MiB (2-CPU Xeon host, 2 MiB L2 per
+# core).
 NODE_BLOCK_BYTES = 2 ** 20
 
 # Blocks start at multiples of this many nodes, so the BLAS product behind
@@ -130,9 +137,11 @@ def node_blocks(points, nodes, offsets=None, node_offsets=None, order=None):
     Every output but a sum over nodes has the same bits for any block size:
     the softmax runs per node, block starts are multiples of 64, and a
     one-node tail joins the block before it (a one-column product or
-    reduction takes another code path).
+    reduction takes another code path).  No nodes make no blocks.
     """
     m, M = len(points), len(nodes)
+    if not M:
+        return
     size = node_block_size(m)
     edges = [0, *range(size, M - 1, size), M]
     need = 3 * m * min(M, size + 1)

@@ -18,20 +18,28 @@ Normalisation conventions (fixed once, used everywhere):
 
 Layout.  The slice is carried as the vector x = log diag H.  The
 log-weights <a, x_p> - x_a form a basis-major (N+1, M) array, one row per
-section and one column per quadrature node, which is never held whole:
-kernel.node_blocks forms it one block of nodes at a time (at most
-kernel.NODE_BLOCK_BYTES per block array; every benchmark level is one
-block).  Per block, one softmax S of the log-weights over axis 0
-(kernel.softmax_moments, the package's one softmax kernel) gives the FS
-potential values and its Hessian (the centred second moments of S, hence
-the mixed measure) at the block's nodes, and adds the block's share
-S_b @ (w mix)_b to the Hilb diagonal; that is Quantisation.torus_pass.
-The last pass is memoised, so the map, the moment map and I_{mu0} at one
-H share it, and a balancing flow's start pass is kept beside it.  hilb_map
-and the Bergman checks (bergman_check, qk_operator) sum over the same node
-blocks (Quantisation._section_sums).  A context therefore holds only
-(N+1)- and M-vectors between calls; the block arrays live in the kernel's
-one kept work buffer.  Every map takes H as a
+section and one column per quadrature node, which is never held whole.
+Quantisation.torus_pass takes the softmax S of the log-weights over the
+basis at every node: its log-sum-exp gives the FS potential values, its
+centred second moments the Hessian D^2(k u_H) and hence the mixed
+measure, and sum_p w_p mix_p S_ap the Hilb diagonal.  The rule's nodes are
+a tensor grid, node (i, j) = (xi1_i, xi2_j), so each weight factors into a
+row factor, a column factor and e^{-x_a} (_TensorGrid), and a pass is a
+few matrix products over the grid: O(R^2 K) work for R nodes per axis and
+K lattice points across kP, against O(M (N+1)) for the sums node by node.
+The grid nodes where those products lose digits (the per-axis shifts
+underflow, or the centred moments cancel on every choice of the box ends
+they are centred on), and the nodes off the grid, are evaluated exactly
+by the node kernel: kernel.node_blocks forms their
+log-weights one block of nodes at a time (at most
+kernel.NODE_BLOCK_BYTES per block array), and kernel.softmax_moments, the
+package's one softmax kernel, reduces each block.  The last pass is
+memoised, so the map, the moment map and I_{mu0} at one H share it, and a
+balancing flow's start pass is kept beside it.  hilb_map and the Bergman
+checks (bergman_check, qk_operator) sum over node blocks
+(Quantisation._section_sums).  A context therefore holds only (N+1)- and
+M-vectors and the grid's factors between calls; the block arrays live in
+the kernel's one kept work buffer.  Every map takes H as a
 HermitianForm or as the vector x itself; the balance iteration and the
 balancing flow run on the vectors and build a form only for what they
 return or log.
@@ -45,28 +53,49 @@ the plain one.  Because the discrete I_{mu0} is stationary at T's fixed
 point only up to quadrature error, a run whose candidates are mostly
 rejected reports it as a resolution problem.
 
-All exponential sums are evaluated with per-node max shifts; a positive
-definiteness failure after any map application aborts with diagnostics
-instead of regularising, since it signals inadequate quadrature.
+All exponential sums are evaluated with shifts that keep their largest
+terms near 1 (per node in the node kernel, per grid row and column in the
+separable pass); a positive definiteness failure after any map
+application aborts with diagnostics instead of regularising, since it
+signals inadequate quadrature.
 """
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
-from .geometry import (GeometryError, LogSumExpPotential,
-                       enumerate_lattice_points, mixed_density, volume_density)
+from .geometry import (GeometryError, LogSumExpPotential, enumerate_lattice_points,
+                       mixed_2x2, mixed_density, volume_density)
 from .kernel import node_block_size, node_blocks
 
 # Cap on the bytes that one level-k context holds live, checked from the
-# Ehrhart count and the node count before anything is allocated: the three
+# Ehrhart count and the node count before anything is allocated
+# (check_torus_size): the separable pass's grid and axis arrays, the three
 # (N+1) x block arrays of a node block (their size set by
-# kernel.NODE_BLOCK_BYTES) plus TORUS_VECTORS vectors of length N+1 and M.
+# kernel.NODE_BLOCK_BYTES) and TORUS_VECTORS vectors of length N+1 and M.
 MAX_TORUS_BYTES = 2 ** 30
 
 # (N+1)- and M-vectors a level holds at once (nodes, weights, chi's Hessian,
 # the memoised passes, a map's Hessians and work vectors), counted with room.
 TORUS_VECTORS = 32
+
+# Arrays over the R1 x R2 grid nodes (Z, the moment sums per centring, the
+# variances, their temporaries and the grid's copies of the weights and
+# chi's Hessian) and of R x K entries (each axis's factors for its three
+# centrings and the products with D) that the separable pass holds at once,
+# counted with room.
+GRID_ARRAYS = 48
+AXIS_ARRAYS = 24
+
+# The separable torus pass (_TensorGrid) leaves to the exact node kernel
+# the grid nodes where its partition function Z is below SEPARABLE_Z_MIN,
+# so that Z^2, by which it scales its moments, and the terms that matter
+# (above 2^-53 Z) are normal doubles; where a centred second moment keeps
+# less than 1/SEPARABLE_CANCEL of the sum it is taken from; and where the
+# mixed measure is not positive.
+SEPARABLE_Z_MIN = 2.0 ** -450
+SEPARABLE_CANCEL = 64.0
 
 # Memory of the Anderson-accelerated balance iteration: the number of latest
 # iterates whose images it mixes, so at most ANDERSON_MEMORY - 1 secant
@@ -147,17 +176,23 @@ class HermitianForm:
 
 def check_torus_size(P, k, n_nodes):
     """Refuse, with a GeometryError, a level k whose live arrays would take
-    more than MAX_TORUS_BYTES: three (N+1) x block arrays of a node block
-    (a one-node tail may join the last block) and TORUS_VECTORS vectors of
-    length N+1 and M.  N+1 is the closed-form Ehrhart count, so nothing is
-    enumerated or allocated first."""
+    more than MAX_TORUS_BYTES.  They are the separable pass's GRID_ARRAYS
+    arrays over the M nodes, AXIS_ARRAYS of R x K and two of K x K (R =
+    sqrt(M) nodes per axis, K = k w + 1 lattice points across the widest
+    side w of P); three (N+1) x block arrays of a node block (a one-node
+    tail may join the last block), which the pass's exact nodes, hilb_map
+    and the Bergman checks use; and TORUS_VECTORS vectors of length N+1 and
+    M.  N+1 is the closed-form Ehrhart count, so nothing is enumerated or
+    allocated first."""
     n_plus_1 = P.ehrhart_count(k)
     n_nodes = int(n_nodes)
     block = min(n_nodes, node_block_size(n_plus_1) + 1)
-    need = 8 * (3 * n_plus_1 * block + TORUS_VECTORS * (n_plus_1 + n_nodes))
+    side = k * int(np.max(P.vertices.max(axis=0) - P.vertices.min(axis=0))) + 1
+    need = 8 * (3 * n_plus_1 * block + TORUS_VECTORS * (n_plus_1 + n_nodes)
+                + GRID_ARRAYS * n_nodes + AXIS_ARRAYS * isqrt(n_nodes) * side + 2 * side ** 2)
     if need > MAX_TORUS_BYTES:
         raise GeometryError(
-            f"level k={k} needs about {need / 2 ** 30:.3g} GiB for its node blocks "
+            f"level k={k} needs about {need / 2 ** 30:.3g} GiB for its grid, node blocks "
             f"and vectors (N+1 = {n_plus_1}, M = {n_nodes}), above the "
             f"{MAX_TORUS_BYTES / 2 ** 30:g} GiB cap (quantisation.MAX_TORUS_BYTES)")
 
@@ -223,6 +258,7 @@ class Quantisation:
         self._memo = None       # (x bytes, TorusPass) of the last pass
         self._kept = None       # the same, of the last pass asked to be kept
         self._anchor = None     # TorusPass of FS(Id), filled on first use
+        self._grid = None       # _TensorGrid of the separable pass, built on first use
 
     @property
     def n_plus_1(self):
@@ -248,7 +284,7 @@ class Quantisation:
         """Mixed measure from the Hessians D^2(k u) at the nodes ``block``,
         checked >= 0."""
         mix = mixed_density(hess_k, self.chi_hess[block]) * self.rule.c_vol
-        if np.min(mix) < 0:
+        if np.any(mix < 0):
             raise QuantisationError("mixed measure not positive: potential not admissible")
         return mix
 
@@ -259,10 +295,12 @@ class Quantisation:
         log diag H), returns a TorusPass holding, at the nodes, the level-k
         potential values k u_H, the mixed measure of FS(H) (from the centred
         second moments of S, which are D^2(k u_H)), and the Hilb diagonal
-        ((N+1)/V) e^x_a sum_p w_p mix_p S_ap / (gamma k^{n-1}).  S is made
-        one node block at a time (kernel.node_blocks), and the sum over p
-        adds up the blocks' shares; values and mix do not depend on the
-        block size.
+        ((N+1)/V) e^x_a sum_p w_p mix_p S_ap / (gamma k^{n-1}), and the
+        indices of the nodes evaluated by the node kernel.  The sums run as
+        matrix products over the rule's tensor grid (_TensorGrid.pass_sums);
+        the nodes they cannot resolve to working precision, and the nodes
+        off the grid, go through kernel.node_blocks one block at a time,
+        and their values and mix do not depend on the block size.
 
         Two passes are memoised on the exact bytes of x: the last one, so a
         moment map, an energy and a map application at the same H share one
@@ -281,19 +319,25 @@ class Quantisation:
         return memo[1]
 
     def _compute_pass(self, x):
+        if self._grid is None:
+            self._grid = _TensorGrid(self)
         values = np.empty(len(self.nodes))
         mix = np.empty(len(self.nodes))
-        moments = np.zeros(self.n_plus_1)      # sum_p w_p mix_p S_ap
-        for block, (lse, S, _, cov) in node_blocks(self.points, self.nodes, -x, order=2):
-            values[block] = lse
-            mix[block] = self._mix_from_hessian(np.moveaxis(cov, -1, 0), block)
-            moments += S @ (self.weights[block] * mix[block])
+        exact, grid_sums = self._grid.pass_sums(x, values, mix)
+        # the nodes the grid leaves to the node kernel, and their share
+        # sum_p w_p mix_p S_ap of the Hilb sums
+        moments = np.zeros(self.n_plus_1)
+        for block, (lse, S, _, cov) in node_blocks(self.points, self.nodes[exact], -x, order=2):
+            nodes = exact[block]
+            values[nodes] = lse
+            mix[nodes] = self._mix_from_hessian(np.moveaxis(cov, -1, 0), nodes)
+            moments += S @ (self.weights[nodes] * mix[nodes])
         values -= np.log(self.n_plus_1 / self.V)
         hilb = _checked_hilb_diagonal(
-            (self.n_plus_1 / self.V) * np.exp(x) * moments / self.hilb_norm)
-        for arr in (values, mix, hilb):
+            (self.n_plus_1 / self.V) * (np.exp(x) * moments + grid_sums) / self.hilb_norm)
+        for arr in (values, mix, hilb, exact):
             arr.setflags(write=False)
-        return TorusPass(values=values, mix=mix, hilb=hilb)
+        return TorusPass(values=values, mix=mix, hilb=hilb, exact=exact)
 
     def anchor_pass(self):
         """torus_pass of H = Id, the FS(Id) basepoint of the energies;
@@ -493,6 +537,132 @@ def _mixing_coefficients(dX, dG, g):
     return np.zeros(0)
 
 
+class _TensorGrid:
+    """The x-independent axis factors of the separable torus pass.
+
+    On a tensor rule (geometry.build_quadrature records its axes) node
+    (i, j) is (xi1_i, xi2_j), so over the bounding box lo_d <= a_d <= hi_d
+    of kP the softmax weight of section a there factors:
+    e^{<a, xi> - x_a} = E1[i, a1] E2[j, a2] D[a1, a2] e^{shift_ij - min x}.
+    Per axis, E[i, a] = e^{(a - c_i) xi_i} <= 1 with c_i the end of the
+    range where a xi_i is largest, the axis-wise heaviest point of row i,
+    and shift_ij = c_i xi1_i + c_j xi2_j; per pass, D = e^{min x - x_a} at
+    the lattice points and 0 elsewhere.
+
+    The moments are sums of E weighted by (a - e) and (a - e)^2 for an end
+    e of the range, so each adds terms of one sign: ``ends`` holds those
+    weighted factors for e = lo and e = hi, ``own`` for e = c_i.  A rule
+    without recorded axes, or whose leading nodes are not its grid, has an
+    empty grid: the node kernel takes all its nodes.
+    """
+
+    def __init__(self, q):
+        axes = q.rule.meta.get("axes", (np.zeros(0), np.zeros(0)))
+        self.n = len(axes[0]) * len(axes[1])
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        if not np.array_equal(q.nodes[:self.n], grid):
+            axes, self.n = (np.zeros(0), np.zeros(0)), 0
+        self.n_nodes = len(q.nodes)
+        lo = q.points.min(axis=0)
+        hi = q.points.max(axis=0)
+        self.box = tuple((hi - lo + 1).astype(int))
+        self.rows, self.cols = (q.points - lo).astype(np.intp).T
+        self.factors, self.ends, self.own = [], [], []
+        shift = []
+        for xi, a_lo, a_hi in zip(axes, lo, hi):
+            a = np.arange(a_lo, a_hi + 1)
+            top = (xi > 0).astype(np.intp)
+            c = np.array([a_lo, a_hi])[top]
+            E = np.exp((a - c[:, None]) * xi[:, None])
+            d = a - np.array([a_lo, a_hi])[:, None, None]  # (2, 1, K): exact small integers
+            F, FF = d * E, d * d * E
+            rows = (top, np.arange(len(xi)))
+            self.factors.append(E)
+            self.ends.append((F, FF))
+            self.own.append((F[rows], FF[rows]))
+            shift.append(c * xi)
+        self.shift = shift[0][:, None] + shift[1]
+        shape = self.shift.shape
+        self.weights = q.weights[:self.n].reshape(shape)
+        B = q.chi_hess[:self.n] * q.rule.c_vol
+        self.chi = [np.ascontiguousarray(B[:, i, j]).reshape(shape)
+                    for i, j in ((0, 0), (1, 1), (0, 1))]
+
+    def pass_sums(self, x, values, mix):
+        """The pass on the grid: fills values (k u_H before its constant)
+        and the mixed measure at the grid nodes it resolves, and returns the
+        indices of the nodes it leaves to the node kernel (the nodes off the
+        grid included) and the Hilb sums e^x_a sum_p w_p mix_p S_ap over
+        the resolved nodes, per section.
+
+        Z = E1 D E2^T, the moments centred on (c_i, c_j) and the Hilb sums
+        E1^T (w mix / Z) E2 are products of shapes R x K x K and R x K x R.
+        Where the softmax sits at the far end of an axis from c, as in the
+        corners of a skew fan, that centring loses digits; the rows and
+        columns of such nodes are summed again, each node's moments centred
+        on the ends nearer its mean.  A node is left to the node kernel
+        where its shifts leave Z below SEPARABLE_Z_MIN, or where even so a
+        centred second moment keeps less than 1/SEPARABLE_CANCEL of the sum
+        it is taken from or the mixed measure is not positive.
+        """
+        xmin = x.min()
+        D = np.zeros(self.box)
+        D[self.rows, self.cols] = np.exp(xmin - x)
+        E1, E2 = self.factors
+        (F1, FF1), (F2, FF2) = self.own
+        ED, FD = E1 @ D, F1 @ D
+        Z = ED @ E2.T
+        unresolved = ~(Z >= SEPARABLE_Z_MIN)
+        np.maximum(Z, SEPARABLE_Z_MIN, out=Z)
+        grid_mix, lost = self._mixed(Z, FD @ E2.T, (FF1 @ D) @ E2.T, ED @ F2.T, ED @ FF2.T,
+                                     FD @ F2.T, self.chi)
+        lost &= ~unresolved
+        if lost.any():
+            block = np.ix_(lost.any(axis=1), lost.any(axis=0))
+            grid_mix[block], lost[block] = self._recentred(D, ED, Z, block)
+        unresolved |= lost
+        values[:self.n] = (np.log(Z) + self.shift - xmin).ravel()
+        mix[:self.n] = grid_mix.ravel()
+        grid_mix *= self.weights
+        grid_mix /= Z
+        grid_mix[unresolved] = 0.0
+        # e^x_a D_a = e^{min x}
+        sums = np.exp(xmin) * (E1.T @ grid_mix @ E2)[self.rows, self.cols]
+        exact = np.concatenate([np.flatnonzero(unresolved), np.arange(self.n, self.n_nodes)])
+        return exact, sums
+
+    def _recentred(self, D, ED, Z, block):
+        """The mixed measure on a block of rows and columns, each node's
+        moments centred on the ends nearer its mean (those with the smaller
+        second moments), and where it loses digits even so."""
+        rows, cols = block[0][:, 0], block[1][0]
+        E2 = self.factors[1][cols]
+        (F1, FF1), (F2, FF2) = ((F[:, idx], FF[:, idx]) for (F, FF), idx
+                                in zip(self.ends, (rows, cols)))
+        ED, FD, F2t = ED[rows], F1 @ D, F2.swapaxes(1, 2)
+        m1, t11 = FD @ E2.T, (FF1 @ D) @ E2.T          # (2, rows, cols): per end
+        m2, t22 = ED @ F2t, ED @ FF2.swapaxes(1, 2)
+        t12 = FD[:, None] @ F2t                         # (2, 2, rows, cols)
+        top1, top2 = t11[1] < t11[0], t22[1] < t22[0]
+        t12 = np.where(top1, np.where(top2, t12[1, 1], t12[1, 0]),
+                       np.where(top2, t12[0, 1], t12[0, 0]))
+        return self._mixed(Z[block], np.where(top1, m1[1], m1[0]), np.where(top1, t11[1], t11[0]),
+                           np.where(top2, m2[1], m2[0]), np.where(top2, t22[1], t22[0]), t12,
+                           [b[block] for b in self.chi])
+
+    @staticmethod
+    def _mixed(Z, m1, t11, m2, t22, t12, chi):
+        """The mixed measure at some nodes from the centred moment sums of
+        the softmax weights times Z (means m / Z, second moments t / Z),
+        and where it loses digits.  The variances are n / Z^2."""
+        t11, t22, t12 = t11 * Z, t22 * Z, t12 * Z
+        n11, n22, n12 = t11 - m1 * m1, t22 - m2 * m2, t12 - m1 * m2
+        mix = mixed_2x2(n11, n22, n12, *chi)
+        mix /= Z * Z
+        lost = (t11 > SEPARABLE_CANCEL * n11) | (t22 > SEPARABLE_CANCEL * n22) | ~(mix > 0)
+        return mix, lost
+
+
 def _checked_hilb_diagonal(diag):
     if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
         raise QuantisationError("Hilb produced a non-PD diagonal; refine the quadrature")
@@ -502,11 +672,13 @@ def _checked_hilb_diagonal(diag):
 @dataclass(frozen=True)
 class TorusPass:
     """Output of Quantisation.torus_pass at the quadrature nodes: level-k
-    potential values k u_H, mixed measure of FS(H), and the Hilb diagonal."""
+    potential values k u_H, mixed measure of FS(H), and the Hilb diagonal;
+    ``exact`` lists the nodes that the node kernel evaluated."""
 
     values: np.ndarray
     mix: np.ndarray
     hilb: np.ndarray
+    exact: np.ndarray
 
 
 @dataclass

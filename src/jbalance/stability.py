@@ -102,6 +102,12 @@ class SurfaceClassData:
             if c.l1 <= 0:
                 raise StabilityError(f"L1 must pair positively with {c.name} (ampleness)")
 
+    def pairings(self):
+        """The six pairings, keyed as geometry.intersection_numbers keys
+        them."""
+        return {"L1L1": self.l1l1, "L1L2": self.l1l2, "L2L2": self.l2l2,
+                "KL1": self.kl1, "KL2": self.kl2, "KK": self.kk}
+
     @classmethod
     def from_json(cls, data):
         """Directly supplied pairing values, e.g.

@@ -410,6 +410,23 @@ def test_stability_pairs_classes_once(tmp_path, monkeypatch):
     assert [args[1] for args in computed] == ["O(2,1)", "O(1,1)"]
 
 
+def test_stability_writes_the_pairings_its_verdicts_use(tmp_path):
+    # class data that pair L1.L2 = 2 on P2-O1-O1, whose fan gives 1:
+    # pairings.csv lists the supplied table, as gamma in verdicts.json reads it
+    data = {"L1L1": 1, "L1L2": 2, "L2L2": 4, "KL1": -3, "KL2": -6, "KK": 9,
+            "mori": [{"name": "line", "l1": 1, "l2": 2, "k": -3}]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "P2-O1-O1",
+                               "stability": {"r_values": [1], "class_data": data}}))
+    out = tmp_path / "s"
+    assert run(["stability", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    with open(out / "pairings.csv") as fh:
+        written = dict(list(csv.reader(fh))[1:])
+    assert written == {key: str(value) for key, value in data.items() if key != "mori"}
+    verdicts = json.loads((out / "verdicts.json").read_text())
+    assert Fr(verdicts["gamma"]) == Fr(written["L1L2"]) / Fr(written["L1L1"]) == 2
+
+
 @pytest.mark.parametrize("stability, message", [
     ({"r_values": [1, 0]}, "exponent r must be positive"),
     ({"r_values": [2, "-1/2"]}, "exponent r must be positive"),
@@ -522,6 +539,21 @@ def test_flow_artifacts_reproducible_across_processes(tmp_path):
     assert len(names) == 6
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_balance_form_independent_of_blas_threads(tmp_path):
+    # the balance-p2 benchmark job in two processes, with one and with two
+    # OpenBLAS threads: the separable torus pass's matrix products give a
+    # byte-identical balanced form
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "jbalance.cli", "balance", "--problem", "P2-O1-O1",
+                        "--k-list", "2", "--tol", "1e-9", "--resolution", "96", "--seed", "0",
+                        "--out", str(tmp_path / threads)],
+                       env=env, check=True, capture_output=True, timeout=300)
+    one, two = ((tmp_path / threads / "balanced_k2.json").read_bytes() for threads in "12")
+    assert one == two
 
 
 def test_flow_job_computes_each_pass_once(tmp_path, monkeypatch):

@@ -303,6 +303,106 @@ def test_softmax_kernel_matches_longdouble_reference(request, fixture, k):
         assert np.all(out.mix[np.count_nonzero(S_all, axis=0) == 1] == 0.0)
 
 
+@pytest.fixture(scope="module")
+def p2_o2_problem():
+    """(P^2, O(1), O(2)) at its preset resolution 96."""
+    from jbalance.presets import make_problem
+    return make_problem("P2-O1-O2")
+
+
+def longdouble_pass(q, x, chunk=512):
+    """Reference for torus_pass at x, in np.longdouble, a chunk of nodes at a
+    time: per node the largest log-weight, the values, the mixed measure
+    from longdouble_moments' covariance C, and the 1e-12 bound of
+    test_softmax_kernel_matches_longdouble_reference carried over to it
+    (1e-12 of sqrt(C_ii C_jj) per entry of C, plus its floor), and the Hilb
+    diagonal."""
+    P = q.points.astype(np.longdouble)
+    xl = x.astype(np.longdouble)
+    c_vol = np.longdouble(q.rule.c_vol)
+    floor = 1e-290 + 16 * (np.finfo(np.longdouble).eps * q.k) ** 2
+    amax, values, mix, bound = (np.empty(len(q.nodes), np.longdouble) for _ in range(4))
+    moments = np.zeros(q.n_plus_1, np.longdouble)
+    for lo in range(0, len(q.nodes), chunk):
+        block = slice(lo, lo + chunk)
+        A = P @ q.nodes[block].T.astype(np.longdouble) - xl[:, None]
+        W, _, C = longdouble_moments(A, q.points)
+        amax[block] = A.max(axis=0)
+        values[block] = np.log(np.exp(A - amax[block]).sum(axis=0)) + amax[block]
+        B = q.chi_hess[block].astype(np.longdouble)
+        bxx, byy, bxy = B[:, 0, 0], B[:, 1, 1], B[:, 0, 1]
+        mix[block] = 0.5 * c_vol * (C[0, 0] * byy + C[1, 1] * bxx - 2 * C[0, 1] * bxy)
+        scale = 0.5 * c_vol * (C[0, 0] * abs(byy) + C[1, 1] * abs(bxx)
+                               + 2 * np.sqrt(C[0, 0] * C[1, 1]) * abs(bxy))
+        bound[block] = 1e-12 * scale + floor * 0.5 * c_vol * (abs(bxx) + abs(byy) + 2 * abs(bxy))
+        moments += W @ (q.weights[block] * mix[block])
+    values -= np.log(np.longdouble(q.n_plus_1) / np.longdouble(q.V))
+    hilb = (q.n_plus_1 / np.longdouble(q.V)) * np.exp(xl) * moments / np.longdouble(q.hilb_norm)
+    return amax, values, mix, bound, hilb
+
+
+def per_axis_shift_gap(q, x, amax):
+    """At the tensor grid's nodes, how far the separable pass's per-axis
+    shifts (each axis's largest a_d xi_d over kP's bounding box, less
+    min x) lie above the largest log-weight: the partition function on
+    the grid is at most (N+1) e^{-gap}."""
+    xi = np.meshgrid(*q.rule.meta["axes"], indexing="ij")
+    lo, hi = q.points.min(axis=0), q.points.max(axis=0)
+    shift = sum(np.maximum(lo[d] * xi[d], hi[d] * xi[d]).ravel() for d in range(2)) - x.min()
+    return shift - amax[:len(shift)]
+
+
+def test_torus_pass_matches_longdouble_reference_where_shifts_underflow(p2_o2_problem):
+    # P2-O1-O2 at k = 32: on P^2's skew fan the per-axis shifts exceed the
+    # largest log-weight by up to k min(xi1, xi2), and past about 745 the
+    # grid's partition function would underflow to 0.  Those nodes go to the
+    # node kernel, and the whole pass agrees with the long-double reference.
+    q = p2_o2_problem.quantisation(32)
+    rng = np.random.default_rng(32)
+    x = np.log(q.t_map(HermitianForm.identity(q.n_plus_1, 32)).diag())
+    x = x + 0.3 * rng.standard_normal(q.n_plus_1)
+    out = q.torus_pass(x)
+    amax, values, mix, bound, hilb = longdouble_pass(q, x)
+    gap = per_axis_shift_gap(q, x, amax)
+    underflow = np.flatnonzero(gap > 746)
+    assert underflow.size > 0
+    assert np.all(np.isin(underflow, out.exact))
+    assert np.all(np.abs(out.values - values) <= 1e-12 * (1 + np.abs(values)))
+    assert np.all(np.abs(out.mix - mix) <= bound)
+    # the node kernel alone is 5.6e-13 from this reference, from the mixed
+    # measure it sums where that measure cancels
+    assert np.all(np.abs(out.hilb - hilb) <= 2e-12 * hilb)
+
+
+def test_torus_pass_recomputes_flagged_nodes_on_a_skew_fan(p2_o2_problem):
+    # P2-O1-O2 at k = 16, with far-field nodes.  At P^2's corners the
+    # softmax sits at the far end of an axis from the per-row centre, and
+    # the grid sums those nodes again on the nearer ends; the grid nodes
+    # that lose digits even so, and the nodes off the grid, are the node
+    # kernel's: their values and mixed measure are its bits.  The mixed
+    # measure everywhere is within the long-double bound.
+    q, n_far = with_far_field(p2_o2_problem, 16)
+    rng = np.random.default_rng(16)
+    x = np.log(q.t_map(HermitianForm.identity(q.n_plus_1, 16)).diag())
+    x = x + 0.3 * rng.standard_normal(q.n_plus_1)
+    out = q.torus_pass(x)
+    amax, values, mix, bound, hilb = longdouble_pass(q, x)
+    n_grid = len(q.nodes) - n_far
+    exact = out.exact
+    assert np.all(np.isin(np.arange(n_grid, len(q.nodes)), exact))
+    # the corners are resolved on the grid: centred on the per-row ends
+    # alone, 2079 of its 9216 nodes would lose digits
+    assert 0 < np.count_nonzero(exact < n_grid) < 0.01 * n_grid
+    for block, (lse, _, _, cov) in kernel.node_blocks(q.points, q.nodes[exact], -x, order=2):
+        nodes = exact[block]
+        assert np.array_equal(out.values[nodes], lse - np.log(q.n_plus_1 / q.V))
+        assert np.array_equal(out.mix[nodes], geo.mixed_density(
+            np.moveaxis(cov, -1, 0), q.chi_hess[nodes]) * q.rule.c_vol)
+    assert np.all(np.abs(out.mix - mix) <= bound)
+    assert np.all(np.abs(out.values - values) <= 1e-12 * (1 + np.abs(values)))
+    assert np.all(np.abs(out.hilb - hilb) <= 1e-12 * hilb)
+
+
 def test_balance_loops_do_no_per_step_linear_algebra(p2_problem, monkeypatch):
     # the iteration and the balancing flow run on log-diagonal vectors: no
     # dense solve, least squares, factorisation, eigenvalue or form
