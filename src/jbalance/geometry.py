@@ -541,7 +541,7 @@ class QuadratureRule:
     det(D^2 u_ref) * c_vol equals L1^n by construction and every pi/2pi
     convention is absorbed.  ``meta["axes"]`` holds the per-axis nodes
     (xi1, xi2) of a rule from build_quadrature, whose node i R2 + j is
-    (xi1_i, xi2_j); the separable torus pass reads the grid from it.
+    (xi1_i, xi2_j); the sums over the grid (quantisation._TensorGrid) read it.
     """
 
     nodes: np.ndarray          # (M, n)

@@ -3,19 +3,17 @@
 Every exponential sum of the package is a softmax over exponent points p_a
 (lattice points) at quadrature nodes x: log-weights <p_a, x> plus an offset
 per point or per node, basis-major (one row per point, one column per
-node).  softmax_moments reduces such an array over its points;
+node).  softmax_moments reduces such an array over its points, and
 node_blocks forms it one block of nodes at a time, so that no (points x
-nodes) array is held whole.  The torus pass sums over the quadrature's
-tensor grid by matrix products instead (quantisation._TensorGrid), and
-comes here only for the nodes it cannot resolve there; hilb_map, the
-Bergman checks and LogSumExpPotential.value/hessian run on node blocks
-throughout.
+nodes) array is held whole.  The sums over the quadrature's tensor grid
+(quantisation._TensorGrid) come here only for the nodes they cannot
+resolve; LogSumExpPotential.value/hessian come here for every node.
 """
 
 import numpy as np
 
 
-def softmax_moments(A, points, order=2, work=None):
+def softmax_moments(A, points, order=2):
     """The one softmax kernel: the softmax over axis 0 of the log-weights A,
     with its log-sum-exp and, for ``order`` 2, its first two moments.
 
@@ -39,9 +37,7 @@ def softmax_moments(A, points, order=2, work=None):
     p_a - p* are exact, so a node whose softmax is one-hot gets exactly
     zero moments, and one whose softmax lies on an edge of direction (1, 0),
     (0, 1) or (1, +-1) (every preset's edges) exactly rank-one moments;
-    centring on the rounded mean would not.  Two (m, M) work buffers live
-    only inside the call: views into ``work`` (a flat float array of at
-    least 2 m M entries) when it is given, else fresh arrays.
+    centring on the rounded mean would not.
     """
     m, n = points.shape
     amax = A.max(axis=0)
@@ -49,8 +45,7 @@ def softmax_moments(A, points, order=2, work=None):
     if order == 2:
         # a heaviest point per node (the last on ties): the max over axis 0
         # of row index times (A == 0), since argmax over axis 0 copies A
-        c, w = (np.empty((2,) + A.shape) if work is None
-                else work[:2 * A.size].reshape((2,) + A.shape))
+        c, w = np.empty((2,) + A.shape)
         np.equal(A, 0.0, out=c)
         c *= np.arange(m, dtype=float)[:, None]
         shift = [np.take(points[:, i], c.max(axis=0).astype(np.intp)) for i in range(n)]
@@ -88,30 +83,18 @@ def softmax_moments(A, points, order=2, work=None):
     return lse, S, mean, cov
 
 
-# Byte budget of one (m, nodes) array of node_blocks: an evaluation over M
-# nodes runs on blocks of at most this many bytes per array, and
-# softmax_moments holds three such arrays at a time.  Node blocks serve the
-# exact nodes of the torus pass, hilb_map, the Bergman checks and the
-# potentials' values and Hessians.  At 1 MiB every such evaluation in the
-# benchmark (m x M up to 25 x 4096 and 6 x 9216) is one block, and a torus
-# pass run wholly on node blocks at k = 8 to 32 was within noise of its
-# fastest over budgets of 128 KiB to 8 MiB (2-CPU Xeon host, 2 MiB L2 per
-# core).
+# Byte budget of one (m, nodes) array of node_blocks; softmax_moments holds
+# three such arrays at a time.  Node blocks serve the nodes the tensor grid
+# leaves to the node kernel and the potentials' values and Hessians.  At
+# 1 MiB every such evaluation in the benchmark (m x M up to 25 x 4096 and
+# 6 x 9216) is one block, and a torus pass run wholly on node blocks at
+# k = 8 to 32 was within noise of its fastest over budgets of 128 KiB to
+# 8 MiB (2-CPU Xeon host, 2 MiB L2 per core).
 NODE_BLOCK_BYTES = 2 ** 20
 
 # Blocks start at multiples of this many nodes, so the BLAS product behind
 # the log-weights groups each block's nodes as it groups the whole set's.
 _BLOCK_ALIGN = 64
-
-# The kept work buffer of node_blocks, while no evaluation holds it.  Fresh
-# block arrays (up to three NODE_BLOCK_BYTES) page-fault anew on every call:
-# a balance-p2 job made 4,720 minor faults with them and makes 364 with the
-# kept buffer.  So one buffer, grown to the widest block asked for, is lent
-# to one evaluation at a time; one that starts while another holds it gets
-# its own.  It is one per process, not one per context, so a run with
-# several levels holds one block's arrays; no result depends on what it
-# holds, since each block writes its arrays before reading them.
-_spare_work = [np.empty(0)]
 
 
 def node_block_size(m):
@@ -129,10 +112,9 @@ def node_blocks(points, nodes, offsets=None, node_offsets=None, order=None):
     offset optional.  They are formed for node_block_size(m) nodes at a
     time, so no (m, M) array is made.  Yields (block, out) per block: a
     slice of the nodes, and softmax_moments(A_block, points, order) for
-    ``order`` 0, 1 or 2, or A_block itself for ``order`` None.  A_block and
-    the kernel's S and work arrays are views into a work buffer that the
-    next block overwrites, so a caller uses them before it asks for the
-    next block; the kernel's other outputs are fresh arrays.
+    ``order`` 0, 1 or 2, or A_block itself for ``order`` None.  A_block
+    (the kernel's S) is this call's work array, which the next block
+    overwrites; the kernel's other outputs are fresh arrays.
 
     Every output but a sum over nodes has the same bits for any block size:
     the softmax runs per node, block starts are multiples of 64, and a
@@ -144,21 +126,11 @@ def node_blocks(points, nodes, offsets=None, node_offsets=None, order=None):
         return
     size = node_block_size(m)
     edges = [0, *range(size, M - 1, size), M]
-    need = 3 * m * min(M, size + 1)
-    if _spare_work and _spare_work[0].size < need:
-        _spare_work.clear()     # freed before the larger buffer is made
-    work = _spare_work.pop() if _spare_work else np.empty(need)
-    try:
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            block = slice(lo, hi)
-            A = np.matmul(points, nodes[block].T,
-                          out=work[:m * (hi - lo)].reshape(m, hi - lo))
-            if offsets is not None:
-                A += offsets[:, None]
-            if node_offsets is not None:
-                A += node_offsets[block]
-            yield block, (A if order is None
-                          else softmax_moments(A, points, order, work[A.size:]))
-    finally:
-        if not _spare_work:
-            _spare_work.append(work)
+    work = np.empty(m * min(M, size + 1))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        A = np.matmul(points, nodes[lo:hi].T, out=work[:m * (hi - lo)].reshape(m, hi - lo))
+        if offsets is not None:
+            A += offsets[:, None]
+        if node_offsets is not None:
+            A += node_offsets[lo:hi]
+        yield slice(lo, hi), A if order is None else softmax_moments(A, points, order)

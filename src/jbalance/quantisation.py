@@ -17,32 +17,25 @@ Normalisation conventions (fixed once, used everywhere):
   (N+1) x (N+1) matrix is formed.
 
 Layout.  The slice is carried as the vector x = log diag H.  The
-log-weights <a, x_p> - x_a form a basis-major (N+1, M) array, one row per
-section and one column per quadrature node, which is never held whole.
-Quantisation.torus_pass takes the softmax S of the log-weights over the
-basis at every node: its log-sum-exp gives the FS potential values, its
-centred second moments the Hessian D^2(k u_H) and hence the mixed
-measure, and sum_p w_p mix_p S_ap the Hilb diagonal.  The rule's nodes are
-a tensor grid, node (i, j) = (xi1_i, xi2_j), so each weight factors into a
-row factor, a column factor and e^{-x_a} (_TensorGrid), and a pass is a
-few matrix products over the grid: O(R^2 K) work for R nodes per axis and
-K lattice points across kP, against O(M (N+1)) for the sums node by node.
-The grid nodes where those products lose digits (the per-axis shifts
-underflow, or the centred moments cancel on every choice of the box ends
-they are centred on), and the nodes off the grid, are evaluated exactly
-by the node kernel: kernel.node_blocks forms their
-log-weights one block of nodes at a time (at most
-kernel.NODE_BLOCK_BYTES per block array), and kernel.softmax_moments, the
-package's one softmax kernel, reduces each block.  The last pass is
-memoised, so the map, the moment map and I_{mu0} at one H share it, and a
-balancing flow's start pass is kept beside it.  hilb_map and the Bergman
-checks (bergman_check, qk_operator) sum over node blocks
-(Quantisation._section_sums).  A context therefore holds only (N+1)- and
-M-vectors and the grid's factors between calls; the block arrays live in
-the kernel's one kept work buffer.  Every map takes H as a
-HermitianForm or as the vector x itself; the balance iteration and the
-balancing flow run on the vectors and build a form only for what they
-return or log.
+log-weights <a, x_p> - x_a (one row per section, one column per node) are
+never held whole.  The rule's nodes are a tensor grid, node (i, j) =
+(xi1_i, xi2_j), so each weight factors into a row factor, a column factor
+and e^{-x_a} (_TensorGrid), and every sum over the nodes is a few matrix
+products: O(R^2 K) work for R nodes per axis and K lattice points across
+kP, against O(M (N+1)) node by node.  Quantisation.torus_pass takes the
+softmax S of the log-weights over the basis at every node: its
+log-sum-exp gives the FS potential values, its centred second moments
+D^2(k u_H) and hence the mixed measure, and sum_p w_p mix_p S_ap the
+Hilb diagonal.  hilb_map, bergman_check and qk_operator sum the same
+products over the nodes per section (_TensorGrid.hilb_sums) or over the
+sections per node (_TensorGrid.density).  The node kernel
+(kernel.node_blocks, a block of nodes at a time, and
+kernel.softmax_moments) takes the nodes off the grid and those where the
+products lose digits.  The last pass is memoised, so the map, the moment
+map and I_{mu0} at one H share it, and a balancing flow's start pass is
+kept beside it.  A context holds only (N+1)- and M-vectors and the grid's
+factors between calls.  The balance iteration and the balancing flow run
+on the vectors and build a form only for what they return or log.
 
 Balance iteration.  The balanced form is the fixed point of the
 det-normalised T = Hilb o FS.  Plain iteration of T decreases I_{mu0} but
@@ -54,13 +47,14 @@ point only up to quadrature error, a run whose candidates are mostly
 rejected reports it as a resolution problem.
 
 All exponential sums are evaluated with shifts that keep their largest
-terms near 1 (per node in the node kernel, per grid row and column in the
-separable pass); a positive definiteness failure after any map
-application aborts with diagnostics instead of regularising, since it
-signals inadequate quadrature.
+terms near 1 (per node in the node kernel, per grid row and column on the
+grid, and one more over the grid for the Hilb sums); a positive
+definiteness failure after any map application aborts with diagnostics
+instead of regularising, since it signals inadequate quadrature.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -71,7 +65,7 @@ from .kernel import node_block_size, node_blocks
 
 # Cap on the bytes that one level-k context holds live, checked from the
 # Ehrhart count and the node count before anything is allocated
-# (check_torus_size): the separable pass's grid and axis arrays, the three
+# (check_torus_size): the tensor grid's grid and axis arrays, the three
 # (N+1) x block arrays of a node block (their size set by
 # kernel.NODE_BLOCK_BYTES) and TORUS_VECTORS vectors of length N+1 and M.
 MAX_TORUS_BYTES = 2 ** 30
@@ -81,19 +75,19 @@ MAX_TORUS_BYTES = 2 ** 30
 TORUS_VECTORS = 32
 
 # Arrays over the R1 x R2 grid nodes (Z, the moment sums per centring, the
-# variances, their temporaries and the grid's copies of the weights and
-# chi's Hessian) and of R x K entries (each axis's factors for its three
-# centrings and the products with D) that the separable pass holds at once,
-# counted with room.
+# variances, their temporaries, the grid's copies of the weights and chi's
+# Hessian) and of R x K entries (each axis's factors for its three
+# centrings, the products with D) that the grid holds at once, with room.
 GRID_ARRAYS = 48
 AXIS_ARRAYS = 24
 
-# The separable torus pass (_TensorGrid) leaves to the exact node kernel
+# The torus pass on the grid (_TensorGrid) leaves to the exact node kernel
 # the grid nodes where its partition function Z is below SEPARABLE_Z_MIN,
 # so that Z^2, by which it scales its moments, and the terms that matter
 # (above 2^-53 Z) are normal doubles; where a centred second moment keeps
 # less than 1/SEPARABLE_CANCEL of the sum it is taken from; and where the
-# mixed measure is not positive.
+# mixed measure is not positive.  The other grid sums leave to it the nodes
+# where Z of the lattice's indicator is below SEPARABLE_Z_MIN.
 SEPARABLE_Z_MIN = 2.0 ** -450
 SEPARABLE_CANCEL = 64.0
 
@@ -176,14 +170,14 @@ class HermitianForm:
 
 def check_torus_size(P, k, n_nodes):
     """Refuse, with a GeometryError, a level k whose live arrays would take
-    more than MAX_TORUS_BYTES.  They are the separable pass's GRID_ARRAYS
+    more than MAX_TORUS_BYTES.  They are the tensor grid's GRID_ARRAYS
     arrays over the M nodes, AXIS_ARRAYS of R x K and two of K x K (R =
     sqrt(M) nodes per axis, K = k w + 1 lattice points across the widest
     side w of P); three (N+1) x block arrays of a node block (a one-node
-    tail may join the last block), which the pass's exact nodes, hilb_map
-    and the Bergman checks use; and TORUS_VECTORS vectors of length N+1 and
-    M.  N+1 is the closed-form Ehrhart count, so nothing is enumerated or
-    allocated first."""
+    tail may join the last block) for the fallback nodes of the grid sums
+    and the potentials' values and Hessians; and TORUS_VECTORS vectors of
+    length N+1 and M.  N+1 is the closed-form Ehrhart count, so nothing is
+    enumerated or allocated first."""
     n_plus_1 = P.ehrhart_count(k)
     n_nodes = int(n_nodes)
     block = min(n_nodes, node_block_size(n_plus_1) + 1)
@@ -193,8 +187,8 @@ def check_torus_size(P, k, n_nodes):
     if need > MAX_TORUS_BYTES:
         raise GeometryError(
             f"level k={k} needs about {need / 2 ** 30:.3g} GiB for its grid, node blocks "
-            f"and vectors (N+1 = {n_plus_1}, M = {n_nodes}), above the "
-            f"{MAX_TORUS_BYTES / 2 ** 30:g} GiB cap (quantisation.MAX_TORUS_BYTES)")
+            f"(fallback nodes, potentials) and vectors (N+1 = {n_plus_1}, M = {n_nodes}), "
+            f"above the {MAX_TORUS_BYTES / 2 ** 30:g} GiB cap (quantisation.MAX_TORUS_BYTES)")
 
 
 def log_diagonal(q, H, what):
@@ -258,7 +252,6 @@ class Quantisation:
         self._memo = None       # (x bytes, TorusPass) of the last pass
         self._kept = None       # the same, of the last pass asked to be kept
         self._anchor = None     # TorusPass of FS(Id), filled on first use
-        self._grid = None       # _TensorGrid of the separable pass, built on first use
 
     @property
     def n_plus_1(self):
@@ -296,11 +289,9 @@ class Quantisation:
         potential values k u_H, the mixed measure of FS(H) (from the centred
         second moments of S, which are D^2(k u_H)), and the Hilb diagonal
         ((N+1)/V) e^x_a sum_p w_p mix_p S_ap / (gamma k^{n-1}), and the
-        indices of the nodes evaluated by the node kernel.  The sums run as
-        matrix products over the rule's tensor grid (_TensorGrid.pass_sums);
-        the nodes they cannot resolve to working precision, and the nodes
-        off the grid, go through kernel.node_blocks one block at a time,
-        and their values and mix do not depend on the block size.
+        indices of the nodes evaluated by the node kernel: those that the
+        grid products (_TensorGrid.pass_sums) cannot resolve, and those off
+        the grid.  Their values and mix do not depend on the block size.
 
         Two passes are memoised on the exact bytes of x: the last one, so a
         moment map, an energy and a map application at the same H share one
@@ -318,12 +309,15 @@ class Quantisation:
             self._kept = memo
         return memo[1]
 
+    @cached_property
+    def grid(self):
+        """The _TensorGrid of the rule, built on first use."""
+        return _TensorGrid(self)
+
     def _compute_pass(self, x):
-        if self._grid is None:
-            self._grid = _TensorGrid(self)
         values = np.empty(len(self.nodes))
         mix = np.empty(len(self.nodes))
-        exact, grid_sums = self._grid.pass_sums(x, values, mix)
+        exact, grid_sums = self.grid.pass_sums(x, values, mix)
         # the nodes the grid leaves to the node kernel, and their share
         # sum_p w_p mix_p S_ap of the Hilb sums
         moments = np.zeros(self.n_plus_1)
@@ -349,22 +343,9 @@ class Quantisation:
     def hilb_map(self, u):
         """Hilb_chi of the torus-invariant metric e^{-k u}: diagonal Gram
         G_aa = (1/(gamma k^{n-1})) integral e^{<a,x> - k u} dmu_mix."""
-        wmix = self.weights * self.mixed_measure(u)
-        diag = self._section_sums(-(self.k * u.value(self.nodes)), wmix)
+        diag = self.grid.hilb_sums(self.k * u.value(self.nodes),
+                                   self.weights * self.mixed_measure(u))
         return HermitianForm(_checked_hilb_diagonal(diag / self.hilb_norm), self.k)
-
-    def _section_sums(self, node_offsets, columns):
-        """sum_p e^{<a, x_p> + node_offsets_p} columns_p per section a, for
-        columns (M,) or (M, c), one node block at a time; refuses overflow."""
-        sums = np.zeros((self.n_plus_1,) + columns.shape[1:])
-        for block, W in node_blocks(self.points, self.nodes, node_offsets=node_offsets):
-            # exponentiated in place; exp gives no NaN from finite input,
-            # so its max is finite iff every entry is
-            np.exp(W, out=W)
-            if not np.isfinite(W.max()):
-                raise QuantisationError("overflow in section weights; quadrature box too wide for k")
-            sums += W @ columns[block]
-        return sums
 
     # -- moment map and iteration ---------------------------------------------
 
@@ -538,7 +519,8 @@ def _mixing_coefficients(dX, dG, g):
 
 
 class _TensorGrid:
-    """The x-independent axis factors of the separable torus pass.
+    """The rule's tensor grid: the x-independent axis factors of every sum
+    over the nodes (the torus pass, hilb_map, the Bergman checks).
 
     On a tensor rule (geometry.build_quadrature records its axes) node
     (i, j) is (xi1_i, xi2_j), so over the bounding box lo_d <= a_d <= hi_d
@@ -551,9 +533,11 @@ class _TensorGrid:
 
     The moments are sums of E weighted by (a - e) and (a - e)^2 for an end
     e of the range, so each adds terms of one sign: ``ends`` holds those
-    weighted factors for e = lo and e = hi, ``own`` for e = c_i.  A rule
-    without recorded axes, or whose leading nodes are not its grid, has an
-    empty grid: the node kernel takes all its nodes.
+    weighted factors for e = lo and e = hi, ``own`` for e = c_i.  The node
+    kernel takes the ``fallback`` nodes of hilb_sums and density: those off
+    the grid (all, for a rule without recorded axes or whose leading nodes
+    are not its grid), and those where the lattice's indicator has Z below
+    SEPARABLE_Z_MIN (``underflow``).
     """
 
     def __init__(self, q):
@@ -587,31 +571,80 @@ class _TensorGrid:
         B = q.chi_hess[:self.n] * q.rule.c_vol
         self.chi = [np.ascontiguousarray(B[:, i, j]).reshape(shape)
                     for i, j in ((0, 0), (1, 1), (0, 1))]
+        lattice = np.zeros(self.box)
+        lattice[self.rows, self.cols] = 1.0
+        self.underflow = ~(self.partition(lattice)[1] >= SEPARABLE_Z_MIN)
+        self.fallback = np.concatenate([np.flatnonzero(self.underflow),
+                                        np.arange(self.n, self.n_nodes)])
+        self.points, self.nodes = q.points, q.nodes
+
+    def partition(self, D):
+        """(E1 D, E1 D E2^T) for D over the box: per grid node, the latter
+        is sum_a e^{<a, xi> - shift_ij} D_a."""
+        ED = self.factors[0] @ D
+        return ED, ED @ self.factors[1].T
+
+    def section_sums(self, C):
+        """E1^T C E2 at the lattice points for C (..., R1, R2): per section,
+        sum_ij e^{<a, xi> - shift_ij} C_ij."""
+        E1, E2 = self.factors
+        return (E1.T @ C @ E2)[..., self.rows, self.cols]
+
+    def hilb_sums(self, k_u, columns):
+        """sum_p e^{<a, x_p> - k u_p} columns_p per section a, columns (..., M):
+        section_sums under one shift, the largest shift_ij - k u off the
+        fallback nodes, plus the node kernel's; refuses overflow."""
+        g = np.where(self.underflow, -np.inf, self.shift - k_u[:self.n].reshape(self.shift.shape))
+        top = g.max(initial=-np.inf)
+        C = np.exp(g - top) * columns[..., :self.n].reshape(columns.shape[:-1] + g.shape)
+        sums = np.exp(top) * self.section_sums(C)
+        for nodes, W in self._node_weights(k_u):
+            sums += columns[..., nodes] @ W.T
+        if not np.all(np.isfinite(sums)):
+            raise QuantisationError("overflow in section weights; quadrature box too wide for k")
+        return sums
+
+    def density(self, k_u, coeffs):
+        """sum_a coeffs_a e^{<a, x_p> - k u_p} per node p: e^{shift_ij - k u}
+        times the partition of the coeffs, and the node kernel's."""
+        out = np.empty(self.n_nodes)
+        scale = np.abs(coeffs).max() or 1.0
+        D = np.zeros(self.box)
+        D[self.rows, self.cols] = coeffs / scale
+        g = np.where(self.underflow, -np.inf, self.shift - k_u[:self.n].reshape(self.shift.shape))
+        out[:self.n] = (np.exp(g + np.log(scale)) * self.partition(D)[1]).ravel()
+        for nodes, W in self._node_weights(k_u):
+            out[nodes] = coeffs @ W
+        return out
+
+    def _node_weights(self, k_u):
+        """(nodes, e^{<a, x_p> - k u_p}) per node block of the fallback nodes."""
+        for block, W in node_blocks(self.points, self.nodes[self.fallback],
+                                    node_offsets=-k_u[self.fallback]):
+            yield self.fallback[block], np.exp(W, out=W)
 
     def pass_sums(self, x, values, mix):
-        """The pass on the grid: fills values (k u_H before its constant)
-        and the mixed measure at the grid nodes it resolves, and returns the
-        indices of the nodes it leaves to the node kernel (the nodes off the
-        grid included) and the Hilb sums e^x_a sum_p w_p mix_p S_ap over
-        the resolved nodes, per section.
+        """The pass on the grid: fills values (k u_H before its constant) and
+        the mixed measure at the grid nodes it resolves, and returns the
+        nodes it leaves to the node kernel (those off the grid included) and
+        the Hilb sums e^x_a sum_p w_p mix_p S_ap over the resolved nodes.
 
-        Z = E1 D E2^T, the moments centred on (c_i, c_j) and the Hilb sums
-        E1^T (w mix / Z) E2 are products of shapes R x K x K and R x K x R.
-        Where the softmax sits at the far end of an axis from c, as in the
-        corners of a skew fan, that centring loses digits; the rows and
-        columns of such nodes are summed again, each node's moments centred
-        on the ends nearer its mean.  A node is left to the node kernel
-        where its shifts leave Z below SEPARABLE_Z_MIN, or where even so a
-        centred second moment keeps less than 1/SEPARABLE_CANCEL of the sum
-        it is taken from or the mixed measure is not positive.
+        Z = partition(D), the moments centred on (c_i, c_j) and the Hilb
+        sums section_sums(w mix / Z) are products of shapes R x K x K and
+        R x K x R.  Where the softmax sits at the far end of an axis from c,
+        as in a skew fan's corners, that centring loses digits; the rows and
+        columns of such nodes are summed again, centred on the ends nearer
+        each node's mean.  The node kernel takes the nodes where Z is below
+        SEPARABLE_Z_MIN, or where even so a centred second moment keeps
+        less than 1/SEPARABLE_CANCEL of its sum or the mix is not positive.
         """
         xmin = x.min()
         D = np.zeros(self.box)
         D[self.rows, self.cols] = np.exp(xmin - x)
-        E1, E2 = self.factors
+        E2 = self.factors[1]
         (F1, FF1), (F2, FF2) = self.own
-        ED, FD = E1 @ D, F1 @ D
-        Z = ED @ E2.T
+        ED, Z = self.partition(D)
+        FD = F1 @ D
         unresolved = ~(Z >= SEPARABLE_Z_MIN)
         np.maximum(Z, SEPARABLE_Z_MIN, out=Z)
         grid_mix, lost = self._mixed(Z, FD @ E2.T, (FF1 @ D) @ E2.T, ED @ F2.T, ED @ FF2.T,
@@ -627,7 +660,7 @@ class _TensorGrid:
         grid_mix /= Z
         grid_mix[unresolved] = 0.0
         # e^x_a D_a = e^{min x}
-        sums = np.exp(xmin) * (E1.T @ grid_mix @ E2)[self.rows, self.cols]
+        sums = np.exp(xmin) * self.section_sums(grid_mix)
         exact = np.concatenate([np.flatnonzero(unresolved), np.arange(self.n, self.n_nodes)])
         return exact, sums
 
@@ -713,8 +746,8 @@ def bergman_check(P, chi, u, k_list, rule, gamma):
     sup_nodes | rho_k V mix / ((N+1) gamma det) - 1 |, the distance of
     (V/(N+1)) rho_k from gamma omega^n / (chi wedge omega^{n-1}).  The mass
     column is the exact-orthonormality integral of rho_k against the Hilb
-    measure, equal to N+1 by construction.  rho_k is the kernel's
-    log-sum-exp of <a,x> - k u - log G_aa, exponentiated.
+    measure, equal to N+1 by construction.  G and rho_k = sum_a e^{<a,x> -
+    k u} / G_aa are sums over the grid (_TensorGrid.hilb_sums, density).
     """
     X = rule.nodes
     value1 = u.value(X)
@@ -724,12 +757,9 @@ def bergman_check(P, chi, u, k_list, rule, gamma):
     for k in k_list:
         q = Quantisation(P, chi, k, rule, gamma=gamma)
         target = gamma * det1 / mixed_density(hess1, q.chi_hess)
-        offsets = -(k * value1)
         mix = q._mix_from_hessian(hess1 * k)
-        G = _checked_hilb_diagonal(q._section_sums(offsets, q.weights * mix) / q.hilb_norm)
-        rho = np.empty(len(X))
-        for block, (lse, *_) in node_blocks(q.points, X, -np.log(G), offsets, order=0):
-            rho[block] = np.exp(lse)
+        G = _checked_hilb_diagonal(q.grid.hilb_sums(k * value1, q.weights * mix) / q.hilb_norm)
+        rho = q.grid.density(k * value1, 1.0 / G)
         mass = rule.integrate(rho * mix) / q.hilb_norm
         dev = float(np.max(np.abs(rho * q.V / (q.n_plus_1 * target) - 1.0)))
         rows.append({"k": int(k), "n_plus_1": q.n_plus_1, "deviation": dev,
@@ -755,16 +785,12 @@ def qk_operator(q, f, u, omega_values):
     X = q.nodes
     fv = np.asarray(f(X) if callable(f) else f, dtype=float)
     om = np.asarray(omega_values, dtype=float)
-    offsets = -(q.k * u.value(X))
+    k_u = q.k * u.value(X)
     wom = q.weights * om
-    G, J = q._section_sums(offsets, np.stack([wom, wom * fv], axis=1)).T
+    G, J = q.grid.hilb_sums(k_u, np.stack([wom, wom * fv]))
     if np.any(G <= 0):
         raise QuantisationError("Hilb_Omega is not positive definite")
-    coef = J / G ** 2
-    qf = np.empty(len(X))
-    for block, W in node_blocks(q.points, X, node_offsets=offsets):
-        qf[block] = coef @ np.exp(W, out=W)
-    qf *= q.V / q.n_plus_1
+    qf = q.grid.density(k_u, J / G ** 2) * (q.V / q.n_plus_1)
     hess1 = np.asarray(u.hessian(X))
     target = (volume_density(hess1) * q.rule.c_vol / om) * fv
     deviation = float(np.max(np.abs(qf - target)))

@@ -14,7 +14,7 @@ from jbalance import geometry as geo
 from jbalance import kernel
 from jbalance.geometry import BlendPotential, LogSumExpPotential, QuadratureRule
 from jbalance.quantisation import (TORUS_VECTORS, HermitianForm, Quantisation,
-                                   QuantisationError)
+                                   QuantisationError, bergman_check)
 
 
 def with_far_field(pb, k):
@@ -401,6 +401,40 @@ def test_torus_pass_recomputes_flagged_nodes_on_a_skew_fan(p2_o2_problem):
     assert np.all(np.abs(out.mix - mix) <= bound)
     assert np.all(np.abs(out.values - values) <= 1e-12 * (1 + np.abs(values)))
     assert np.all(np.abs(out.hilb - hilb) <= 1e-12 * hilb)
+
+
+def test_hilb_map_and_bergman_check_match_longdouble_reference_with_fallback_nodes(
+        p2_o2_problem):
+    # P2-O1-O2 at k = 32: at some grid nodes the per-axis shifts leave the
+    # lattice's partition function below SEPARABLE_Z_MIN, so hilb_map and
+    # the Bergman density sum them with the node kernel, and the grid
+    # products with one shift elsewhere.  Both agree with a dense
+    # long-double sum of e^{<a, x> - k u} over every node.
+    pb, k = p2_o2_problem, 32
+    q = pb.quantisation(k)
+    assert q.grid.fallback.size > 0
+    coeffs = np.linspace(-0.4, 0.5, len(pb.u_ref.log_coeffs))
+    u = pb.u_ref.with_log_coeffs(coeffs - coeffs.mean())
+    X = q.nodes
+    k_u = (k * u.value(X)).astype(np.longdouble)
+    hess1 = np.asarray(u.hessian(X))
+    wmix = (q.weights * q.mixed_measure(u)).astype(np.longdouble)
+    P = q.points.astype(np.longdouble)
+
+    def section_weights(lo, hi):
+        return np.exp(P @ X[lo:hi].T.astype(np.longdouble) - k_u[lo:hi])
+
+    chunks = [(lo, lo + 1024) for lo in range(0, len(X), 1024)]
+    G = sum(section_weights(lo, hi) @ wmix[lo:hi] for lo, hi in chunks) / q.hilb_norm
+    rho = np.concatenate([(section_weights(lo, hi) / G[:, None]).sum(axis=0)
+                          for lo, hi in chunks])
+    target = pb.gamma * geo.volume_density(hess1) / geo.mixed_density(hess1, q.chi_hess)
+    ref_dev = np.max(np.abs(rho * np.longdouble(q.V) / (q.n_plus_1 * target) - 1))
+    ref_mass = q.rule.integrate(rho * q.mixed_measure(u)) / q.hilb_norm
+    assert_rel(q.hilb_map(u).diag(), G, 1e-13)
+    (row,) = bergman_check(pb.polytope, pb.chi, u, [k], pb.rule, pb.gamma)
+    assert abs(row["deviation"] - ref_dev) <= 1e-13 * ref_dev
+    assert abs(row["mass"] - ref_mass) <= 1e-13 * ref_mass
 
 
 def test_balance_loops_do_no_per_step_linear_algebra(p2_problem, monkeypatch):
