@@ -347,6 +347,9 @@ def cmd_flow(cfg):
               [[t, r] for t, r in pde.residual_log])
     (out / "quantization_comparison.json").write_text(json.dumps(
         {"problem": problem.name, "meta": meta, "rows": rows}, indent=1))
+    print(f"continuum J-flow: {pde.steps} steps, {pde.evaluations} evaluations "
+          f"(at most {pde.max_stages} stages), {pde.halvings} halvings, "
+          f"{pde.rejected} rejected")
     print("comparison:", ", ".join(f"k={r['k']} t={r['t']:g}: {r['distance']:.4f}"
                                    for r in rows))
     return EXIT_OK

@@ -14,24 +14,28 @@ of the flow (the moment map is traceless), I_{mu0} decreases exactly, and
 ||mu0||^2 decrease is enforced by the step controller (4th order explicit
 step, dt halving on rejection).
 
-Continuum flow.  Torus-invariant 2D only: explicit Euler with central
-differences on a Dirichlet box large enough that the reference gradient is
-within 1e-6 of the polytope boundary.  In log coordinates the chart
+Continuum flow.  Torus-invariant 2D only: central differences on a
+Dirichlet box large enough that the reference gradient is within 1e-6 of
+the polytope boundary.  In log coordinates the chart
 degenerates exponentially towards the toric boundary divisors, making
 explicit steps arbitrarily stiff there, so nodes whose initial Hessian falls
 below ``FREEZE_EPS`` are held at their initial values: they form an
 exponentially thin collar of the divisors (manifold measure ~ FREEZE_EPS)
-and the committed error is quantified by the grid refinement oracle.  Each
-step takes 0.9 of the forward-Euler bound of the discrete operator: the
-linearised flow is d(delta)/dt = (1/2) tr(D D^2 delta), D = A^{-1} B A^{-1}
-(A = D^2u, B = D^2v), and the diagonal of I + h L stays nonnegative iff
-h max(D11/dx^2 + D22/dy^2) <= 1 over the evolved nodes.  Only the evolved
-nodes move, so the steps run on their bounding box plus a one-node halo of
-fixed values, cut from the grid with its spacing: about a quarter of the
-interior on the flow benchmark's input.  One kernel makes each step in
-place, in buffers made once: one row-wise interior Hessian per step, then
-the convexity check, velocity, bound and logged residual on the evolved
-nodes alone; the snapshots equal bit for bit those of a full-grid run.
+and the committed error is quantified by the grid refinement oracle.  The
+steps are second-order Runge-Kutta-Chebyshev (RKC2; Sommeijer, Shampine and
+Verwer 1998): explicit steps whose stage count s grows like the square root
+of the operator's stiffness times the step, so that a local error estimate,
+not the stiffest mode, sets their length.  The linearised flow is
+d(delta)/dt = (1/2) tr(D D^2 delta), D = A^{-1} B A^{-1} (A = D^2u,
+B = D^2v), whose 9-point operator has spectral radius about
+2 max(D11/dx^2 + D22/dy^2) over the evolved nodes: twice the inverse of the
+forward-Euler bound.  Only the evolved nodes move, so the steps run on
+their bounding box plus a one-node halo of fixed values, cut from the grid
+with its spacing: about a quarter of the interior on the flow benchmark's
+input.  One kernel makes each step in place, in buffers made once: per
+stage one row-wise interior Hessian, then the convexity check and velocity
+on the evolved nodes alone; the snapshots equal bit for bit those of a
+full-grid run.
 """
 
 import math
@@ -189,11 +193,13 @@ def critical_residual(u, chi, gamma, rule):
 # continuum J-flow on a grid
 # ---------------------------------------------------------------------------
 
-# Fraction of the forward-Euler bound that a continuum J-flow step takes.
-# The bound keeps the diagonal of I + h L nonnegative; the mixed-derivative
-# entries of the stencil can be negative, so it does not prove stability,
-# and jflow_run halves the fraction whenever a step loses convexity.
-EULER_FRACTION = 0.9
+# A continuum J-flow step (RKC2, see jflow_run) keeps its local error
+# estimate below ERROR_TOL in the max norm, and has the fewest stages whose
+# stability interval reaches STABILITY_MARGIN times the estimated spectral
+# radius times the step: the stencil's mixed-derivative entries can be
+# negative, so that estimate is no proof of stability.
+ERROR_TOL = 1e-6
+STABILITY_MARGIN = 1.5
 
 # jflow_run holds fixed the interior nodes whose initial Hessian has its
 # smallest eigenvalue below FREEZE_EPS, and gives up after MAX_HALVINGS
@@ -296,13 +302,44 @@ class _State:
         return np.minimum.reduce(self.xx_det, axis=None, initial=np.inf) > 0
 
 
-class _Euler:
-    """Explicit Euler steps of the J-flow in buffers made once: ``step``
-    writes the spare state and swaps it in only if its H is convex.  The
-    stencil runs along the rows, the rest on the packed nodes of ``mask``.
-    Scaling by 2 is exact, so each result is the textbook formula's to the
-    bit: (1/2) tr(adj(H) D^2v) = uyy (vxx/2) + uxx (vyy/2) - uxy vxy, and the
-    bound's 2 uyy uxy vxy = (uyy uxy)(2 vxy); H*H's uxy^2 also serves det H."""
+def _rkc2_scheme(s):
+    """beta(s) and the coefficients (mu_j, nu_j, mut_j, gt_j), j = 1..s, of
+    the s-stage RKC2 method with damping 2/13 (Sommeijer, Shampine and
+    Verwer 1998): with Y_0 = y and F_j = F(Y_j),
+
+        Y_j = (1 - mu_j - nu_j) Y_0 + mu_j Y_{j-1} + nu_j Y_{j-2}
+              + mut_j h F_{j-1} + gt_j h F_0,
+
+    and Y_s is the step's result.  Its stability polynomial is bounded by 1
+    on [-beta(s), 0]; beta(s) is about 0.65 s^2."""
+    w0 = 1.0 + (2.0 / 13.0) / (s * s)
+    # the Chebyshev polynomials T_j and their first two derivatives at w0
+    T, dT, d2T = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
+    for j in range(2, s + 1):
+        T.append(2.0 * w0 * T[j - 1] - T[j - 2])
+        dT.append(2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2])
+        d2T.append(4.0 * dT[j - 1] + 2.0 * w0 * d2T[j - 1] - d2T[j - 2])
+    w1 = dT[s] / d2T[s]
+    b = [d2T[j] / (dT[j] * dT[j]) for j in range(2, s + 1)]
+    b = b[:1] * 2 + b                                  # b_0 = b_1 = b_2
+    coeffs = [(0.0, 0.0, b[1] * w1, 0.0)]
+    for j in range(2, s + 1):
+        mut = 2.0 * b[j] * w1 / b[j - 1]
+        coeffs.append((2.0 * b[j] * w0 / b[j - 1], -b[j] / b[j - 2], mut,
+                       -(1.0 - b[j - 1] * T[j - 1]) * mut))
+    return (1.0 + w0) / w1, coeffs
+
+
+class _RKC2:
+    """RKC2 steps of the J-flow in buffers made once.  ``step`` writes each
+    stage into the spare state, refusing the step as soon as a stage's H is
+    not convex; ``accept`` swaps the result in.  The stages are held as
+    increments from the start u, so a zero velocity leaves u as it is to the
+    bit.  The stencil runs along the rows, the rest on the packed nodes of
+    ``mask``.  Scaling by 2 is exact, so each velocity is the textbook
+    formula's to the bit: (1/2) tr(adj(H) D^2v) = uyy (vxx/2) + uxx (vyy/2) -
+    uxy vxy, and the bound's 2 uyy uxy vxy = (uyy uxy)(2 vxy); H*H's uxy^2
+    also serves det H."""
 
     def __init__(self, grid, hess, v_hess, gamma, mask):
         # hess, v_hess: interior Hessians (uxx, uyy, uxy) of u and chi on mask's shape
@@ -322,18 +359,30 @@ class _Euler:
         self.sxy = np.repeat([[1.0 / grid.dx ** 2], [1.0 / grid.dy ** 2]], size, axis=1)
         self.prod, self.pair, self.vel = np.empty((3, size)), np.empty((2, size)), np.empty(size)
         self.lead, self.planes = self.prod[:2], tuple(self.prod)
+        # the last two stage increments D_j = Y_j - u (the result's is
+        # incs[last]), the last stage's velocity, the start's velocity, and a
+        # product of one of them
+        self.incs, self.F, self.F0, self.term = (np.empty((2, size)), np.empty(size),
+                                                 np.empty(size), np.empty(size))
+        self.last, self.schemes, self.bound, self.evaluations = 0, {}, None, 0
 
-    def velocity(self):
-        """gamma - (1/2) tr(adj(H) D^2v) / det H for the current state."""
-        state, P, (yy, xy, xx), vel = self.states[0], self.prod, self.planes, self.vel
+    def velocity(self, state, out):
+        """gamma - (1/2) tr(adj(H) D^2v) / det H at ``state``, into ``out``."""
+        P, (yy, xy, xx) = self.prod, self.planes
         np.multiply(state.H, self.vmix, out=P)
-        np.add(yy, xx, out=vel)
-        np.subtract(vel, xy, out=vel)
-        np.divide(vel, state.det, out=vel)
-        return np.subtract(self.gamma, vel, out=vel)
+        np.add(yy, xx, out=out)
+        np.subtract(out, xy, out=out)
+        np.divide(out, state.det, out=out)
+        return np.subtract(self.gamma, out, out=out)
 
-    def sup_residual(self):
-        return float(np.maximum.reduce(np.abs(self.velocity(), out=self.vel), initial=0.0))
+    def start(self):
+        """F0 at the start state, for the first step; its sup residual."""
+        return self.sup_residual(self.velocity(self.states[0], self.F0))
+
+    def sup_residual(self, F=None):
+        """max |F| over the nodes, F0 by default."""
+        F = self.F0 if F is None else F
+        return float(np.maximum.reduce(np.abs(F, out=self.vel), initial=0.0))
 
     def euler_bound(self):
         """1 / max(D11/dx^2 + D22/dy^2), D = adj(A) B adj(A) / det(A)^2 (A =
@@ -351,35 +400,96 @@ class _Euler:
         np.divide(rate, self.planes[2], out=rate)
         return 1.0 / (float(np.maximum.reduce(rate, initial=-np.inf)) + 1e-300)
 
-    def step(self, dt):
-        """An Euler step of length dt; whether it was taken (H stayed convex)."""
+    def scheme(self, s):
+        """_rkc2_scheme(s), computed once per s."""
+        if s not in self.schemes:
+            self.schemes[s] = _rkc2_scheme(s)
+        return self.schemes[s]
+
+    def stages(self, h):
+        """The least s >= 2 with beta(s) >= STABILITY_MARGIN rho h, rho = 2 /
+        (the current state's forward-Euler bound)."""
+        if self.bound is None:
+            self.bound = self.euler_bound()
+        need, s = STABILITY_MARGIN * (2.0 / self.bound) * h, 2
+        while self.scheme(s)[0] < need:
+            s += 1
+        return s
+
+    def step(self, h):
+        """An RKC2 step of length h into the spare state: its stage count, or
+        0 if a stage's H was not convex.  The last stage's velocity is left
+        in ``F``, its increment in ``incs[last]``."""
         cur, new = self.states
-        vel = self.velocity()
-        vel *= dt
-        np.add(cur.u, vel, out=new.u)
-        new.flat[new.value_nodes] = new.u
-        new.grid.interior_hessian(out=self.rows)
-        self.rows.take(self.row_nodes, out=new.H)
-        if not new.settle():
-            return False
+        s = self.stages(h)
+        incs, F, F0, term = self.incs, self.F, self.F0, self.term
+        for j, (mu, nu, mut, gt) in enumerate(self.scheme(s)[1], start=1):
+            # D_j = nu D_{j-2} + mu D_{j-1} + mut h F_{j-1} + gt h F_0, into
+            # D_{j-2}'s row; D_0 = 0
+            inc, last = incs[j % 2], incs[(j - 1) % 2]
+            if j == 1:
+                np.multiply(F0, mut * h, out=inc)
+            else:
+                if j == 2:
+                    np.multiply(last, mu, out=inc)
+                else:
+                    np.multiply(inc, nu, out=inc)
+                    np.multiply(last, mu, out=term)
+                    np.add(inc, term, out=inc)
+                np.multiply(F, mut * h, out=term)
+                np.add(inc, term, out=inc)
+                np.multiply(F0, gt * h, out=term)
+                np.add(inc, term, out=inc)
+            np.add(cur.u, inc, out=new.u)
+            new.flat[new.value_nodes] = new.u
+            new.grid.interior_hessian(out=self.rows)
+            self.rows.take(self.row_nodes, out=new.H)
+            self.evaluations += 1
+            if not new.settle():
+                return 0
+            self.velocity(new, F)
+        self.last = s % 2
+        return s
+
+    def error(self, h):
+        """The step's local error estimate (Sommeijer, Shampine and Verwer
+        1998), 0.8 (u_n - u_{n+1}) + 0.4 h (F_n + F_{n+1}), in the max norm."""
+        est, term = self.vel, self.term
+        np.multiply(self.incs[self.last], -0.8, out=est)
+        np.multiply(self.F, 0.4 * h, out=term)
+        np.add(est, term, out=est)
+        np.multiply(self.F0, 0.4 * h, out=term)
+        np.add(est, term, out=est)
+        return self.sup_residual(est)
+
+    def accept(self):
+        """Make the step's result the current state, its velocity F_0."""
         self.states.reverse()
-        return True
+        self.F, self.F0 = self.F0, self.F
+        self.bound = None
 
 
 def jflow_step(grid, v_hess, gamma, dt, active=None):
-    """One explicit Euler step of du/dt = gamma - (1/n) tr((D^2u)^{-1} D^2v).
+    """One RKC2 step of length dt of du/dt = gamma - (1/n) tr((D^2u)^{-1} D^2v),
+    with as many stages as the spectral radius at ``grid`` asks (see
+    ``STABILITY_MARGIN``).
 
     Dirichlet on the box boundary; ``active`` masks the interior nodes that
     are evolved.  Returns (new grid, convexity_ok).  The step is refused,
     returning ``grid`` itself with False, unless D^2u is positive definite on
-    the masked nodes both before and after it.  It runs jflow_run's kernel.
+    the masked nodes before the step and at each of its stages.  It runs
+    jflow_run's kernel.
     """
     hess = grid.interior_hessian()
     mask = np.ones(hess.shape[1:], dtype=bool) if active is None else active
-    euler = _Euler(grid, hess, v_hess, gamma, mask)
-    if not (euler.start_convex and euler.step(dt)):
+    rkc = _RKC2(grid, hess, v_hess, gamma, mask)
+    if not rkc.start_convex:
         return grid, False
-    return euler.states[0].grid, True
+    rkc.start()
+    if not rkc.step(dt):
+        return grid, False
+    rkc.accept()
+    return rkc.states[0].grid, True
 
 
 @dataclass
@@ -389,9 +499,16 @@ class JFlowResult:
     residual_log: list         # (t, sup residual over the active nodes)
     active: np.ndarray
     box: tuple                 # shape of the bounding box of the active nodes
-    steps: int
-    dts: list
-    halvings: int              # step refusals, each halving the step fraction
+    steps: int                 # accepted steps
+    dts: list                  # the accepted steps' lengths
+    stages: list               # the accepted steps' stage counts
+    evaluations: int           # stage Hessians and velocities, refused steps included
+    halvings: int              # steps refused for a convexity loss, each halving h
+    rejected: int              # steps refused by the error test
+
+    @property
+    def max_stages(self):
+        return max(self.stages, default=0)
 
 
 def _bounding_box(mask):
@@ -402,21 +519,27 @@ def _bounding_box(mask):
 
 
 def jflow_run(grid0, chi, gamma, T, snap_times=(), active=None):
-    """Run the continuum J-flow to time T with adaptive explicit stepping.
+    """Run the continuum J-flow to time T with error-controlled RKC2 steps.
 
     Interior nodes with lambda_min(D^2 u_0) < FREEZE_EPS are held fixed (an
-    exponentially thin collar of the toric boundary).  Each step takes
-    ``EULER_FRACTION`` of the forward-Euler bound of the discrete operator
-    on the active nodes: linearised, the flow is d(delta)/dt =
-    (1/2) tr(D D^2 delta) with D = A^{-1} B A^{-1} (A = D^2u, B = D^2v), and
-    the 9-point stencil gives I + h L a nonnegative diagonal iff
-    h <= 1 / max(D11/dx^2 + D22/dy^2).  Steps ahead of a snapshot time or T
-    are shortened evenly, so none is a sliver.  One interior Hessian per step
-    gives the convexity check, the velocity, the bound and the residual
-    logged every 25 steps.  A step that loses convexity on the active set is
-    refused and the fraction halved for the rest of the run; past
-    ``MAX_HALVINGS`` refusals the FlowError names the active node of
-    smallest det D^2u, where the grid has degenerated.
+    exponentially thin collar of the toric boundary).  A step of length h
+    has the least s >= 2 stages with beta(s) >= STABILITY_MARGIN rho h (see
+    ``_rkc2_scheme``), rho = 2 max(D11/dx^2 + D22/dy^2) over the active
+    nodes (see the module docstring) at the step's start.  The local error
+    estimate 0.8 (u_n - u_{n+1}) + 0.4 h (F_n + F_{n+1}) in the max norm
+    over the active nodes, err in units of ``ERROR_TOL``, rejects the step
+    above 1 and scales h by 0.8 err^(-1/3), within [0.1, 10] and not up
+    after a refused step.  The first step takes the forward-Euler bound
+    1/max(D11/dx^2 + D22/dy^2).  Steps ahead of a snapshot time or T are
+    shortened evenly, so none is a sliver.
+
+    Each stage costs one interior Hessian and one velocity; the velocity at
+    an accepted state serves as the next step's first stage, in its error
+    estimate and as the sup residual logged after the step.  A stage that
+    loses convexity on the active set refuses the step, leaving the start
+    state as it was, and halves h; past ``MAX_HALVINGS`` refusals the
+    FlowError names the active node of smallest det D^2u, where the grid
+    has degenerated.  Snapshot times must lie in [0, T].
 
     Only the active nodes move, so the steps run on the bounding box of the
     active nodes plus a one-node halo of fixed values, cut from the full
@@ -432,6 +555,9 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), active=None):
     cut from the analytic initial Hessian keeps the effective domain
     resolution independent, which refinement studies need.
     """
+    snap_times = sorted(set(float(t) for t in snap_times) | {0.0, float(T)})
+    if snap_times[0] < 0.0 or snap_times[-1] > T:
+        raise FlowError(f"snapshot times must lie in [0, T] = [0, {T:g}]: {snap_times}")
     # chi is discretised with the same stencil as u, so proportional data
     # (chi = gamma omega_u) is stationary exactly, not just to O(h^2)
     vgrid = GridPotential(grid0.xs, grid0.ys,
@@ -450,8 +576,8 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), active=None):
     box_active = active[bi, bj]
     box = GridPotential(grid0.xs[halo[0]], grid0.ys[halo[1]], grid0.values[halo],
                         grid0.dx, grid0.dy)
-    euler = _Euler(box, hess0[:, bi, bj], v_hess[:, bi, bj], gamma, box_active)
-    if not euler.start_convex:
+    rkc = _RKC2(box, hess0[:, bi, bj], v_hess[:, bi, bj], gamma, box_active)
+    if not rkc.start_convex:
         raise FlowError("potential is not strictly convex on the active nodes")
 
     def degenerate_node():
@@ -459,50 +585,58 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), active=None):
         # active node's det D^2u has fallen to roundoff, not a step size
         # fault: name the active node of smallest det on the last accepted
         # grid, by its index in grid0.values
-        det = euler.states[0].det
+        det = rkc.states[0].det
         node = np.argmin(det)
-        gi, gj = bi.start + euler.nodes[0][node] + 1, bj.start + euler.nodes[1][node] + 1
+        gi, gj = bi.start + rkc.nodes[0][node] + 1, bj.start + rkc.nodes[1][node] + 1
         return (f"convexity loss persists at t={t:.4g} after {MAX_HALVINGS} halvings: "
                 f"D^2u degenerates at grid node ({gi}, {gj}) (x={grid0.xs[gi]:.4g}, "
                 f"y={grid0.ys[gj]:.4g}), det {det[node]:.2e}; use a finer flow.grid")
 
     def snapshot():
         full = grid0.values.copy()
-        full[halo] = euler.states[0].grid.values
+        full[halo] = rkc.states[0].grid.values
         return full
 
     snaps = {}
-    snap_times = sorted(set(list(snap_times) + [0.0, float(T)]))
     next_snap = 0
     t = 0.0
-    res_log = [(0.0, euler.sup_residual())]
-    steps = 0
-    halvings = 0
-    fraction = EULER_FRACTION
-    dts = []
+    res_log = [(0.0, rkc.start())]
+    halvings = rejected = 0
+    dts, stages = [], []
+    rkc.bound = h = rkc.euler_bound()
+    growth = 10.0
     while next_snap < len(snap_times) and snap_times[next_snap] <= 1e-14:
         snaps[snap_times[next_snap]] = snapshot()
         next_snap += 1
     while t < T - 1e-12:
         span = snap_times[next_snap] - t
-        h = span / max(1, math.ceil(span / (fraction * euler.euler_bound())))
-        if not euler.step(h):
-            fraction *= 0.5
+        step = span / max(1, math.ceil(span / h))
+        s = rkc.step(step)
+        if not s:
+            h, growth = 0.5 * step, 1.0
             halvings += 1
             if halvings > MAX_HALVINGS:
                 raise FlowError(degenerate_node())
             continue
-        t += h
-        steps += 1
-        dts.append(h)
-        if steps % 25 == 0 or t >= T - 1e-12:
-            res_log.append((t, euler.sup_residual()))
+        err = rkc.error(step) / ERROR_TOL
+        # h err^(-1/3) to the tolerance, with a safety factor of 0.8
+        h = step * min(growth, max(0.1, 0.8 / max(err, 1e-6) ** (1.0 / 3.0)))
+        if err > 1.0:
+            rejected, growth = rejected + 1, 1.0
+            continue
+        rkc.accept()
+        growth = 10.0
+        t += step
+        dts.append(step)
+        stages.append(s)
+        res_log.append((t, rkc.sup_residual()))
         if t >= snap_times[next_snap] - 1e-12:
             snaps[snap_times[next_snap]] = snapshot()
             next_snap += 1
     return JFlowResult(grid0=grid0, snapshots=snaps, residual_log=res_log,
-                       active=active, box=box_active.shape, steps=steps, dts=dts,
-                       halvings=halvings)
+                       active=active, box=box_active.shape, steps=len(dts), dts=dts,
+                       stages=stages, evaluations=rkc.evaluations, halvings=halvings,
+                       rejected=rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +655,7 @@ def _mean_normalised_sup(a, b):
 
 def quantization_comparison(levels, u0, T, nx=48):
     """Distances between the balancing-flow Bergman potentials and the
-    continuum J-flow at t in {0, T/2, T}.
+    continuum J-flow at each distinct t in {0, T/2, T}.
 
     Both flows start from matched data: the continuum from u0, the level-k
     flow from H0 = Hilb_chi(h0^k).  ``levels`` holds the (Quantisation, H0)
@@ -532,12 +666,14 @@ def quantization_comparison(levels, u0, T, nx=48):
     gauge freedom of potentials.
 
     Returns (rows, meta, pde): rows are dicts {k, t, distance}; meta holds
-    the grid and PDE step data and, per level, ``ode_halvings``: the
+    the grid and the PDE's counts (``pde_steps`` accepted steps,
+    ``pde_evaluations``, ``pde_max_stages``, ``pde_halvings``,
+    ``pde_rejected``; see JFlowResult) and, per level, ``ode_halvings``: the
     balancing flow's dt halvings by cause (see balancing_flow); pde is the
     JFlowResult of the continuum run, for callers that also write it out.
     """
     q0 = levels[0][0]
-    snap_times = (0.0, T / 2.0, T)
+    snap_times = sorted({0.0, T / 2.0, T})
     grid0 = grid_from_potential(q0.P, u0, nx)
     X = grid0.mesh()
     nxy = grid0.values.shape
@@ -567,7 +703,9 @@ def quantization_comparison(levels, u0, T, nx=48):
             dist = _mean_normalised_sup(u_k.value(Xw), cont)
             rows.append({"k": q.k, "t": float(t), "distance": dist})
     meta = {"nx": nx, "window_nodes": int(window.sum()), "T": T,
-            "pde_steps": result.steps, "pde_halvings": result.halvings,
+            "pde_steps": result.steps, "pde_evaluations": result.evaluations,
+            "pde_max_stages": result.max_stages, "pde_halvings": result.halvings,
+            "pde_rejected": result.rejected,
             "pde_min_dt": min(result.dts, default=0.0),
             "pde_active_nodes": int(result.active.sum()),
             "pde_box": list(result.box), "ode_halvings": ode_halvings}

@@ -228,7 +228,28 @@ def test_flow_artifacts(tmp_path, monkeypatch):
     comp = json.loads((out / "quantization_comparison.json").read_text())
     assert {r["t"] for r in comp["rows"]} == {0.0, 0.1, 0.2}
     assert [h["k"] for h in comp["meta"]["ode_halvings"]] == [2]
+    pde = comp["meta"]
+    assert pde["pde_evaluations"] >= pde["pde_steps"] * 2 and pde["pde_max_stages"] >= 2
+    assert pde["pde_halvings"] == 0 and pde["pde_rejected"] >= 0
     assert len(pde_runs) == 1
+
+
+def test_flow_compare_at_zero_writes_each_time_once(tmp_path, capsys):
+    # compare_T = 0 makes 0, T/2 and T one time: one row per level, one grid
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"flow": {"grid": 16, "T": 0.02, "compare_T": 0.0}}))
+    assert run(["flow", "--problem", "P1xP1-O11-O11", "--k-list", "2,3", "--config", str(cfg),
+                "--out", str(tmp_path / "f")]) == cli.EXIT_OK
+    out = tmp_path / "f"
+    comp = json.loads((out / "quantization_comparison.json").read_text())
+    assert [(r["k"], r["t"]) for r in comp["rows"]] == [(2, 0.0), (3, 0.0)]
+    assert comp["meta"]["pde_steps"] == comp["meta"]["pde_evaluations"] == 0
+    assert [p.name for p in out.glob("jflow_grid_t*.csv")] == ["jflow_grid_t0.csv"]
+    lines = capsys.readouterr().out.splitlines()
+    assert "continuum J-flow: 0 steps, 0 evaluations (at most 0 stages), 0 halvings, " \
+        "0 rejected" in lines
+    (comparison,) = [line for line in lines if line.startswith("comparison:")]
+    assert comparison.count("t=0:") == 2
 
 
 @pytest.mark.parametrize("config, key", [

@@ -231,48 +231,129 @@ def test_jflow_box_matches_full_grid_l_shaped(square_problem):
                           grid0.values[1:-1, 1:-1][~active])
 
 
-def _reference_run(grid0, chi, gamma, T, snap_times, active):
-    """jflow_run's schedule on the full grid, with a fresh array for every
-    quantity of every step: the interior Hessian, its determinant, the
-    velocity (gamma - (1/2) tr(adj(A) B) / det A) and the forward-Euler bound
-    h <= 1 / max(D11/dx^2 + D22/dy^2), D = adj(A) B adj(A) / det(A)^2."""
+def _packed_hessian(grid0, chi, active):
+    """An allocating interior Hessian of a full grid's values at the
+    ``active`` nodes, and chi's there."""
     def hessian(u):
         twice = 2 * u[1:-1, 1:-1]
         uxx = (u[2:, 1:-1] - twice + u[:-2, 1:-1]) / grid0.dx ** 2
         uyy = (u[1:-1, 2:] - twice + u[1:-1, :-2]) / grid0.dy ** 2
         ddx = u[2:] - u[:-2]
-        return uxx, uyy, (ddx[:, 2:] - ddx[:, :-2]) / (4 * grid0.dx * grid0.dy)
+        uxy = (ddx[:, 2:] - ddx[:, :-2]) / (4 * grid0.dx * grid0.dy)
+        return [d[active] for d in (uxx, uyy, uxy)]
 
-    vxx, vyy, vxy = hessian(np.asarray(chi.value(grid0.mesh())).reshape(grid0.values.shape))
+    return hessian, hessian(np.asarray(chi.value(grid0.mesh())).reshape(grid0.values.shape))
 
-    def velocity(uxx, uyy, uxy, det):
-        mix = 0.5 * (uxx * vyy + uyy * vxx - 2.0 * uxy * vxy)
-        return np.where(active, gamma - mix / np.where(active, det, 1.0), 0.0)
 
-    values, t, dts, res_log = grid0.values.copy(), 0.0, [], []
+def _velocity_and_rate(vhess, gamma, dx, dy):
+    """The velocity gamma - (1/2) tr(adj(A) B) / det A and the forward-Euler
+    rate max(D11/dx^2 + D22/dy^2), D = adj(A) B adj(A) / det(A)^2, of
+    A = (uxx, uyy, uxy), B = D^2 chi at the active nodes."""
+    vxx, vyy, vxy = vhess
+
+    def velocity(uxx, uyy, uxy):
+        det = uxx * uyy - uxy * uxy
+        assert np.all(det > 0) and np.all(uxx > 0)
+        return gamma - 0.5 * (uxx * vyy + uyy * vxx - 2.0 * uxy * vxy) / det
+
+    def rate(uxx, uyy, uxy):
+        det = uxx * uyy - uxy * uxy
+        d11 = uyy * uyy * vxx - 2.0 * uyy * uxy * vxy + uxy * uxy * vyy
+        d22 = uxy * uxy * vxx - 2.0 * uxx * uxy * vxy + uxx * uxx * vyy
+        return (((1.0 / dx ** 2) * d11 + (1.0 / dy ** 2) * d22) / (det * det)).max()
+
+    return velocity, rate
+
+
+def _reference_run(grid0, chi, gamma, T, snap_times, active, fraction):
+    """Forward Euler at ``fraction`` of its bound h <= 1 / max(D11/dx^2 +
+    D22/dy^2) on all of ``grid0``, with a fresh array for every quantity of
+    every step; steps ahead of a snapshot time are shortened evenly."""
+    hessian, vhess = _packed_hessian(grid0, chi, active)
+    velocity, rate = _velocity_and_rate(vhess, gamma, grid0.dx, grid0.dy)
+    values, t = grid0.values.copy(), 0.0
     times = sorted({0.0, T, *snap_times})
     snaps = {0.0: values.copy()}
     while t < T - 1e-12:
-        uxx, uyy, uxy = hessian(values)
-        det = uxx * uyy - uxy * uxy
-        assert np.all((det > 0) & (uxx > 0) | ~active)
-        if not dts or len(dts) % 25 == 0:
-            res_log.append((t, float(np.abs(velocity(uxx, uyy, uxy, det))[active].max())))
-        d11 = uyy * uyy * vxx - 2.0 * uyy * uxy * vxy + uxy * uxy * vyy
-        d22 = uxy * uxy * vxx - 2.0 * uxx * uxy * vxy + uxx * uxx * vyy
-        rate = ((1.0 / grid0.dx ** 2) * d11 + (1.0 / grid0.dy ** 2) * d22) / (det * det)
+        A = hessian(values)
         span = times[len(snaps)] - t
-        h = span / max(1, math.ceil(span / (fl.EULER_FRACTION / (rate[active].max() + 1e-300))))
+        h = span / max(1, math.ceil(span / (fraction / (rate(*A) + 1e-300))))
         values = values.copy()
-        values[1:-1, 1:-1] += h * velocity(uxx, uyy, uxy, det)
+        values[1:-1, 1:-1][active] += h * velocity(*A)
         t += h
-        dts.append(h)
         if t >= times[len(snaps)] - 1e-12:
             snaps[times[len(snaps)]] = values.copy()
-    uxx, uyy, uxy = hessian(values)
-    vel = velocity(uxx, uyy, uxy, uxx * uyy - uxy * uxy)
-    res_log.append((t, float(np.abs(vel)[active].max())))
-    return snaps, dts, res_log
+    return snaps
+
+
+def _chebyshev_coefficients(s):
+    """beta(s) and (mu_j, nu_j, mut_j, gt_j), j = 1..s, of RKC2 with damping
+    2/13, as in Verwer, Sommeijer and Hundsdorfer (2004)."""
+    w0 = 1.0 + (2.0 / 13.0) / (s * s)
+    T, dT, ddT = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
+    for j in range(2, s + 1):
+        T.append(2.0 * w0 * T[-1] - T[-2])
+        dT.append(2.0 * T[-2] + 2.0 * w0 * dT[-1] - dT[-2])
+        ddT.append(4.0 * dT[-2] + 2.0 * w0 * ddT[-1] - ddT[-2])
+    w1 = dT[s] / ddT[s]
+    b = [ddT[max(j, 2)] / (dT[max(j, 2)] * dT[max(j, 2)]) for j in range(s + 1)]
+    a = [1.0 - b[j] * T[j] for j in range(s + 1)]
+    rows = [(0.0, 0.0, b[1] * w1, 0.0)]
+    for j in range(2, s + 1):
+        mut = 2.0 * b[j] * w1 / b[j - 1]
+        rows.append((2.0 * b[j] * w0 / b[j - 1], -b[j] / b[j - 2], mut, -a[j - 1] * mut))
+    return (1.0 + w0) / w1, rows
+
+
+def _rkc_reference_run(grid0, chi, gamma, T, snap_times, active):
+    """jflow_run's schedule on the full grid, with a fresh array for every
+    quantity of every stage: RKC2 steps whose stages are increments from the
+    step's start, the stage count the least s >= 2 with beta(s) >=
+    STABILITY_MARGIN (2 / Euler bound) h, and the Sommeijer-Shampine-Verwer
+    error estimate controlling h.  Every stage must stay convex."""
+    hessian, vhess = _packed_hessian(grid0, chi, active)
+    velocity, rate = _velocity_and_rate(vhess, gamma, grid0.dx, grid0.dy)
+    values, t = grid0.values.copy(), 0.0
+    times = sorted({0.0, T, *snap_times})
+    snaps = {0.0: values.copy()}
+    A = hessian(values)
+    F0 = velocity(*A)
+    res_log = [(0.0, float(np.abs(F0).max()))]
+    dts, stages, evaluations, rejected = [], [], 0, 0
+    h, grow = 1.0 / (rate(*A) + 1e-300), 10.0
+    while t < T - 1e-12:
+        span = times[len(snaps)] - t
+        step = span / max(1, math.ceil(span / h))
+        rho = 2.0 / (1.0 / (rate(*A) + 1e-300))
+        s = 2
+        while _chebyshev_coefficients(s)[0] < fl.STABILITY_MARGIN * rho * step:
+            s += 1
+        incs, F = [], F0
+        for j, (mu, nu, mut, gt) in enumerate(_chebyshev_coefficients(s)[1], start=1):
+            if j == 1:
+                inc = (mut * step) * F0
+            else:
+                inc = mu * incs[-1] if j == 2 else nu * incs[-2] + mu * incs[-1]
+                inc = inc + (mut * step) * F + (gt * step) * F0
+            incs.append(inc)
+            stage = values.copy()
+            stage[1:-1, 1:-1][active] += inc
+            F = velocity(*hessian(stage))
+            evaluations += 1
+        est = -0.8 * incs[-1] + (0.4 * step) * F + (0.4 * step) * F0
+        err = float(np.abs(est).max()) / fl.ERROR_TOL
+        h = step * min(grow, max(0.1, 0.8 / max(err, 1e-6) ** (1.0 / 3.0)))
+        if err > 1.0:
+            rejected, grow = rejected + 1, 1.0
+            continue
+        values, A, F0, grow = stage, hessian(stage), F, 10.0
+        t += step
+        dts.append(step)
+        stages.append(s)
+        res_log.append((t, float(np.abs(F0).max())))
+        if t >= times[len(snaps)] - 1e-12:
+            snaps[times[len(snaps)]] = values.copy()
+    return snaps, dts, stages, res_log, evaluations, rejected
 
 
 def _pde_inputs(name):
@@ -292,16 +373,26 @@ def _pde_inputs(name):
 
 @pytest.mark.parametrize("name", ["benchmark", "l_shaped"])
 def test_jflow_run_matches_reference_steps(name):
-    # the in-place kernel gives the reference's snapshots, step sizes and
-    # residuals to the last bit
+    # the in-place kernel gives the reference's snapshots, step sizes, stage
+    # counts, evaluations, rejections and residuals to the last bit
     pb, grid0, T, active = _pde_inputs(name)
     out = fl.jflow_run(grid0, pb.chi, pb.gamma, T=T, snap_times=(T / 2,), active=active)
     assert out.halvings == 0
-    snaps, dts, res_log = _reference_run(grid0, pb.chi, pb.gamma, T, (T / 2,), out.active)
-    assert out.dts == dts and out.residual_log == res_log
+    snaps, dts, stages, res_log, evaluations, rejected = _rkc_reference_run(
+        grid0, pb.chi, pb.gamma, T, (T / 2,), out.active)
+    assert out.dts == dts and out.stages == stages and out.residual_log == res_log
+    assert (out.evaluations, out.rejected) == (evaluations, rejected)
+    assert out.max_stages == max(stages) > 2
     assert snaps.keys() == out.snapshots.keys()
     for t, values in snaps.items():
         assert values.tobytes() == out.snapshots[t].tobytes(), t
+
+
+def _force_refusals(monkeypatch):
+    # too few stages for the step and an error test too loose to catch it:
+    # stages lose convexity before the step ends
+    monkeypatch.setattr(fl, "STABILITY_MARGIN", 0.25)
+    monkeypatch.setattr(fl, "ERROR_TOL", 1.0)
 
 
 def test_jflow_refused_steps_roll_back(square_problem, monkeypatch):
@@ -310,7 +401,7 @@ def test_jflow_refused_steps_roll_back(square_problem, monkeypatch):
     pb = square_problem
     pert = pb.u_ref.with_log_coeffs(np.array([0.4, -0.3, 0.2, -0.3]))
     grid0 = fl.grid_from_potential(pb.polytope, pert, 24)
-    monkeypatch.setattr(fl, "EULER_FRACTION", 64.0)
+    _force_refusals(monkeypatch)
     out = fl.jflow_run(grid0, pb.chi, pb.gamma, T=0.1, snap_times=(0.05,))
     assert out.halvings > 0
     full = _replay_on_full_grid(grid0, pb.chi, pb.gamma, out)
@@ -337,31 +428,79 @@ def test_jflow_steps_make_no_grids(square_problem, monkeypatch):
     assert counts[0][0] == counts[1][0] and counts[0][1] < counts[1][1]
 
 
-def test_jflow_one_hessian_per_step(square_problem, monkeypatch):
-    pb = square_problem
+def _count_hessians(monkeypatch):
     calls = []
     real = fl.GridPotential.interior_hessian
     monkeypatch.setattr(fl.GridPotential, "interior_hessian",
                         lambda self, *args, **kw: calls.append(1) or real(self, *args, **kw))
+    return calls
+
+
+def test_jflow_one_hessian_per_step(square_problem, monkeypatch):
+    # one Hessian per stage evaluation, refused and rejected steps included;
+    # rolling back a refused step computes none
+    pb = square_problem
+    calls = _count_hessians(monkeypatch)
     pert = pb.u_ref.with_log_coeffs(np.array([0.4, -0.3, 0.2, -0.3]))
     grid0 = fl.grid_from_potential(pb.polytope, pert, 24)
-    out = fl.jflow_run(grid0, pb.chi, pb.gamma, T=0.1)
-    assert out.halvings == 0 and out.steps > 25
-    # one for chi, one for the start, one per accepted step
-    assert len(calls) == out.steps + 2
+    for refusals in (False, True):
+        if refusals:
+            _force_refusals(monkeypatch)
+        calls.clear()
+        out = fl.jflow_run(grid0, pb.chi, pb.gamma, T=0.1)
+        assert (out.halvings > 0) == refusals and out.evaluations > 50
+        # the refused or rejected steps' stages count too
+        assert out.evaluations > sum(out.stages)
+        # one for chi, one for the start, one per evaluation
+        assert len(calls) == out.evaluations + 2
 
 
 def test_jflow_refusals_halve_the_step(square_problem, monkeypatch):
-    # steps far beyond the forward-Euler bound lose convexity; each refusal
-    # halves the step fraction until the run proceeds
+    # stages far beyond the stability interval lose convexity; each refusal
+    # halves the step until the run proceeds
     pb = square_problem
     pert = pb.u_ref.with_log_coeffs(np.array([0.4, -0.3, 0.2, -0.3]))
     grid0 = fl.grid_from_potential(pb.polytope, pert, 24)
     ref = fl.jflow_run(grid0, pb.chi, pb.gamma, T=0.1)
-    monkeypatch.setattr(fl, "EULER_FRACTION", 64.0)
+    _force_refusals(monkeypatch)
     out = fl.jflow_run(grid0, pb.chi, pb.gamma, T=0.1)
     assert 0 < out.halvings <= 8 and len(out.dts) == out.steps
     assert np.max(np.abs(out.snapshots[0.1] - ref.snapshots[0.1])) < 1e-3
+
+
+@pytest.mark.parametrize("nx, T, budget", [(48, 0.05, 400), (97, 0.25, 3500)])
+def test_jflow_evaluations_and_accuracy(monkeypatch, nx, T, budget):
+    # the flow benchmark's continuum input: RKC2 stays within 1e-5 of forward
+    # Euler on the active nodes with a fraction of its operator evaluations
+    # (718 Euler steps at nx = 48 to T = 0.05, 17,503 at nx = 97 to T = 0.25);
+    # at nx = 48 the Euler reference takes 1/16 of the 0.9 of its bound that
+    # the solver used to step at, at nx = 97 the 0.9 itself
+    pb = make_problem("P1xP1-O11-O21", resolution=80)
+    grid0 = fl.grid_from_potential(pb.polytope, flow_start(pb, seed=0, amplitude=0.05), nx)
+    calls = _count_hessians(monkeypatch)
+    out = fl.jflow_run(grid0, pb.chi, pb.gamma, T=T, snap_times=(T / 2,))
+    assert len(calls) - 2 == out.evaluations <= budget
+    # Euler on the active nodes' box and halo, whose nodes see the full
+    # grid's stencil values (test_jflow_box_matches_full_grid)
+    bi, bj = fl._bounding_box(out.active)
+    halo = (slice(bi.start, bi.stop + 2), slice(bj.start, bj.stop + 2))
+    box = fl.GridPotential(grid0.xs[halo[0]], grid0.ys[halo[1]], grid0.values[halo],
+                           grid0.dx, grid0.dy)
+    active = out.active[bi, bj]
+    euler = _reference_run(box, pb.chi, pb.gamma, T, (T / 2,), active,
+                           0.9 / 16 if nx == 48 else 0.9)
+    assert euler.keys() == out.snapshots.keys()
+    for t, values in euler.items():
+        assert np.max(np.abs(values - out.snapshots[t][halo])[1:-1, 1:-1][active]) < 1e-5, t
+
+
+@pytest.mark.parametrize("snap", [-0.01, 0.11])
+def test_jflow_refuses_snapshot_times_outside_the_run(square_problem, snap):
+    # a snapshot time outside [0, T] would never be written
+    pb = square_problem
+    grid0 = fl.grid_from_potential(pb.polytope, pb.u_ref, 16)
+    with pytest.raises(fl.FlowError, match=r"snapshot times must lie in \[0, T\]"):
+        fl.jflow_run(grid0, pb.chi, pb.gamma, T=0.1, snap_times=(snap,))
 
 
 def test_residual_checks_reject_nan_hessians(square_problem):
