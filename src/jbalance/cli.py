@@ -200,10 +200,9 @@ def write_csv(path, header, rows):
 
 def _check_sizes(problem, k_list):
     """Refuse, before any work, a run whose largest level would pass the
-    size cap (quantisation.check_torus_size; exit 2).  M is resolution^n,
-    so the quadrature rule is not built first."""
-    P = problem.polytope
-    check_torus_size(P, max(k_list), problem.meta["resolution"] ** P.dim)
+    size cap (quantisation.check_torus_size; exit 2).  It needs only the
+    resolution, so the quadrature rule is not built first."""
+    check_torus_size(problem.polytope, max(k_list), problem.meta["resolution"])
 
 
 def _numerical_problem(cfg):

@@ -12,9 +12,9 @@ there is exact integer/rational arithmetic.
 """
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 from math import gcd
 from types import MappingProxyType
@@ -235,8 +235,8 @@ class DelzantPolytope:
     ``normals`` are the inward primitive integer facet normals, ``offsets``
     the integer constants c_i.  Only polygons (n = 2, toric surfaces) are
     accepted: every class, pairing and density here is a surface's.
-    ``normals``, ``offsets`` and ``vertices`` are read-only, so one instance
-    can be shared (``polytope_preset``).
+    ``normals``, ``offsets``, ``vertices`` and ``intersection_matrix``
+    are read-only, so one instance can be shared (``polytope_preset``).
     """
 
     def __init__(self, normals, offsets, name=None):
@@ -256,6 +256,15 @@ class DelzantPolytope:
         self._validate()
         for arr in (self.normals, self.offsets, self.vertices):
             arr.setflags(write=False)
+
+    @cached_property
+    def intersection_matrix(self):
+        """(D_i . D_j) of the facet divisors (divisor_intersection_matrix),
+        built on first use: the one copy that pair_classes and
+        mori_generators read."""
+        M = divisor_intersection_matrix(self)
+        M.setflags(write=False)
+        return M
 
     @property
     def num_facets(self):
@@ -462,11 +471,7 @@ def surface_classes(P, l2_spec):
 
 
 def pair_classes(P, c1, c2):
-    M = getattr(P, "_pairing_matrix", None)
-    if M is None:
-        M = divisor_intersection_matrix(P)
-        P._pairing_matrix = M
-    return int(np.asarray(c1) @ M @ np.asarray(c2))
+    return int(np.asarray(c1) @ P.intersection_matrix @ np.asarray(c2))
 
 
 def intersection_numbers(P, l2_spec="L1"):
@@ -513,7 +518,7 @@ class MoriGenerator:
 def mori_generators(P):
     """Generators of the Mori cone: the boundary curves, deduplicated by
     numerical class (equal pairing vectors)."""
-    M = divisor_intersection_matrix(P)
+    M = P.intersection_matrix
     gens, seen = [], set()
     for i in range(P.num_facets):
         key = tuple(int(v) for v in M[:, i])
@@ -533,42 +538,37 @@ def is_nef(P, class_vector, generators=None):
 # quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureRule:
-    """Tensor Gauss-Legendre rule pushed to R^n by per-axis logistic maps.
+    """Tensor Gauss-Legendre rule pushed to R^2 by per-axis logistic maps.
 
-    ``c_vol`` is 1.0 until ``calibrate`` is run; afterwards integral of
-    det(D^2 u_ref) * c_vol equals L1^n by construction and every pi/2pi
-    convention is absorbed.  ``meta["axes"]`` holds the per-axis nodes
-    (xi1, xi2) of a rule from build_quadrature, whose node i R2 + j is
-    (xi1_i, xi2_j); the sums over the grid (quantisation._TensorGrid) read it.
+    ``axes`` = (xi1, xi2) are the nodes of the two axis rules, and node
+    i R + j is (xi1_i, xi2_j) with weight the product of the axis weights;
+    build_quadrature forms ``nodes`` and ``weights`` so, and the sums over
+    the grid (quantisation._TensorGrid) read the layout from ``axes``.
+    ``c_vol`` is 1.0 until ``calibrate`` is run, which sets ``calibrated``;
+    afterwards integral of det(D^2 u_ref) * c_vol equals L1^n by
+    construction and every pi/2pi convention is absorbed.
     """
 
-    nodes: np.ndarray          # (M, n)
-    weights: np.ndarray        # (M,) all positive
-    resolution: int
+    axes: tuple                # (xi1, xi2), R nodes each
+    nodes: np.ndarray          # (R^2, 2)
+    weights: np.ndarray        # (R^2,) all positive
+    resolution: int            # R
     scales: np.ndarray
     c_vol: float = 1.0
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def dim(self):
-        return self.nodes.shape[1]
+    calibrated: bool = False
 
     def integrate(self, density_values):
         """Integral of a density given by its values at the nodes (no c_vol)."""
         return float(self.weights @ np.asarray(density_values))
 
-    def with_c_vol(self, c):
-        return QuadratureRule(self.nodes, self.weights, self.resolution,
-                              self.scales, c_vol=float(c), meta=dict(self.meta))
 
-
-def _axis_rule(t, w, scale, center):
+def _axis_rule(t, w, scale):
     """The Gauss-Legendre rule (t, w) on [-1, 1] mapped to the real line by
-    x = center + scale*log(s/(1-s)), s = (t+1)/2."""
+    x = scale*log(s/(1-s)), s = (t+1)/2."""
     s = 0.5 * (t + 1.0)
-    x = center + scale * np.log(s / (1.0 - s))
+    x = scale * np.log(s / (1.0 - s))
     jac = 0.5 * scale / (s * (1.0 - s))
     return x, w * jac
 
@@ -626,36 +626,30 @@ def check_resolution(resolution):
         raise GeometryError("resolution >= 4 required")
 
 
-def build_quadrature(P, resolution, scale=None):
-    """Quadrature over R^n adapted to exponential-sum-ratio integrands.
+def build_quadrature(P, resolution):
+    """Quadrature over R^2 adapted to exponential-sum-ratio integrands.
 
     Per axis: Gauss-Legendre on (0,1) composed with x = scale*log(s/(1-s)),
-    centered on the polytope's gradient image.  ``scale`` widens with the
-    polytope so the logistic tails match the e^{-dist} decay of the
-    occurring densities.
+    centred at 0.  The scale widens with the polytope so the logistic tails
+    match the e^{-dist} decay of the occurring densities.  The one place
+    that lays out the tensor grid: node i R + j is (xi1_i, xi2_j), as
+    meshgrid(xi1, xi2, indexing="ij") orders it.
     """
     check_resolution(resolution)
     # Axis-aligned fans push forward to rational integrands with distant
     # poles (spectrally exact); a skew ray such as P^2's diagonal leaves a
     # corner non-analyticity whose algebraic order improves with the scale.
     widths = P.vertices.max(axis=0) - P.vertices.min(axis=0)
-    centers = np.zeros(P.dim)
-    if scale is None:
-        skew = any(np.all(a != 0) for a in P.normals)
-        base = 3.0 if skew else 2.0
-        scales = np.maximum(base, 1.0 + 0.5 * widths)
-    else:
-        scales = np.full(P.dim, float(scale))
+    skew = any(np.all(a != 0) for a in P.normals)
+    scales = np.maximum(3.0 if skew else 2.0, 1.0 + 0.5 * widths)
     # both axes share the resolution, so one Gauss-Legendre rule serves both
     t, w = gauss_legendre(resolution)
-    axes = [_axis_rule(t, w, scales[d], centers[d]) for d in range(P.dim)]
-    X, Y = np.meshgrid(axes[0][0], axes[1][0], indexing="ij")
-    WX, WY = np.meshgrid(axes[0][1], axes[1][1], indexing="ij")
-    nodes = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    weights = (WX * WY).ravel()
-    return QuadratureRule(nodes=nodes, weights=weights, resolution=int(resolution),
-                          scales=scales, meta={"map": "logistic*GL",
-                                               "axes": tuple(a for a, _ in axes)})
+    (x1, w1), (x2, w2) = (_axis_rule(t, w, scale) for scale in scales)
+    X, Y = np.meshgrid(x1, x2, indexing="ij")
+    WX, WY = np.meshgrid(w1, w2, indexing="ij")
+    return QuadratureRule(axes=(x1, x2), nodes=np.stack([X.ravel(), Y.ravel()], axis=-1),
+                          weights=(WX * WY).ravel(), resolution=int(resolution),
+                          scales=scales)
 
 
 def reference_potential(P):
@@ -716,6 +710,4 @@ def calibrate(rule, P, u_ref):
         # of e^{-dist}); genuine non-convexity shows up strictly negative
         raise GeometryError("reference potential is not strictly convex on the nodes")
     total = rule.integrate(dens)
-    out = rule.with_c_vol(float(2 * P.volume()) / total)
-    out.meta["calibrated"] = True
-    return out
+    return replace(rule, c_vol=float(2 * P.volume()) / total, calibrated=True)

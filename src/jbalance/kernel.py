@@ -5,9 +5,11 @@ Every exponential sum of the package is a softmax over exponent points p_a
 per point or per node, basis-major (one row per point, one column per
 node).  softmax_moments reduces such an array over its points, and
 node_blocks forms it one block of nodes at a time, so that no (points x
-nodes) array is held whole.  The sums over the quadrature's tensor grid
-(quantisation._TensorGrid) come here only for the nodes they cannot
-resolve; LogSumExpPotential.value/hessian come here for every node.
+nodes) array is held whole.  Every quadrature node is a node of the
+rule's tensor grid (geometry.build_quadrature), and the sums over that
+grid (quantisation._TensorGrid) come here only for the grid nodes whose
+products underflow or lose digits; LogSumExpPotential.value/hessian come
+here for every node.
 """
 
 import numpy as np

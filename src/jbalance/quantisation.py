@@ -18,11 +18,12 @@ Normalisation conventions (fixed once, used everywhere):
 
 Layout.  The slice is carried as the vector x = log diag H.  The
 log-weights <a, x_p> - x_a (one row per section, one column per node) are
-never held whole.  The rule's nodes are a tensor grid, node (i, j) =
-(xi1_i, xi2_j), so each weight factors into a row factor, a column factor
-and e^{-x_a} (_TensorGrid), and every sum over the nodes is a few matrix
-products: O(R^2 K) work for R nodes per axis and K lattice points across
-kP, against O(M (N+1)) node by node.  Quantisation.torus_pass takes the
+never held whole.  The rule's nodes are the tensor grid of its axes
+(geometry.QuadratureRule.axes), node i R + j = (xi1_i, xi2_j), so each
+weight factors into a row factor, a column factor and e^{-x_a}
+(_TensorGrid), and every sum over the nodes is a few matrix products:
+O(R^2 K) work for R nodes per axis and K lattice points across kP,
+against O(M (N+1)) node by node.  Quantisation.torus_pass takes the
 softmax S of the log-weights over the basis at every node: its
 log-sum-exp gives the FS potential values, its centred second moments
 D^2(k u_H) and hence the mixed measure, and sum_p w_p mix_p S_ap the
@@ -30,12 +31,13 @@ Hilb diagonal.  hilb_map, bergman_check and qk_operator sum the same
 products over the nodes per section (_TensorGrid.hilb_sums) or over the
 sections per node (_TensorGrid.density).  The node kernel
 (kernel.node_blocks, a block of nodes at a time, and
-kernel.softmax_moments) takes the nodes off the grid and those where the
-products lose digits.  The last pass is memoised, so the map, the moment
-map and I_{mu0} at one H share it, and a balancing flow's start pass is
-kept beside it.  A context holds only (N+1)- and M-vectors and the grid's
-factors between calls.  The balance iteration and the balancing flow run
-on the vectors and build a form only for what they return or log.
+kernel.softmax_moments) takes the grid nodes where the products
+underflow or lose digits.  The last pass is memoised, so the map, the
+moment map and I_{mu0} at one H share it, and a balancing flow's start
+pass is kept beside it.  A context holds only (N+1)- and M-vectors and
+the grid's factors between calls.  The balance iteration and the
+balancing flow run on the vectors and build a form only for what they
+return or log.
 
 Balance iteration.  The balanced form is the fixed point of the
 det-normalised T = Hilb o FS.  Plain iteration of T decreases I_{mu0} but
@@ -55,7 +57,6 @@ instead of regularising, since it signals inadequate quadrature.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt
 
 import numpy as np
 
@@ -168,26 +169,27 @@ class HermitianForm:
         return f"HermitianForm(n_plus_1={self.n_plus_1}, level={self.level})"
 
 
-def check_torus_size(P, k, n_nodes):
+def check_torus_size(P, k, resolution):
     """Refuse, with a GeometryError, a level k whose live arrays would take
-    more than MAX_TORUS_BYTES.  They are the tensor grid's GRID_ARRAYS
-    arrays over the M nodes, AXIS_ARRAYS of R x K and two of K x K (R =
-    sqrt(M) nodes per axis, K = k w + 1 lattice points across the widest
-    side w of P); three (N+1) x block arrays of a node block (a one-node
-    tail may join the last block) for the fallback nodes of the grid sums
-    and the potentials' values and Hessians; and TORUS_VECTORS vectors of
-    length N+1 and M.  N+1 is the closed-form Ehrhart count, so nothing is
-    enumerated or allocated first."""
+    more than MAX_TORUS_BYTES on a rule of R = ``resolution`` nodes per
+    axis.  They are the tensor grid's GRID_ARRAYS arrays over its R^2
+    nodes, AXIS_ARRAYS of R x K and two of K x K (K = k w + 1 lattice
+    points across the widest side w of P); three (N+1) x block arrays of a
+    node block (a one-node tail may join the last block) for the fallback
+    nodes of the grid sums and the potentials' values and Hessians; and
+    TORUS_VECTORS vectors of length N+1 and R^2.  N+1 is the closed-form
+    Ehrhart count, so nothing is enumerated or allocated first."""
     n_plus_1 = P.ehrhart_count(k)
-    n_nodes = int(n_nodes)
+    R = int(resolution)
+    n_nodes = R * R
     block = min(n_nodes, node_block_size(n_plus_1) + 1)
     side = k * int(np.max(P.vertices.max(axis=0) - P.vertices.min(axis=0))) + 1
     need = 8 * (3 * n_plus_1 * block + TORUS_VECTORS * (n_plus_1 + n_nodes)
-                + GRID_ARRAYS * n_nodes + AXIS_ARRAYS * isqrt(n_nodes) * side + 2 * side ** 2)
+                + GRID_ARRAYS * n_nodes + AXIS_ARRAYS * R * side + 2 * side ** 2)
     if need > MAX_TORUS_BYTES:
         raise GeometryError(
             f"level k={k} needs about {need / 2 ** 30:.3g} GiB for its grid, node blocks "
-            f"(fallback nodes, potentials) and vectors (N+1 = {n_plus_1}, M = {n_nodes}), "
+            f"(fallback nodes, potentials) and vectors (N+1 = {n_plus_1}, {R} x {R} nodes), "
             f"above the {MAX_TORUS_BYTES / 2 ** 30:g} GiB cap (quantisation.MAX_TORUS_BYTES)")
 
 
@@ -230,9 +232,9 @@ class Quantisation:
     """
 
     def __init__(self, P, chi, k, rule, gamma, n_theta=None):
-        if not rule.meta.get("calibrated"):
+        if not rule.calibrated:
             raise QuantisationError("quadrature rule must be calibrated (run geometry.calibrate)")
-        check_torus_size(P, k, len(rule.nodes))
+        check_torus_size(P, k, rule.resolution)
         self.P = P
         self.chi = chi
         self.k = int(k)
@@ -289,9 +291,9 @@ class Quantisation:
         potential values k u_H, the mixed measure of FS(H) (from the centred
         second moments of S, which are D^2(k u_H)), and the Hilb diagonal
         ((N+1)/V) e^x_a sum_p w_p mix_p S_ap / (gamma k^{n-1}), and the
-        indices of the nodes evaluated by the node kernel: those that the
-        grid products (_TensorGrid.pass_sums) cannot resolve, and those off
-        the grid.  Their values and mix do not depend on the block size.
+        indices of the nodes evaluated by the node kernel, those that the
+        grid products (_TensorGrid.pass_sums) cannot resolve.  Their values
+        and mix do not depend on the block size.
 
         Two passes are memoised on the exact bytes of x: the last one, so a
         moment map, an energy and a map application at the same H share one
@@ -315,9 +317,7 @@ class Quantisation:
         return _TensorGrid(self)
 
     def _compute_pass(self, x):
-        values = np.empty(len(self.nodes))
-        mix = np.empty(len(self.nodes))
-        exact, grid_sums = self.grid.pass_sums(x, values, mix)
+        values, mix, exact, grid_sums = self.grid.pass_sums(x)
         # the nodes the grid leaves to the node kernel, and their share
         # sum_p w_p mix_p S_ap of the Hilb sums
         moments = np.zeros(self.n_plus_1)
@@ -522,9 +522,9 @@ class _TensorGrid:
     """The rule's tensor grid: the x-independent axis factors of every sum
     over the nodes (the torus pass, hilb_map, the Bergman checks).
 
-    On a tensor rule (geometry.build_quadrature records its axes) node
-    (i, j) is (xi1_i, xi2_j), so over the bounding box lo_d <= a_d <= hi_d
-    of kP the softmax weight of section a there factors:
+    Node (i, j) is (xi1_i, xi2_j) for the rule's ``axes``, so over the
+    bounding box lo_d <= a_d <= hi_d of kP the softmax weight of section a
+    there factors:
     e^{<a, xi> - x_a} = E1[i, a1] E2[j, a2] D[a1, a2] e^{shift_ij - min x}.
     Per axis, E[i, a] = e^{(a - c_i) xi_i} <= 1 with c_i the end of the
     range where a xi_i is largest, the axis-wise heaviest point of row i,
@@ -534,26 +534,18 @@ class _TensorGrid:
     The moments are sums of E weighted by (a - e) and (a - e)^2 for an end
     e of the range, so each adds terms of one sign: ``ends`` holds those
     weighted factors for e = lo and e = hi, ``own`` for e = c_i.  The node
-    kernel takes the ``fallback`` nodes of hilb_sums and density: those off
-    the grid (all, for a rule without recorded axes or whose leading nodes
-    are not its grid), and those where the lattice's indicator has Z below
-    SEPARABLE_Z_MIN (``underflow``).
+    kernel takes the ``fallback`` nodes of hilb_sums and density, those
+    where the lattice's indicator has Z below SEPARABLE_Z_MIN.
     """
 
     def __init__(self, q):
-        axes = q.rule.meta.get("axes", (np.zeros(0), np.zeros(0)))
-        self.n = len(axes[0]) * len(axes[1])
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-        if not np.array_equal(q.nodes[:self.n], grid):
-            axes, self.n = (np.zeros(0), np.zeros(0)), 0
-        self.n_nodes = len(q.nodes)
         lo = q.points.min(axis=0)
         hi = q.points.max(axis=0)
         self.box = tuple((hi - lo + 1).astype(int))
         self.rows, self.cols = (q.points - lo).astype(np.intp).T
         self.factors, self.ends, self.own = [], [], []
         shift = []
-        for xi, a_lo, a_hi in zip(axes, lo, hi):
+        for xi, a_lo, a_hi in zip(q.rule.axes, lo, hi):
             a = np.arange(a_lo, a_hi + 1)
             top = (xi > 0).astype(np.intp)
             c = np.array([a_lo, a_hi])[top]
@@ -566,16 +558,13 @@ class _TensorGrid:
             self.own.append((F[rows], FF[rows]))
             shift.append(c * xi)
         self.shift = shift[0][:, None] + shift[1]
-        shape = self.shift.shape
-        self.weights = q.weights[:self.n].reshape(shape)
-        B = q.chi_hess[:self.n] * q.rule.c_vol
-        self.chi = [np.ascontiguousarray(B[:, i, j]).reshape(shape)
-                    for i, j in ((0, 0), (1, 1), (0, 1))]
+        self.weights = q.weights.reshape(self.shift.shape)
+        # chi's Hessian entries xx, yy, xy, one grid plane each
+        B = q.chi_hess[:, [0, 1, 0], [0, 1, 1]] * q.rule.c_vol
+        self.chi = np.ascontiguousarray(B.T).reshape((3,) + self.shift.shape)
         lattice = np.zeros(self.box)
         lattice[self.rows, self.cols] = 1.0
-        self.underflow = ~(self.partition(lattice)[1] >= SEPARABLE_Z_MIN)
-        self.fallback = np.concatenate([np.flatnonzero(self.underflow),
-                                        np.arange(self.n, self.n_nodes)])
+        self.fallback = np.flatnonzero(~(self.partition(lattice)[1] >= SEPARABLE_Z_MIN))
         self.points, self.nodes = q.points, q.nodes
 
     def partition(self, D):
@@ -594,9 +583,10 @@ class _TensorGrid:
         """sum_p e^{<a, x_p> - k u_p} columns_p per section a, columns (..., M):
         section_sums under one shift, the largest shift_ij - k u off the
         fallback nodes, plus the node kernel's; refuses overflow."""
-        g = np.where(self.underflow, -np.inf, self.shift - k_u[:self.n].reshape(self.shift.shape))
+        g = self.shift - k_u.reshape(self.shift.shape)
+        g.flat[self.fallback] = -np.inf
         top = g.max(initial=-np.inf)
-        C = np.exp(g - top) * columns[..., :self.n].reshape(columns.shape[:-1] + g.shape)
+        C = np.exp(g - top) * columns.reshape(columns.shape[:-1] + g.shape)
         sums = np.exp(top) * self.section_sums(C)
         for nodes, W in self._node_weights(k_u):
             sums += columns[..., nodes] @ W.T
@@ -607,12 +597,12 @@ class _TensorGrid:
     def density(self, k_u, coeffs):
         """sum_a coeffs_a e^{<a, x_p> - k u_p} per node p: e^{shift_ij - k u}
         times the partition of the coeffs, and the node kernel's."""
-        out = np.empty(self.n_nodes)
         scale = np.abs(coeffs).max() or 1.0
         D = np.zeros(self.box)
         D[self.rows, self.cols] = coeffs / scale
-        g = np.where(self.underflow, -np.inf, self.shift - k_u[:self.n].reshape(self.shift.shape))
-        out[:self.n] = (np.exp(g + np.log(scale)) * self.partition(D)[1]).ravel()
+        g = self.shift - k_u.reshape(self.shift.shape)
+        g.flat[self.fallback] = -np.inf
+        out = (np.exp(g + np.log(scale)) * self.partition(D)[1]).ravel()
         for nodes, W in self._node_weights(k_u):
             out[nodes] = coeffs @ W
         return out
@@ -623,11 +613,11 @@ class _TensorGrid:
                                     node_offsets=-k_u[self.fallback]):
             yield self.fallback[block], np.exp(W, out=W)
 
-    def pass_sums(self, x, values, mix):
-        """The pass on the grid: fills values (k u_H before its constant) and
-        the mixed measure at the grid nodes it resolves, and returns the
-        nodes it leaves to the node kernel (those off the grid included) and
-        the Hilb sums e^x_a sum_p w_p mix_p S_ap over the resolved nodes.
+    def pass_sums(self, x):
+        """The pass on the grid: returns the values (k u_H before its
+        constant) and the mixed measure at the nodes, right at the nodes it
+        resolves, the nodes it leaves to the node kernel, and the Hilb sums
+        e^x_a sum_p w_p mix_p S_ap over the resolved nodes.
 
         Z = partition(D), the moments centred on (c_i, c_j) and the Hilb
         sums section_sums(w mix / Z) are products of shapes R x K x K and
@@ -654,15 +644,13 @@ class _TensorGrid:
             block = np.ix_(lost.any(axis=1), lost.any(axis=0))
             grid_mix[block], lost[block] = self._recentred(D, ED, Z, block)
         unresolved |= lost
-        values[:self.n] = (np.log(Z) + self.shift - xmin).ravel()
-        mix[:self.n] = grid_mix.ravel()
-        grid_mix *= self.weights
-        grid_mix /= Z
-        grid_mix[unresolved] = 0.0
+        values = (np.log(Z) + self.shift - xmin).ravel()
+        C = grid_mix * self.weights
+        C /= Z
+        C[unresolved] = 0.0
         # e^x_a D_a = e^{min x}
-        sums = np.exp(xmin) * self.section_sums(grid_mix)
-        exact = np.concatenate([np.flatnonzero(unresolved), np.arange(self.n, self.n_nodes)])
-        return exact, sums
+        sums = np.exp(xmin) * self.section_sums(C)
+        return values, grid_mix.ravel(), np.flatnonzero(unresolved), sums
 
     def _recentred(self, D, ED, Z, block):
         """The mixed measure on a block of rows and columns, each node's
@@ -706,7 +694,8 @@ def _checked_hilb_diagonal(diag):
 class TorusPass:
     """Output of Quantisation.torus_pass at the quadrature nodes: level-k
     potential values k u_H, mixed measure of FS(H), and the Hilb diagonal;
-    ``exact`` lists the nodes that the node kernel evaluated."""
+    ``exact`` lists the grid nodes that the node kernel evaluated, those
+    the grid products cannot resolve."""
 
     values: np.ndarray
     mix: np.ndarray

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -8,6 +10,13 @@ from jbalance.presets import make_problem
 # not timed per example, since CPU speed varies between runs on shared hosts.
 settings.register_profile("jbalance", derandomize=True, deadline=None, database=None)
 settings.load_profile("jbalance")
+
+
+def pytest_report_header(config):
+    """The numpy version and the BLAS thread setting of the run: results
+    summed by BLAS can depend on the thread count."""
+    return (f"numpy {np.__version__}, OPENBLAS_NUM_THREADS="
+            f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, cpu_count {os.cpu_count()}")
 
 
 @pytest.fixture(scope="session")

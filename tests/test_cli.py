@@ -132,6 +132,27 @@ def test_stability_sweep_matches_oracle(tmp_path):
     assert names["j_stable_sufficient"]["holds"]
 
 
+def test_jobs_read_the_polygons_intersection_matrix(tmp_path, monkeypatch):
+    # a polygon builds (D_i . D_j) once, read-only; the pairings, the Mori
+    # generators and the stability and verify jobs read that copy
+    from jbalance import geometry as geo
+    P = geo.polytope_preset("P2")
+    assert not P.intersection_matrix.flags.writeable
+    assert np.array_equal(P.intersection_matrix, geo.divisor_intersection_matrix(P))
+    builds = []
+    real = geo.divisor_intersection_matrix
+    monkeypatch.setattr(geo, "divisor_intersection_matrix",
+                        lambda P: builds.append(P) or real(P))
+    assert run(["stability", "--problem", "P2-O1-O2", "--out", str(tmp_path / "s")]) == cli.EXIT_OK
+    assert run(["verify", "--problem", "P2-O1-O1", "--k-list", "2",
+                "--out", str(tmp_path / "v")]) == cli.EXIT_OK
+    assert builds == []
+    F1 = geo.DelzantPolytope([[1, 0], [0, 1], [0, -1], [-1, -1]], [0, 0, 1, 2])
+    geo.intersection_numbers(F1, "K")
+    geo.mori_generators(F1)
+    assert builds == [F1]
+
+
 def test_stability_inapplicable_markers(tmp_path):
     # L2 = K on P^2: gamma = -3, criteria reported inapplicable
     cfg = tmp_path / "cfg.json"

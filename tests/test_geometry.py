@@ -275,6 +275,29 @@ def test_build_quadrature_unchanged_at_each_preset_resolution(monkeypatch):
         assert np.array_equal(rules[name, res].weights, ref.weights), (name, res)
 
 
+@pytest.mark.parametrize("name", geo.PRESET_POLYTOPES)
+def test_quadrature_is_the_tensor_grid_of_its_axis_rules(name):
+    # the layout the sums over the grid take for granted
+    # (quantisation._TensorGrid): node i R + j is (xi1_i, xi2_j) and its
+    # weight the product of the axis weights, bit for bit; the calibrated
+    # rule shares the arrays
+    P = geo.polytope_preset(name)
+    for resolution in (16, 97):
+        rule = geo.build_quadrature(P, resolution)
+        t, w = geo.gauss_legendre(resolution)
+        axis_rules = [geo._axis_rule(t, w, scale) for scale in rule.scales]
+        assert all(np.array_equal(xi, x) for xi, (x, _) in zip(rule.axes, axis_rules))
+        X = np.meshgrid(*rule.axes, indexing="ij")
+        W = np.meshgrid(*(wd for _, wd in axis_rules), indexing="ij")
+        assert rule.nodes.shape == (resolution ** 2, 2)
+        assert np.array_equal(rule.nodes, np.stack([g.ravel() for g in X], axis=-1))
+        assert np.array_equal(rule.weights, (W[0] * W[1]).ravel())
+        calibrated = geo.calibrate(rule, P, geo.reference_potential(P))
+        assert calibrated.calibrated and not rule.calibrated
+        for field in ("axes", "nodes", "weights"):
+            assert getattr(calibrated, field) is getattr(rule, field)
+
+
 def test_quadrature_logistic_density_1d():
     # integral over R of e^x/(1+e^x)^2 dx = 1 on each axis of the tensor
     # rule, so the product density integrates to 1 over R^2

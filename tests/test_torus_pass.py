@@ -17,18 +17,33 @@ from jbalance.quantisation import (TORUS_VECTORS, HermitianForm, Quantisation,
                                    QuantisationError, bergman_check)
 
 
+# far-field nodes r d for these directions d and r = 30, 120, 800: there the
+# softmax collapses to roundoff or exactly onto a vertex or an edge
+FAR_DIRECTIONS = np.array([[1, 0], [0, 1], [-1, 0], [0, -1], [-1, -1], [1, 1], [1, -2]], float)
+FAR_RADII = (30.0, 120.0, 800.0)
+
+
 def with_far_field(pb, k):
-    """Level-k context on the problem's calibrated rule plus far-field nodes
-    with tiny weights, where the softmax collapses to roundoff or exactly
-    onto a vertex or an edge.  Returns (q, number of far-field nodes)."""
+    """Level-k context on the problem's calibrated rule with each axis
+    extended by the coordinates of the far-field nodes (and 0), so that
+    each far-field node is a grid node.  The grid nodes added get weight
+    1e-30, those of the rule keep theirs.  Returns (q, mask of the
+    far-field nodes, mask of the rule's R x R nodes)."""
     rule = pb.rule
-    dirs = np.array([[1, 0], [0, 1], [-1, 0], [0, -1], [-1, -1], [1, 1], [1, -2]], float)
-    far = np.concatenate([r * dirs[:, :rule.dim] for r in (30.0, 120.0, 800.0)])
-    far_rule = QuadratureRule(nodes=np.concatenate([rule.nodes, far]),
-                              weights=np.concatenate([rule.weights, np.full(len(far), 1e-30)]),
-                              resolution=rule.resolution, scales=rule.scales,
-                              c_vol=rule.c_vol, meta=dict(rule.meta))
-    return Quantisation(pb.polytope, pb.chi, k, far_rule, gamma=pb.gamma), len(far)
+    far = np.concatenate([r * FAR_DIRECTIONS for r in FAR_RADII])
+    axes = tuple(np.concatenate([xi, np.unique(np.append(far[:, d], 0.0))])
+                 for d, xi in enumerate(rule.axes))
+    R, shape = rule.resolution, tuple(map(len, axes))
+    weights = np.full(shape, 1e-30)
+    weights[:R, :R] = rule.weights.reshape(R, R)
+    own = np.zeros(shape, bool)
+    own[:R, :R] = True
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    far_rule = QuadratureRule(axes=axes, nodes=nodes, weights=weights.ravel(), resolution=R,
+                              scales=rule.scales, c_vol=rule.c_vol, calibrated=True)
+    is_far = (nodes[:, None] == far).all(axis=-1).any(axis=-1)
+    assert is_far.sum() == len(far)
+    return Quantisation(pb.polytope, pb.chi, k, far_rule, gamma=pb.gamma), is_far, own.ravel()
 
 
 def assert_rel(a, b, tol=1e-12):
@@ -39,7 +54,7 @@ def assert_rel(a, b, tol=1e-12):
 @pytest.mark.parametrize("fixture,k", [("p2_problem", 2), ("p2_problem", 4),
                                        ("square_problem", 3)])
 def test_torus_pass_matches_potential_and_hilb_map(request, fixture, k):
-    q, n_far = with_far_field(request.getfixturevalue(fixture), k)
+    q, far, _ = with_far_field(request.getfixturevalue(fixture), k)
     rng = np.random.default_rng(k)
     B = q.chi_hess
     # a centred covariance carries an absolute roundoff of about (eps k)^2
@@ -58,8 +73,8 @@ def test_torus_pass_matches_potential_and_hilb_map(request, fixture, k):
                                       + 2 * np.abs(A[:, 0, 1] * B[:, 0, 1]))
         assert np.all(np.abs(out.mix - mix) <= 1e-12 * terms + floor)
         assert_rel(out.hilb, q.hilb_map(u).diag())
-        assert np.all(out.mix[-n_far:] >= 0)
-        assert np.min(out.mix[-n_far:]) == 0.0
+        assert np.all(out.mix[far] >= 0)
+        assert np.min(out.mix[far]) == 0.0
 
 
 @pytest.mark.parametrize("fixture,k", [("p2_problem", 4), ("square_problem", 3)])
@@ -70,7 +85,7 @@ def test_node_blocks_match_one_block(request, monkeypatch, fixture, k):
     # and the Hilb diagonal, a sum over the blocks, to roundoff.  (Blocks
     # of 255 nodes change bits of mix with OpenBLAS 0.3.31: its product
     # treats a block's last partial group of nodes differently.)
-    q, _ = with_far_field(request.getfixturevalue(fixture), k)
+    q, _, _ = with_far_field(request.getfixturevalue(fixture), k)
     H = random_diagonal(q, np.random.default_rng(30 + k), spread=2.0)
     u = q.fs_map(H)
 
@@ -266,12 +281,13 @@ def test_softmax_kernel_matches_longdouble_reference(request, fixture, k):
     # far-field nodes where the softmax collapses
     if fixture == "p1_sanity":
         points, logE, n_far = interval_kernel_data(k)
+        n_nodes = logE.shape[1]
+        cols = np.r_[np.arange(0, n_nodes - n_far, 23), np.arange(n_nodes - n_far, n_nodes)]
     else:
-        q, n_far = with_far_field(request.getfixturevalue(fixture), k)
+        q, far, own = with_far_field(request.getfixturevalue(fixture), k)
         points, logE = q.points, q.points @ q.nodes.T
+        cols = np.r_[np.flatnonzero(own)[::23], np.flatnonzero(far)]
     x = np.random.default_rng(k).uniform(-2.0, 2.0, len(points))
-    cols = np.r_[np.arange(0, logE.shape[1] - n_far, 23),
-                 np.arange(logE.shape[1] - n_far, logE.shape[1])]
     A = logE[:, cols] - x[:, None]
     lse, S, mean, cov = geo.softmax_moments(A.copy(), points)
     W, ref_mean, ref_cov = longdouble_moments(A, points)
@@ -346,10 +362,10 @@ def per_axis_shift_gap(q, x, amax):
     shifts (each axis's largest a_d xi_d over kP's bounding box, less
     min x) lie above the largest log-weight: the partition function on
     the grid is at most (N+1) e^{-gap}."""
-    xi = np.meshgrid(*q.rule.meta["axes"], indexing="ij")
+    xi = np.meshgrid(*q.rule.axes, indexing="ij")
     lo, hi = q.points.min(axis=0), q.points.max(axis=0)
     shift = sum(np.maximum(lo[d] * xi[d], hi[d] * xi[d]).ravel() for d in range(2)) - x.min()
-    return shift - amax[:len(shift)]
+    return shift - amax
 
 
 def test_torus_pass_matches_longdouble_reference_where_shifts_underflow(p2_o2_problem):
@@ -378,21 +394,19 @@ def test_torus_pass_recomputes_flagged_nodes_on_a_skew_fan(p2_o2_problem):
     # P2-O1-O2 at k = 16, with far-field nodes.  At P^2's corners the
     # softmax sits at the far end of an axis from the per-row centre, and
     # the grid sums those nodes again on the nearer ends; the grid nodes
-    # that lose digits even so, and the nodes off the grid, are the node
-    # kernel's: their values and mixed measure are its bits.  The mixed
-    # measure everywhere is within the long-double bound.
-    q, n_far = with_far_field(p2_o2_problem, 16)
+    # that lose digits even so are the node kernel's: their values and
+    # mixed measure are its bits.  The mixed measure everywhere is within
+    # the long-double bound.
+    q, _, own = with_far_field(p2_o2_problem, 16)
     rng = np.random.default_rng(16)
     x = np.log(q.t_map(HermitianForm.identity(q.n_plus_1, 16)).diag())
     x = x + 0.3 * rng.standard_normal(q.n_plus_1)
     out = q.torus_pass(x)
     amax, values, mix, bound, hilb = longdouble_pass(q, x)
-    n_grid = len(q.nodes) - n_far
     exact = out.exact
-    assert np.all(np.isin(np.arange(n_grid, len(q.nodes)), exact))
     # the corners are resolved on the grid: centred on the per-row ends
-    # alone, 2079 of its 9216 nodes would lose digits
-    assert 0 < np.count_nonzero(exact < n_grid) < 0.01 * n_grid
+    # alone, 2079 of the rule's 9216 nodes would lose digits
+    assert 0 < np.count_nonzero(own[exact]) < 0.01 * np.count_nonzero(own)
     for block, (lse, _, _, cov) in kernel.node_blocks(q.points, q.nodes[exact], -x, order=2):
         nodes = exact[block]
         assert np.array_equal(out.values[nodes], lse - np.log(q.n_plus_1 / q.V))
