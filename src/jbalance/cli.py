@@ -359,7 +359,7 @@ def cmd_flow(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_stability(cfg):
-    from .stability import SurfaceClassData, WeightPolynomials, chow_hilbert_weight
+    from .stability import ChowForms, SurfaceClassData, WeightPolynomials
 
     problem = build_problem(cfg)
     scfg = cfg["stability"]
@@ -402,19 +402,13 @@ def cmd_stability(cfg):
         "verdicts": [v.as_dict() for v in verdicts["verdicts"]]}, indent=1))
     # the trivial configuration has E = 0, so both of its weights are 0
     rows = [["trivial", "0", "0", "", "", "", ""]]
-    for r in r_values:
-        *vals, admissible = forms.row(r)
-        rows.append([str(r), *map(str, vals), admissible])
+    rows += [forms.text_row(r) for r in r_values]
     write_csv(out / "stability_sweep.csv",
               ["r", *SweepForms.COLUMNS, "admissible"], rows)
     if wp is not None:
-        chout = []
-        for r in r_values:
-            res = chow_hilbert_weight(wp, r)
-            chout.append([str(r), str(res["e_top"]),
-                          str(res["j_weight_normalised"])])
-        write_csv(out / "chow_weights.csv",
-                  ["r", "e_top", "j_weight_normalised"], chout)
+        chow = ChowForms(wp)
+        write_csv(out / "chow_weights.csv", ["r", *ChowForms.COLUMNS],
+                  [chow.text_row(r) for r in r_values])
     for v in verdicts["verdicts"]:
         mark = "inapplicable" if not v.applicable else ("holds" if v.holds else "fails")
         print(f"stability {v.name}: {mark} (margin {v.margin})")
@@ -495,11 +489,12 @@ def run_verification(cfg):
     nef_l2 = is_nef(P, c2, gens)
     add("nef_monotone", (not nef_l2) or is_nef(P, c2 + c1, gens), f"L2 nef: {nef_l2}")
 
-    # stability identities on the default centre: the closed forms of its
-    # table (the DF decomposition identity) and of its r-sweep, certified
+    # stability identities on the default centre, at its least admissible
+    # r: the closed forms of its table (the DF decomposition identity) and
+    # of its r-sweep, certified (they hold at every r > 0)
     try:
         data = problem.class_data()
-        table = blowup_table(data, normal_cone_from_facet(P, problem.l2_spec, 0, r=1))
+        table = blowup_table(data, normal_cone_from_facet(P, problem.l2_spec, 0))
         certify_closed_forms(table, data.gamma(), data.gamma_canonical())
         triv = trivial_table()
         ok = all(j_weight(triv, data.gamma(), r) == 0 for r in (1, 2, 5))

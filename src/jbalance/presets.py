@@ -11,7 +11,7 @@ import numpy as np
 from .geometry import (AxisPotential, DelzantPolytope, GeometryError,
                        LogSumExpPotential, ScaledPotential, SumPotential,
                        build_quadrature, calibrate, check_resolution,
-                       intersection_numbers, line_bundle_class, pair_classes,
+                       intersection_numbers, line_bundle_class,
                        polytope_preset, reference_potential, surface_classes)
 from .stability import SurfaceClassData, j_constant
 
@@ -117,19 +117,27 @@ def separable_critical_potential(P, l2_spec):
     return SumPotential(parts)
 
 
-def normal_cone_from_facet(P, l2_spec, facet_index=0, r=1):
-    """NormalConeConfig for the centre D = a toric boundary divisor, with all
-    pairings computed exactly from the fan and NormalConeConfig's r_min."""
+def normal_cone_from_facet(P, l2_spec, facet_index=0, r=None):
+    """NormalConeConfig for the centre D = D_i, a toric boundary divisor,
+    with all pairings read exactly from the polygon's intersection matrix.
+
+    r_min = 1/eps for the Seshadri-type constant eps of D, the largest c
+    with L1 - c D nef.  On a toric surface nef is checked on the boundary
+    curves D_j, and (L1 - c D).D_j = L1.D_j - c D.D_j falls with c only
+    where D.D_j > 0, so eps is the least (L1.D_j) / (D.D_j) over those j.
+    ``r`` defaults to r_min."""
     from .stability import NormalConeConfig, StabilityError
     if not 0 <= facet_index < P.num_facets:
         raise StabilityError(f"facet {facet_index} out of range: {P.name} has "
                              f"facets 0..{P.num_facets - 1}")
-    d = [0] * P.num_facets
-    d[facet_index] = 1
     c1, c2, ck = surface_classes(P, l2_spec)
-    return NormalConeConfig(dd=pair_classes(P, d, d), l1d=pair_classes(P, c1, d),
-                            l2d=pair_classes(P, c2, d), kd=pair_classes(P, ck, d),
-                            r=r, name=f"D{facet_index}")
+    column = P.intersection_matrix[:, facet_index]   # D.D_j
+    l1_dots = c1 @ P.intersection_matrix             # L1.D_j, the edge lengths
+    eps = min(Fraction(int(l1_dots[j]), int(m)) for j, m in enumerate(column) if m > 0)
+    r_min = 1 / eps
+    return NormalConeConfig(dd=int(column[facet_index]), l1d=int(l1_dots[facet_index]),
+                            l2d=int(c2 @ column), kd=int(ck @ column),
+                            r=r_min if r is None else r, r_min=r_min, name=f"D{facet_index}")
 
 
 _PRESET_L2 = {

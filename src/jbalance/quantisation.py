@@ -61,7 +61,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import (GeometryError, LogSumExpPotential, enumerate_lattice_points,
-                       mixed_2x2, mixed_density, volume_density)
+                       mixed_density, volume_density)
 from .kernel import node_block_size, node_blocks
 
 # Cap on the bytes that one level-k context holds live, checked from the
@@ -559,8 +559,10 @@ class _TensorGrid:
             shift.append(c * xi)
         self.shift = shift[0][:, None] + shift[1]
         self.weights = q.weights.reshape(self.shift.shape)
-        # chi's Hessian entries xx, yy, xy, one grid plane each
+        # chi's Hessian entries xx/2, yy/2, xy, one grid plane each (the
+        # halving is exact), for _mixed
         B = q.chi_hess[:, [0, 1, 0], [0, 1, 1]] * q.rule.c_vol
+        B[:, :2] *= 0.5
         self.chi = np.ascontiguousarray(B.T).reshape((3,) + self.shift.shape)
         lattice = np.zeros(self.box)
         lattice[self.rows, self.cols] = 1.0
@@ -641,7 +643,8 @@ class _TensorGrid:
                                      FD @ F2.T, self.chi)
         lost &= ~unresolved
         if lost.any():
-            block = np.ix_(lost.any(axis=1), lost.any(axis=0))
+            block = tuple(slice(idx[0], idx[-1] + 1) for idx in
+                          (np.flatnonzero(lost.any(axis=1)), np.flatnonzero(lost.any(axis=0))))
             grid_mix[block], lost[block] = self._recentred(D, ED, Z, block)
         unresolved |= lost
         values = (np.log(Z) + self.shift - xmin).ravel()
@@ -653,13 +656,16 @@ class _TensorGrid:
         return values, grid_mix.ravel(), np.flatnonzero(unresolved), sums
 
     def _recentred(self, D, ED, Z, block):
-        """The mixed measure on a block of rows and columns, each node's
-        moments centred on the ends nearer its mean (those with the smaller
-        second moments), and where it loses digits even so."""
-        rows, cols = block[0][:, 0], block[1][0]
+        """The mixed measure on a block of rows and columns (two slices, so
+        every array here is a view), each node's moments centred on the
+        ends nearer its mean (those with the smaller second moments), and
+        where it loses digits even so.  Where the flagged rows or columns
+        are not contiguous the block spans the others between them too;
+        centred on its nearer ends, a node is never less exact."""
+        rows, cols = block
         E2 = self.factors[1][cols]
         (F1, FF1), (F2, FF2) = ((F[:, idx], FF[:, idx]) for (F, FF), idx
-                                in zip(self.ends, (rows, cols)))
+                                in zip(self.ends, block))
         ED, FD, F2t = ED[rows], F1 @ D, F2.swapaxes(1, 2)
         m1, t11 = FD @ E2.T, (FF1 @ D) @ E2.T          # (2, rows, cols): per end
         m2, t22 = ED @ F2t, ED @ FF2.swapaxes(1, 2)
@@ -675,12 +681,24 @@ class _TensorGrid:
     def _mixed(Z, m1, t11, m2, t22, t12, chi):
         """The mixed measure at some nodes from the centred moment sums of
         the softmax weights times Z (means m / Z, second moments t / Z),
-        and where it loses digits.  The variances are n / Z^2."""
-        t11, t22, t12 = t11 * Z, t22 * Z, t12 * Z
-        n11, n22, n12 = t11 - m1 * m1, t22 - m2 * m2, t12 - m1 * m2
-        mix = mixed_2x2(n11, n22, n12, *chi)
+        and where it loses digits; the moment sums are overwritten.  The
+        variances are n / Z^2, and with chi's planes (bxx/2, byy/2, bxy)
+        the measure is geometry.mixed_2x2's (n11 byy + n22 bxx)/2 - n12 bxy,
+        bit for bit."""
+        hxx, hyy, bxy = chi
+        t11 *= Z
+        t22 *= Z
+        t12 *= Z
+        t12 -= m1 * m2      # now n12
+        n11 = np.subtract(t11, np.square(m1, out=m1), out=m1)
+        n22 = np.subtract(t22, np.square(m2, out=m2), out=m2)
+        lost = t11 > SEPARABLE_CANCEL * n11
+        lost |= t22 > SEPARABLE_CANCEL * n22
+        mix = np.multiply(n11, hyy, out=n11)
+        mix += np.multiply(n22, hxx, out=n22)
+        mix -= np.multiply(t12, bxy, out=t12)
         mix /= Z * Z
-        lost = (t11 > SEPARABLE_CANCEL * n11) | (t22 > SEPARABLE_CANCEL * n22) | ~(mix > 0)
+        lost |= ~(mix > 0)
         return mix, lost
 
 

@@ -3,9 +3,10 @@ configurations: blow-up intersection tables on B = Bl_{D x 0}(M x P^1),
 J-weight, Donaldson-Futaki invariant, normalised Chow/Hilbert weights,
 positivity checks and numerical cone criteria.
 
-Everything here is exact rational arithmetic (fractions.Fraction); no
-floating point enters this module.  Dimensional constants such as (n+1)! are
-dropped uniformly, so all outputs are sign/ordering statements.
+Everything here is exact rational arithmetic (fractions.Fraction, or
+integers over one denominator); no floating point enters this module.
+Dimensional constants such as (n+1)! are dropped uniformly, so all outputs
+are sign/ordering statements.
 
 Intersection calculus on the 3-fold blow-up along the curve D x {0} (surface
 case n = 2): products of three pulled-back surface classes vanish,
@@ -23,9 +24,10 @@ of A = r L1 - E that ``IntersectionTable.square`` returns in closed form:
 On a blow-up table these read A^2 . E = 2 r L1.D - D^2 and
 A^3 = D^2 - 3 r L1.D.  The weights are the closed forms alone.  An r-sweep
 goes one step further: ``SweepForms`` holds each of its values, times r, as
-a quadratic in r with integer coefficients, so a row costs one Fraction per
-value.  ``certify_closed_forms`` checks both; the test suite runs it on a
-grid that proves them for every table.
+a quadratic in r with integer coefficients, so a row at r = p/q is five
+integers over one denominator, written as text with no Fraction
+(``ratio_text``).  ``certify_closed_forms`` checks both; the test suite
+runs it on a grid that proves them for every table.
 """
 
 import math
@@ -160,9 +162,12 @@ class NormalConeConfig:
     """Flag ideal I_D + (t): deformation to the normal cone of a divisor D.
 
     Fields are the pairings of the centre class D and the exponent r of the
-    test configuration.  r_min is the user-supplied lower end of the declared
-    semi-ample range (the paper leaves the Seshadri-type bound to the user);
-    violated positivity checks flag inadmissible r independently.
+    test configuration.  r_min is the lower end of the declared semi-ample
+    range, r >= 1/eps for the Seshadri-type constant eps of D (the largest
+    c with L1 - c D nef): presets.normal_cone_from_facet computes it exactly
+    for a toric boundary divisor, a hand-supplied centre declares its own
+    (default 1).  Violated positivity checks flag inadmissible r
+    independently.
     """
 
     dd: Fraction
@@ -348,6 +353,15 @@ def _admissible(nef_pairings, ii, iii, surface):
     return all(v <= 0 for v in nef_pairings) and ii > 0 and iii > 0 and surface >= 0
 
 
+def ratio_text(n, d):
+    """The rational n/d (d > 0) as str(Fraction(n, d)) prints it, "n" or
+    "n/d" in lowest terms, from one gcd and no Fraction."""
+    g = math.gcd(n, d)
+    if g == d:
+        return str(n // g)
+    return f"{n // g}/{d // g}"
+
+
 class SweepForms:
     """The rows of an r-sweep on one table as closed forms in r.
 
@@ -361,11 +375,13 @@ class SweepForms:
         r iii(r)     = 2 e r - 3 a r^2,
         r surface(r) = e r - a r^2,
 
-    and the L1 nef pairing is a, whatever r.  Each form is held as integer
-    numerators (n0, n1, n2) over one positive denominator ``den`` shared by
-    all five, so at r = p/q a value is the one Fraction
-    (n0 q^2 + n1 p q + n2 p^2) / (den p q); ``certify_closed_forms`` checks
-    them against the reference helpers.
+    and the L1 nef pairing is a, whatever r, so its sign is read once per
+    table.  Each form is held as integer numerators (n0, n1, n2) over one
+    positive denominator ``den`` shared by all five, so at r = p/q a value
+    is the integer (n0 q^2 + n1 p q + n2 p^2) over den p q: ``text_row``
+    writes it as text without a Fraction, and ``row``, which
+    ``certify_closed_forms`` checks against the reference helpers, reads
+    that text back.
     """
 
     COLUMNS = ("j_weight", "df_weight", "ineq_ii", "ineq_iii", "ineq_surface")
@@ -384,17 +400,29 @@ class SweepForms:
         self.den = math.lcm(*(x.denominator for form in forms for x in form))
         self.numerators = tuple(tuple(x.numerator * (self.den // x.denominator) for x in form)
                                 for form in forms)
-        self.l1_pairing = a
+        self._l1_nef = a <= 0   # the L1 nef pairing's side of admissible
 
-    def row(self, r):
-        """(J, DF, ii, iii, surface, admissible) at the Fraction r > 0."""
+    def text_row(self, r):
+        """The sweep's CSV row at the Fraction r > 0: r and the five values
+        as ``str(Fraction)`` prints them, then admissible, read from the
+        numerators' signs (den p q > 0)."""
         p, q = r.numerator, r.denominator
         qq, pq, pp = q * q, p * q, p * p
         d = self.den * pq
-        nums = [n0 * qq + n1 * pq + n2 * pp for n0, n1, n2 in self.numerators]
-        # d > 0, so each value has the sign of its integer numerator
-        return (*[Fraction(n, d) for n in nums],
-                _admissible((self.l1_pairing,), *nums[2:]))
+        row, nums = [ratio_text(p, q)], []
+        for n0, n1, n2 in self.numerators:
+            n = n0 * qq + n1 * pq + n2 * pp
+            row.append(ratio_text(n, d))
+            nums.append(n)
+        row.append(self._l1_nef and nums[2] > 0 and nums[3] > 0 and nums[4] >= 0)
+        return row
+
+    def row(self, r):
+        """(J, DF, ii, iii, surface, admissible) at the Fraction r > 0:
+        ``text_row``'s values read back as Fractions, so that what the
+        certificate checks is what a sweep writes."""
+        _, *values, admissible = self.text_row(r)
+        return (*map(Fraction, values), admissible)
 
 
 def certify_closed_forms(table, gamma, gamma_k):
@@ -522,6 +550,36 @@ def chow_hilbert_weight(wp, r):
     return {"coeffs_in_k": tuple(coeffs), "degree_k": wp.m + 1,
             "e_top": e_top, "e_top_leading_in_r": lead_r,
             "j_weight_normalised": lead_r / wp.a0}
+
+
+class ChowForms:
+    """The rows of chow_weights.csv as closed forms in r, for
+    ``chow_hilbert_weight``'s e_top(r) = b0_hat r h(r) - a0_hat w(r), a
+    polynomial of degree n+1 in r, and its r-independent
+    j_weight_normalised.  e_top is held as integer numerators (descending
+    in r) over one positive denominator ``den``, so at r = p/q it is one
+    integer over den q^(n+1), written as text without a Fraction."""
+
+    COLUMNS = ("e_top", "j_weight_normalised")
+
+    def __init__(self, wp):
+        h, w = wp.h[::-1], wp.w[::-1]   # ascending in r
+        coeffs = [(wp.b0_hat * h[i - 1] if i else 0) - wp.a0_hat * w[i]
+                  for i in reversed(range(wp.n + 2))]
+        self.den = math.lcm(*(c.denominator for c in coeffs))
+        self.numerators = tuple(int(c * self.den) for c in coeffs)
+        self.j_text = str(chow_hilbert_weight(wp, 1)["j_weight_normalised"])
+
+    def text_row(self, r):
+        """The CSV row at the Fraction r > 0: r, e_top(r) as ``str`` prints
+        it, and j_weight_normalised."""
+        p, q = r.numerator, r.denominator
+        total, q_power = 0, 1
+        for c in self.numerators:   # sum_i c_i p^i q^(n+1-i), by Horner
+            total = total * p + c * q_power
+            q_power *= q
+        return [ratio_text(p, q), ratio_text(total, self.den * (q_power // q)),
+                self.j_text]
 
 
 # ---------------------------------------------------------------------------

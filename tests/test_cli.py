@@ -491,6 +491,71 @@ def test_stability_refuses_bad_r_in_sweep(tmp_path, capsys, stability, message):
     assert not out.exists()
 
 
+F1_UNSTABLE = {"polytope": {"normals": [[1, 0], [0, 1], [0, -1], [-1, -1]],
+                             "offsets": [0, 0, 2, 3]},
+               "l2": [1, 1, 0, 2]}
+
+
+@pytest.mark.parametrize("facet, r, message", [
+    (1, "1/2", None), (2, "1/2", None),
+    (1, "49/100", "r = 49/100 below the declared r_min = 1/2"),
+    (2, "49/100", "r = 49/100 below the declared r_min = 1/2"),
+    (0, "1/2", "r = 1/2 below the declared r_min = 1"),
+    (3, "1/2", "r = 1/2 below the declared r_min = 1"),
+])
+def test_stability_sweeps_f1_down_to_its_seshadri_bound(tmp_path, capsys, facet, r, message):
+    # on F1 with L1 = (0,0,2,3), facets 1 and 2 have Seshadri-type constant
+    # 2, so a facet sweep admits r >= 1/2 there; facets 0 and 3 have 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": F1_UNSTABLE,
+                               "stability": {"facet": facet, "r_values": [r, 1]}}))
+    out = tmp_path / "s"
+    code = run(["stability", "--config", str(cfg), "--out", str(out)])
+    if message is None:
+        assert code == cli.EXIT_OK
+        with open(out / "stability_sweep.csv") as fh:
+            rows = {row[0]: row for row in list(csv.reader(fh))[1:]}
+        assert rows[r][-1] == "True"
+    else:
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and message in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("problem", ["P1xP1-O11-O21", F1_UNSTABLE])
+def test_stability_rows_construct_no_fraction(tmp_path, monkeypatch, problem):
+    # a row is five integers over one denominator, written as text: a job
+    # with 40 r values and hand-supplied weight polynomials constructs no
+    # more Fractions than a job with one
+    weights = {"n": 2, "m": 1, "h": ["1/2", "3/2", "1"], "w": ["-1/6", "0", "0", "0"],
+               "hhat": ["1", "0"], "what": ["-1/2", "0", "0"]}
+    real_new = Fr.__new__
+    made = []
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    counts = []
+    # the first job fills the process's memoised tables, which a job reads
+    for r_values in ([1], [1], list(range(1, 41))):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": problem, "stability": {
+            "r_values": r_values, "facet": 1, "weights": weights}}))
+        cfg = cli.load_config(str(path), {"out": str(tmp_path / "s")})
+        made.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Fr, "__new__", counted)
+            assert cli.cmd_stability(cfg) == cli.EXIT_OK
+        counts.append(len(made))
+        with open(tmp_path / "s" / "stability_sweep.csv") as fh:
+            assert len(list(csv.reader(fh))) == 2 + len(r_values)
+        with open(tmp_path / "s" / "chow_weights.csv") as fh:
+            assert len(list(csv.reader(fh))) == 1 + len(r_values)
+    assert counts[1] > 0 and counts[2] == counts[1]
+
+
 def test_stability_product_calls_do_not_grow_with_r(tmp_path, monkeypatch):
     # the closed forms are proved for every table by the test suite, so a
     # job makes no trilinear expansion and calls no reference helper: each r

@@ -1,5 +1,5 @@
 from fractions import Fraction as Fr
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from itertools import product as cartesian
 
 import numpy as np
@@ -274,6 +274,54 @@ def test_normal_cone_from_facet():
     assert (cfg.dd, cfg.l1d, cfg.l2d, cfg.kd) == (0, 1, 1, -2)
 
 
+F1_UNSTABLE = geo.DelzantPolytope([[1, 0], [0, 1], [0, -1], [-1, -1]], [0, 0, 2, 3])
+
+
+def seshadri_scan(P, i, step=Fr(1, 60)):
+    """The largest multiple c of ``step`` with L1 - c D_i nef, read off the
+    polygon: with facet i moved inward by c, every facet line still meets
+    the polygon, that is, passes through one of its vertices."""
+    normals = [tuple(map(int, n)) for n in P.normals]
+
+    def nef(c):
+        off = [Fr(int(o)) for o in P.offsets]
+        off[i] -= c
+        vertices = []
+        for (n1, n2), (m1, m2), a, b in ((normals[a], normals[b], off[a], off[b])
+                                         for a, b in combinations(range(len(normals)), 2)):
+            det = n1 * m2 - n2 * m1
+            if det:
+                x, y = (n2 * b - m2 * a) / det, (m1 * a - n1 * b) / det
+                if all(nx * x + ny * y + o >= 0 for (nx, ny), o in zip(normals, off)):
+                    vertices.append((x, y))
+        return all(any(nx * x + ny * y + o == 0 for x, y in vertices)
+                   for (nx, ny), o in zip(normals, off))
+
+    c = Fr(0)
+    while nef(c + step):
+        c += step
+    return c
+
+
+def test_normal_cone_r_min_is_the_exact_seshadri_bound():
+    # r_min = 1/eps with eps the largest c such that L1 - c D is nef: 1 on
+    # every facet of the presets, and (1, 2, 2, 1) on F1 with L1 = (0,0,2,3)
+    polygons = [(geo.polytope_preset(name), "K") for name in geo.PRESET_POLYTOPES]
+    for P, l2 in polygons + [(F1_UNSTABLE, [1, 1, 0, 2])]:
+        eps = [1 / normal_cone_from_facet(P, l2, i).r_min for i in range(P.num_facets)]
+        assert eps == [seshadri_scan(P, i) for i in range(P.num_facets)]
+        assert all(type(e) is Fr for e in eps)
+        if P is not F1_UNSTABLE:
+            assert eps == [1] * P.num_facets
+    assert eps == [1, 2, 2, 1]
+    cfg = normal_cone_from_facet(F1_UNSTABLE, [1, 1, 0, 2], 1)
+    assert cfg.r == cfg.r_min == Fr(1, 2)
+    assert normal_cone_from_facet(F1_UNSTABLE, [1, 1, 0, 2], 2, r="1/2").r == Fr(1, 2)
+    for facet, r in ((1, "49/100"), (0, "1/2"), (3, "1/2")):
+        with pytest.raises(st.StabilityError, match=f"r = {r} below the declared r_min"):
+            normal_cone_from_facet(F1_UNSTABLE, [1, 1, 0, 2], facet, r=r)
+
+
 # ---------------------------------------------------------------------------
 # closed-form pairings against the generic trilinear expansion
 # ---------------------------------------------------------------------------
@@ -422,7 +470,11 @@ def assert_forms_match(table, data):
     assert forms.den > 0
     assert all(type(n) is int for form in forms.numerators for n in form)
     for r in SWEEP_R:
-        assert forms.row(r) == reference_row(table, data.gamma(), data.gamma_canonical(), r)
+        reference = reference_row(table, data.gamma(), data.gamma_canonical(), r)
+        assert forms.row(r) == reference
+        # the CSV row: each value is str() of the reference Fraction
+        *values, admissible = reference
+        assert forms.text_row(r) == [str(r), *map(str, values), admissible]
 
 
 def test_sweep_forms_match_reference_on_every_preset_facet():
@@ -442,6 +494,35 @@ def test_sweep_forms_match_reference_on_drawn_class_data(l1l2, kl1, dd, l1d, l2d
                                mori=(st.CurveClass("C", Fr(1), Fr(1), Fr(-3)),))
     cfg = st.NormalConeConfig(dd=dd, l1d=l1d, l2d=l2d, kd=kd, r=1)
     assert_forms_match(st.blowup_table(data, cfg), data)
+
+
+integer_or_rational = hs.one_of(hs.integers(-20, 20).map(Fr), rationals)
+
+
+@hs.composite
+def weight_polynomials(draw):
+    n, m = draw(hs.integers(1, 3)), draw(hs.integers(0, 2))
+    coeffs = {f: draw(hs.lists(integer_or_rational, min_size=deg + 1, max_size=deg + 1))
+              for f, deg in (("h", n), ("w", n + 1), ("hhat", m), ("what", m + 1))}
+    for f in ("h", "hhat"):
+        coeffs[f][0] = abs(coeffs[f][0]) + 1
+    return st.WeightPolynomials(n=n, m=m, **{f: tuple(c) for f, c in coeffs.items()})
+
+
+@given(weight_polynomials())
+def test_chow_text_matches_reference(wp):
+    forms = st.ChowForms(wp)
+    for r in SWEEP_R:
+        ref = st.chow_hilbert_weight(wp, r)
+        assert forms.text_row(r) == [str(r), str(ref["e_top"]),
+                                     str(ref["j_weight_normalised"])]
+
+
+def test_ratio_text_is_str_of_the_fraction():
+    for n in range(-60, 61):
+        for d in range(1, 61):
+            assert st.ratio_text(n, d) == str(Fr(n, d))
+    assert st.ratio_text(-(3 ** 90), 2 ** 70 * 3 ** 5) == str(Fr(-(3 ** 90), 2 ** 70 * 3 ** 5))
 
 
 def skew_reference(monkeypatch, helper):

@@ -14,7 +14,7 @@ from jbalance import geometry as geo
 from jbalance import kernel
 from jbalance.geometry import BlendPotential, LogSumExpPotential, QuadratureRule
 from jbalance.quantisation import (TORUS_VECTORS, HermitianForm, Quantisation,
-                                   QuantisationError, bergman_check)
+                                   QuantisationError, _TensorGrid, bergman_check)
 
 
 # far-field nodes r d for these directions d and r = 30, 120, 800: there the
@@ -412,6 +412,46 @@ def test_torus_pass_recomputes_flagged_nodes_on_a_skew_fan(p2_o2_problem):
         assert np.array_equal(out.values[nodes], lse - np.log(q.n_plus_1 / q.V))
         assert np.array_equal(out.mix[nodes], geo.mixed_density(
             np.moveaxis(cov, -1, 0), q.chi_hess[nodes]) * q.rule.c_vol)
+    assert np.all(np.abs(out.mix - mix) <= bound)
+    assert np.all(np.abs(out.values - values) <= 1e-12 * (1 + np.abs(values)))
+    assert np.all(np.abs(out.hilb - hilb) <= 1e-12 * hilb)
+
+
+def test_torus_pass_recentres_a_block_of_non_contiguous_rows(p2_o2_problem, monkeypatch):
+    # P2-O1-O2 at k = 8 on its rule with each axis's nodes taken from both
+    # ends in turn: the rows and columns whose centring loses digits (those
+    # with xi > 0) alternate with rows and columns that keep them, so the
+    # recentred block spans both.  The pass still agrees with the
+    # long-double reference.
+    pb, k = p2_o2_problem, 8
+    rule, R = p2_o2_problem.rule, p2_o2_problem.rule.resolution
+    order = np.column_stack([np.arange(R // 2), np.arange(R - 1, R // 2 - 1, -1)]).ravel()
+    axes = tuple(xi[order] for xi in rule.axes)
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    weights = rule.weights.reshape(R, R)[np.ix_(order, order)].ravel()
+    shuffled = QuadratureRule(axes=axes, nodes=nodes, weights=weights, resolution=R,
+                              scales=rule.scales, c_vol=rule.c_vol, calibrated=True)
+    q = Quantisation(pb.polytope, pb.chi, k, shuffled, gamma=pb.gamma)
+    flagged = []
+    mixed = _TensorGrid._mixed
+
+    def first_flags(*args):
+        mix, lost = mixed(*args)
+        flagged.append(lost.copy())
+        return mix, lost
+
+    monkeypatch.setattr(_TensorGrid, "_mixed", staticmethod(first_flags))
+    rng = np.random.default_rng(k)
+    x = np.log(q.t_map(HermitianForm.identity(q.n_plus_1, k)).diag())
+    x = x + 0.3 * rng.standard_normal(q.n_plus_1)
+    out = q.torus_pass(x)
+    for axis in (1, 0):
+        idx = np.flatnonzero(flagged[0].any(axis=axis))
+        assert idx.size and np.any(np.diff(idx) > 1)
+    assert flagged[1].shape[0] > np.count_nonzero(flagged[0].any(axis=1))
+    # resolved on the grid: the node kernel takes under 1% of the nodes
+    assert out.exact.size < 0.01 * len(q.nodes)
+    amax, values, mix, bound, hilb = longdouble_pass(q, x)
     assert np.all(np.abs(out.mix - mix) <= bound)
     assert np.all(np.abs(out.values - values) <= 1e-12 * (1 + np.abs(values)))
     assert np.all(np.abs(out.hilb - hilb) <= 1e-12 * hilb)
