@@ -359,7 +359,7 @@ def cmd_flow(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_stability(cfg):
-    from .stability import ChowForms, SurfaceClassData, WeightPolynomials
+    from .stability import SurfaceClassData, WeightPolynomials, chow_hilbert_weight
 
     problem = build_problem(cfg)
     scfg = cfg["stability"]
@@ -406,9 +406,13 @@ def cmd_stability(cfg):
     write_csv(out / "stability_sweep.csv",
               ["r", *SweepForms.COLUMNS, "admissible"], rows)
     if wp is not None:
-        chow = ChowForms(wp)
-        write_csv(out / "chow_weights.csv", ["r", *ChowForms.COLUMNS],
-                  [chow.text_row(r) for r in r_values])
+        chout = []
+        for r in r_values:
+            res = chow_hilbert_weight(wp, r)
+            chout.append([str(r), str(res["e_top"]),
+                          str(res["j_weight_normalised"])])
+        write_csv(out / "chow_weights.csv",
+                  ["r", "e_top", "j_weight_normalised"], chout)
     for v in verdicts["verdicts"]:
         mark = "inapplicable" if not v.applicable else ("holds" if v.holds else "fails")
         print(f"stability {v.name}: {mark} (margin {v.margin})")
@@ -489,9 +493,10 @@ def run_verification(cfg):
     nef_l2 = is_nef(P, c2, gens)
     add("nef_monotone", (not nef_l2) or is_nef(P, c2 + c1, gens), f"L2 nef: {nef_l2}")
 
-    # stability identities on the default centre, at its least admissible
-    # r: the closed forms of its table (the DF decomposition identity) and
-    # of its r-sweep, certified (they hold at every r > 0)
+    # stability identities on the default centre: the closed forms of its
+    # table (the DF decomposition identity) and of its r-sweep, certified on
+    # the certificate's own r grid.  The centre's r is left at r_min, so
+    # that its config is accepted on a facet with eps < 1
     try:
         data = problem.class_data()
         table = blowup_table(data, normal_cone_from_facet(P, problem.l2_spec, 0))

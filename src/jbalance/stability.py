@@ -378,10 +378,8 @@ class SweepForms:
     and the L1 nef pairing is a, whatever r, so its sign is read once per
     table.  Each form is held as integer numerators (n0, n1, n2) over one
     positive denominator ``den`` shared by all five, so at r = p/q a value
-    is the integer (n0 q^2 + n1 p q + n2 p^2) over den p q: ``text_row``
-    writes it as text without a Fraction, and ``row``, which
-    ``certify_closed_forms`` checks against the reference helpers, reads
-    that text back.
+    is the integer (n0 q^2 + n1 p q + n2 p^2) over den p q, which
+    ``text_row`` writes as text without a Fraction.
     """
 
     COLUMNS = ("j_weight", "df_weight", "ineq_ii", "ineq_iii", "ineq_surface")
@@ -414,25 +412,19 @@ class SweepForms:
             n = n0 * qq + n1 * pq + n2 * pp
             row.append(ratio_text(n, d))
             nums.append(n)
-        row.append(self._l1_nef and nums[2] > 0 and nums[3] > 0 and nums[4] >= 0)
+        row.append(self._l1_nef and _admissible((), *nums[2:]))
         return row
-
-    def row(self, r):
-        """(J, DF, ii, iii, surface, admissible) at the Fraction r > 0:
-        ``text_row``'s values read back as Fractions, so that what the
-        certificate checks is what a sweep writes."""
-        _, *values, admissible = self.text_row(r)
-        return (*map(Fraction, values), admissible)
 
 
 def certify_closed_forms(table, gamma, gamma_k):
     """The table's ``SweepForms``, once ``square`` equals the trilinear
     ``product(A, A, {a: 1})`` (A = r L1 - E) for each basis class a, and each
-    row equals ``_j_weight``, ``_df_weight`` and ``_inequality_checks`` on the
-    square, at r = 1, 2, 3; else StabilityError.  Times r, every side is of
-    degree <= 2 in r and <= 1 in each of a, b, c, e, gamma and gamma_K, so
-    (Alon's Combinatorial Nullstellensatz) passing on a grid of two values
-    of each proves both identities for every table and r > 0."""
+    ``text_row`` is str() of ``_j_weight``, ``_df_weight`` and
+    ``_inequality_checks`` on the square, at r = 1, 2, 3; else
+    StabilityError.  Times r, every side is of degree <= 2 in r and <= 1 in
+    each of a, b, c, e, gamma and gamma_K, so (Alon's Combinatorial
+    Nullstellensatz) passing on a grid of two values of each proves both
+    identities for every table and r > 0."""
     forms = SweepForms(table, gamma, gamma_k)
     gamma, gamma_k = rational(gamma, "gamma"), rational(gamma_k, "gamma_K")
     for r in (1, 2, 3):
@@ -444,11 +436,11 @@ def certify_closed_forms(table, gamma, gamma_k):
                     f"(r L1 - E)^2.{a} at r = {r} differs from the trilinear "
                     f"expansion: decomposition identity violated (internal error)")
         rep = _inequality_checks(sq, Fraction(r))
-        reference = (_j_weight(sq, gamma, r), _df_weight(sq, gamma_k, r),
-                     rep["ii_exceptional"], rep["iii_combined"], rep["surface"],
-                     rep["admissible"])
-        for name, got, want in zip(SweepForms.COLUMNS + ("admissible",),
-                                   forms.row(Fraction(r)), reference):
+        reference = (r, _j_weight(sq, gamma, r), _df_weight(sq, gamma_k, r),
+                     rep["ii_exceptional"], rep["iii_combined"], rep["surface"])
+        for name, got, want in zip(("r", *SweepForms.COLUMNS, "admissible"),
+                                   forms.text_row(Fraction(r)),
+                                   [*map(str, reference), rep["admissible"]]):
             if got != want:
                 raise StabilityError(
                     f"closed form of {name} at r = {r} reads {got}, the "
@@ -550,36 +542,6 @@ def chow_hilbert_weight(wp, r):
     return {"coeffs_in_k": tuple(coeffs), "degree_k": wp.m + 1,
             "e_top": e_top, "e_top_leading_in_r": lead_r,
             "j_weight_normalised": lead_r / wp.a0}
-
-
-class ChowForms:
-    """The rows of chow_weights.csv as closed forms in r, for
-    ``chow_hilbert_weight``'s e_top(r) = b0_hat r h(r) - a0_hat w(r), a
-    polynomial of degree n+1 in r, and its r-independent
-    j_weight_normalised.  e_top is held as integer numerators (descending
-    in r) over one positive denominator ``den``, so at r = p/q it is one
-    integer over den q^(n+1), written as text without a Fraction."""
-
-    COLUMNS = ("e_top", "j_weight_normalised")
-
-    def __init__(self, wp):
-        h, w = wp.h[::-1], wp.w[::-1]   # ascending in r
-        coeffs = [(wp.b0_hat * h[i - 1] if i else 0) - wp.a0_hat * w[i]
-                  for i in reversed(range(wp.n + 2))]
-        self.den = math.lcm(*(c.denominator for c in coeffs))
-        self.numerators = tuple(int(c * self.den) for c in coeffs)
-        self.j_text = str(chow_hilbert_weight(wp, 1)["j_weight_normalised"])
-
-    def text_row(self, r):
-        """The CSV row at the Fraction r > 0: r, e_top(r) as ``str`` prints
-        it, and j_weight_normalised."""
-        p, q = r.numerator, r.denominator
-        total, q_power = 0, 1
-        for c in self.numerators:   # sum_i c_i p^i q^(n+1-i), by Horner
-            total = total * p + c * q_power
-            q_power *= q
-        return [ratio_text(p, q), ratio_text(total, self.den * (q_power // q)),
-                self.j_text]
 
 
 # ---------------------------------------------------------------------------

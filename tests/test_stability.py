@@ -470,10 +470,8 @@ def assert_forms_match(table, data):
     assert forms.den > 0
     assert all(type(n) is int for form in forms.numerators for n in form)
     for r in SWEEP_R:
-        reference = reference_row(table, data.gamma(), data.gamma_canonical(), r)
-        assert forms.row(r) == reference
+        *values, admissible = reference_row(table, data.gamma(), data.gamma_canonical(), r)
         # the CSV row: each value is str() of the reference Fraction
-        *values, admissible = reference
         assert forms.text_row(r) == [str(r), *map(str, values), admissible]
 
 
@@ -494,28 +492,6 @@ def test_sweep_forms_match_reference_on_drawn_class_data(l1l2, kl1, dd, l1d, l2d
                                mori=(st.CurveClass("C", Fr(1), Fr(1), Fr(-3)),))
     cfg = st.NormalConeConfig(dd=dd, l1d=l1d, l2d=l2d, kd=kd, r=1)
     assert_forms_match(st.blowup_table(data, cfg), data)
-
-
-integer_or_rational = hs.one_of(hs.integers(-20, 20).map(Fr), rationals)
-
-
-@hs.composite
-def weight_polynomials(draw):
-    n, m = draw(hs.integers(1, 3)), draw(hs.integers(0, 2))
-    coeffs = {f: draw(hs.lists(integer_or_rational, min_size=deg + 1, max_size=deg + 1))
-              for f, deg in (("h", n), ("w", n + 1), ("hhat", m), ("what", m + 1))}
-    for f in ("h", "hhat"):
-        coeffs[f][0] = abs(coeffs[f][0]) + 1
-    return st.WeightPolynomials(n=n, m=m, **{f: tuple(c) for f, c in coeffs.items()})
-
-
-@given(weight_polynomials())
-def test_chow_text_matches_reference(wp):
-    forms = st.ChowForms(wp)
-    for r in SWEEP_R:
-        ref = st.chow_hilbert_weight(wp, r)
-        assert forms.text_row(r) == [str(r), str(ref["e_top"]),
-                                     str(ref["j_weight_normalised"])]
 
 
 def test_ratio_text_is_str_of_the_fraction():
