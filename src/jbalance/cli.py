@@ -207,10 +207,13 @@ def _check_sizes(problem, k_list):
 
 def _numerical_problem(cfg):
     """The problem of a balance, flow or verify run, refused (exit 2) before
-    any output is written if its chi form cannot be built (an L2 with no
-    polytope on the fan) or its largest level would pass the size cap."""
+    any output is written if it has no chi form (gamma <= 0, or an L2 with
+    no polytope on the fan) or its largest level would pass the size cap."""
     problem = build_problem(cfg)
-    problem.chi  # built on first use; stability runs never read it
+    if problem.chi is None:   # built on first use; stability runs never read it
+        raise ConfigError(f"problem {problem.name!r} has gamma = L1.L2 / L1^2 = "
+                          f"{problem.gamma_exact} <= 0, so no chi form: only "
+                          f"the stability command applies")
     _check_sizes(problem, cfg["k_list"])
     return problem
 
@@ -326,7 +329,7 @@ def cmd_flow(cfg):
         levels.append((q, H0))
         traj = balancing_flow(q, H0, dt=fcfg["dt"], T=fcfg["T"])
         rows = [[s.t, s.diagnostics["mu0_fro"], s.diagnostics["mu0_sq"],
-                 s.diagnostics.get("i_mu0", ""), s.diagnostics["logdet"],
+                 s.diagnostics["i_mu0"], s.diagnostics["logdet"],
                  s.diagnostics["halvings_positivity"], s.diagnostics["halvings_mu0_rise"]]
                 for s in traj]
         write_csv(out / f"balancing_flow_k{k}.csv",
@@ -486,19 +489,17 @@ def run_verification(cfg):
                        - np.asarray(u2.hessian(rule.nodes[:50]))))
     add("fs_scaling_invariance", dh < 1e-12, f"Hessian shift {dh:.2e}")
 
-    # nef monotonicity on the Mori generators
-    from .geometry import is_nef, mori_generators, surface_classes
-    gens = mori_generators(P)
-    c1, c2, _ = surface_classes(P, problem.l2_spec)
-    nef_l2 = is_nef(P, c2, gens)
-    add("nef_monotone", (not nef_l2) or is_nef(P, c2 + c1, gens), f"L2 nef: {nef_l2}")
+    # nef monotonicity on the Mori cone's classes: L2 nef makes L2 + L1 nef
+    data = problem.class_data()
+    nef_l2 = all(c.l2 >= 0 for c in data.mori)
+    add("nef_monotone", (not nef_l2) or all(c.l1 + c.l2 >= 0 for c in data.mori),
+        f"L2 nef: {nef_l2}")
 
     # stability identities on the default centre: the closed forms of its
     # table (the DF decomposition identity) and of its r-sweep, certified on
     # the certificate's own r grid.  The centre's r is left at r_min, so
     # that its config is accepted on a facet with eps < 1
     try:
-        data = problem.class_data()
         table = blowup_table(data, normal_cone_from_facet(P, problem.l2_spec, 0))
         certify_closed_forms(table, data.gamma(), data.gamma_canonical())
         triv = trivial_table()

@@ -663,7 +663,8 @@ def quantization_comparison(levels, u0, T, nx=48):
     the polytope, chi and gamma from them.  The level-k flow steps at
     dt = 0.25/(k gamma).  Distances are sup over the comparison window (see
     WINDOW_EPS) of the potential difference after mean normalisation, the
-    gauge freedom of potentials.
+    gauge freedom of potentials; a window of fewer than 2 nodes is refused
+    with a FlowError before either flow runs.
 
     Returns (rows, meta, pde): rows are dicts {k, t, distance}; meta holds
     the grid and the PDE's counts (``pde_steps`` accepted steps,
@@ -680,6 +681,12 @@ def quantization_comparison(levels, u0, T, nx=48):
     hess0 = np.asarray(u0.hessian(X)).reshape(nxy[0], nxy[1], 2, 2)
     window = smallest_eigenvalue(hess0[..., 0, 0], hess0[..., 1, 1],
                                  hess0[..., 0, 1]) >= WINDOW_EPS
+    window_nodes = int(window.sum())
+    if window_nodes < 2:
+        # a mean-normalised sup over one node is 0 whatever the flows do
+        raise FlowError(f"the comparison window holds {window_nodes} of the "
+                        f"{nx} x {nx} grid nodes, and a distance needs at least 2; "
+                        f"use a finer flow.grid")
     result = jflow_run(grid0, q0.chi, q0.gamma, T, snap_times=snap_times)
     Xw = X.reshape(nxy[0], nxy[1], 2)[window]
 
@@ -702,7 +709,7 @@ def quantization_comparison(levels, u0, T, nx=48):
             cont = result.snapshots[t][window]
             dist = _mean_normalised_sup(u_k.value(Xw), cont)
             rows.append({"k": q.k, "t": float(t), "distance": dist})
-    meta = {"nx": nx, "window_nodes": int(window.sum()), "T": T,
+    meta = {"nx": nx, "window_nodes": window_nodes, "T": T,
             "pde_steps": result.steps, "pde_evaluations": result.evaluations,
             "pde_max_stages": result.max_stages, "pde_halvings": result.halvings,
             "pde_rejected": result.rejected,

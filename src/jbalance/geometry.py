@@ -7,8 +7,9 @@ angular reduction.  All 2*pi-type constants are absorbed into a single
 calibrated constant ``c_vol`` (close to n!), fixed so that the total volume
 of the reference Monge-Ampere density equals the intersection number L1^n.
 
-Intersection numbers and Mori generators come from the normal fan; everything
-there is exact integer/rational arithmetic.
+Intersection numbers come from the normal fan, in exact integer/rational
+arithmetic; the surface's Mori cone is read off the same fan by
+stability.SurfaceClassData.from_polytope.
 """
 
 import zlib
@@ -119,22 +120,6 @@ class ScaledPotential(PotentialField):
 
     def hessian(self, X):
         return self.factor * self.base.hessian(X)
-
-
-class AffineTilt(PotentialField):
-    """u + <a, x> + b; same curvature as u (Kaehler form unchanged)."""
-
-    def __init__(self, base, slope, const=0.0):
-        self.base = base
-        self.slope = np.asarray(slope, dtype=float)
-        self.const = float(const)
-        self.dim = base.dim
-
-    def value(self, X):
-        return self.base.value(X) + np.asarray(X) @ self.slope + self.const
-
-    def hessian(self, X):
-        return self.base.hessian(X)
 
 
 class SumPotential(PotentialField):
@@ -260,8 +245,8 @@ class DelzantPolytope:
     @cached_property
     def intersection_matrix(self):
         """(D_i . D_j) of the facet divisors (divisor_intersection_matrix),
-        built on first use: the one copy that pair_classes and
-        mori_generators read."""
+        built on first use: the one copy that pair_classes and the class
+        data (stability.SurfaceClassData.from_polytope) read."""
         M = divisor_intersection_matrix(self)
         M.setflags(write=False)
         return M
@@ -501,37 +486,6 @@ def _pairing_table(P, l2_spec):
     if tab["L1L1"] != 2 * P.volume():
         raise GeometryError("L1^2 disagrees with 2 vol(P); fan/offset data corrupt")
     return tab
-
-
-@dataclass(frozen=True)
-class MoriGenerator:
-    """A torus-invariant boundary curve with its pairing functional."""
-
-    facet_index: int
-    self_intersection: int
-    pairings: tuple  # value of C . D_j for every facet divisor D_j
-
-    def pair(self, class_vector):
-        return int(np.asarray(class_vector) @ np.asarray(self.pairings))
-
-
-def mori_generators(P):
-    """Generators of the Mori cone: the boundary curves, deduplicated by
-    numerical class (equal pairing vectors)."""
-    M = P.intersection_matrix
-    gens, seen = [], set()
-    for i in range(P.num_facets):
-        key = tuple(int(v) for v in M[:, i])
-        if key in seen:
-            continue
-        seen.add(key)
-        gens.append(MoriGenerator(facet_index=i, self_intersection=int(M[i, i]), pairings=key))
-    return gens
-
-
-def is_nef(P, class_vector, generators=None):
-    gens = mori_generators(P) if generators is None else generators
-    return all(g.pair(class_vector) >= 0 for g in gens)
 
 
 # ---------------------------------------------------------------------------

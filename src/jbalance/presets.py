@@ -92,8 +92,7 @@ class Problem:
                             gamma=self.gamma, n_theta=n_theta)
 
     def class_data(self, klt=True):
-        return SurfaceClassData.from_polytope(self.polytope, self.l2_spec, klt=klt,
-                                              pairings=self.pairings)
+        return SurfaceClassData.from_polytope(self.polytope, self.l2_spec, klt=klt)
 
 
 def separable_critical_potential(P, l2_spec):

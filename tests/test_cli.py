@@ -133,9 +133,10 @@ def test_stability_sweep_matches_oracle(tmp_path):
 
 
 def test_jobs_read_the_polygons_intersection_matrix(tmp_path, monkeypatch):
-    # a polygon builds (D_i . D_j) once, read-only; the pairings, the Mori
-    # generators and the stability and verify jobs read that copy
+    # a polygon builds (D_i . D_j) once, read-only; the pairings, the class
+    # data's Mori classes and the stability and verify jobs read that copy
     from jbalance import geometry as geo
+    from jbalance.stability import SurfaceClassData
     P = geo.polytope_preset("P2")
     assert not P.intersection_matrix.flags.writeable
     assert np.array_equal(P.intersection_matrix, geo.divisor_intersection_matrix(P))
@@ -149,7 +150,7 @@ def test_jobs_read_the_polygons_intersection_matrix(tmp_path, monkeypatch):
     assert builds == []
     F1 = geo.DelzantPolytope([[1, 0], [0, 1], [0, -1], [-1, -1]], [0, 0, 1, 2])
     geo.intersection_numbers(F1, "K")
-    geo.mori_generators(F1)
+    SurfaceClassData.from_polytope(F1, "L1")
     assert builds == [F1]
 
 
@@ -421,16 +422,18 @@ def test_stability_builds_once_without_quadrature(tmp_path, monkeypatch, r_value
 def test_stability_pairs_classes_once(tmp_path, monkeypatch):
     # gamma, the class data and pairings.csv all read one pairing table, and
     # a process computes one table per (polygon, L2): three jobs on two
-    # bundles of P1xP1 compute two
+    # bundles of P1xP1 compute two.  A job asks for the table twice (the
+    # problem and the class data), and both calls return the memoised one
     from jbalance import geometry, presets
     monkeypatch.setattr(geometry.polytope_preset("P1xP1"), "_intersections", {},
                         raising=False)
-    calls, computed = [], []
+    calls, returned, computed = [], [], []
     real, real_table = geometry.intersection_numbers, geometry._pairing_table
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args, **kwargs)
+        returned.append(real(*args, **kwargs))
+        return returned[-1]
 
     def computed_table(*args):
         computed.append(args)
@@ -445,10 +448,12 @@ def test_stability_pairs_classes_once(tmp_path, monkeypatch):
         cfg.write_text(json.dumps({"problem": problem, "stability": {"facet": facet}}))
         out = tmp_path / str(i)
         assert run(["stability", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
-        assert len(calls) == i + 1
+        assert len(calls) == 2 * (i + 1)
+        table = real(*calls[-1])
+        assert all(tab is table for tab in returned[-2:])
         with open(out / "pairings.csv") as fh:
             written = dict(list(csv.reader(fh))[1:])
-        assert written == {k: str(v) for k, v in real(*calls[i]).items()}
+        assert written == {k: str(v) for k, v in table.items()}
     assert [args[1] for args in computed] == ["O(2,1)", "O(1,1)"]
 
 
@@ -614,6 +619,32 @@ def test_flow_names_the_degenerate_node(tmp_path, capsys):
     match = re.search(r"after 40 halvings: D\^2u degenerates at grid node \(\d+, \d+\) "
                       r"\(x=\S+, y=\S+\), det (\S+); use a finer flow\.grid$", err)
     assert match and 0 < float(match.group(1)) < 1e-8, err
+
+
+def test_flow_refuses_a_one_node_window(tmp_path, capsys):
+    # at grid 4 the comparison window of P1xP1-O11-O21 holds one node, where
+    # a mean-normalised distance is 0 whatever the flows do: exit 3 before
+    # the continuum flow runs, with one line that names the count
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "P1xP1-O11-O21", "k_list": [2],
+                               "flow": {"grid": 4, "T": 0.02, "compare_T": 0.02}}))
+    out = tmp_path / "f"
+    assert run(["flow", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_FAILURE
+    err = capsys.readouterr().err.strip()
+    assert err == ("flow failure: the comparison window holds 1 of the 4 x 4 grid nodes, "
+                   "and a distance needs at least 2; use a finer flow.grid")
+    assert not (out / "quantization_comparison.json").exists()
+    assert not list(out.glob("jflow_grid_t*.csv"))
+
+
+def test_verify_passes_nef_monotone_on_every_preset(tmp_path, capsys):
+    # every preset's L2 is nef on its Mori classes, and verify passes
+    from jbalance.presets import problem_names
+    for name in problem_names():
+        assert run(["verify", "--problem", name, "--k-list", "2",
+                    "--out", str(tmp_path / name)]) == cli.EXIT_OK, name
+        lines = capsys.readouterr().out.splitlines()
+        assert "PASS         nef_monotone: L2 nef: True" in lines, name
 
 
 def test_presets_use_their_documented_resolution():
@@ -816,8 +847,8 @@ def test_reused_parser_keeps_calls_independent(tmp_path):
 def test_bundle_without_polytope(tmp_path, capsys):
     # O(2,-1) on P1xP1 pairs positively with L1 = O(1,1) (gamma = 1/2) but
     # is not globally generated, so it has no chi form: the numerical
-    # commands exit 2 before writing output; stability needs only the class
-    # data and succeeds
+    # commands exit 2 before writing output, as they do for gamma <= 0;
+    # stability needs only the class data and succeeds
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"problem": {"polytope": "P1xP1", "l2": [0, 0, 2, -1]},
                                "k_list": [2]}))
@@ -827,6 +858,16 @@ def test_bundle_without_polytope(tmp_path, capsys):
         err = capsys.readouterr().err.strip()
         assert err == ("config error: bundle [0, 0, 2, -1] has no polytope on this fan "
                        "(not globally generated)"), command
+        assert not out.exists()
+    # L2 = K on P^2 has gamma = -3, so no chi form either: exit 2, naming gamma
+    cfg_k = tmp_path / "cfg_k.json"
+    cfg_k.write_text(json.dumps({"problem": {"polytope": "P2", "l2": "K"}, "k_list": [2]}))
+    for command in ("balance", "flow", "verify"):
+        out = tmp_path / f"{command}_k"
+        assert run([command, "--config", str(cfg_k), "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.strip()
+        assert err == ("config error: problem 'custom' has gamma = L1.L2 / L1^2 = -3 <= 0, "
+                       "so no chi form: only the stability command applies"), command
         assert not out.exists()
     out = tmp_path / "stability"
     assert run(["stability", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK

@@ -87,8 +87,10 @@ def test_separable_critical_metric_exact(square_o21):
 
 
 def test_critical_residual_affine_invariance(square_problem):
+    # shifting every exponent point by s and the offset by 2 gives
+    # u + <s, x> + 2 exactly (dyadic shifts), whose Hessian is recomputed
     pb = square_problem
-    u2 = geo.AffineTilt(pb.u_ref, [0.4, -0.1], 2.0)
+    u2 = geo.LogSumExpPotential(pb.u_ref.points + [0.5, -0.25], level=1, offset=2.0)
     r1 = fl.critical_residual(pb.u_ref, pb.chi, pb.gamma, pb.rule)
     r2 = fl.critical_residual(u2, pb.chi, pb.gamma, pb.rule)
     assert abs(r1[0] - r2[0]) < 1e-13 and abs(r1[1] - r2[1]) < 1e-13
@@ -555,6 +557,21 @@ def test_quantization_comparison(square_o21):
     assert by[(4, 0.0)] < by[(2, 0.0)]
     assert meta["window_nodes"] > 0
     assert meta["ode_halvings"] == [{"k": k, "positivity": 0, "mu0_rise": 0} for k in (2, 4)]
+
+
+def test_quantization_comparison_refuses_a_window_below_two_nodes(square_o21, monkeypatch):
+    # from the CLI's start, grids 3, 4 and 5 leave one window node, whose
+    # mean-normalised distance is 0 by construction; grid 2 leaves none.
+    # Neither flow is run
+    pb = square_o21
+    q = pb.quantisation(2)
+    monkeypatch.setattr(fl, "jflow_run", lambda *args, **kwargs: pytest.fail("PDE ran"))
+    monkeypatch.setattr(fl, "balancing_flow", lambda *args, **kwargs: pytest.fail("ODE ran"))
+    start = flow_start(pb, 0, 0.3)
+    for u0, nx, count in ((start, 3, 1), (start, 4, 1), (start, 5, 1), (pb.u_ref, 2, 0)):
+        with pytest.raises(fl.FlowError, match=rf"holds {count} of the {nx} x {nx} grid "
+                                               r"nodes, and a distance needs at least 2"):
+            fl.quantization_comparison([(q, q.hilb_map(u0))], u0, T=0.1, nx=nx)
 
 
 def test_quantization_comparison_stationary(square_problem):
