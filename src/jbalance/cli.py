@@ -6,19 +6,18 @@ Exit codes: 0 success, 2 config/usage error, 3 convergence or check failure,
 or a balance level whose I_mu0 safeguard stalled).
 """
 
-import argparse
 import csv
 import json
 import math
 import random
 import sys
 from fractions import Fraction
-from functools import cache
 from pathlib import Path
 
 import numpy as np
 
-from .flows import FlowError, balancing_flow, quantization_comparison
+from .flows import (FlowError, balancing_flow, comparison_window,
+                    quantization_comparison)
 from .functionals import report_row
 from .geometry import GeometryError, mixed_density, volume_density
 from .presets import make_problem, normal_cone_from_facet, problem_names
@@ -317,9 +316,11 @@ def _write_grid_csv(path, xs, ys, values, t):
 def cmd_flow(cfg):
     problem = _numerical_problem(cfg)
     fcfg = cfg["flow"]
+    u0 = flow_start(problem, cfg["seed"], fcfg["start_amplitude"])
+    # the window depends on u0 and the grid alone: refused before any output
+    window = comparison_window(problem.polytope, u0, fcfg["grid"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    u0 = flow_start(problem, cfg["seed"], fcfg["start_amplitude"])
 
     # the comparison below reuses each level's context and start
     levels = []
@@ -342,7 +343,7 @@ def cmd_flow(cfg):
               f"{end['halvings_mu0_rise']} ||mu0||^2 rise)")
 
     rows, meta, pde = quantization_comparison(levels, u0, T=fcfg["compare_T"],
-                                              nx=fcfg["grid"])
+                                              nx=fcfg["grid"], window=window)
     for t, vals in sorted(pde.snapshots.items()):
         _write_grid_csv(out / f"jflow_grid_t{t:g}.csv", pde.grid0.xs, pde.grid0.ys, vals, t)
     write_csv(out / "jflow_residual.csv", ["t", "sup_residual"],
@@ -531,43 +532,70 @@ COMMANDS = {"balance": cmd_balance, "flow": cmd_flow,
             "stability": cmd_stability, "verify": cmd_verify}
 
 
-def make_parser():
-    """One parser for every command: they all take the same options."""
-    parser = argparse.ArgumentParser(
-        prog="jbalance",
-        description="Balanced-metric quantisation of the J-flow on toric surfaces")
-    parser.add_argument("command", choices=COMMANDS, metavar="command",
-                        help=" | ".join(COMMANDS))
-    parser.add_argument("--config", default=None, help="JSON config path")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--k-list", default=None,
-                        help="comma separated levels, e.g. 3,4,5")
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--resolution", type=int, default=None)
-    parser.add_argument("--problem", default=None,
-                        help=f"preset name; options: {problem_names()}")
-    return parser
+class UsageError(ValueError):
+    """A command line that names no command or a wrong one, or a wrong flag."""
 
 
-# built on first use and reused by every later call in the process: a parse
-# keeps no state between calls
-_parser = cache(make_parser)
+# flag -> (option key, value parser, what the value must be); each flag
+# takes one value, and every key but "config" is a config key
+_FLAGS = {"--config": ("config", str, ""), "--out": ("out", str, ""),
+          "--seed": ("seed", int, "an integer"),
+          "--k-list": ("k_list", lambda v: [int(k) for k in v.split(",")],
+                       "comma separated integers"),
+          "--tol": ("tol", float, "a number"), "--resolution": ("resolution", int, "an integer"),
+          "--problem": ("problem", str, "")}
+
+
+def usage():
+    return (f"usage: jbalance [-h] {{{' | '.join(COMMANDS)}}} [--flag value ...]\n"
+            "flags (--flag value or --flag=value, before or after the command):\n"
+            "  --config JSON  --out DIR  --seed N  --k-list K,K,...  --tol TOL\n"
+            "  --resolution R  --problem PRESET  (flags override config keys)\n"
+            f"presets: {', '.join(problem_names())}\n")
+
+
+def parse_args(argv):
+    """(command, options) of a command line: options maps the keys of
+    _FLAGS to their parsed values.  -h or --help gives (None, {}); any other
+    mistake raises a UsageError."""
+    command, options, args = None, {}, iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            return None, {}
+        flag, eq, value = arg.partition("=")
+        if flag in _FLAGS:
+            key, parse, what = _FLAGS[flag]
+            if not eq:
+                value = next(args, None)
+                if value is None or value.startswith("--"):
+                    raise UsageError(f"{flag} needs a value")
+            try:
+                options[key] = parse(value)
+            except ValueError:
+                raise UsageError(f"{flag} takes {what}, got {value!r}") from None
+        elif arg.startswith("-"):
+            raise UsageError(f"unknown option {arg!r}")
+        elif command is None and arg in COMMANDS:
+            command = arg
+        else:
+            raise UsageError(f"unknown command {arg!r}; choose {' | '.join(COMMANDS)}"
+                             if command is None else f"unexpected argument {arg!r}")
+    if command is None:
+        raise UsageError(f"no command given; choose {' | '.join(COMMANDS)}")
+    return command, options
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
-    overrides = {"out": args.out, "seed": args.seed, "tol": args.tol,
-                 "resolution": args.resolution, "problem": args.problem}
-    if args.k_list:
-        try:
-            overrides["k_list"] = [int(s) for s in args.k_list.split(",")]
-        except ValueError:
-            print("invalid --k-list", file=sys.stderr)
-            return EXIT_USAGE
     try:
-        cfg = load_config(args.config, overrides)
-        return COMMANDS[args.command](cfg)
+        command, options = parse_args(sys.argv[1:] if argv is None else argv)
+        if command is None:
+            print(usage(), end="")
+            return EXIT_OK
+        cfg = load_config(options.pop("config", None), options)
+        return COMMANDS[command](cfg)
+    except UsageError as exc:
+        print(f"usage error: {exc} (see jbalance --help)", file=sys.stderr)
+        return EXIT_USAGE
     except (ConfigError, GeometryError, StabilityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -653,7 +653,22 @@ def _mean_normalised_sup(a, b):
     return float(np.max(np.abs(d - np.mean(d))))
 
 
-def quantization_comparison(levels, u0, T, nx=48):
+def comparison_window(P, u0, nx):
+    """(grid0, window): u0 on the nx x nx grid of P and the mask of its
+    comparison window (WINDOW_EPS); a FlowError when the window holds fewer
+    than 2 nodes, where a mean-normalised sup is 0 whatever the flows do."""
+    grid0 = grid_from_potential(P, u0, nx)
+    hess0 = np.asarray(u0.hessian(grid0.mesh())).reshape(nx, nx, 2, 2)
+    window = smallest_eigenvalue(hess0[..., 0, 0], hess0[..., 1, 1],
+                                 hess0[..., 0, 1]) >= WINDOW_EPS
+    if window.sum() < 2:
+        raise FlowError(f"the comparison window holds {int(window.sum())} of the "
+                        f"{nx} x {nx} grid nodes, and a distance needs at least 2; "
+                        f"use a finer flow.grid")
+    return grid0, window
+
+
+def quantization_comparison(levels, u0, T, nx=48, window=None):
     """Distances between the balancing-flow Bergman potentials and the
     continuum J-flow at each distinct t in {0, T/2, T}.
 
@@ -663,8 +678,9 @@ def quantization_comparison(levels, u0, T, nx=48):
     the polytope, chi and gamma from them.  The level-k flow steps at
     dt = 0.25/(k gamma).  Distances are sup over the comparison window (see
     WINDOW_EPS) of the potential difference after mean normalisation, the
-    gauge freedom of potentials; a window of fewer than 2 nodes is refused
-    with a FlowError before either flow runs.
+    gauge freedom of potentials.  ``window`` is comparison_window(P, u0,
+    nx), which refuses fewer than 2 nodes before either flow runs, unless
+    the caller passes it.
 
     Returns (rows, meta, pde): rows are dicts {k, t, distance}; meta holds
     the grid and the PDE's counts (``pde_steps`` accepted steps,
@@ -675,20 +691,9 @@ def quantization_comparison(levels, u0, T, nx=48):
     """
     q0 = levels[0][0]
     snap_times = sorted({0.0, T / 2.0, T})
-    grid0 = grid_from_potential(q0.P, u0, nx)
-    X = grid0.mesh()
-    nxy = grid0.values.shape
-    hess0 = np.asarray(u0.hessian(X)).reshape(nxy[0], nxy[1], 2, 2)
-    window = smallest_eigenvalue(hess0[..., 0, 0], hess0[..., 1, 1],
-                                 hess0[..., 0, 1]) >= WINDOW_EPS
-    window_nodes = int(window.sum())
-    if window_nodes < 2:
-        # a mean-normalised sup over one node is 0 whatever the flows do
-        raise FlowError(f"the comparison window holds {window_nodes} of the "
-                        f"{nx} x {nx} grid nodes, and a distance needs at least 2; "
-                        f"use a finer flow.grid")
+    grid0, window = window or comparison_window(q0.P, u0, nx)
     result = jflow_run(grid0, q0.chi, q0.gamma, T, snap_times=snap_times)
-    Xw = X.reshape(nxy[0], nxy[1], 2)[window]
+    Xw = grid0.mesh()[window.ravel()]
 
     rows = []
     ode_halvings = []
@@ -709,7 +714,7 @@ def quantization_comparison(levels, u0, T, nx=48):
             cont = result.snapshots[t][window]
             dist = _mean_normalised_sup(u_k.value(Xw), cont)
             rows.append({"k": q.k, "t": float(t), "distance": dist})
-    meta = {"nx": nx, "window_nodes": window_nodes, "T": T,
+    meta = {"nx": nx, "window_nodes": int(window.sum()), "T": T,
             "pde_steps": result.steps, "pde_evaluations": result.evaluations,
             "pde_max_stages": result.max_stages, "pde_halvings": result.halvings,
             "pde_rejected": result.rejected,

@@ -7,9 +7,10 @@ angular reduction.  All 2*pi-type constants are absorbed into a single
 calibrated constant ``c_vol`` (close to n!), fixed so that the total volume
 of the reference Monge-Ampere density equals the intersection number L1^n.
 
-Intersection numbers come from the normal fan, in exact integer/rational
-arithmetic; the surface's Mori cone is read off the same fan by
-stability.SurfaceClassData.from_polytope.
+A polygon's lattice data are Python ints, its source of truth; its numpy
+arrays are read-only copies, made once, for the float kernels.  Intersection
+numbers come from the normal fan in exact arithmetic; the surface's Mori cone
+is read off the same fan by stability.SurfaceClassData.from_polytope.
 """
 
 import zlib
@@ -18,6 +19,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
 from math import gcd
+from operator import mul
 from types import MappingProxyType
 
 import numpy as np
@@ -214,106 +216,117 @@ def _integer_array(data, what):
     return arr.astype(np.int64)
 
 
+def _angle(dx, dy):
+    """A value that increases with atan2(dy, dx) over (-pi, pi], exact for a
+    rational (dx, dy): the signed "diamond angle" in (-2, 2], 0 at (0, 0)."""
+    t = Fraction(dy, abs(dx) + abs(dy) or 1)
+    return t if dx >= 0 else (2 - t if dy >= 0 else -2 - t)
+
+
+def _read_only(data, dtype):
+    arr = np.array(data, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 class DelzantPolytope:
     """Lattice polytope {x : <a_i, x> + c_i >= 0} with unimodular vertex cones.
 
-    ``normals`` are the inward primitive integer facet normals, ``offsets``
-    the integer constants c_i.  Only polygons (n = 2, toric surfaces) are
-    accepted: every class, pairing and density here is a surface's.
-    ``normals``, ``offsets``, ``vertices`` and ``intersection_matrix``
-    are read-only, so one instance can be shared (``polytope_preset``).
+    The facet data are validated once, in exact arithmetic, and the Python
+    ints are the polygon's source of truth: ``int_normals`` (the inward
+    primitive facet normals a_i), ``int_offsets`` (the c_i) and
+    ``int_vertices`` (counter-clockwise).  Only polygons (n = 2, toric
+    surfaces) are accepted.  The numpy ``normals``, ``offsets``,
+    ``vertices`` (float) and ``intersection_matrix`` are read-only copies
+    made once, on first use, for the float kernels, so one instance can be
+    shared (``polytope_preset``).
     """
 
     def __init__(self, normals, offsets, name=None):
-        self.normals = _integer_array(normals, "facet normals")
-        self.offsets = _integer_array(offsets, "facet offsets")
+        normals = _integer_array(normals, "facet normals")
+        offsets = _integer_array(offsets, "facet offsets")
         self.name = name
-        if self.normals.ndim != 2 or len(self.normals) != len(self.offsets):
+        if normals.ndim != 2 or offsets.ndim != 1 or len(normals) != len(offsets):
             raise GeometryError("need one offset per facet normal")
-        self.dim = self.normals.shape[1]
+        self.dim = normals.shape[1]
         if self.dim != 2:
             raise GeometryError(f"polytope dimension {self.dim}: only polygons "
                                 f"(toric surfaces, n = 2) are supported")
-        for a in self.normals:
-            if np.gcd.reduce(np.abs(a)) != 1:
-                raise GeometryError(f"facet normal {a} is not primitive")
-        self.vertices = self._compute_vertices()
+        self.int_normals = tuple(map(tuple, normals.tolist()))
+        self.int_offsets = tuple(offsets.tolist())
+        for a in self.int_normals:
+            if gcd(*a) != 1:
+                raise GeometryError(f"facet normal {list(a)} is not primitive")
+        self.int_vertices = self._compute_vertices()
         self._validate()
-        for arr in (self.normals, self.offsets, self.vertices):
-            arr.setflags(write=False)
+
+    normals = cached_property(lambda self: _read_only(self.int_normals, np.int64))
+    offsets = cached_property(lambda self: _read_only(self.int_offsets, np.int64))
+    vertices = cached_property(lambda self: _read_only(self.int_vertices, float))
+    intersection_matrix = cached_property(
+        lambda self: _read_only(self.int_intersection_matrix, np.int64))
 
     @cached_property
-    def intersection_matrix(self):
-        """(D_i . D_j) of the facet divisors (divisor_intersection_matrix),
-        built on first use: the one copy that pair_classes and the class
-        data (stability.SurfaceClassData.from_polytope) read."""
-        M = divisor_intersection_matrix(self)
-        M.setflags(write=False)
-        return M
+    def int_intersection_matrix(self):
+        """(D_i . D_j) (divisor_intersection_matrix), built on first use:
+        the one copy that pair_classes and the class data read."""
+        return divisor_intersection_matrix(self)
 
     @property
     def num_facets(self):
-        return len(self.normals)
+        return len(self.int_normals)
 
     def _compute_vertices(self):
-        verts = []
-        for i, j in combinations(range(self.num_facets), 2):
-            A = self.normals[[i, j]]
-            det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-            if det == 0:
-                continue
-            b = -self.offsets[[i, j]]
-            x = np.array([A[1, 1] * b[0] - A[0, 1] * b[1],
-                          -A[1, 0] * b[0] + A[0, 0] * b[1]], dtype=np.int64)
-            if np.any(x % det != 0):
-                fx = x / det
-            else:
-                fx = x // det
-            vals = self.normals @ np.asarray(fx, dtype=float) + self.offsets
-            if np.all(vals >= -1e-9):
-                verts.append(tuple(np.asarray(fx, dtype=float)))
-        verts = sorted(set(verts))
+        # two non-parallel facet lines meet at (nx, ny) / det (Cramer's
+        # rule), a corner of P when every a.(nx, ny) + c det has the sign of
+        # det or is 0; a coordinate det does not divide stays a Fraction (no
+        # lattice point), and the corners are sorted by angle about their mean
+        facets = tuple(zip(self.int_normals, self.int_offsets))
+        verts = set()
+        for ((a0, a1), c), ((b0, b1), d) in combinations(facets, 2):
+            det = a0 * b1 - a1 * b0
+            nx, ny = a1 * d - b1 * c, b0 * c - a0 * d
+            if det and all((e0 * nx + e1 * ny + e * det) * det >= 0
+                           for (e0, e1), e in facets):
+                verts.add(tuple(Fraction(n, det) if n % det else n // det for n in (nx, ny)))
         if len(verts) < 3:
             raise GeometryError("polytope is not a bounded 2d body")
-        center = np.mean(verts, axis=0)
-        verts = sorted(verts, key=lambda v: np.arctan2(v[1] - center[1], v[0] - center[0]))
-        return np.array(verts)
+        m, sx, sy = len(verts), *map(sum, zip(*verts))
+        return tuple(sorted(verts, key=lambda v: _angle(m * v[0] - sx, m * v[1] - sy)))
 
     def _validate(self):
         # vertices must be lattice points reproducing the facet data, at
         # each vertex the active normals must form a Z-basis (Delzant), and
         # each facet must carry n vertices: an inequality that cuts out no
-        # edge is redundant, and its divisor would get wrong pairings.
-        if not np.allclose(self.vertices, np.round(self.vertices)):
+        # edge is redundant, and its divisor would get wrong pairings.  All
+        # of it is exact, so no tolerance enters.
+        if any(isinstance(c, Fraction) for v in self.int_vertices for c in v):
             raise GeometryError("vertices are not lattice points")
-        # facet incidence, elementwise (a BLAS matrix product grows peak memory)
-        on = np.abs((self.vertices[:, None, :] * self.normals).sum(axis=-1) + self.offsets) < 1e-9
-        for v, active in zip(self.vertices, on):
-            if active.sum() != self.dim:
-                raise GeometryError(f"vertex {v}: {active.sum()} active facets, "
+        facets = tuple(zip(self.int_normals, self.int_offsets))
+        on = [[i for i, ((a0, a1), c) in enumerate(facets) if a0 * x + a1 * y + c == 0]
+              for x, y in self.int_vertices]
+        for v, active in zip(self.int_vertices, on):
+            if len(active) != self.dim:
+                raise GeometryError(f"vertex {v}: {len(active)} active facets, "
                                     f"expected {self.dim}")
-            A = self.normals[active]
-            det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-            if abs(int(det)) != 1:
+            (a0, a1), (b0, b1) = (self.int_normals[i] for i in active)
+            if abs(a0 * b1 - a1 * b0) != 1:
                 raise GeometryError(f"vertex {v}: normals do not form a Z-basis")
-        for i, count in enumerate(on.sum(axis=0)):
+        for i in range(len(facets)):
+            count = sum(i in active for active in on)
             if count < self.dim:
                 raise GeometryError(
-                    f"facet {i} (normal {self.normals[i].tolist()}, offset "
-                    f"{int(self.offsets[i])}) carries {count} vertices, expected "
+                    f"facet {i} (normal {list(self.int_normals[i])}, offset "
+                    f"{self.int_offsets[i]}) carries {count} vertices, expected "
                     f"{self.dim}: the inequality is redundant")
         if self.volume() <= 0:
             raise GeometryError("empty interior")
 
     def volume(self):
         """Euclidean area of P as an exact Fraction (shoelace)."""
-        V = [[Fraction(int(round(c))) for c in v] for v in self.vertices]
-        total = Fraction(0)
-        for i in range(len(V)):
-            x0, y0 = V[i]
-            x1, y1 = V[(i + 1) % len(V)]
-            total += x0 * y1 - x1 * y0
-        return abs(total) / 2
+        V = self.int_vertices
+        return Fraction(abs(sum(x0 * y1 - x1 * y0
+                                for (x0, y0), (x1, y1) in zip(V, V[1:] + V[:1]))), 2)
 
     def contains(self, X, k=1):
         """Boolean mask: which rows of X lie in kP."""
@@ -340,7 +353,7 @@ class DelzantPolytope:
         if k < 1 or k != int(k):
             raise GeometryError("level k must be a positive integer")
         k = int(k)
-        V = [[int(round(c)) for c in v] for v in self.vertices]
+        V = self.int_vertices
         boundary = sum(gcd(V[i][0] - V[i - 1][0], V[i][1] - V[i - 1][1])
                        for i in range(len(V)))
         return int(self.volume() * k * k + Fraction(boundary * k, 2) + 1)
@@ -391,37 +404,32 @@ def enumerate_lattice_points(P, k):
 # intersection theory on the surface (exact)
 # ---------------------------------------------------------------------------
 
-def _ccw_ray_order(P):
-    ang = np.arctan2(P.normals[:, 1], P.normals[:, 0])
-    return np.argsort(ang)
-
-
 def divisor_intersection_matrix(P):
-    """Matrix (D_i . D_j) of boundary divisors of the smooth toric surface.
+    """Matrix (D_i . D_j) of boundary divisors of the smooth toric surface,
+    as a tuple of rows of ints.
 
     Adjacent rays meet once; self-intersections from v_{i-1} + v_{i+1} = b v_i
-    giving D_i^2 = -b.  Indexing follows P.normals.
+    giving D_i^2 = -b.  Indexing follows P.int_normals.
     """
-    order = _ccw_ray_order(P)
-    d = len(order)
-    M = np.zeros((d, d), dtype=np.int64)
-    for pos in range(d):
-        i = order[pos]
-        ip = order[(pos + 1) % d]
-        im = order[(pos - 1) % d]
-        M[i, ip] = M[ip, i] = 1
-        v = P.normals[i]
-        s = P.normals[im] + P.normals[ip]
+    rays = P.int_normals
+    d = len(rays)
+    order = sorted(range(d), key=lambda i: _angle(*rays[i]))    # counter-clockwise
+    M = [[0] * d for _ in range(d)]
+    for pos, i in enumerate(order):
+        ip, im = order[(pos + 1) % d], order[pos - 1]
+        M[i][ip] = M[ip][i] = 1
+        v = rays[i]
+        s = (rays[im][0] + rays[ip][0], rays[im][1] + rays[ip][1])
         # s = b * v with b integer by smoothness
         b = s[0] // v[0] if v[0] != 0 else s[1] // v[1]
-        if np.any(s != b * v):
-            raise GeometryError("fan is not smooth at ray " + str(v))
-        M[i, i] = -int(b)
-    return M
+        if s != (b * v[0], b * v[1]):
+            raise GeometryError(f"fan is not smooth at ray {list(v)}")
+        M[i][i] = -b
+    return tuple(map(tuple, M))
 
 
 def line_bundle_class(P, spec):
-    """Coefficient vector of a divisor class sum_i c_i D_i.
+    """Coefficient vector of a divisor class sum_i c_i D_i, a tuple of ints.
 
     ``spec`` may be: a coefficient sequence; "L1" (the polarisation, with
     c_i = offsets); "K" (canonical class, all -1); or for the presets the
@@ -430,22 +438,19 @@ def line_bundle_class(P, spec):
     if isinstance(spec, str):
         s = spec.strip()
         if s == "L1":
-            return np.array(P.offsets, dtype=np.int64)
+            return P.int_offsets
         if s == "K":
-            return -np.ones(P.num_facets, dtype=np.int64)
+            return (-1,) * P.num_facets
         if s.startswith("O(") and s.endswith(")"):
             args = [int(t) for t in s[2:-1].split(",")]
-            if P.name == "P2" and len(args) == 1:
-                return np.array([0, 0, args[0]], dtype=np.int64)
-            if P.name == "P1xP1" and len(args) == 2:
-                a, b = args
-                return np.array([0, 0, a, b], dtype=np.int64)
+            if (P.name, len(args)) in (("P2", 1), ("P1xP1", 2)):
+                return (0, 0, *args)
             raise GeometryError(f"bundle {spec!r} not defined on preset {P.name!r}")
         raise GeometryError(f"cannot parse divisor class {spec!r}")
     c = _integer_array(spec, "divisor class coefficients")
     if c.shape != (P.num_facets,):
         raise GeometryError("divisor class needs one coefficient per facet")
-    return c
+    return tuple(c.tolist())
 
 
 def surface_classes(P, l2_spec):
@@ -455,8 +460,14 @@ def surface_classes(P, l2_spec):
             line_bundle_class(P, "K"))
 
 
+def divisor_dots(P, c):
+    """The pairings (c . D_j) of the class sum_i c_i D_i with each facet
+    divisor D_j, as a tuple of ints."""
+    return tuple(sum(map(mul, c, column)) for column in zip(*P.int_intersection_matrix))
+
+
 def pair_classes(P, c1, c2):
-    return int(np.asarray(c1) @ P.intersection_matrix @ np.asarray(c2))
+    return sum(map(mul, divisor_dots(P, c1), c2))
 
 
 def intersection_numbers(P, l2_spec="L1"):
@@ -467,22 +478,16 @@ def intersection_numbers(P, l2_spec="L1"):
     instance.
     """
     memo = P.__dict__.setdefault("_intersections", {})
-    key = l2_spec if isinstance(l2_spec, str) else tuple(line_bundle_class(P, l2_spec).tolist())
+    key = l2_spec if isinstance(l2_spec, str) else line_bundle_class(P, l2_spec)
     if key not in memo:
         memo[key] = MappingProxyType(_pairing_table(P, l2_spec))
     return memo[key]
 
 
 def _pairing_table(P, l2_spec):
-    c1, c2, ck = surface_classes(P, l2_spec)
-    tab = {
-        "L1L1": pair_classes(P, c1, c1),
-        "L1L2": pair_classes(P, c1, c2),
-        "L2L2": pair_classes(P, c2, c2),
-        "KL1": pair_classes(P, ck, c1),
-        "KL2": pair_classes(P, ck, c2),
-        "KK": pair_classes(P, ck, ck),
-    }
+    c = dict(zip(("L1", "L2", "K"), surface_classes(P, l2_spec)))
+    tab = {a + b: pair_classes(P, c[a], c[b]) for a, b in (
+        ("L1", "L1"), ("L1", "L2"), ("L2", "L2"), ("K", "L1"), ("K", "L2"), ("K", "K"))}
     if tab["L1L1"] != 2 * P.volume():
         raise GeometryError("L1^2 disagrees with 2 vol(P); fan/offset data corrupt")
     return tab
@@ -543,14 +548,15 @@ def gauss_legendre(n):
     mat.reshape(-1)[1::n + 1] = off
     mat.reshape(-1)[n::n + 1] = off
     x = np.linalg.eigvalsh(mat)
-    c = np.zeros(n + 1)
-    c[n] = 1.0                                      # L_n
+    # L_n and L_n' (exact), stacked and summed in one sweep: L_n' is padded
+    # by a zero, whose step leaves its recursion where legval starts it
+    c = np.zeros((n + 1, 2, 1))
+    c[n, 0] = 1.0
     j = np.arange(n)
-    dc = np.where((n - j) % 2 == 1, 2.0 * j + 1.0, 0.0)   # L_n' (exact)
-    dy = _legendre_series(x, c)
-    df = _legendre_series(x, dc)
+    c[:n, 1, 0] = np.where((n - j) % 2 == 1, 2.0 * j + 1.0, 0.0)
+    dy, df = _legendre_series(x, c)
     x -= dy / df
-    fm = _legendre_series(x, c[1:])                 # L_{n-1}
+    fm = _legendre_series(x, c[1:, 0, 0])           # L_{n-1}
     fm /= np.abs(fm).max()
     df /= np.abs(df).max()
     w = 1 / (fm * df)
@@ -563,7 +569,8 @@ def gauss_legendre(n):
 
 def _legendre_series(x, c):
     """sum_i c_i L_i(x) for len(c) >= 2 by Clenshaw's recursion, in the
-    operation order of numpy's ``legval``."""
+    operation order of numpy's ``legval``; coefficients c_i of shape (m, 1)
+    sum m series at once."""
     c0, c1 = c[-2], c[-1]
     nd = len(c)
     for i in range(3, len(c) + 1):

@@ -10,7 +10,7 @@ import numpy as np
 
 from .geometry import (AxisPotential, DelzantPolytope, GeometryError,
                        LogSumExpPotential, ScaledPotential, SumPotential,
-                       build_quadrature, calibrate, check_resolution,
+                       build_quadrature, calibrate, check_resolution, divisor_dots,
                        intersection_numbers, line_bundle_class,
                        polytope_preset, reference_potential, surface_classes)
 from .stability import SurfaceClassData, j_constant
@@ -19,9 +19,9 @@ from .stability import SurfaceClassData, j_constant
 def l2_polytope(P, l2_spec):
     """Polytope of the nef line bundle sum_i c_i D_i on the same fan."""
     c = line_bundle_class(P, l2_spec)
-    if any(int(v) < 0 for v in c):
+    if any(v < 0 for v in c):
         raise GeometryError(f"bundle {l2_spec!r} has no polytope on this fan (not globally generated)")
-    return DelzantPolytope(P.normals, c, name=f"{P.name}:{l2_spec}")
+    return DelzantPolytope(P.int_normals, c, name=f"{P.name}:{l2_spec}")
 
 
 def chi_potential(P, l2_spec, gamma, mode="reference"):
@@ -129,13 +129,13 @@ def normal_cone_from_facet(P, l2_spec, facet_index=0, r=None):
     if not 0 <= facet_index < P.num_facets:
         raise StabilityError(f"facet {facet_index} out of range: {P.name} has "
                              f"facets 0..{P.num_facets - 1}")
-    c1, c2, ck = surface_classes(P, l2_spec)
-    column = P.intersection_matrix[:, facet_index]   # D.D_j
-    l1_dots = c1 @ P.intersection_matrix             # L1.D_j, the edge lengths
-    eps = min(Fraction(int(l1_dots[j]), int(m)) for j, m in enumerate(column) if m > 0)
+    l1_dots, l2_dots, k_dots = (divisor_dots(P, c) for c in surface_classes(P, l2_spec))
+    column = P.int_intersection_matrix[facet_index]   # D.D_j, by symmetry
+    # L1.D_j are the edge lengths
+    eps = min(Fraction(l1, m) for l1, m in zip(l1_dots, column) if m > 0)
     r_min = 1 / eps
-    return NormalConeConfig(dd=int(column[facet_index]), l1d=int(l1_dots[facet_index]),
-                            l2d=int(c2 @ column), kd=int(ck @ column),
+    return NormalConeConfig(dd=column[facet_index], l1d=l1_dots[facet_index],
+                            l2d=l2_dots[facet_index], kd=k_dots[facet_index],
                             r=r_min if r is None else r, r_min=r_min, name=f"D{facet_index}")
 
 

@@ -140,16 +140,15 @@ class SurfaceClassData:
         Mori cone is read off it: the six pairings from
         geometry.intersection_numbers, and the boundary curves D_i, which
         span the Mori cone, one per numerical class (distinct column
-        D_i . D_j of P.intersection_matrix), each named after its first
+        D_i . D_j of P.int_intersection_matrix), each named after its first
         facet and paired with L1, L2 and K."""
-        from .geometry import intersection_numbers, surface_classes
+        from .geometry import divisor_dots, intersection_numbers, surface_classes
         tab = intersection_numbers(P, l2_spec)
-        M = P.intersection_matrix
         first = {}
-        for i, column in enumerate(M.T.tolist()):
-            first.setdefault(tuple(column), i)
-        dots = [c @ M for c in surface_classes(P, l2_spec)]   # (L1, L2, K) . D_i
-        gens = tuple(CurveClass(f"D{i}", *(Fraction(int(row[i])) for row in dots))
+        for i, column in enumerate(zip(*P.int_intersection_matrix)):
+            first.setdefault(column, i)
+        dots = [divisor_dots(P, c) for c in surface_classes(P, l2_spec)]   # (L1, L2, K) . D_i
+        gens = tuple(CurveClass(f"D{i}", *(Fraction(row[i]) for row in dots))
                      for i in first.values())
         return cls(l1l1=tab["L1L1"], l1l2=tab["L1L2"], l2l2=tab["L2L2"],
                    kl1=tab["KL1"], kl2=tab["KL2"], kk=tab["KK"], mori=gens, klt=klt)

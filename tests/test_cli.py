@@ -154,6 +154,24 @@ def test_jobs_read_the_polygons_intersection_matrix(tmp_path, monkeypatch):
     assert builds == [F1]
 
 
+def test_stability_jobs_read_the_polygons_integers(tmp_path, monkeypatch):
+    # a polygon's Python ints are its source of truth: a stability job on a
+    # custom polygon never makes the numpy copies of its lattice data
+    built = []
+    real = cli.build_problem
+    monkeypatch.setattr(cli, "build_problem", lambda cfg: built.append(real(cfg)) or built[-1])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "problem": {"polytope": {"normals": [[1, 0], [0, 1], [0, -1], [-1, -1]],
+                                 "offsets": [0, 0, 2, 3]}, "l2": "L1"},
+        "stability": {"facet": 1, "r_values": ["1/2", 1, 2]}}))
+    assert run(["stability", "--config", str(cfg), "--out", str(tmp_path / "s")]) == cli.EXIT_OK
+    P = built[0].polytope
+    assert P.int_vertices == ((0, 0), (3, 0), (1, 2), (0, 2))
+    assert P.int_intersection_matrix == ((0, 1, 1, 0), (1, 1, 0, 1), (1, 0, -1, 1), (0, 1, 1, 0))
+    assert not {"normals", "offsets", "vertices", "intersection_matrix"} & set(vars(P))
+
+
 def test_stability_inapplicable_markers(tmp_path):
     # L2 = K on P^2: gamma = -3, criteria reported inapplicable
     cfg = tmp_path / "cfg.json"
@@ -635,6 +653,9 @@ def test_flow_refuses_a_one_node_window(tmp_path, capsys):
                    "and a distance needs at least 2; use a finer flow.grid")
     assert not (out / "quantization_comparison.json").exists()
     assert not list(out.glob("jflow_grid_t*.csv"))
+    # the window is checked before any level runs: no balancing flow is
+    # written, nor the output directory made
+    assert not out.exists()
 
 
 def test_verify_passes_nef_monotone_on_every_preset(tmp_path, capsys):
@@ -819,29 +840,98 @@ def test_resolution_checked_before_any_work(tmp_path):
 
 
 def test_one_parser_for_every_command(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["bogus"])
-    assert exc.value.code == cli.EXIT_USAGE
-    assert "invalid choice: 'bogus'" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--help"])
-    assert exc.value.code == 0
+    # an unknown command exits 2 with one stderr line; --help exits 0 and
+    # lists every command
+    assert cli.main(["bogus"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unknown command 'bogus'" in err
+    assert cli.main(["--help"]) == cli.EXIT_OK
     assert "balance | flow | stability | verify" in capsys.readouterr().out
 
 
 def test_reused_parser_keeps_calls_independent(tmp_path):
-    # main builds its parser once per process; no call sees an earlier one's
-    # arguments, so a call without --problem runs the default preset
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["bogus"])
-    assert exc.value.code == cli.EXIT_USAGE
+    # a parse keeps no state between calls in one process: no call sees an
+    # earlier one's arguments, so a call without --problem runs the default
+    # preset
+    assert cli.main(["bogus"]) == cli.EXIT_USAGE
     for name, argv in (("a", ["--problem", "P1xP1-O11-O21"]), ("b", [])):
         assert run(["stability", *argv, "--out", str(tmp_path / name)]) == cli.EXIT_OK
     verdicts = {name: json.loads((tmp_path / name / "verdicts.json").read_text())
                 for name in "ab"}
     assert verdicts["a"]["problem"] == "P1xP1-O11-O21"
     assert verdicts["b"]["problem"] == "P2-O1-O1"
-    assert cli._parser() is cli._parser()
+
+
+def test_parser_reads_both_flag_forms_in_any_order(tmp_path):
+    # --flag value and --flag=value, before or after the command, give the
+    # same options, and the same artifacts
+    spaced = ["stability", "--problem", "P1xP1-O11-O21", "--seed", "3", "--tol", "1e-8",
+              "--k-list", "2,4", "--resolution", "48"]
+    joined = ["--k-list=2,4", "--problem=P1xP1-O11-O21", "--tol=1e-8", "stability",
+              "--resolution=48", "--seed=3"]
+    options = {"problem": "P1xP1-O11-O21", "seed": 3, "tol": 1e-8, "k_list": [2, 4],
+               "resolution": 48}
+    assert cli.parse_args(spaced) == cli.parse_args(joined) == ("stability", options)
+    assert cli.parse_args(["--out=a=b", "verify"]) == ("verify", {"out": "a=b"})
+    assert cli.parse_args(["verify", "--out=--dir"]) == ("verify", {"out": "--dir"})
+    for name, argv in (("spaced", spaced), ("joined", joined)):
+        assert run([*argv, "--out", str(tmp_path / name)]) == cli.EXIT_OK
+    for artifact in ("verdicts.json", "pairings.csv", "stability_sweep.csv"):
+        assert ((tmp_path / "spaced" / artifact).read_bytes()
+                == (tmp_path / "joined" / artifact).read_bytes())
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "no command given; choose balance | flow | stability | verify"),
+    (["bogus"], "unknown command 'bogus'; choose balance | flow | stability | verify"),
+    (["stability", "verify"], "unexpected argument 'verify'"),
+    (["stability", "--bogus", "1"], "unknown option '--bogus'"),
+    (["stability", "--prob", "P2-O1-O1"], "unknown option '--prob'"),   # no abbreviations
+    (["-x", "stability"], "unknown option '-x'"),
+    (["stability", "--seed"], "--seed needs a value"),
+    (["stability", "--out", "--seed", "1"], "--out needs a value"),
+    (["stability", "--seed", "x"], "--seed takes an integer, got 'x'"),
+    (["stability", "--resolution=1.5"], "--resolution takes an integer, got '1.5'"),
+    (["stability", "--tol=abc"], "--tol takes a number, got 'abc'"),
+    (["stability", "--k-list", "2,x"], "--k-list takes comma separated integers, got '2,x'"),
+    (["stability", "--k-list="], "--k-list takes comma separated integers, got ''"),
+])
+def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv, message):
+    # refused before any work, with one stderr line and nothing written
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message} (see jbalance --help)\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["stability", "--help"],
+                                  ["--problem", "P2-O1-O1", "-h", "--bogus"]])
+def test_help_lists_commands_and_presets(tmp_path, capsys, monkeypatch, argv):
+    from jbalance.presets import problem_names
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out == cli.usage()
+    assert "balance | flow | stability | verify" in captured.out
+    assert all(name in captured.out for name in problem_names())
+    assert all(flag in captured.out for flag in cli._FLAGS)
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_start_up_loads_no_argument_parser(tmp_path):
+    # main parses its own flags: importing the CLI and running a job loads
+    # neither argparse nor the gettext and locale modules argparse pulls in
+    script = ("import json, sys\n"
+              "from jbalance import cli\n"
+              f"code = cli.main(['stability', '--out={tmp_path / 's'}'])\n"
+              "loaded = sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules)\n"
+              "print(json.dumps([code, loaded]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          check=True, capture_output=True, text=True, timeout=120)
+    assert json.loads(done.stdout.splitlines()[-1]) == [cli.EXIT_OK, []]
 
 
 def test_bundle_without_polytope(tmp_path, capsys):

@@ -130,14 +130,19 @@ def corner_cut_polygon(base, scale, cuts):
     new facet's normal is the sum of the two at the vertex (a toric
     blow-up), so the result is Delzant unless a cut reaches a neighbour."""
     P = geo.polytope_preset(base)
-    normals, offsets = P.normals.tolist(), (scale * P.offsets).tolist()
+    normals, offsets = list(P.int_normals), [scale * c for c in P.int_offsets]
     for vertex, size in cuts:
         P = geo.DelzantPolytope(normals, offsets)
-        v = P.vertices[vertex % len(P.vertices)]
-        i, j = np.flatnonzero(np.abs(P.normals @ v + P.offsets) < 1e-9)
-        normals.append((P.normals[i] + P.normals[j]).tolist())
-        offsets.append(int(P.offsets[i] + P.offsets[j]) - size)
+        (i, a), (j, b) = incident_facets(P, P.int_vertices[vertex % len(P.int_vertices)])
+        normals.append((a[0] + b[0], a[1] + b[1]))
+        offsets.append(P.int_offsets[i] + P.int_offsets[j] - size)
     return geo.DelzantPolytope(normals, offsets)
+
+
+def incident_facets(P, v):
+    """(i, a_i) of the facets through the lattice point v, exactly."""
+    return [(i, a) for i, (a, c) in enumerate(zip(P.int_normals, P.int_offsets))
+            if a[0] * v[0] + a[1] * v[1] + c == 0]
 
 
 @given(hs.sampled_from(["P2", "P1xP1", "F1"]), hs.integers(2, 4),
@@ -147,9 +152,18 @@ def test_random_delzant_polygons_single_source(base, scale, cuts):
         P = corner_cut_polygon(base, scale, cuts)
     except geo.GeometryError:
         assume(False)
-    on_facet = np.abs(P.vertices @ P.normals.T + P.offsets) < 1e-9
-    # DelzantPolytope refuses a facet that carries no edge
-    assert np.all(on_facet.sum(axis=0) == 2)
+    # each facet carries exactly two vertices, its edge's ends: read from the
+    # integer data, with no tolerance (DelzantPolytope refuses a facet that
+    # carries no edge)
+    edges = [[v for v in P.int_vertices if i in dict(incident_facets(P, v))]
+             for i in range(P.num_facets)]
+    assert all(len(e) == 2 for e in edges)
+    # counter-clockwise, in the order atan2 gives about their mean
+    V = np.array(P.int_vertices, dtype=float) - np.mean(P.int_vertices, axis=0)
+    assert np.all(np.diff(np.arctan2(V[:, 1], V[:, 0])) > 0)
+    # the numpy copies are the integers'
+    assert P.vertices.tolist() == [list(map(float, v)) for v in P.int_vertices]
+    assert P.normals.tolist() == [list(a) for a in P.int_normals]
     area = P.volume()
     counts = [len(P.lattice_points(k)) for k in range(1, 5)]
     assert all(d == 2 * area for d in np.diff(counts, 2))
@@ -157,8 +171,7 @@ def test_random_delzant_polygons_single_source(base, scale, cuts):
     tab = geo.intersection_numbers(P, "L1")
     assert tab["L1L1"] == 2 * area
     # K.L1 is minus the lattice perimeter; K^2 = 12 - (number of rays)
-    edges = [P.vertices[on_facet[:, i]] for i in range(P.num_facets)]
-    lengths = [gcd(*(int(round(c)) for c in np.abs(e[1] - e[0]))) for e in edges]
+    lengths = [gcd(p[0] - q[0], p[1] - q[1]) for p, q in edges]
     assert tab["KL1"] == -sum(lengths)
     assert tab["KK"] == 12 - P.num_facets
     data = SurfaceClassData.from_polytope(P, "L1")
