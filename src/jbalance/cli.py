@@ -86,9 +86,10 @@ _OPTIONAL_INT = ("null or a positive integer", lambda v: v is None or _POSITIVE_
 _OBJECT = ("a JSON object", lambda v: isinstance(v, dict))
 _SCHEMA = {
     "problem": ("a preset name or an object", lambda v: isinstance(v, (str, dict))),
-    "k_list": ("a non-empty ascending list of positive integers",
+    "k_list": ("a non-empty strictly ascending list of positive integers",
                lambda v: isinstance(v, list) and v != []
-               and all(_int(k) and k > 0 for k in v) and v == sorted(v)),
+               and all(_int(k) and k > 0 for k in v)
+               and all(a < b for a, b in zip(v, v[1:]))),
     "resolution": _OPTIONAL_INT,
     "n_theta": _OPTIONAL_INT,   # inert, see DEFAULTS
     "tol": _POSITIVE,
@@ -115,7 +116,8 @@ _SECTIONS = {
                    <= {"dd", "l1d", "l2d", "kd", "r_min"}),
         "class_data": _OBJECT, "table": _OBJECT, "weights": _OBJECT},
 }
-# a "problem" object: a preset "name", or a polytope and an L2
+# a "problem" object: a polytope and an L2, and optionally a "name" label
+# (a preset is given by its name string instead)
 _PROBLEM = {
     "name": ("a string", lambda v: isinstance(v, str)),
     "polytope": ("a preset name or an object with normals and offsets",
@@ -123,7 +125,6 @@ _PROBLEM = {
                  or (isinstance(v, dict) and {"normals", "offsets"} <= set(v))),
     "l2": ("a bundle string or a list of facet coefficients",
            lambda v: isinstance(v, (str, list))),
-    "chi": ("'reference' or 'proportional'", lambda v: v in ("reference", "proportional")),
 }
 
 
@@ -168,24 +169,21 @@ def build_problem(cfg):
         return make_problem(spec, resolution=cfg["resolution"])
     if isinstance(spec, dict):
         _check(spec, _PROBLEM, "problem.")
-        preset = spec.get("name") in problem_names()
         for key in ("polytope", "l2"):
-            if preset and key in spec:
-                raise ConfigError(f"config key 'problem.{key}' cannot go with the preset "
-                                  f"name {spec['name']!r}; a preset name takes only 'chi'")
-            if not preset and key not in spec:
+            if key not in spec:
                 raise ConfigError(f"config key 'problem.{key}' is missing; a problem "
-                                  f"object needs a preset 'name' or a polytope and an l2")
-        polytope = spec.get("polytope")
+                                  f"object needs a polytope and an l2")
+        name = spec.get("name", "custom")
+        if name in problem_names():
+            raise ConfigError(f"config key 'problem.name' {name!r} names a preset; give "
+                              f"a preset as the problem string, or another label")
+        polytope = spec["polytope"]
         if isinstance(polytope, dict):
             from .geometry import DelzantPolytope
             polytope = DelzantPolytope(polytope["normals"], polytope["offsets"],
                                        name=polytope.get("name", "custom"))
-        return make_problem(spec.get("name", "custom"),
-                            resolution=cfg["resolution"],
-                            polytope=polytope,
-                            l2_spec=spec.get("l2"),
-                            chi_mode=spec.get("chi", "reference"))
+        return make_problem(name, resolution=cfg["resolution"], polytope=polytope,
+                            l2_spec=spec["l2"])
     raise ConfigError("problem must be a preset name or an object")
 
 

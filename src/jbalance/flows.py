@@ -40,6 +40,7 @@ full-grid run.
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -302,6 +303,7 @@ class _State:
         return np.minimum.reduce(self.xx_det, axis=None, initial=np.inf) > 0
 
 
+@cache
 def _rkc2_scheme(s):
     """beta(s) and the coefficients (mu_j, nu_j, mut_j, gt_j), j = 1..s, of
     the s-stage RKC2 method with damping 2/13 (Sommeijer, Shampine and
@@ -311,7 +313,8 @@ def _rkc2_scheme(s):
               + mut_j h F_{j-1} + gt_j h F_0,
 
     and Y_s is the step's result.  Its stability polynomial is bounded by 1
-    on [-beta(s), 0]; beta(s) is about 0.65 s^2."""
+    on [-beta(s), 0]; beta(s) is about 0.65 s^2.  Computed once per s and
+    process."""
     w0 = 1.0 + (2.0 / 13.0) / (s * s)
     # the Chebyshev polynomials T_j and their first two derivatives at w0
     T, dT, d2T = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
@@ -327,7 +330,7 @@ def _rkc2_scheme(s):
         mut = 2.0 * b[j] * w1 / b[j - 1]
         coeffs.append((2.0 * b[j] * w0 / b[j - 1], -b[j] / b[j - 2], mut,
                        -(1.0 - b[j - 1] * T[j - 1]) * mut))
-    return (1.0 + w0) / w1, coeffs
+    return (1.0 + w0) / w1, tuple(coeffs)
 
 
 class _RKC2:
@@ -364,7 +367,7 @@ class _RKC2:
         # product of one of them
         self.incs, self.F, self.F0, self.term = (np.empty((2, size)), np.empty(size),
                                                  np.empty(size), np.empty(size))
-        self.last, self.schemes, self.bound, self.evaluations = 0, {}, None, 0
+        self.last, self.bound, self.evaluations = 0, None, 0
 
     def velocity(self, state, out):
         """gamma - (1/2) tr(adj(H) D^2v) / det H at ``state``, into ``out``."""
@@ -400,19 +403,13 @@ class _RKC2:
         np.divide(rate, self.planes[2], out=rate)
         return 1.0 / (float(np.maximum.reduce(rate, initial=-np.inf)) + 1e-300)
 
-    def scheme(self, s):
-        """_rkc2_scheme(s), computed once per s."""
-        if s not in self.schemes:
-            self.schemes[s] = _rkc2_scheme(s)
-        return self.schemes[s]
-
     def stages(self, h):
         """The least s >= 2 with beta(s) >= STABILITY_MARGIN rho h, rho = 2 /
         (the current state's forward-Euler bound)."""
         if self.bound is None:
             self.bound = self.euler_bound()
         need, s = STABILITY_MARGIN * (2.0 / self.bound) * h, 2
-        while self.scheme(s)[0] < need:
+        while _rkc2_scheme(s)[0] < need:
             s += 1
         return s
 
@@ -423,7 +420,7 @@ class _RKC2:
         cur, new = self.states
         s = self.stages(h)
         incs, F, F0, term = self.incs, self.F, self.F0, self.term
-        for j, (mu, nu, mut, gt) in enumerate(self.scheme(s)[1], start=1):
+        for j, (mu, nu, mut, gt) in enumerate(_rkc2_scheme(s)[1], start=1):
             # D_j = nu D_{j-2} + mu D_{j-1} + mut h F_{j-1} + gt h F_0, into
             # D_{j-2}'s row; D_0 = 0
             inc, last = incs[j % 2], incs[(j - 1) % 2]

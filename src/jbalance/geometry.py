@@ -24,8 +24,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-# softmax_moments keeps its public name geometry.softmax_moments
-from .kernel import node_blocks, softmax_moments
+from .kernel import node_blocks
 
 # preset name -> (inward facet normals, offsets)
 _PRESET_FACETS = {
@@ -70,6 +69,8 @@ class LogSumExpPotential(PotentialField):
     softmax average of the exponent points and therefore lies in the interior
     of their convex hull (the dilated polytope); the Hessian is the softmax
     covariance, so strict convexity holds whenever the points affinely span.
+    Both are reduced by kernel.node_blocks from the log-weights points @ X^T
+    + log_coeffs at the nodes X (M, n), a block of nodes at a time.
     """
 
     def __init__(self, points, log_coeffs=None, level=1, offset=0.0):
@@ -83,23 +84,18 @@ class LogSumExpPotential(PotentialField):
         self.level = int(level)
         self.offset = float(offset)
 
-    def moment_blocks(self, X, order):
-        """node_blocks of the level-k potential's log-weights at the nodes
-        X (M, n), A = points @ X^T + log_coeffs: (block, softmax_moments)
-        pairs."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return node_blocks(self.points, X, self.log_coeffs, order=order)
-
     def value(self, X):
-        out = np.empty(len(np.atleast_2d(X)))
-        for block, (lse, _, _, _) in self.moment_blocks(X, 0):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        out = np.empty(len(X))
+        for block, (lse, _, _, _) in node_blocks(self.points, X, self.log_coeffs, order=0):
             out[block] = lse
         return (out + self.offset) / self.level
 
     def hessian(self, X):
         # (M, n, n), laid out component-major as the kernel returns it
-        cov = np.empty((self.dim, self.dim, len(np.atleast_2d(X))))
-        for block, (_, _, _, cov_block) in self.moment_blocks(X, 2):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        cov = np.empty((self.dim, self.dim, len(X)))
+        for block, (_, _, _, cov_block) in node_blocks(self.points, X, self.log_coeffs, order=2):
             cov[..., block] = cov_block
         return np.moveaxis(cov, -1, 0) / self.level
 
@@ -181,20 +177,6 @@ class GaussianBump(PotentialField):
         s2 = self.sigma ** 2
         eye = np.eye(self.dim)
         return (np.einsum("pi,pj->pij", D, D) / s2 - eye[None]) * (-g / s2)[:, None, None]
-
-
-class BlendPotential(PotentialField):
-    """(1-t) u0 + t u1, the linear interpolation used by potential paths."""
-
-    def __init__(self, u0, u1, t):
-        self.u0, self.u1, self.t = u0, u1, float(t)
-        self.dim = u0.dim
-
-    def value(self, X):
-        return (1.0 - self.t) * self.u0.value(X) + self.t * self.u1.value(X)
-
-    def hessian(self, X):
-        return (1.0 - self.t) * self.u0.hessian(X) + self.t * self.u1.hessian(X)
 
 
 # ---------------------------------------------------------------------------
@@ -328,24 +310,16 @@ class DelzantPolytope:
         return Fraction(abs(sum(x0 * y1 - x1 * y0
                                 for (x0, y0), (x1, y1) in zip(V, V[1:] + V[:1]))), 2)
 
-    def contains(self, X, k=1):
-        """Boolean mask: which rows of X lie in kP."""
-        X = np.atleast_2d(X)
-        vals = X @ self.normals.T + k * self.offsets
-        return np.all(vals >= -1e-9, axis=1)
-
     def lattice_points(self, k):
-        """All points of kP cap Z^n in lexicographic order."""
+        """All points of kP cap Z^n in lexicographic order (int64): the
+        lattice points of kP's bounding box, k times the vertices' box, that
+        pass every facet inequality, tested exactly in integers."""
         if k < 1 or k != int(k):
             raise GeometryError("level k must be a positive integer")
         k = int(k)
-        lo = np.floor(k * self.vertices.min(axis=0)).astype(int)
-        hi = np.ceil(k * self.vertices.max(axis=0)).astype(int)
-        axes = [np.arange(lo[d], hi[d] + 1) for d in range(self.dim)]
+        axes = [np.arange(k * min(c), k * max(c) + 1) for c in zip(*self.int_vertices)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
-        pts = grid[self.contains(grid, k)]
-        order = np.lexsort(tuple(pts[:, d] for d in reversed(range(self.dim))))
-        return pts[order]
+        return grid[np.all(grid @ self.normals.T + k * self.offsets >= 0, axis=1)]
 
     def ehrhart_count(self, k):
         """Number of lattice points of kP, in closed form (nothing is

@@ -9,7 +9,10 @@ nodes) array is held whole.  Every quadrature node is a node of the
 rule's tensor grid (geometry.build_quadrature), and the sums over that
 grid (quantisation._TensorGrid) come here only for the grid nodes whose
 products underflow or lose digits; LogSumExpPotential.value/hessian come
-here for every node.
+here for every node.  The kernel runs at order 0 (the log-sum-exp alone,
+for values) or 2 (the softmax and its first two moments, for Hessians and
+the torus pass); node_blocks with no order yields the raw log-weights
+(the Bergman sums of quantisation._TensorGrid).
 """
 
 import numpy as np
@@ -27,11 +30,11 @@ def softmax_moments(A, points, order=2):
     Returns (lse, S, mean, cov):
 
     * lse (M,): log sum_a e^{A_a}, per node (max-shifted);
-    * S (m, M): the softmax (A itself), for ``order`` >= 1;
+    * S (m, M): the softmax (A itself), for ``order`` 2;
     * mean (n, M): the softmax average of the points, for ``order`` 2;
     * cov (n, n, M): the centred second moments, component-major (cov[i, j]
       is one contiguous (M,) row), for ``order`` 2.
-    Entries the ``order`` does not ask for are None.
+    ``order`` 0 gives lse alone; its other entries are None.
 
     The second moments are centred on each node's heaviest point p*, where
     A is exactly 0 after the max shift: sum_a S_a (p_a - p*)(p_a - p*)^T
@@ -58,8 +61,6 @@ def softmax_moments(A, points, order=2):
     if order == 0:
         return lse, None, None, None
     S /= total
-    if order == 1:
-        return lse, S, None, None
     mean = np.empty((n, A.shape[1]))
     cov = np.empty((n, n, A.shape[1]))
     held = None                 # the coordinate whose p_a - p* c holds
@@ -114,7 +115,7 @@ def node_blocks(points, nodes, offsets=None, node_offsets=None, order=None):
     offset optional.  They are formed for node_block_size(m) nodes at a
     time, so no (m, M) array is made.  Yields (block, out) per block: a
     slice of the nodes, and softmax_moments(A_block, points, order) for
-    ``order`` 0, 1 or 2, or A_block itself for ``order`` None.  A_block
+    ``order`` 0 or 2, or A_block itself for ``order`` None.  A_block
     (the kernel's S) is this call's work array, which the next block
     overwrites; the kernel's other outputs are fresh arrays.
 

@@ -24,16 +24,10 @@ def l2_polytope(P, l2_spec):
     return DelzantPolytope(P.int_normals, c, name=f"{P.name}:{l2_spec}")
 
 
-def chi_potential(P, l2_spec, gamma, mode="reference"):
-    """A chi form in c1(L2), whose J-constant is ``gamma``: 'reference' takes
-    the Fubini-Study type potential of the L2 polytope; 'proportional' takes
-    gamma * omega_ref (useful for the exactly-critical sanity problems)."""
-    if mode == "proportional":
-        return ScaledPotential(reference_potential(P), float(gamma))
-    if mode == "reference":
-        Q = l2_polytope(P, l2_spec)
-        return LogSumExpPotential(Q.lattice_points(1), level=1)
-    raise GeometryError(f"unknown chi mode {mode!r}")
+def chi_potential(P, l2_spec):
+    """The chi form in c1(L2): the Fubini-Study type potential of the L2
+    polytope."""
+    return LogSumExpPotential(l2_polytope(P, l2_spec).lattice_points(1), level=1)
 
 
 @dataclass
@@ -52,7 +46,6 @@ class Problem:
     l2_spec: object
     pairings: dict
     gamma_exact: Fraction
-    chi_mode: str = "reference"
     meta: dict = field(default_factory=dict)
 
     @property
@@ -71,8 +64,7 @@ class Problem:
         no polytope on the fan."""
         if self.gamma_exact <= 0:
             return None
-        return chi_potential(self.polytope, self.l2_spec, self.gamma_exact,
-                             mode=self.chi_mode)
+        return chi_potential(self.polytope, self.l2_spec)
 
     @cached_property
     def rule(self):
@@ -140,11 +132,11 @@ def normal_cone_from_facet(P, l2_spec, facet_index=0, r=None):
 
 
 _PRESET_L2 = {
-    "P2-O1-O1": ("P2", "O(1)", "reference", 96),
-    "P2-O1-O2": ("P2", "O(2)", "reference", 96),
-    "P1xP1-O11-O11": ("P1xP1", "O(1,1)", "reference", 64),
-    "P1xP1-O11-O21": ("P1xP1", "O(2,1)", "reference", 64),
-    "P1xP1-O11-O31": ("P1xP1", "O(3,1)", "reference", 64),
+    "P2-O1-O1": ("P2", "O(1)", 96),
+    "P2-O1-O2": ("P2", "O(2)", 96),
+    "P1xP1-O11-O11": ("P1xP1", "O(1,1)", 64),
+    "P1xP1-O11-O21": ("P1xP1", "O(2,1)", 64),
+    "P1xP1-O11-O31": ("P1xP1", "O(3,1)", 64),
 }
 
 
@@ -152,8 +144,7 @@ def problem_names():
     return sorted(_PRESET_L2)
 
 
-def make_problem(name, resolution=None, chi_mode=None, polytope=None,
-                 l2_spec=None):
+def make_problem(name, resolution=None, polytope=None, l2_spec=None):
     """Build a Problem from a preset name or explicit polytope + L2 data.
 
     The resolution is checked here; the quadrature rule is built at it and
@@ -164,15 +155,13 @@ def make_problem(name, resolution=None, chi_mode=None, polytope=None,
     fans, and k = 8 work should use 80+.
     """
     if name in _PRESET_L2:
-        pname, l2, mode, default_res = _PRESET_L2[name]
+        pname, l2, default_res = _PRESET_L2[name]
         P = polytope_preset(pname)
-        chi_mode = chi_mode or mode
         resolution = default_res if resolution is None else resolution
     elif polytope is not None and l2_spec is not None:
         resolution = 64 if resolution is None else resolution
         P = polytope_preset(polytope) if isinstance(polytope, str) else polytope
         l2 = l2_spec
-        chi_mode = chi_mode or "reference"
     else:
         raise GeometryError(f"unknown problem {name!r}; presets: {problem_names()}")
     check_resolution(resolution)
@@ -182,4 +171,4 @@ def make_problem(name, resolution=None, chi_mode=None, polytope=None,
     # use; stability-only runs (e.g. L2 = K on a Fano) work from the class
     # data alone
     return Problem(name=name, polytope=P, l2_spec=l2, pairings=pairings,
-                   gamma_exact=gamma, chi_mode=chi_mode, meta={"resolution": resolution})
+                   gamma_exact=gamma, meta={"resolution": resolution})

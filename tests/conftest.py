@@ -45,3 +45,12 @@ def random_form(n, level, rng, spread=1.0):
 
 def random_diagonal(q, rng, spread=1.0):
     return random_form(q.n_plus_1, q.k, rng, spread)
+
+
+def simpson_weights(m):
+    """Composite Simpson weights on m+1 equispaced samples of [0, 1], m even:
+    the tests' reference time integrals."""
+    w = np.ones(m + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w / (3.0 * m)

@@ -307,12 +307,20 @@ def test_flow_compare_at_zero_writes_each_time_once(tmp_path, capsys):
     ({"problem": {"polytope": "P1xP1", "l2": [0, 0, 1.5, 1]}}, "divisor class"),
     ({"problem": {"polytope": {"normals": [[1], [-1]], "offsets": [0, 2]}, "l2": [0, 1]},
       "k_list": [2]}, "dimension 1"),
-    # a preset name fixes its polytope and L2; beside it only chi is taken
-    ({"problem": {"name": "P2-O1-O1", "l2": "O(2)"}}, "'problem.l2'"),
-    ({"problem": {"name": "P1xP1-O11-O21", "polytope": "P2"}}, "'problem.polytope'"),
+    # a problem object gives a polytope and an l2; a preset name does not
+    # stand in for them
+    ({"problem": {"name": "P1xP1-O11-O21", "polytope": "P2"}}, "'problem.l2'"),
+    ({"problem": {"name": "P2-O1-O1", "l2": "O(2)"}}, "'problem.polytope'"),
     # below 3 nodes a side the flow grid has no interior node
     ({"flow": {"grid": 1}}, "'flow.grid'"),
     ({"flow": {"grid": 2}}, "'flow.grid'"),
+    # a problem object's name is a label only, never a preset's (the preset
+    # would be taken and the polytope ignored), and it has no chi mode
+    ({"problem": {"name": "P2-O1-O1", "polytope": "P1xP1", "l2": "O(1,1)"}},
+     "'problem.name'"),
+    ({"problem": {"polytope": "P2", "l2": "O(1)", "chi": "reference"}}, "'problem.chi'"),
+    # a repeated level would run twice and overwrite its own artifacts
+    ({"k_list": [2, 2]}, "k_list"),
 ])
 def test_config_errors_exit_usage(tmp_path, capsys, config, key):
     # bad keys, value types and polytopes end in exit 2 with one line naming
@@ -325,6 +333,18 @@ def test_config_errors_exit_usage(tmp_path, capsys, config, key):
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and key in err, (command, err)
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["balance", "flow"])
+def test_k_list_flag_refuses_a_repeated_level(tmp_path, capsys, command):
+    # --k-list 2,2 ran level 2 twice: balance rewrote its level-2 files from
+    # a second health draw, flow wrote duplicate comparison rows
+    out = tmp_path / "o"
+    assert run([command, "--problem", "P1xP1-O11-O11", "--k-list", "2,2",
+                "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "k_list" in err and "strictly ascending" in err
+    assert not out.exists()
 
 
 def _centre_config(tmp_path, l1d):

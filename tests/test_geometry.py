@@ -422,9 +422,9 @@ def test_node_blocks_lend_their_work_buffer_to_one_evaluation(monkeypatch):
     nodes = 3.0 * rng.standard_normal((300, 2))
     offsets = [rng.uniform(-1.0, 1.0, len(points)) for _ in range(2)]
     monkeypatch.setattr(kernel, "NODE_BLOCK_BYTES", 8 * len(points) * 64)
-    alone = [[S.copy() for _, (_, S, _, _) in kernel.node_blocks(points, nodes, off, order=1)]
+    alone = [[S.copy() for _, (_, S, _, _) in kernel.node_blocks(points, nodes, off, order=2)]
              for off in offsets]
-    in_step = zip(*(kernel.node_blocks(points, nodes, off, order=1) for off in offsets))
+    in_step = zip(*(kernel.node_blocks(points, nodes, off, order=2) for off in offsets))
     for i, ((_, (_, S0, _, _)), (_, (_, S1, _, _))) in enumerate(in_step):
         assert np.array_equal(S0, alone[0][i]) and np.array_equal(S1, alone[1][i])
     assert len(alone[0]) == 5
