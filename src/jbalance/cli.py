@@ -22,10 +22,9 @@ from .functionals import report_row
 from .geometry import GeometryError, mixed_density, volume_density
 from .presets import make_problem, normal_cone_from_facet, problem_names
 from .quantisation import HermitianForm, QuantisationError, check_torus_size
-from .stability import (IntersectionTable, NormalConeConfig, StabilityError,
-                        SweepForms, blowup_table, certify_closed_forms,
-                        check_exponent, cone_criteria, j_weight, rational,
-                        trivial_table)
+from .stability import (NormalConeConfig, StabilityError, SweepForms,
+                        blowup_table, certify_closed_forms, check_exponent,
+                        cone_criteria, j_weight, rational, trivial_table)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,7 +48,7 @@ DEFAULTS = {
     "out": "jbalance_out",
     "flow": {"dt": 0.1, "T": 10.0, "grid": 48, "compare_T": 1.0,
              "start_amplitude": 0.3},
-    "stability": {"r_values": list(range(1, 11)), "facet": 0, "klt": True},
+    "stability": {"r_values": list(range(1, 11)), "facet": 0},
 }
 
 
@@ -109,12 +108,11 @@ _SECTIONS = {
     "stability": {
         "r_values": ("a list of integers or rational strings", _exact_list),
         "facet": ("a non-negative integer", lambda v: _int(v) and v >= 0),
-        "klt": ("true or false", lambda v: isinstance(v, bool)),
         "centre": ("an object with keys dd, l1d, l2d, kd and optionally r_min",
                    lambda v: isinstance(v, dict)
                    and {"dd", "l1d", "l2d", "kd"} <= set(v)
                    <= {"dd", "l1d", "l2d", "kd", "r_min"}),
-        "class_data": _OBJECT, "table": _OBJECT, "weights": _OBJECT},
+        "class_data": _OBJECT, "weights": _OBJECT},
 }
 # a "problem" object: a polytope and an L2, and optionally a "name" label
 # (a preset is given by its name string instead)
@@ -369,29 +367,24 @@ def cmd_stability(cfg):
         if "class_data" in scfg:
             data = SurfaceClassData.from_json(scfg["class_data"])
         else:
-            data = problem.class_data(klt=scfg.get("klt", True))
+            data = problem.class_data()
         wp = WeightPolynomials.from_json(scfg["weights"]) if "weights" in scfg else None
     except StabilityError as exc:
         raise ConfigError(str(exc))
-    # before any output: the blow-up table and its sweep forms, built once
-    # (certify_closed_forms is proved for every table by the test suite), and
-    # the least r checked against r > 0 and the centre's r_min.  A configured
-    # list holds the Fractions its schema check parsed; the default, integers
+    # before any output: the centre's blow-up table and its sweep forms,
+    # built once (certify_closed_forms is proved for every table by the test
+    # suite), and the least r checked against r > 0 and the centre's r_min.
+    # A configured list holds the Fractions its schema check parsed; the
+    # default, integers
     r_values = [rational(r, "stability.r_values") for r in scfg["r_values"]]
-    r_low = check_exponent(min(r_values)) if r_values else None
-    if "table" in scfg:
-        table = IntersectionTable.from_json(scfg["table"])
-    elif r_values:
-        if "centre" in scfg:
-            c = scfg["centre"]
-            base = NormalConeConfig(dd=c["dd"], l1d=c["l1d"], l2d=c["l2d"],
-                                    kd=c["kd"], r=r_low, r_min=c.get("r_min", 1))
-        else:
-            base = normal_cone_from_facet(problem.polytope, problem.l2_spec,
-                                          scfg.get("facet", 0), r=r_low)
-        table = blowup_table(data, base)
     if r_values:
-        forms = SweepForms(table, data.gamma(), data.gamma_canonical())
+        r_low = check_exponent(min(r_values))
+        if "centre" in scfg:
+            centre = NormalConeConfig(**scfg["centre"], r=r_low)
+        else:
+            centre = normal_cone_from_facet(problem.polytope, problem.l2_spec,
+                                            scfg.get("facet", 0), r=r_low)
+        forms = SweepForms(blowup_table(data, centre), data.gamma(), data.gamma_canonical())
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     # the pairings the verdicts and the sweep use: the class data's, which
@@ -554,8 +547,9 @@ def usage():
 
 def parse_args(argv):
     """(command, options) of a command line: options maps the keys of
-    _FLAGS to their parsed values.  -h or --help gives (None, {}); any other
-    mistake raises a UsageError."""
+    _FLAGS to their parsed values, each checked against its config key's
+    schema.  -h or --help gives (None, {}); any other mistake, a value the
+    schema refuses included, raises a UsageError naming the flag."""
     command, options, args = None, {}, iter(argv)
     for arg in args:
         if arg in ("-h", "--help"):
@@ -571,6 +565,8 @@ def parse_args(argv):
                 options[key] = parse(value)
             except ValueError:
                 raise UsageError(f"{flag} takes {what}, got {value!r}") from None
+            if key in _SCHEMA and not _SCHEMA[key][1](options[key]):
+                raise UsageError(f"{flag} must be {_SCHEMA[key][0]}, got {value!r}")
         elif arg.startswith("-"):
             raise UsageError(f"unknown option {arg!r}")
         elif command is None and arg in COMMANDS:

@@ -83,8 +83,8 @@ class Problem:
         return Quantisation(self.polytope, self.chi, k, self.rule,
                             gamma=self.gamma, n_theta=n_theta)
 
-    def class_data(self, klt=True):
-        return SurfaceClassData.from_polytope(self.polytope, self.l2_spec, klt=klt)
+    def class_data(self):
+        return SurfaceClassData.from_polytope(self.polytope, self.l2_spec)
 
 
 def separable_critical_potential(P, l2_spec):
@@ -145,7 +145,8 @@ def problem_names():
 
 
 def make_problem(name, resolution=None, polytope=None, l2_spec=None):
-    """Build a Problem from a preset name or explicit polytope + L2 data.
+    """Build a Problem from a preset name, or from explicit polytope + L2
+    data under any other name; a preset name with either is refused.
 
     The resolution is checked here; the quadrature rule is built at it and
     calibrated against the reference potential on first use of
@@ -155,6 +156,9 @@ def make_problem(name, resolution=None, polytope=None, l2_spec=None):
     fans, and k = 8 work should use 80+.
     """
     if name in _PRESET_L2:
+        if polytope is not None or l2_spec is not None:
+            raise GeometryError(f"problem {name!r} is a preset, which takes no "
+                                f"polytope or l2_spec; name a custom problem otherwise")
         pname, l2, default_res = _PRESET_L2[name]
         P = polytope_preset(pname)
         resolution = default_res if resolution is None else resolution

@@ -13,27 +13,28 @@ case n = 2): products of three pulled-back surface classes vanish,
 p*a . p*b . E = 0, p*a . E^2 = -(a.D), E^3 = -D^2, and the relative
 canonical class is K_{B/M x P^1} = E.
 
-With those zeroes a table has four free entries, E^2.L1, E^2.L2, E^2.K and
-E^3, and every weight below is a linear combination of the four pairings
-of A = r L1 - E that ``IntersectionTable.square`` returns in closed form:
+With those zeroes a table is its four free entries a = E^2.L1, b = E^2.L2,
+c = E^2.K and e = E^3.  For A = r L1 - E, trilinearity gives A^2.x = E^2.x
+for x in {L1, L2, K}, A^2.E = e - 2 r a and A^3 = 3 r a - e, so every
+weight, times r, is a polynomial of degree <= 2 in r (``closed_forms``):
 
-    A^2 . a = E^2 . a                   for a in {L1, L2, K},
-    A^2 . E = -2 r E^2.L1 + E^3,
-    A^3     = r A^2.L1 - A^2.E = 3 r E^2.L1 - E^3.
+    r J(r)       = (2/3) gamma e + (b - 2 gamma a) r,
+    r DF(r)      = (2/3) gamma_K e + (c + e - 2 gamma_K a) r - 2 a r^2,
+    r ii(r)      = e r - 2 a r^2,              ii = A^2.E,
+    r iii(r)     = 2 e r - 3 a r^2,            iii = A^2.(r L1 + 2 E),
+    r surface(r) = e r - a r^2,                surface = A^2.(r L1 + E).
 
-On a blow-up table these read A^2 . E = 2 r L1.D - D^2 and
-A^3 = D^2 - 3 r L1.D.  The weights are the closed forms alone.  An r-sweep
-goes one step further: ``SweepForms`` holds each of its values, times r, as
-a quadratic in r with integer coefficients, so a row at r = p/q is five
+``j_weight``, ``df_weight``, ``inequality_checks`` and the r-sweep's
+``SweepForms`` all read these coefficients; a sweep row at r = p/q is five
 integers over one denominator, written as text with no Fraction
-(``ratio_text``).  ``certify_closed_forms`` checks both; the test suite
-runs it on a grid that proves them for every table.
+(``ratio_text``).  ``certify_closed_forms`` checks them against the
+trilinear ``IntersectionTable.product``; the test suite runs it on a grid
+that proves them for every table.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 
 class StabilityError(ValueError):
@@ -80,8 +81,9 @@ class CurveClass:
 class SurfaceClassData:
     """Pairing table of (L1, L2, K_M) on a surface plus Mori generators.
 
-    klt is a user-asserted flag echoed into the K-stability verdict; no
-    singularity computation is attempted here.
+    klt is read by the K-stability verdict: supplied class data asserts it
+    (no singularity computation is attempted here), and a smooth toric
+    surface, the only kind ``from_polytope`` reads, is klt.
     """
 
     l1l1: Fraction
@@ -135,7 +137,7 @@ class SurfaceClassData:
             raise StabilityError(f"class data lacks {exc}")
 
     @classmethod
-    def from_polytope(cls, P, l2_spec, klt=True):
+    def from_polytope(cls, P, l2_spec):
         """Exact class data from the toric fan, the one place a surface's
         Mori cone is read off it: the six pairings from
         geometry.intersection_numbers, and the boundary curves D_i, which
@@ -151,7 +153,7 @@ class SurfaceClassData:
         gens = tuple(CurveClass(f"D{i}", *(Fraction(row[i]) for row in dots))
                      for i in first.values())
         return cls(l1l1=tab["L1L1"], l1l2=tab["L1L2"], l2l2=tab["L2L2"],
-                   kl1=tab["KL1"], kl2=tab["KL2"], kk=tab["KK"], mori=gens, klt=klt)
+                   kl1=tab["KL1"], kl2=tab["KL2"], kk=tab["KK"], mori=gens)
 
     def gamma(self):
         """The J-constant gamma = L1.L2 / L1^2, exact."""
@@ -202,104 +204,76 @@ def check_exponent(r, r_min=None):
     return r
 
 
-_BASIS = ("L1", "L2", "K", "E")
-# the sorted keys of a table: one per product of three basis classes
-_TRIPLES = frozenset(combinations_with_replacement(sorted(_BASIS), 3))
+_BASIS = frozenset(("L1", "L2", "K", "E"))
 
 
+@dataclass(frozen=True)
 class IntersectionTable:
-    """Symmetric triple products among the pullbacks L1, L2, K and E on the
-    3-fold B; user-supplied tables are validated for malformed, repeated
-    and missing keys and the structural zeroes, the only checks that depend
-    on the data.
+    """Triple products among the pullbacks L1, L2, K and E on the 3-fold B,
+    held as the four free entries E^2.L1, E^2.L2, E^2.K and E^3; every
+    product with fewer than two E's is one of the structural zeroes.
 
-    ``square``'s closed forms equal the trilinear ``product`` for every
-    table and r (``certify_closed_forms``, proved on a grid by the test
-    suite).  By trilinearity,
-    A^3 = r A^2.L1 - A^2.E and A^2.(K + E) = A^2.K + A^2.E, so the DF
-    decomposition identity of ``df_weight``, and every pairing that
-    ``j_weight`` and ``inequality_checks`` read, equal the trilinear
-    expansion at every r > 0.
+    ``triple`` and the trilinear ``product`` read the entries and nothing
+    else, so they are the independent reference that ``closed_forms`` is
+    certified against (``certify_closed_forms``, proved on a grid by the
+    test suite).
     """
 
-    def __init__(self, entries):
-        self._t = {}
-        for spelling, val in entries.items():
-            key = tuple(sorted(spelling))
-            if key not in _TRIPLES:
-                raise StabilityError(f"triple product {'/'.join(spelling)!r} is not "
-                                     f"three of {', '.join(_BASIS)}")
-            if key in self._t:
-                raise StabilityError(f"triple product {'/'.join(key)} given under two spellings")
-            self._t[key] = rational(val, "/".join(key))
-        for key in combinations_with_replacement(sorted(_BASIS), 3):
-            if key not in self._t:
-                raise StabilityError(f"missing triple product {key}")
-            if "E" not in key and self._t[key] != 0:
-                raise StabilityError(f"three pulled-back classes must vanish: {key}")
-            if key.count("E") == 1 and self._t[key] != 0:
-                raise StabilityError(f"p*a . p*b . E must vanish: {key}")
-        self._e2 = {a: self.triple(a, "E", "E") for a in ("L1", "L2", "K")}
-        self._e3 = self.triple("E", "E", "E")
+    e2l1: Fraction
+    e2l2: Fraction
+    e2k: Fraction
+    e3: Fraction
 
-    @classmethod
-    def from_json(cls, data):
-        """Entries keyed 'A/B/C' with integer or rational string values."""
-        return cls({tuple(k.split("/")): v for k, v in data.items()})
+    def __post_init__(self):
+        for name in ("e2l1", "e2l2", "e2k", "e3"):
+            object.__setattr__(self, name, rational(getattr(self, name), name))
 
     def triple(self, a, b, c):
-        return self._t[tuple(sorted((a, b, c)))]
+        """a.b.c for classes a, b, c of the basis L1, L2, K, E."""
+        if not _BASIS.issuperset((a, b, c)):
+            raise StabilityError(f"triple product {a}/{b}/{c} is not three of "
+                                 f"{', '.join(sorted(_BASIS))}")
+        _, second, x = sorted((a, b, c))     # "E" sorts first
+        if second != "E":
+            return Fraction(0)
+        return {"L1": self.e2l1, "L2": self.e2l2, "K": self.e2k, "E": self.e3}[x]
 
     def product(self, c1, c2, c3):
         """Trilinear extension to coefficient dicts over the basis."""
-        total = Fraction(0)
-        for a, x in c1.items():
-            if x == 0:
-                continue
-            for b, y in c2.items():
-                if y == 0:
-                    continue
-                for c, z in c3.items():
-                    if z == 0:
-                        continue
-                    t = self.triple(a, b, c)
-                    if t != 0:
-                        total += x * y * z * t
-        return total
-
-    def square(self, r):
-        """{a: (r L1 - E)^2 . a} over the basis, from the four free entries
-        (closed forms in the module docstring)."""
-        e2 = self._e2
-        return {"L1": e2["L1"], "L2": e2["L2"], "K": e2["K"],
-                "E": -2 * rational(r, "r") * e2["L1"] + self._e3}
+        return sum((x * y * z * self.triple(a, b, c) for a, x in c1.items()
+                    for b, y in c2.items() for c, z in c3.items()), Fraction(0))
 
 
 def blowup_table(data, cfg):
-    """IntersectionTable for the blow-up of M x P^1 along D x {0}."""
-    entries = dict.fromkeys(combinations_with_replacement(sorted(_BASIS), 3), Fraction(0))
-    entries.update({("E", "E", "K"): -cfg.kd, ("E", "E", "L1"): -cfg.l1d,
-                    ("E", "E", "L2"): -cfg.l2d, ("E", "E", "E"): -cfg.dd})
-    return IntersectionTable(entries)
+    """IntersectionTable for the blow-up of M x P^1 along D x {0}:
+    E^2.a = -(a.D) and E^3 = -D^2."""
+    return IntersectionTable(-cfg.l1d, -cfg.l2d, -cfg.kd, -cfg.dd)
 
 
 def trivial_table():
     """Table of the trivial configuration (E = 0): every product vanishes."""
-    return IntersectionTable({k: Fraction(0) for k in combinations_with_replacement(_BASIS, 3)})
+    return IntersectionTable(0, 0, 0, 0)
 
 
-def _cube(square, r):
-    """(r L1 - E)^3 = r (r L1 - E)^2.L1 - (r L1 - E)^2.E."""
-    return r * square["L1"] - square["E"]
+def closed_forms(table, gamma, gamma_k):
+    """The five values of (B, r L1 - E) times r, J, DF, ii, iii and surface
+    in that order, each as its coefficients (c0, c1, c2) in
+    r value(r) = c0 + c1 r + c2 r^2 (module docstring)."""
+    gamma = rational(gamma, "gamma")
+    gamma_k = rational(gamma_k, "gamma_K")
+    a, b, c, e = table.e2l1, table.e2l2, table.e2k, table.e3
+    zero = Fraction(0)
+    return ((Fraction(2, 3) * gamma * e, b - 2 * gamma * a, zero),
+            (Fraction(2, 3) * gamma_k * e, c + e - 2 * gamma_k * a, -2 * a),
+            (zero, e, -2 * a),
+            (zero, 2 * e, -3 * a),
+            (zero, e, -a))
 
 
-def _j_weight(square, gamma, r):
-    return -Fraction(2, 3) * gamma / r * _cube(square, r) + square["L2"]
-
-
-def _df_weight(square, gamma_k, r):
-    lead = -Fraction(2, 3) * gamma_k / r
-    return lead * _cube(square, r) + square["K"] + square["E"]
+def _value(form, r):
+    """A closed form's value at r: (c0 + c1 r + c2 r^2) / r."""
+    c0, c1, c2 = form
+    return (c0 + (c1 + c2 * r) * r) / r
 
 
 def j_weight(table, gamma, r):
@@ -309,19 +283,16 @@ def j_weight(table, gamma, r):
         (r L1 - E)^2 . ( -(2/3) gamma r^{-1} (r L1 - E) + L2 ).
     """
     r = check_exponent(r)
-    return _j_weight(table.square(r), rational(gamma, "gamma"), r)
+    return _value(closed_forms(table, gamma, 0)[0], r)
 
 
 def df_weight(table, data, r):
     """Donaldson-Futaki invariant of (B, r L1 - E), up to the same positive
     constant, via the relative-canonical decomposition (K_{B/M x P^1} = E)
 
-        DF = J_{K_M}-weight + (r L1 - E)^2 . E,
-
-    in closed form, which equals the direct trilinear expansion at every r
-    (see IntersectionTable and ``certify_closed_forms``)."""
+        DF = J_{K_M}-weight + (r L1 - E)^2 . E."""
     r = check_exponent(r)
-    return _df_weight(table.square(r), data.gamma_canonical(), r)
+    return _value(closed_forms(table, 0, data.gamma_canonical())[1], r)
 
 
 def inequality_checks(table, r, nef_classes=None):
@@ -337,21 +308,15 @@ def inequality_checks(table, r, nef_classes=None):
     semi-ample range.
     """
     r = check_exponent(r)
-    return _inequality_checks(table.square(r), r, nef_classes)
-
-
-def _inequality_checks(sq, r, nef_classes=None):
-    nef_vals = {"L1": sq["L1"]}
+    ii, iii, surface = (_value(form, r) for form in closed_forms(table, 0, 0)[2:])
+    pairing = {"L1": table.e2l1, "L2": table.e2l2, "K": table.e2k, "E": ii}   # A^2.x
+    nef_vals = {"L1": table.e2l1}
     for i, cls in enumerate(nef_classes or []):
-        nef_vals[f"nef{i}"] = sum((rational(v, f"nef{i}.{k}") * sq[k]
+        nef_vals[f"nef{i}"] = sum((rational(v, f"nef{i}.{k}") * pairing[k]
                                    for k, v in cls.items()), Fraction(0))
-    report = {"r": r, "nef_pairings": nef_vals,
-              "ii_exceptional": sq["E"],
-              "iii_combined": r * sq["L1"] + 2 * sq["E"],
-              "surface": r * sq["L1"] + sq["E"]}
-    report["admissible"] = _admissible(nef_vals.values(), report["ii_exceptional"],
-                                       report["iii_combined"], report["surface"])
-    return report
+    return {"r": r, "nef_pairings": nef_vals, "ii_exceptional": ii,
+            "iii_combined": iii, "surface": surface,
+            "admissible": _admissible(nef_vals.values(), ii, iii, surface)}
 
 
 def _admissible(nef_pairings, ii, iii, surface):
@@ -368,42 +333,21 @@ def ratio_text(n, d):
 
 
 class SweepForms:
-    """The rows of an r-sweep on one table as closed forms in r.
-
-    With a = E^2.L1, b = E^2.L2, c = E^2.K, e = E^3 (the four free entries
-    of the table), gamma and gamma_K, the sweep's values times r are
-    polynomials of degree <= 2 in r:
-
-        r J(r)       = (2/3) gamma e + (b - 2 gamma a) r,
-        r DF(r)      = (2/3) gamma_K e + (c + e - 2 gamma_K a) r - 2 a r^2,
-        r ii(r)      = e r - 2 a r^2,
-        r iii(r)     = 2 e r - 3 a r^2,
-        r surface(r) = e r - a r^2,
-
-    and the L1 nef pairing is a, whatever r, so its sign is read once per
-    table.  Each form is held as integer numerators (n0, n1, n2) over one
-    positive denominator ``den`` shared by all five, so at r = p/q a value
-    is the integer (n0 q^2 + n1 p q + n2 p^2) over den p q, which
-    ``text_row`` writes as text without a Fraction.
+    """The rows of an r-sweep on one table: ``closed_forms`` as integer
+    numerators (n0, n1, n2) over one positive denominator ``den`` shared by
+    all five, so at r = p/q a value is the integer (n0 q^2 + n1 p q + n2 p^2)
+    over den p q, which ``text_row`` writes as text without a Fraction.  The
+    L1 nef pairing is E^2.L1 whatever r, so its sign is read once per table.
     """
 
     COLUMNS = ("j_weight", "df_weight", "ineq_ii", "ineq_iii", "ineq_surface")
 
     def __init__(self, table, gamma, gamma_k):
-        gamma = rational(gamma, "gamma")
-        gamma_k = rational(gamma_k, "gamma_K")
-        a, b, c = (table.triple(x, "E", "E") for x in ("L1", "L2", "K"))
-        e = table.triple("E", "E", "E")
-        zero = Fraction(0)
-        forms = ((Fraction(2, 3) * gamma * e, b - 2 * gamma * a, zero),
-                 (Fraction(2, 3) * gamma_k * e, c + e - 2 * gamma_k * a, -2 * a),
-                 (zero, e, -2 * a),
-                 (zero, 2 * e, -3 * a),
-                 (zero, e, -a))
+        forms = closed_forms(table, gamma, gamma_k)
         self.den = math.lcm(*(x.denominator for form in forms for x in form))
         self.numerators = tuple(tuple(x.numerator * (self.den // x.denominator) for x in form)
                                 for form in forms)
-        self._l1_nef = a <= 0   # the L1 nef pairing's side of admissible
+        self._l1_nef = table.e2l1 <= 0   # the L1 nef pairing's side of admissible
 
     def text_row(self, r):
         """The sweep's CSV row at the Fraction r > 0: r and the five values
@@ -422,34 +366,41 @@ class SweepForms:
 
 
 def certify_closed_forms(table, gamma, gamma_k):
-    """The table's ``SweepForms``, once ``square`` equals the trilinear
-    ``product(A, A, {a: 1})`` (A = r L1 - E) for each basis class a, and each
-    ``text_row`` is str() of ``_j_weight``, ``_df_weight`` and
-    ``_inequality_checks`` on the square, at r = 1, 2, 3; else
-    StabilityError.  Times r, every side is of degree <= 2 in r and <= 1 in
-    each of a, b, c, e, gamma and gamma_K, so (Alon's Combinatorial
-    Nullstellensatz) passing on a grid of two values of each proves both
-    identities for every table and r > 0."""
+    """The table's ``SweepForms``, once at r = 1, 2, 3 each of
+    ``closed_forms``, as its exact value and as its ``text_row`` cell, and
+    the row's admissible equal the trilinear ``product`` expansion with
+    A = r L1 - E: J = -(2/3) gamma r^{-1} A^3 + A^2.L2,
+    DF = -(2/3) gamma_K r^{-1} A^3 + A^2.K + A^2.E, ii = A^2.E and so on;
+    else StabilityError.  Times r, every side is of degree <= 2 in r and
+    <= 1 in each of the four entries, gamma and gamma_K, so (Alon's
+    Combinatorial Nullstellensatz) passing on a grid of two values of each
+    proves the forms for every table and r > 0."""
     forms = SweepForms(table, gamma, gamma_k)
+    exact = closed_forms(table, gamma, gamma_k)
     gamma, gamma_k = rational(gamma, "gamma"), rational(gamma_k, "gamma_K")
     for r in (1, 2, 3):
-        A = {"L1": Fraction(r), "E": Fraction(-1)}
-        sq = table.square(r)
-        for a in _BASIS:
-            if sq[a] != table.product(A, A, {a: Fraction(1)}):
+        r = Fraction(r)
+        A = {"L1": r, "E": Fraction(-1)}
+
+        def pair(c):
+            return table.product(A, A, c)
+
+        lead = -Fraction(2, 3) / r * pair(A)
+        ii, iii, surface = (pair({"E": 1}), pair({"L1": r, "E": 2}),
+                            pair({"L1": r, "E": 1}))
+        want = (gamma * lead + pair({"L2": 1}), gamma_k * lead + pair({"K": 1}) + ii,
+                ii, iii, surface)
+        row = forms.text_row(r)
+        checks = [("r", row[0], str(r))]
+        for name, form, cell, value in zip(SweepForms.COLUMNS, exact, row[1:], want):
+            checks += [(name, _value(form, r), value), (name, cell, str(value))]
+        checks.append(("admissible", row[-1],
+                       _admissible((pair({"L1": 1}),), ii, iii, surface)))
+        for name, got, expected in checks:
+            if got != expected:
                 raise StabilityError(
-                    f"(r L1 - E)^2.{a} at r = {r} differs from the trilinear "
-                    f"expansion: decomposition identity violated (internal error)")
-        rep = _inequality_checks(sq, Fraction(r))
-        reference = (r, _j_weight(sq, gamma, r), _df_weight(sq, gamma_k, r),
-                     rep["ii_exceptional"], rep["iii_combined"], rep["surface"])
-        for name, got, want in zip(("r", *SweepForms.COLUMNS, "admissible"),
-                                   forms.text_row(Fraction(r)),
-                                   [*map(str, reference), rep["admissible"]]):
-            if got != want:
-                raise StabilityError(
-                    f"closed form of {name} at r = {r} reads {got}, the "
-                    f"reference helpers {want} (internal error)")
+                    f"closed form of {name} at r = {r} reads {got}, the trilinear "
+                    f"expansion {expected} (internal error)")
     return forms
 
 

@@ -188,17 +188,7 @@ def test_stability_inapplicable_markers(tmp_path):
 
 
 def test_stability_raw_json_inputs(tmp_path):
-    # user-supplied class data, intersection table and weight polynomials
-    table = {}
-    from itertools import combinations_with_replacement
-    for key in combinations_with_replacement(sorted(("L1", "L2", "K", "E")), 3):
-        e = key.count("E")
-        val = "0"
-        if e == 2:
-            val = {"L1": "-1", "L2": "-1", "K": "3"}[[s for s in key if s != "E"][0]]
-        if e == 3:
-            val = "-1"
-        table["/".join(key)] = val
+    # user-supplied class data, centre and weight polynomials
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "problem": "P2-O1-O1", "k_list": [2], "resolution": 32,
@@ -207,7 +197,7 @@ def test_stability_raw_json_inputs(tmp_path):
             "class_data": {"L1L1": 1, "L1L2": 1, "L2L2": 1, "KL1": -3,
                            "KL2": -3, "KK": 9, "klt": True,
                            "mori": [{"name": "line", "l1": 1, "l2": 1, "k": -3}]},
-            "table": table,
+            "centre": {"dd": 1, "l1d": 1, "l2d": 1, "kd": -3},
             "weights": {"n": 2, "m": 1, "h": ["1/2", "3/2", "1"],
                         "w": ["-1/6", "0", "0", "0"],
                         "hhat": ["1", "0"], "what": ["-1/2", "0", "0"]}}}))
@@ -220,7 +210,7 @@ def test_stability_raw_json_inputs(tmp_path):
     # e_top = what0 * r * h(r) - w(r) * hhat0 at r = 1:
     # (-1/2)*1*3 - (-1/6)*1 = -3/2 + 1/6 = -4/3
     assert Fr(rows[1][1]) == Fr(-4, 3)
-    # fixed user table: j_weight column computed from it
+    # fixed user centre: j_weight column computed from it
     with open(out / "stability_sweep.csv") as fh:
         sweep = {r[0]: r for r in list(csv.reader(fh))[1:]}
     assert Fr(sweep["1"][1]) == Fr(1, 3)
@@ -321,6 +311,9 @@ def test_flow_compare_at_zero_writes_each_time_once(tmp_path, capsys):
     ({"problem": {"polytope": "P2", "l2": "O(1)", "chi": "reference"}}, "'problem.chi'"),
     # a repeated level would run twice and overwrite its own artifacts
     ({"k_list": [2, 2]}, "k_list"),
+    # a centre is given by its pairings only, and klt is the class data's
+    ({"stability": {"table": {}}}, "'stability.table'; known: centre, "),
+    ({"stability": {"klt": True}}, "'stability.klt'"),
 ])
 def test_config_errors_exit_usage(tmp_path, capsys, config, key):
     # bad keys, value types and polytopes end in exit 2 with one line naming
@@ -343,7 +336,7 @@ def test_k_list_flag_refuses_a_repeated_level(tmp_path, capsys, command):
     assert run([command, "--problem", "P1xP1-O11-O11", "--k-list", "2,2",
                 "--out", str(out)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1 and "k_list" in err and "strictly ascending" in err
+    assert len(err.splitlines()) == 1 and "--k-list" in err and "strictly ascending" in err
     assert not out.exists()
 
 
@@ -596,7 +589,7 @@ def test_stability_rows_construct_no_fraction(tmp_path, monkeypatch, problem):
 
 def test_stability_product_calls_do_not_grow_with_r(tmp_path, monkeypatch):
     # the closed forms are proved for every table by the test suite, so a
-    # job makes no trilinear expansion and calls no reference helper: each r
+    # job makes no trilinear expansion and reads no triple product: each r
     # is one closed-form evaluation
     from jbalance import stability
     calls = []
@@ -610,9 +603,8 @@ def test_stability_product_calls_do_not_grow_with_r(tmp_path, monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(stability.IntersectionTable, "product")
-    for name in ("_j_weight", "_df_weight", "_inequality_checks"):
-        counted(stability, name)
+    for name in ("product", "triple"):
+        counted(stability.IntersectionTable, name)
     counts = []
     for r_values in ([1], list(range(1, 41))):
         cfg = tmp_path / "cfg.json"
@@ -915,6 +907,10 @@ def test_parser_reads_both_flag_forms_in_any_order(tmp_path):
     (["stability", "--tol=abc"], "--tol takes a number, got 'abc'"),
     (["stability", "--k-list", "2,x"], "--k-list takes comma separated integers, got '2,x'"),
     (["stability", "--k-list="], "--k-list takes comma separated integers, got ''"),
+    # a value that parses but fails its config key's schema
+    (["stability", "--k-list", "2,2"], "--k-list must be a non-empty strictly ascending list "
+                                       "of positive integers, got '2,2'"),
+    (["stability", "--tol", "-1"], "--tol must be a positive number, got '-1'"),
 ])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv, message):
     # refused before any work, with one stderr line and nothing written

@@ -25,6 +25,18 @@ def test_preset_polytopes_valid():
         geo.polytope_preset("P3")
 
 
+@pytest.mark.parametrize("extra", [{"polytope": "P1xP1", "l2_spec": "O(1,1)"},
+                                   {"polytope": "P1xP1"}, {"l2_spec": "O(2)"}])
+def test_make_problem_refuses_a_preset_with_its_own_data(extra):
+    # a preset name with a polytope or L2 is refused, not read as the preset
+    # with the rest ignored; under any other name the data are used
+    from jbalance.presets import make_problem
+    with pytest.raises(geo.GeometryError, match="'P2-O1-O1' is a preset"):
+        make_problem("P2-O1-O1", **extra)
+    custom = make_problem("custom", polytope="P1xP1", l2_spec="O(1,1)")
+    assert custom.pairings["L1L2"] == 2
+
+
 def test_preset_polygons_are_shared_and_read_only():
     # one instance per preset and process, so no caller may write into it
     from jbalance.presets import make_problem

@@ -1,5 +1,5 @@
 from fractions import Fraction as Fr
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, permutations
 from itertools import product as cartesian
 
 import numpy as np
@@ -48,16 +48,6 @@ def test_normal_cone_config_validation():
         st.NormalConeConfig(dd=1, l1d=1, l2d=1, kd=-3, r=1, r_min=2)
 
 
-def test_intersection_table_refuses_malformed_keys():
-    # every key names three basis classes, and each product is given once
-    good = {"/".join(key): "0" for key in combinations_with_replacement(("E", "K", "L1", "L2"), 3)}
-    assert st.IntersectionTable.from_json(good).triple("E", "E", "E") == 0
-    for extra, match in (({"X/Y/Z": "0"}, "X/Y/Z"), ({"L1/E": "0"}, "L1/E"),
-                         ({"L1/E/E": "-1"}, "two spellings")):
-        with pytest.raises(st.StabilityError, match=match):
-            st.IntersectionTable.from_json(dict(good, **extra))
-
-
 def test_blowup_table_structure():
     table = st.blowup_table(p2_data(), p2_line_cfg())
     one = {"L1": Fr(1)}
@@ -72,21 +62,10 @@ def test_blowup_table_structure():
     assert table.product(one, one, l2) == 0
     assert table.product(one, e, l2) == table.product(l2, one, e) == 0
     assert table.triple("L1", "E", "E") == table.triple("E", "L1", "E")
-
-
-def test_blowup_table_user_supply_validation():
-    entries = {k: Fr(0) for k in
-               __import__("itertools").combinations_with_replacement(sorted(("L1", "L2", "K", "E")), 3)}
-    entries[("L1", "L1", "L2")] = Fr(1)  # three pullbacks must vanish
-    with pytest.raises(st.StabilityError):
-        st.IntersectionTable(entries)
-    entries[("L1", "L1", "L2")] = Fr(0)
-    entries[("E", "L1", "L2")] = Fr(2)  # p*a p*b E must vanish
-    with pytest.raises(st.StabilityError):
-        st.IntersectionTable(entries)
-    del entries[("E", "L1", "L2")]
-    with pytest.raises(st.StabilityError):
-        st.IntersectionTable(entries)  # missing entry
+    # the four free entries are the centre's pairings, negated
+    assert (table.e2l1, table.e2l2, table.e2k, table.e3) == (-1, -1, 3, -1)
+    with pytest.raises(st.StabilityError, match="L1/X/L2 is not three of E, K, L1, L2"):
+        table.triple("L1", "X", "L2")
 
 
 def exact_polygon_strip_volume(r):
@@ -331,16 +310,9 @@ rationals = hs.fractions(min_value=-20, max_value=20, max_denominator=12)
 positive = hs.builds(Fr, hs.integers(1, 120), hs.integers(1, 12))
 
 
-@hs.composite
-def tables(draw):
-    """A validated table: the structural zeroes, with random E^2.a and E^3
-    supplied under a random ordering of each key."""
-    entries = {key: Fr(0) for key in combinations_with_replacement(BASIS, 3)}
-    for a in ("L1", "L2", "K"):
-        del entries[(a, "E", "E")]
-        entries[tuple(draw(hs.permutations((a, "E", "E"))))] = draw(rationals)
-    entries[("E", "E", "E")] = draw(rationals)
-    return st.IntersectionTable(entries)
+def tables():
+    """A table of four drawn entries E^2.L1, E^2.L2, E^2.K and E^3."""
+    return hs.builds(st.IntersectionTable, rationals, rationals, rationals, rationals)
 
 
 def class_data(kl1, l1l1=Fr(1)):
@@ -388,55 +360,50 @@ def test_blowup_cube_closed_form(dd, l1d, l2d, kd, r):
     table = st.blowup_table(p2_data(), cfg)
     A = {"L1": r, "E": Fr(-1)}
     assert table.product(A, A, A) == dd - 3 * r * l1d
-    assert table.square(r)["E"] == table.product(A, A, {"E": Fr(1)}) == 2 * r * l1d - dd
+    assert table.product(A, A, {"E": Fr(1)}) == 2 * r * l1d - dd
 
 
 def free_table(a=Fr(-1), b=Fr(0), c=Fr(0), e=Fr(-1), cls=st.IntersectionTable):
-    """The ``cls`` table with the structural zeroes and free entries
-    E^2.L1 = a, E^2.L2 = b, E^2.K = c and E^3 = e."""
-    entries = {key: Fr(0) for key in combinations_with_replacement(BASIS, 3)}
-    entries.update({("L1", "E", "E"): a, ("L2", "E", "E"): b, ("K", "E", "E"): c,
-                    ("E", "E", "E"): e})
-    return cls(entries)
+    """The ``cls`` table with free entries E^2.L1 = a, E^2.L2 = b,
+    E^2.K = c and E^3 = e."""
+    return cls(a, b, c, e)
+
+
+def off_triple(triple, entry):
+    """``triple`` with the free entry E^2.entry (E^3 for E) off by 1/7."""
+    def skewed(self, a, b, c):
+        t = triple(self, a, b, c)
+        return t + Fr(1, 7) if sorted((a, b, c)) == sorted(("E", "E", entry)) else t
+
+    return skewed
 
 
 def test_certificate_refuses_df_identity_mismatch():
-    # the closed-form side disagrees with the trilinear side: the certificate
-    # that df_weight's closed form rests on refuses it
+    # the trilinear side disagrees with the closed forms in E^2.K, which only
+    # DF reads: the certificate that df_weight's closed form rests on
+    # refuses it
     class Skewed(st.IntersectionTable):
-        def square(self, r):
-            sq = super().square(r)
-            return dict(sq, K=sq["K"] + 1)
+        triple = off_triple(st.IntersectionTable.triple, "K")
 
     data = p2_data()
     table = free_table(cls=Skewed)
-    with pytest.raises(st.StabilityError, match="decomposition identity"):
+    with pytest.raises(st.StabilityError, match="closed form of df_weight at r = 1 "):
         st.certify_closed_forms(table, data.gamma(), data.gamma_canonical())
-
-
-def skew_square(monkeypatch, entry):
-    """Make IntersectionTable.square off by a constant in one entry."""
-    real = st.IntersectionTable.square
-
-    def off(self, r):
-        sq = real(self, r)
-        return dict(sq, **{entry: sq[entry] + Fr(1, 7)})
-
-    monkeypatch.setattr(st.IntersectionTable, "square", off)
 
 
 @pytest.mark.parametrize("entry", BASIS)
 def test_table_refuses_square_off_the_expansion(monkeypatch, entry):
-    # a square that is off by a constant in any one entry is refused by the
-    # certificate, on one table and on the proof grid; building the table
-    # checks only its data
+    # a trilinear side that is off by a constant in any one free entry is
+    # refused by the certificate, on one table and on the proof grid, for
+    # the first column that reads the entry (gamma != 0 on both)
     data = p2_data()
     st.certify_closed_forms(free_table(), data.gamma(), data.gamma_canonical())
-    skew_square(monkeypatch, entry)
-    table = free_table()
-    with pytest.raises(st.StabilityError, match=f"\\^2\\.{entry} at r = 1"):
-        st.certify_closed_forms(table, data.gamma(), data.gamma_canonical())
-    with pytest.raises(st.StabilityError, match=f"\\^2\\.{entry} at r = 1"):
+    monkeypatch.setattr(st.IntersectionTable, "triple",
+                        off_triple(st.IntersectionTable.triple, entry))
+    match = f"closed form of {'df_weight' if entry == 'K' else 'j_weight'} at r = 1 "
+    with pytest.raises(st.StabilityError, match=match):
+        st.certify_closed_forms(free_table(), data.gamma(), data.gamma_canonical())
+    with pytest.raises(st.StabilityError, match=match):
         prove_closed_forms_on_grid()
 
 
@@ -452,17 +419,24 @@ def test_rational_inputs_exact_and_floats_refused():
 
 
 # ---------------------------------------------------------------------------
-# closed-form sweep rows against the reference helpers
+# closed-form sweep rows against the trilinear expansion
 # ---------------------------------------------------------------------------
 
 SWEEP_R = [Fr(r) for r in range(1, 61)] + [Fr(1, 10), Fr(7, 3), Fr(22, 7), Fr(3, 2), Fr(99, 100)]
 
 
 def reference_row(table, gamma, gamma_k, r):
-    sq = table.square(r)
-    rep = st._inequality_checks(sq, r)
-    return (st._j_weight(sq, gamma, r), st._df_weight(sq, gamma_k, r),
-            rep["ii_exceptional"], rep["iii_combined"], rep["surface"], rep["admissible"])
+    """The sweep's five values and admissible at r from ``product``."""
+    A = {"L1": r, "E": Fr(-1)}
+
+    def pair(c):
+        return table.product(A, A, c)
+
+    cube = pair(A)
+    ii, iii, surface = pair({"E": Fr(1)}), pair({"L1": r, "E": Fr(2)}), pair({"L1": r, "E": Fr(1)})
+    return (-Fr(2, 3) * gamma / r * cube + pair({"L2": Fr(1)}),
+            -Fr(2, 3) * gamma_k / r * cube + pair({"K": Fr(1)}) + ii, ii, iii, surface,
+            pair({"L1": Fr(1)}) <= 0 and ii > 0 and iii > 0 and surface >= 0)
 
 
 def assert_forms_match(table, data):
@@ -501,29 +475,27 @@ def test_ratio_text_is_str_of_the_fraction():
     assert st.ratio_text(-(3 ** 90), 2 ** 70 * 3 ** 5) == str(Fr(-(3 ** 90), 2 ** 70 * 3 ** 5))
 
 
-def skew_reference(monkeypatch, helper):
-    """Make one reference value off by a constant at every r."""
-    if helper.startswith("_"):
-        real = getattr(st, helper)
-        monkeypatch.setattr(st, helper, lambda sq, g, r: real(sq, g, r) + Fr(1, 7))
-    else:
-        real = st._inequality_checks
+def skew_form(monkeypatch, form):
+    """Make the r coefficient of one shared closed form off by 1/7."""
+    real = st.closed_forms
 
-        def skewed(sq, r, nef_classes=None):
-            rep = real(sq, r, nef_classes)
-            return dict(rep, **{helper: rep[helper] + Fr(1, 7)})
+    def skewed(*args):
+        forms = [list(f) for f in real(*args)]
+        forms[form][1] += Fr(1, 7)
+        return tuple(map(tuple, forms))
 
-        monkeypatch.setattr(st, "_inequality_checks", skewed)
+    monkeypatch.setattr(st, "closed_forms", skewed)
 
 
-@pytest.mark.parametrize("helper, column", [
-    ("_j_weight", "j_weight"), ("_df_weight", "df_weight"),
-    ("ii_exceptional", "ineq_ii"), ("iii_combined", "ineq_iii"),
-    ("surface", "ineq_surface")])
-def test_sweep_forms_refuse_a_disagreeing_form(monkeypatch, helper, column):
-    # a reference value off by a constant at any r is refused by the
-    # certificate, on one table and on the proof grid
-    skew_reference(monkeypatch, helper)
+# fixed ids, so that the cases keep their names in test reports
+@pytest.mark.parametrize("form, column", enumerate(st.SweepForms.COLUMNS), ids=[
+    "_j_weight-j_weight", "_df_weight-df_weight", "ii_exceptional-ineq_ii",
+    "iii_combined-ineq_iii", "surface-ineq_surface"])
+def test_sweep_forms_refuse_a_disagreeing_form(monkeypatch, form, column):
+    # a shared closed form off by a constant times r, which the public
+    # weights and the sweep rows both read, is refused by the certificate
+    # for its column, on one table and on the proof grid
+    skew_form(monkeypatch, form)
     data = p2_data()
     table = st.blowup_table(data, p2_line_cfg())
     match = f"closed form of {column} at r = 1 "
@@ -561,7 +533,8 @@ def test_closed_forms_hold_for_every_table():
 @pytest.mark.parametrize("form", range(5))
 @pytest.mark.parametrize("power", range(3))
 def test_proof_grid_refuses_a_skewed_numerator(monkeypatch, form, power):
-    # one numerator of one form off by one: the grid proof fails
+    # one numerator of one form off by one: refused on one table, and the
+    # grid proof fails
     real = st.SweepForms.__init__
 
     def skewed(self, *args):
@@ -571,8 +544,12 @@ def test_proof_grid_refuses_a_skewed_numerator(monkeypatch, form, power):
         self.numerators = tuple(map(tuple, nums))
 
     monkeypatch.setattr(st.SweepForms, "__init__", skewed)
-    with pytest.raises(st.StabilityError,
-                       match=f"closed form of {st.SweepForms.COLUMNS[form]} at r = 1 "):
+    match = f"closed form of {st.SweepForms.COLUMNS[form]} at r = 1 "
+    data = p2_data()
+    with pytest.raises(st.StabilityError, match=match):
+        st.certify_closed_forms(st.blowup_table(data, p2_line_cfg()), data.gamma(),
+                                data.gamma_canonical())
+    with pytest.raises(st.StabilityError, match=match):
         prove_closed_forms_on_grid()
 
 
@@ -584,8 +561,7 @@ def test_proof_grid_refuses_a_skew_at_one_grid_point(monkeypatch):
 
     def skewed(self, table, gamma, gamma_k):
         real(self, table, gamma, gamma_k)
-        point = (*(table.triple(x, "E", "E") for x in ("L1", "L2", "K", "E")),
-                 gamma, gamma_k)
+        point = (table.e2l1, table.e2l2, table.e2k, table.e3, gamma, gamma_k)
         if point == last:
             self.numerators = ((self.numerators[0][0] + 1, *self.numerators[0][1:]),
                                *self.numerators[1:])
