@@ -6,10 +6,10 @@ Exit codes: 0 success, 2 config/usage error, 3 convergence or check failure,
 or a balance level whose I_mu0 safeguard stalled).
 """
 
-import csv
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +21,7 @@ from .flows import (FlowError, balancing_flow, comparison_window,
 from .functionals import report_row
 from .geometry import GeometryError, mixed_density, volume_density
 from .presets import make_problem, normal_cone_from_facet, problem_names
-from .quantisation import HermitianForm, QuantisationError, check_torus_size
+from .quantisation import QuantisationError, check_torus_size, reference_form
 from .stability import (NormalConeConfig, StabilityError, SweepForms,
                         blowup_table, certify_closed_forms, check_exponent,
                         cone_criteria, j_weight, rational, trivial_table)
@@ -185,12 +185,34 @@ def build_problem(cfg):
     raise ConfigError("problem must be a preset name or an object")
 
 
+# cells that csv.writer's default (excel) dialect quotes: those that hold
+# a comma, a quote or a line break
+_CSV_QUOTED = re.compile(r'[,"\r\n]')
+
+
+def _csv_line(row):
+    """One record, bytes as csv.writer's default dialect writes it: a float
+    cell (numpy's included) is written as repr(float(v)), so no numpy scalar
+    repr appears, None as "" and any other cell by str; the cells are joined
+    by commas, a cell that holds a comma, a quote or a line break is quoted
+    with its quotes doubled, a lone empty cell is written "", and the record
+    ends in \r\n.  A line needs quoting only where it holds a quote, a line
+    break or more commas than separators, which one look at it shows."""
+    cells = [v if isinstance(v, str) else repr(float(v)) if isinstance(v, float)
+             else "" if v is None else str(v) for v in row]
+    line = ",".join(cells)
+    if ('"' in line or "\n" in line or "\r" in line or line.count(",") != len(cells) - 1
+            or cells == [""]):
+        line = '""' if cells == [""] else ",".join(
+            '"' + c.replace('"', '""') + '"' if _CSV_QUOTED.search(c) else c for c in cells)
+    return line + "\r\n"
+
+
 def write_csv(path, header, rows):
+    """The header and the rows as CSV (_csv_line), in one write."""
+    text = "".join(map(_csv_line, [header, *rows]))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        fh.write(text)
 
 
 def _check_sizes(problem, k_list):
@@ -265,13 +287,13 @@ def cmd_balance(cfg):
             print(f"HEALTH k={k}: trace identity residual {health:.3e} exceeds "
                   f"{cfg['health_tol']:.1e}; increase resolution")
             return EXIT_HEALTH
-        res = q.iterate_to_balance(HermitianForm.identity(q.n_plus_1, k),
-                                   tol=cfg["tol"], maxiter=cfg["maxiter"],
-                                   norm=cfg["norm"])
+        res = q.iterate_to_balance(reference_form(q), tol=cfg["tol"],
+                                   maxiter=cfg["maxiter"], norm=cfg["norm"])
         cols, rows = res.history_columns()
         write_csv(out / f"balance_k{k}.csv", cols, rows)
         (out / f"balanced_k{k}.json").write_text(json.dumps({
-            "problem": problem.name, "k": k, "converged": res.converged,
+            "problem": problem.name, "k": k, "start": "reference",
+            "converged": res.converged,
             "steps": len(res.history) - 1, "rejected": res.rejected,
             "safeguard_stalled": res.safeguard_stalled,
             "message": res.message,
@@ -299,14 +321,14 @@ def cmd_balance(cfg):
 # ---------------------------------------------------------------------------
 
 def _write_grid_csv(path, xs, ys, values, t):
+    head = [["nx", "ny", "xmin", "xmax", "ymin", "ymax", "t"],
+            [len(xs), len(ys), float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1]),
+             float(t)],
+            ["values_row_major"]]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["nx", "ny", "xmin", "xmax", "ymin", "ymax", "t"])
-        writer.writerow([len(xs), len(ys), repr(float(xs[0])), repr(float(xs[-1])),
-                         repr(float(ys[0])), repr(float(ys[-1])), repr(float(t))])
-        writer.writerow(["values_row_major"])
-        # the csv module's own line ending, one join per row
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in values.tolist())
+        # the values are Python floats, which need no quoting
+        fh.write("".join(map(_csv_line, head))
+                 + "".join(",".join(map(repr, row)) + "\r\n" for row in values.tolist()))
 
 
 def cmd_flow(cfg):
@@ -318,11 +340,14 @@ def cmd_flow(cfg):
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
 
-    # the comparison below reuses each level's context and start
+    # the comparison below reuses each level's context and start; u0 at the
+    # rule's nodes is the same at every level
+    nodes = problem.rule.nodes
+    u0_nodes = (u0.value(nodes), u0.hessian(nodes))
     levels = []
     for k in cfg["k_list"]:
         q = problem.quantisation(k)
-        H0 = q.hilb_map(u0)
+        H0 = q.hilb_map(u0, at_nodes=u0_nodes)
         levels.append((q, H0))
         traj = balancing_flow(q, H0, dt=fcfg["dt"], T=fcfg["T"])
         rows = [[s.t, s.diagnostics["mu0_fro"], s.diagnostics["mu0_sq"],
@@ -454,8 +479,7 @@ def run_verification(cfg):
         health=True)
 
     # gamma two ways: quadrature vs intersection numbers
-    mixv = mixed_density(np.asarray(problem.u_ref.hessian(rule.nodes)),
-                         np.asarray(problem.chi.hessian(rule.nodes)))
+    mixv = mixed_density(problem.ref_hessian, problem.chi_hessian)
     g_quad = rule.integrate(mixv) * rule.c_vol / q.V
     add("gamma_two_ways", abs(g_quad / problem.gamma - 1.0) < 1e-6,
         f"quadrature {g_quad:.10f} vs exact {problem.gamma}", health=True)

@@ -632,14 +632,17 @@ def smallest_eigenvalue(hxx, hyy, hxy):
     return 0.5 * (tr - np.sqrt(np.maximum(tr ** 2 - 4 * det, 0.0)))
 
 
-def calibrate(rule, P, u_ref):
+def calibrate(rule, P, u_ref, hessian=None):
     """Fix c_vol so that integral det(D^2 u_ref) c_vol dx = L1^2.
 
     Because det(D^2(k u)) = k^n det(D^2 u) pointwise, the same c_vol serves
     every level k, and lands on n! up to quadrature error for any strictly
-    convex reference whose gradient image is the interior of P.
+    convex reference whose gradient image is the interior of P.  ``hessian``
+    is u_ref's Hessian at the rule's nodes, when the caller holds it.
     """
-    dens = volume_density(np.asarray(u_ref.hessian(rule.nodes)))
+    if hessian is None:
+        hessian = u_ref.hessian(rule.nodes)
+    dens = volume_density(np.asarray(hessian))
     if np.min(dens) < 0:
         # exact zeros can only come from far-field softmax collapse (underflow
         # of e^{-dist}); genuine non-convexity shows up strictly negative

@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import (AxisPotential, DelzantPolytope, GeometryError,
-                       LogSumExpPotential, ScaledPotential, SumPotential,
+                       LogSumExpPotential, ScaledPotential, SumPotential, _read_only,
                        build_quadrature, calibrate, check_resolution, divisor_dots,
                        intersection_numbers, line_bundle_class,
                        polytope_preset, reference_potential, surface_classes)
@@ -69,8 +69,26 @@ class Problem:
     @cached_property
     def rule(self):
         """The quadrature rule, calibrated against the reference potential."""
-        rule = build_quadrature(self.polytope, self.meta["resolution"])
-        return calibrate(rule, self.polytope, self.u_ref)
+        return calibrate(self._quadrature, self.polytope, self.u_ref, hessian=self.ref_hessian)
+
+    @cached_property
+    def _quadrature(self):
+        return build_quadrature(self.polytope, self.meta["resolution"])
+
+    @cached_property
+    def ref_hessian(self):
+        """u_ref's Hessian at the rule's nodes (read-only), which calibration
+        reads; the nodes do not depend on the calibration."""
+        return _read_only(self.u_ref.hessian(self._quadrature.nodes), float)
+
+    @cached_property
+    def chi_hessian(self):
+        """chi's Hessian at the rule's nodes (read-only), the same at every
+        level.  Where chi has u_ref's exponent points (chi = omega, as on
+        P2-O1-O1 and P1xP1-O11-O11) it is ref_hessian, bit for bit."""
+        if np.array_equal(self.chi.points, self.u_ref.points):
+            return self.ref_hessian
+        return _read_only(self.chi.hessian(self.rule.nodes), float)
 
     def quantisation(self, k, n_theta=None):
         """Level-k Quantisation context.  ``n_theta`` is inert (see
@@ -81,7 +99,7 @@ class Problem:
                 f"problem {self.name!r} has no chi form (gamma <= 0); only the "
                 f"stability machinery applies")
         return Quantisation(self.polytope, self.chi, k, self.rule,
-                            gamma=self.gamma, n_theta=n_theta)
+                            gamma=self.gamma, n_theta=n_theta, chi_hess=self.chi_hessian)
 
     def class_data(self):
         return SurfaceClassData.from_polytope(self.polytope, self.l2_spec)

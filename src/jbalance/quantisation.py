@@ -46,7 +46,10 @@ Anderson mixing (memory ANDERSON_MEMORY), safeguarded by that energy: a
 mixed candidate is kept only if it does not raise I_{mu0}, else the step is
 the plain one.  Because the discrete I_{mu0} is stationary at T's fixed
 point only up to quadrature error, a run whose candidates are mostly
-rejected reports it as a resolution problem.
+rejected reports it as a resolution problem.  The CLI starts it at
+reference_form, the quantised reference metric, whose FS image is k u_ref:
+balanced on arrival where chi = omega, and fewer steps than H = Id
+elsewhere.
 
 All exponential sums are evaluated with shifts that keep their largest
 terms near 1 (per node in the node kernel, per grid row and column on the
@@ -212,6 +215,37 @@ def log_diagonal(q, H, what):
     return x
 
 
+def reference_form(q):
+    """H_ref,k, the quantised reference metric of the context q: the
+    torus-invariant form with FS_k(H_ref,k) = k u_ref exactly, up to
+    fs_map's additive constant, for u_ref = log sum_{a in P} e^{<a, x>}
+    (geometry.reference_potential).
+
+    (sum_a e^{<a, x>})^k = sum_b m_b e^{<b, x>}, where m_b counts the
+    ordered k-tuples of lattice points of P that sum to b, so the diagonal
+    is d_b = 1/m_b.  The counts are k shifted sums over kP's bounding box,
+    exact while they stay below 2^53.  Every lattice polygon is normal (a
+    lattice point of kP is a sum of k lattice points of P), so m_b >= 1 at
+    every section; a count that overflowed or is below 1 is refused with a
+    QuantisationError.
+    """
+    ones = q.P.lattice_points(1)
+    lo = ones.min(axis=0)
+    steps = ones - lo
+    m = np.zeros(tuple(q.k * steps.max(axis=0) + 1))
+    m[0, 0] = 1.0
+    with np.errstate(over="ignore"):
+        for _ in range(q.k):
+            prev, m = m, np.zeros_like(m)
+            for s1, s2 in steps:
+                m[s1:, s2:] += prev[:m.shape[0] - s1, :m.shape[1] - s2]
+    counts = m[tuple((q.basis.points - q.k * lo).T)]
+    if not np.all(np.isfinite(counts) & (counts >= 1)):
+        raise QuantisationError(f"reference form at k={q.k}: a multiplicity m_b is not "
+                                f"finite or is below 1")
+    return HermitianForm(1.0 / counts, q.k)
+
+
 class Quantisation:
     """Fixed-level context on the torus-invariant slice: polytope, chi
     potential, basis, calibrated rule.
@@ -229,9 +263,12 @@ class Quantisation:
         n_theta: inert; no angular grid exists.  Kept, with the integer
             attribute ``n_theta`` (default 4k+3), only because the
             benchmark's set-up probe passes it and its run record reads it.
+        chi_hess: chi's Hessian at the rule's nodes, when the caller holds
+            it (a Problem evaluates it once for every level); read, never
+            written.
     """
 
-    def __init__(self, P, chi, k, rule, gamma, n_theta=None):
+    def __init__(self, P, chi, k, rule, gamma, n_theta=None, chi_hess=None):
         if not rule.calibrated:
             raise QuantisationError("quadrature rule must be calibrated (run geometry.calibrate)")
         check_torus_size(P, k, rule.resolution)
@@ -249,7 +286,7 @@ class Quantisation:
         self.nodes = rule.nodes
         self.weights = rule.weights
         self.points = self.basis.points.astype(float)
-        self.chi_hess = np.asarray(chi.hessian(self.nodes))
+        self.chi_hess = np.asarray(chi.hessian(self.nodes) if chi_hess is None else chi_hess)
         self.hilb_norm = self.gamma * self.k ** (P.dim - 1)
         self._memo = None       # (x bytes, TorusPass) of the last pass
         self._kept = None       # the same, of the last pass asked to be kept
@@ -340,11 +377,14 @@ class Quantisation:
             self._anchor = self.torus_pass(np.zeros(self.n_plus_1))
         return self._anchor
 
-    def hilb_map(self, u):
+    def hilb_map(self, u, at_nodes=None):
         """Hilb_chi of the torus-invariant metric e^{-k u}: diagonal Gram
-        G_aa = (1/(gamma k^{n-1})) integral e^{<a,x> - k u} dmu_mix."""
-        diag = self.grid.hilb_sums(self.k * u.value(self.nodes),
-                                   self.weights * self.mixed_measure(u))
+        G_aa = (1/(gamma k^{n-1})) integral e^{<a,x> - k u} dmu_mix.
+        ``at_nodes`` is u's (values, Hessians) at the rule's nodes, when the
+        caller holds them (a job maps one start at every level)."""
+        value, hess = at_nodes or (u.value(self.nodes), u.hessian(self.nodes))
+        mix = self._mix_from_hessian(np.asarray(hess) * self.k)
+        diag = self.grid.hilb_sums(self.k * value, self.weights * mix)
         return HermitianForm(_checked_hilb_diagonal(diag / self.hilb_norm), self.k)
 
     # -- moment map and iteration ---------------------------------------------

@@ -67,15 +67,16 @@ def test_balance_artifacts_and_determinism(tmp_path):
 
 
 def test_balanced_form_json_reads_back_bit_for_bit(tmp_path):
-    # the form in balanced_k2.json is the balanced diagonal, to the last bit
-    from jbalance.quantisation import HermitianForm
+    # the form in balanced_k2.json is the balanced diagonal, to the last bit,
+    # balanced from the CLI's start, the reference form
+    from jbalance.quantisation import HermitianForm, reference_form
     out = tmp_path / "b"
     assert run(["balance", "--problem", "P1xP1-O11-O11", "--k-list", "2",
                 "--resolution", "48", "--out", str(out)]) == cli.EXIT_OK
     form = json.loads((out / "balanced_k2.json").read_text())["form"]
     cfg = cli.load_config(None, {"problem": "P1xP1-O11-O11", "resolution": 48})
     q = cli.build_problem(cfg).quantisation(2)
-    res = q.iterate_to_balance(HermitianForm.identity(q.n_plus_1, 2), tol=cfg["tol"],
+    res = q.iterate_to_balance(reference_form(q), tol=cfg["tol"],
                                maxiter=cfg["maxiter"], norm=cfg["norm"])
     H = HermitianForm.from_json(form)
     assert H.level == 2 and np.array_equal(H.diag(), res.H.diag())
@@ -109,9 +110,43 @@ def test_jobs_make_no_linear_algebra_call(tmp_path, monkeypatch):
         assert run([*argv, "--out", str(tmp_path / argv[0])]) == cli.EXIT_OK, argv[0]
 
 
+def test_write_csv_matches_the_csv_module(tmp_path):
+    # write_csv writes csv.writer's bytes, with each float (numpy's
+    # included) as repr(float(v)); csv's quoting is kept for the cells that
+    # need it
+    header = ["step", "a,b", 'say "hi"', "line\nbreak"]
+    rows = [[0, 0.1, np.float64(-2.5e-17), Fr(-2, 3)], [True, False, "", None],
+            ["x", 1e300, float("nan"), np.float64(3)], [""], [], [None],
+            ['"', "cr\r", ",", "plain"], ("tuple", 7, Fr(5), 2.0)]
+    path = tmp_path / "w.csv"
+    cli.write_csv(path, header, rows)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_balance_starts_at_the_reference_form(tmp_path, capsys):
+    # from the reference form the CLI balances k = 16, 24, 32 on
+    # P1xP1-O11-O21 at resolution 192 in a few steps each; from the identity
+    # the safeguard refused 30 of 52 candidates at k = 32 (exit 4)
+    out = tmp_path / "b"
+    assert run(["balance", "--problem", "P1xP1-O11-O21", "--k-list", "16,24,32",
+                "--resolution", "192", "--out", str(out)]) == cli.EXIT_OK
+    for k in (16, 24, 32):
+        payload = json.loads((out / f"balanced_k{k}.json").read_text())
+        assert payload["start"] == "reference" and payload["converged"]
+        assert payload["steps"] <= 12, (k, payload["steps"])
+    assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+
 def test_balance_convergence_failure_exit(tmp_path):
+    # a class whose reference form is not balanced: on P1xP1-O11-O11 (chi =
+    # omega) the start is balanced, and one step converges
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"problem": "P1xP1-O11-O11", "k_list": [3],
+    cfg.write_text(json.dumps({"problem": "P1xP1-O11-O21", "k_list": [3],
                                "resolution": 48, "maxiter": 1, "tol": 1e-15}))
     assert run(["balance", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_FAILURE
 
@@ -984,26 +1019,26 @@ def test_bundle_without_polytope(tmp_path, capsys):
 
 
 def test_balance_stalled_safeguard_exits_health(tmp_path, capsys):
-    # P2 at resolution 32, k=2: the trace identity (about 2.5e-6) passes a
-    # health_tol of 1e-5, but the I_mu0 safeguard refuses most Anderson
-    # candidates; the level's artifacts are written and marked, and the run
-    # exits 4
+    # P1xP1-O11-O21 at resolution 128, k=48: the trace identity at random x
+    # (about 4.2e-3) passes a health_tol of 1e-2, but from the reference
+    # start the I_mu0 safeguard refuses most Anderson candidates (33 of 38);
+    # the level's artifacts are written and marked, and the run exits 4
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"health_tol": 1e-5}))
+    cfg.write_text(json.dumps({"health_tol": 1e-2}))
     out = tmp_path / "b"
-    assert run(["balance", "--problem", "P2-O1-O1", "--resolution", "32", "--k-list", "2",
-                "--config", str(cfg), "--out", str(out)]) == cli.EXIT_HEALTH
+    assert run(["balance", "--problem", "P1xP1-O11-O21", "--resolution", "128",
+                "--k-list", "48", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_HEALTH
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1
-    match = re.fullmatch(r"HEALTH k=2: the I_mu0 safeguard rejected (\d+) of (\d+) Anderson "
+    match = re.fullmatch(r"HEALTH k=48: the I_mu0 safeguard rejected (\d+) of (\d+) Anderson "
                          r"candidates \(trace identity residual (\S+)\); increase resolution",
                          lines[0])
     assert match, lines[0]
     rejected, candidates, residual = int(match[1]), int(match[2]), float(match[3])
-    assert 2 * rejected > candidates and residual < 1e-5
-    payload = json.loads((out / "balanced_k2.json").read_text())
+    assert 2 * rejected > candidates and residual < 1e-2
+    payload = json.loads((out / "balanced_k48.json").read_text())
     assert payload["safeguard_stalled"] is True and payload["rejected"] == rejected
-    assert (out / "balance_k2.csv").exists()
+    assert (out / "balance_k48.csv").exists()
 
 
 # the benchmark's stability jobs: every facet of every preset, and P2 with

@@ -1,4 +1,6 @@
+import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,9 +8,10 @@ import pytest
 from conftest import random_diagonal, random_form
 from jbalance import geometry as geo
 from jbalance import kernel
+from jbalance.presets import make_problem, problem_names
 from jbalance.quantisation import (TORUS_VECTORS, HermitianForm, Quantisation,
                                    QuantisationError, bergman_check,
-                                   qk_operator)
+                                   qk_operator, reference_form)
 
 
 def test_hermitian_form_validation():
@@ -234,6 +237,75 @@ def test_iterate_balance_symmetry_oracle(p2_problem):
     for p in pts:
         vals = [d[pts.index(im)] for im in orbit(p)]
         assert np.max(np.abs(np.array(vals) / vals[0] - 1.0)) < 1e-6
+
+
+def f1_stable(resolution):
+    """F1 with L1 = (0,0,2,3) and L2 = (0,0,1,2), a J-stable class."""
+    F1 = geo.polytope_preset("F1")
+    P = geo.DelzantPolytope(F1.normals, [0, 0, 2, 3], name="F1-L1")
+    return make_problem("F1-stable", resolution=resolution, polytope=P, l2_spec=[0, 0, 1, 2])
+
+
+@pytest.mark.parametrize("name", problem_names() + ["F1"])
+def test_reference_form_quantises_the_reference_potential(name):
+    # FS_k(H_ref,k) = k u_ref - log((N+1)/V) at the nodes, for every preset
+    # polygon and F1: the multiplicities are exact
+    pb = f1_stable(32) if name == "F1" else make_problem(name, resolution=32)
+    X = pb.rule.nodes
+    u_ref = pb.u_ref.value(X)
+    for k in range(1, 7):
+        q = pb.quantisation(k)
+        fs = k * q.fs_map(reference_form(q)).value(X)
+        err = np.abs(fs - k * u_ref + np.log(q.n_plus_1 / q.V))
+        assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(k * u_ref))), k
+
+
+def test_reference_form_counts_tuples():
+    # 1/d_b is the number of ordered k-tuples of lattice points of P that
+    # sum to b, counted here by brute force
+    pb = f1_stable(32)
+    ones = [tuple(a) for a in pb.polytope.lattice_points(1)]
+    for k in (1, 2, 3):
+        q = pb.quantisation(k)
+        counts = {tuple(b): 0 for b in q.basis.points}
+        for tup in itertools.product(ones, repeat=k):
+            counts[tuple(np.sum(tup, axis=0))] += 1
+        assert np.array_equal(1.0 / reference_form(q).d, list(counts.values()))
+
+
+def test_reference_form_refuses_a_section_no_tuple_reaches():
+    # every lattice point of kP is a sum of k lattice points of P (lattice
+    # polygons are normal); a basis point that is not gets m_b = 0 and is
+    # refused
+    q = make_problem("P2-O1-O1", resolution=32).quantisation(2)
+    fake = SimpleNamespace(P=q.P, k=2, basis=SimpleNamespace(
+        points=np.vstack([q.basis.points, [[2, 2]]])))
+    with pytest.raises(QuantisationError, match="multiplicit"):
+        reference_form(fake)
+
+
+def test_reference_form_is_balanced_where_chi_is_omega(square_problem, p2_problem):
+    # chi = omega: the reference metric solves the continuum equation, and
+    # its quantisation is balanced on arrival (P1xP1 to rounding, P2 to the
+    # quadrature of its skew ray)
+    for pb, bound in ((square_problem, 1e-14), (p2_problem, 1e-8)):
+        for k in range(1, 9):
+            q = pb.quantisation(k)
+            assert q.mu0_norms(q.mu0(reference_form(q)))[0] <= bound, (pb.name, k)
+
+
+@pytest.mark.parametrize("which", ["square_o21", "f1_stable"])
+def test_reference_and_identity_starts_reach_one_balanced_form(request, which):
+    if which == "f1_stable":
+        q = f1_stable(128).quantisation(4)
+    else:
+        q = request.getfixturevalue(which).quantisation(8)
+    starts = (HermitianForm.identity(q.n_plus_1, q.k), reference_form(q))
+    ends = [q.iterate_to_balance(H, tol=1e-9, maxiter=500, norm="fro") for H in starts]
+    assert all(res.converged for res in ends)
+    d_id, d_ref = (res.H.det_normalised().diag() for res in ends)
+    assert np.max(np.abs(d_ref / d_id - 1.0)) < 1e-6
+    assert len(ends[1].history) < len(ends[0].history)
 
 
 def test_iterate_divergence_report(square_problem):
