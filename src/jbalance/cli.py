@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flows import (FlowError, balancing_flow, comparison_window,
+from .flows import (FlowError, balancing_flow, check_grid_size, comparison_window,
                     quantization_comparison)
 from .functionals import report_row
 from .geometry import GeometryError, mixed_density, volume_density
@@ -334,6 +334,7 @@ def _write_grid_csv(path, xs, ys, values, t):
 def cmd_flow(cfg):
     problem = _numerical_problem(cfg)
     fcfg = cfg["flow"]
+    check_grid_size(fcfg["grid"])
     u0 = flow_start(problem, cfg["seed"], fcfg["start_amplitude"])
     # the window depends on u0 and the grid alone: refused before any output
     window = comparison_window(problem.polytope, u0, fcfg["grid"])
@@ -396,20 +397,22 @@ def cmd_stability(cfg):
         wp = WeightPolynomials.from_json(scfg["weights"]) if "weights" in scfg else None
     except StabilityError as exc:
         raise ConfigError(str(exc))
-    # before any output: the centre's blow-up table and its sweep forms,
-    # built once (certify_closed_forms is proved for every table by the test
-    # suite), and the least r checked against r > 0 and the centre's r_min.
-    # A configured list holds the Fractions its schema check parsed; the
-    # default, integers
+    if "class_data" in scfg and "centre" not in scfg:
+        raise ConfigError("config key 'stability.class_data' needs a 'stability.centre': "
+                          "a facet centre is read from the problem's polygon")
+    # before any output, whatever r_values holds: the centre, checked at the
+    # least r (at r_min when there is none), and its blow-up table and sweep
+    # forms, built once (certify_closed_forms is proved for every table by
+    # the test suite).  A configured list holds the Fractions its schema
+    # check parsed; the default, integers
     r_values = [rational(r, "stability.r_values") for r in scfg["r_values"]]
-    if r_values:
-        r_low = check_exponent(min(r_values))
-        if "centre" in scfg:
-            centre = NormalConeConfig(**scfg["centre"], r=r_low)
-        else:
-            centre = normal_cone_from_facet(problem.polytope, problem.l2_spec,
-                                            scfg.get("facet", 0), r=r_low)
-        forms = SweepForms(blowup_table(data, centre), data.gamma(), data.gamma_canonical())
+    r_low = check_exponent(min(r_values)) if r_values else None
+    if "centre" in scfg:
+        centre = NormalConeConfig(**scfg["centre"], r=r_low)
+    else:
+        centre = normal_cone_from_facet(problem.polytope, problem.l2_spec,
+                                        scfg.get("facet", 0), r=r_low)
+    forms = SweepForms(blowup_table(data, centre), data.gamma(), data.gamma_canonical())
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     # the pairings the verdicts and the sweep use: the class data's, which

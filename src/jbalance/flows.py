@@ -44,8 +44,8 @@ from functools import cache
 
 import numpy as np
 
-from .geometry import mixed_density, smallest_eigenvalue, volume_density
-from .quantisation import HermitianForm, QuantisationError, log_diagonal
+from .geometry import GeometryError, mixed_density, smallest_eigenvalue, volume_density
+from .quantisation import MAX_TORUS_BYTES, HermitianForm, QuantisationError, log_diagonal
 
 
 class FlowError(RuntimeError):
@@ -643,6 +643,31 @@ def jflow_run(grid0, chi, gamma, T, snap_times=(), active=None):
 # The comparison window: grid nodes where the smallest eigenvalue of D^2 u0
 # is at least WINDOW_EPS, safely away from the degenerate toric boundary.
 WINDOW_EPS = 5e-3
+
+# Arrays of nx^2 doubles that a flow run over an nx x nx grid holds at once
+# (check_grid_size), counted with room.
+FLOW_GRID_ARRAYS = 128
+
+
+def check_grid_size(nx):
+    """Refuse, with a GeometryError, a flow grid of nx x nx nodes whose
+    arrays would take more than quantisation.MAX_TORUS_BYTES.  They are
+    FLOW_GRID_ARRAYS arrays of nx^2 doubles: comparison_window's mesh, grid
+    values, start Hessians and eigenvalue temporaries (about 11);
+    jflow_run's chi grid and mesh, the interior Hessians of u and chi and
+    their eigenvalue temporaries (about 17); the RKC2 kernel's row Hessians,
+    two states of nine arrays and its per-node coefficients and work vectors
+    (about 45 when every interior node evolves); the snapshots (4); the
+    window's nodes (4); and a grid CSV's text (about 9).  A flow on
+    P1xP1-O11-O21, where a quarter of the interior evolves, peaks at about
+    21 (tracemalloc, grids 200 and 300).  The potentials' node blocks are
+    capped by kernel.NODE_BLOCK_BYTES.  Nothing is allocated first."""
+    need = 8 * FLOW_GRID_ARRAYS * nx * nx
+    if need > MAX_TORUS_BYTES:
+        raise GeometryError(
+            f"flow.grid = {nx} needs about {need / 2 ** 30:.3g} GiB for {FLOW_GRID_ARRAYS} "
+            f"arrays of its {nx} x {nx} nodes, above the {MAX_TORUS_BYTES / 2 ** 30:g} GiB "
+            f"cap (quantisation.MAX_TORUS_BYTES)")
 
 
 def _mean_normalised_sup(a, b):

@@ -11,6 +11,14 @@ A polygon's lattice data are Python ints, its source of truth; its numpy
 arrays are read-only copies, made once, for the float kernels.  Intersection
 numbers come from the normal fan in exact arithmetic; the surface's Mori cone
 is read off the same fan by stability.SurfaceClassData.from_polytope.
+
+Every closed-form metric of the package is one LogSumExpPotential: the
+reference Fubini-Study potentials, the chi forms, FS(H) for torus-invariant H
+and the separable critical metrics of product fans.  SumPotential adds
+potentials and GaussianBump is a bump to add to one.  Each gives ``value``
+and ``hessian`` at nodes X (M, n), and each is normalised per level: the
+fibre metric of L1^k is e^{-k u}, and the level-k curvature form has density
+coming from D^2(k u) = k * hessian(u).
 """
 
 import zlib
@@ -43,29 +51,11 @@ class GeometryError(ValueError):
 # potentials
 # ---------------------------------------------------------------------------
 
-class PotentialField:
-    """Convex potential on R^n with value and Hessian access.
-
-    The convention throughout the package: a potential ``u`` is normalised
-    per level, i.e. the fibre metric of L1^k is e^{-k u} and the level-k
-    curvature form has density coming from D^2(k u) = k * hessian(u).
-    """
-
-    dim = None
-
-    def value(self, X):
-        raise NotImplementedError
-
-    def hessian(self, X):
-        raise NotImplementedError
-
-
-class LogSumExpPotential(PotentialField):
+class LogSumExpPotential:
     """Potential u(x) = (log sum_a c_a e^{<p_a, x>} + offset) / level.
 
-    This closed-form family covers every metric the package produces:
-    reference Fubini-Study potentials, FS(H) for torus-invariant H, and
-    coefficient perturbations of these.  The gradient of ``level * u`` is the
+    ``level`` is any positive number: an FS potential's k, or b_i / a_i on
+    axis i of a separable critical metric.  The gradient of ``level * u`` is the
     softmax average of the exponent points and therefore lies in the interior
     of their convex hull (the dilated polytope); the Hessian is the softmax
     covariance, so strict convexity holds whenever the points affinely span.
@@ -81,7 +71,9 @@ class LogSumExpPotential(PotentialField):
         self.log_coeffs = np.asarray(log_coeffs, dtype=float)
         if self.log_coeffs.shape != (len(self.points),):
             raise GeometryError("one log-coefficient per exponent point required")
-        self.level = int(level)
+        if not 0 < level < np.inf:
+            raise GeometryError(f"potential level must be positive and finite, got {level!r}")
+        self.level = level
         self.offset = float(offset)
 
     def value(self, X):
@@ -103,29 +95,11 @@ class LogSumExpPotential(PotentialField):
         return LogSumExpPotential(self.points, log_coeffs, self.level, self.offset)
 
 
-class ScaledPotential(PotentialField):
-    """c * u for a positive constant c (e.g. chi = gamma * omega_ref)."""
-
-    def __init__(self, base, factor):
-        if factor <= 0:
-            raise GeometryError("scaling factor must be positive")
-        self.base = base
-        self.factor = float(factor)
-        self.dim = base.dim
-
-    def value(self, X):
-        return self.factor * self.base.value(X)
-
-    def hessian(self, X):
-        return self.factor * self.base.hessian(X)
-
-
-class SumPotential(PotentialField):
+class SumPotential:
     """Sum of potentials (separable metrics on product fans, bump additions)."""
 
     def __init__(self, parts):
         self.parts = list(parts)
-        self.dim = self.parts[0].dim
 
     def value(self, X):
         return sum(p.value(X) for p in self.parts)
@@ -134,28 +108,7 @@ class SumPotential(PotentialField):
         return sum(np.asarray(p.hessian(X)) for p in self.parts)
 
 
-class AxisPotential(PotentialField):
-    """A one-variable potential f applied to a single coordinate of R^n."""
-
-    def __init__(self, base1d, axis, dim):
-        self.base = base1d
-        self.axis = int(axis)
-        self.dim = int(dim)
-
-    def _slice(self, X):
-        return np.atleast_2d(X)[:, self.axis][:, None]
-
-    def value(self, X):
-        return self.base.value(self._slice(X))
-
-    def hessian(self, X):
-        X = np.atleast_2d(X)
-        out = np.zeros((len(X), self.dim, self.dim))
-        out[:, self.axis, self.axis] = np.asarray(self.base.hessian(self._slice(X)))[:, 0, 0]
-        return out
-
-
-class GaussianBump(PotentialField):
+class GaussianBump:
     """amp * exp(-|x - c|^2 / (2 sigma^2)): a smooth bulk-localised
     perturbation with analytic derivatives (not convex on its own)."""
 
@@ -218,10 +171,9 @@ class DelzantPolytope:
     ints are the polygon's source of truth: ``int_normals`` (the inward
     primitive facet normals a_i), ``int_offsets`` (the c_i) and
     ``int_vertices`` (counter-clockwise).  Only polygons (n = 2, toric
-    surfaces) are accepted.  The numpy ``normals``, ``offsets``,
-    ``vertices`` (float) and ``intersection_matrix`` are read-only copies
-    made once, on first use, for the float kernels, so one instance can be
-    shared (``polytope_preset``).
+    surfaces) are accepted.  The numpy ``normals``, ``offsets`` and
+    ``vertices`` (float) are read-only copies made once, on first use, for
+    the float kernels, so one instance can be shared (``polytope_preset``).
     """
 
     def __init__(self, normals, offsets, name=None):
@@ -245,8 +197,6 @@ class DelzantPolytope:
     normals = cached_property(lambda self: _read_only(self.int_normals, np.int64))
     offsets = cached_property(lambda self: _read_only(self.int_offsets, np.int64))
     vertices = cached_property(lambda self: _read_only(self.int_vertices, float))
-    intersection_matrix = cached_property(
-        lambda self: _read_only(self.int_intersection_matrix, np.int64))
 
     @cached_property
     def int_intersection_matrix(self):

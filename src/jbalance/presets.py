@@ -8,11 +8,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (AxisPotential, DelzantPolytope, GeometryError,
-                       LogSumExpPotential, ScaledPotential, SumPotential, _read_only,
-                       build_quadrature, calibrate, check_resolution, divisor_dots,
-                       intersection_numbers, line_bundle_class,
-                       polytope_preset, reference_potential, surface_classes)
+from .geometry import (DelzantPolytope, GeometryError, LogSumExpPotential,
+                       SumPotential, _read_only, build_quadrature, calibrate,
+                       check_resolution, divisor_dots, intersection_numbers,
+                       line_bundle_class, polytope_preset, reference_potential,
+                       surface_classes)
 from .stability import SurfaceClassData, j_constant
 
 
@@ -27,7 +27,7 @@ def l2_polytope(P, l2_spec):
 def chi_potential(P, l2_spec):
     """The chi form in c1(L2): the Fubini-Study type potential of the L2
     polytope."""
-    return LogSumExpPotential(l2_polytope(P, l2_spec).lattice_points(1), level=1)
+    return reference_potential(l2_polytope(P, l2_spec))
 
 
 @dataclass
@@ -60,10 +60,13 @@ class Problem:
     @cached_property
     def chi(self):
         """The chi form in c1(L2), or None when gamma <= 0 (only the
-        stability machinery applies then).  Raises GeometryError when L2 has
-        no polytope on the fan."""
+        stability machinery applies then).  Where L2 = L1 as classes, and so
+        as polygons and as lattice point sets, it is ``u_ref`` itself.
+        Raises GeometryError when L2 has no polytope on the fan."""
         if self.gamma_exact <= 0:
             return None
+        if line_bundle_class(self.polytope, self.l2_spec) == self.polytope.int_offsets:
+            return self.u_ref
         return chi_potential(self.polytope, self.l2_spec)
 
     @cached_property
@@ -84,9 +87,9 @@ class Problem:
     @cached_property
     def chi_hessian(self):
         """chi's Hessian at the rule's nodes (read-only), the same at every
-        level.  Where chi has u_ref's exponent points (chi = omega, as on
-        P2-O1-O1 and P1xP1-O11-O11) it is ref_hessian, bit for bit."""
-        if np.array_equal(self.chi.points, self.u_ref.points):
+        level.  Where chi is u_ref (chi = omega, as on P2-O1-O1 and
+        P1xP1-O11-O11) it is ref_hessian."""
+        if self.chi is self.u_ref:
             return self.ref_hessian
         return _read_only(self.chi.hessian(self.rule.nodes), float)
 
@@ -112,18 +115,16 @@ def separable_critical_potential(P, l2_spec):
     form of L2 = sum_i v_i(x_i), the potential u = sum_i v_i / c_i with
     c_i = b_i / a_i satisfies chi wedge omega^{n-1} = gamma omega^n exactly,
     since the ratios v_i''/u_i'' = c_i average to gamma = (sum_i c_i)/n.
+    Each v_i / c_i is the log-sum-exp over the points j e_i, j = 0..b_i, at
+    level c_i.
     """
-    if any(np.sum(a != 0) > 1 for a in P.normals):
+    if any(a0 and a1 for a0, a1 in P.int_normals):
         raise GeometryError("separable critical metrics exist on product fans only")
-    Q = l2_polytope(P, l2_spec)
-    a = (P.vertices.max(axis=0) - P.vertices.min(axis=0))
-    b = (Q.vertices.max(axis=0) - Q.vertices.min(axis=0))
-    parts = []
-    for axis in range(2):
-        pts = np.arange(int(round(b[axis])) + 1, dtype=float)[:, None]
-        v_i = LogSumExpPotential(pts, level=1)
-        parts.append(AxisPotential(ScaledPotential(v_i, float(a[axis] / b[axis])), axis, 2))
-    return SumPotential(parts)
+    widths = [[max(c) - min(c) for c in zip(*Q.int_vertices)]
+              for Q in (P, l2_polytope(P, l2_spec))]
+    return SumPotential(
+        LogSumExpPotential(np.eye(2)[axis] * np.arange(b + 1)[:, None], level=b / a)
+        for axis, (a, b) in enumerate(zip(*widths)))
 
 
 def normal_cone_from_facet(P, l2_spec, facet_index=0, r=None):
@@ -146,7 +147,7 @@ def normal_cone_from_facet(P, l2_spec, facet_index=0, r=None):
     r_min = 1 / eps
     return NormalConeConfig(dd=column[facet_index], l1d=l1_dots[facet_index],
                             l2d=l2_dots[facet_index], kd=k_dots[facet_index],
-                            r=r_min if r is None else r, r_min=r_min, name=f"D{facet_index}")
+                            r=r, r_min=r_min, name=f"D{facet_index}")
 
 
 _PRESET_L2 = {

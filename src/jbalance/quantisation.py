@@ -153,21 +153,6 @@ class HermitianForm:
             "diagonal": self.d.tolist(),
         }
 
-    @classmethod
-    def from_json(cls, data):
-        """Read to_json's layout.  Refuses, with a QuantisationError, a
-        missing or non-numeric diagonal, one that is not 1-D, finite and
-        positive, and a missing or non-integer level."""
-        try:
-            diag = np.array(data["diagonal"], dtype=float)
-        except (KeyError, TypeError, ValueError):
-            raise QuantisationError("form JSON: need a 'diagonal' list of numbers; "
-                                    "a torus-invariant form is written as its diagonal")
-        level = data.get("level")
-        if not isinstance(level, int) or isinstance(level, bool):
-            raise QuantisationError(f"form JSON: need an integer 'level', got {level!r}")
-        return cls(diag, level)
-
     def __repr__(self):
         return f"HermitianForm(n_plus_1={self.n_plus_1}, level={self.level})"
 
@@ -256,7 +241,7 @@ class Quantisation:
 
     Args:
         P: DelzantPolytope for (M, L1).
-        chi: PotentialField whose Hessian is the chi form (level-1 data).
+        chi: potential whose Hessian is the chi form (level-1 data).
         k: quantum parameter.
         rule: calibrated QuadratureRule.
         gamma: J-constant L2.L1^{n-1}/L1^n.

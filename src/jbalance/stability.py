@@ -173,19 +173,21 @@ class NormalConeConfig:
     range, r >= 1/eps for the Seshadri-type constant eps of D (the largest
     c with L1 - c D nef): presets.normal_cone_from_facet computes it exactly
     for a toric boundary divisor, a hand-supplied centre declares its own
-    (default 1).  Violated positivity checks flag inadmissible r
-    independently.
+    (default 1).  r defaults to r_min.  Violated positivity checks flag
+    inadmissible r independently.
     """
 
     dd: Fraction
     l1d: Fraction
     l2d: Fraction
     kd: Fraction
-    r: Fraction
+    r: Fraction = None
     r_min: Fraction = Fraction(1)
     name: str = "D"
 
     def __post_init__(self):
+        if self.r is None:
+            object.__setattr__(self, "r", rational(self.r_min, "r_min"))
         for name in ("dd", "l1d", "l2d", "kd", "r", "r_min"):
             object.__setattr__(self, name, rational(getattr(self, name), name))
         if self.l1d <= 0:

@@ -69,7 +69,7 @@ def test_balance_artifacts_and_determinism(tmp_path):
 def test_balanced_form_json_reads_back_bit_for_bit(tmp_path):
     # the form in balanced_k2.json is the balanced diagonal, to the last bit,
     # balanced from the CLI's start, the reference form
-    from jbalance.quantisation import HermitianForm, reference_form
+    from jbalance.quantisation import reference_form
     out = tmp_path / "b"
     assert run(["balance", "--problem", "P1xP1-O11-O11", "--k-list", "2",
                 "--resolution", "48", "--out", str(out)]) == cli.EXIT_OK
@@ -78,9 +78,8 @@ def test_balanced_form_json_reads_back_bit_for_bit(tmp_path):
     q = cli.build_problem(cfg).quantisation(2)
     res = q.iterate_to_balance(reference_form(q), tol=cfg["tol"],
                                maxiter=cfg["maxiter"], norm=cfg["norm"])
-    H = HermitianForm.from_json(form)
-    assert H.level == 2 and np.array_equal(H.diag(), res.H.diag())
-    assert H.to_json(q.basis) == form
+    assert form["level"] == 2 and form["diagonal"] == res.H.diag().tolist()
+    assert res.H.to_json(q.basis) == form
 
 
 def test_jobs_make_no_linear_algebra_call(tmp_path, monkeypatch):
@@ -168,13 +167,14 @@ def test_stability_sweep_matches_oracle(tmp_path):
 
 
 def test_jobs_read_the_polygons_intersection_matrix(tmp_path, monkeypatch):
-    # a polygon builds (D_i . D_j) once, read-only; the pairings, the class
-    # data's Mori classes and the stability and verify jobs read that copy
+    # a polygon builds (D_i . D_j) once, as a tuple of tuples of ints; the
+    # pairings, the class data's Mori classes and the stability and verify
+    # jobs read that copy
     from jbalance import geometry as geo
     from jbalance.stability import SurfaceClassData
     P = geo.polytope_preset("P2")
-    assert not P.intersection_matrix.flags.writeable
-    assert np.array_equal(P.intersection_matrix, geo.divisor_intersection_matrix(P))
+    assert P.int_intersection_matrix == geo.divisor_intersection_matrix(P)
+    assert all(type(v) is int for row in P.int_intersection_matrix for v in row)
     builds = []
     real = geo.divisor_intersection_matrix
     monkeypatch.setattr(geo, "divisor_intersection_matrix",
@@ -204,7 +204,7 @@ def test_stability_jobs_read_the_polygons_integers(tmp_path, monkeypatch):
     P = built[0].polytope
     assert P.int_vertices == ((0, 0), (3, 0), (1, 2), (0, 2))
     assert P.int_intersection_matrix == ((0, 1, 1, 0), (1, 1, 0, 1), (1, 0, -1, 1), (0, 1, 1, 0))
-    assert not {"normals", "offsets", "vertices", "intersection_matrix"} & set(vars(P))
+    assert not {"normals", "offsets", "vertices"} & set(vars(P))
 
 
 def test_stability_inapplicable_markers(tmp_path):
@@ -525,12 +525,14 @@ def test_stability_pairs_classes_once(tmp_path, monkeypatch):
 
 def test_stability_writes_the_pairings_its_verdicts_use(tmp_path):
     # class data that pair L1.L2 = 2 on P2-O1-O1, whose fan gives 1:
-    # pairings.csv lists the supplied table, as gamma in verdicts.json reads it
+    # pairings.csv lists the supplied table, as gamma in verdicts.json reads
+    # it, and the sweep reads the matching centre, a line with L2.D = 2
     data = {"L1L1": 1, "L1L2": 2, "L2L2": 4, "KL1": -3, "KL2": -6, "KK": 9,
             "mori": [{"name": "line", "l1": 1, "l2": 2, "k": -3}]}
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"problem": "P2-O1-O1",
-                               "stability": {"r_values": [1], "class_data": data}}))
+    cfg.write_text(json.dumps({"problem": "P2-O1-O1", "stability": {
+        "r_values": [1], "class_data": data,
+        "centre": {"dd": 1, "l1d": 1, "l2d": 2, "kd": -3}}}))
     out = tmp_path / "s"
     assert run(["stability", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
     with open(out / "pairings.csv") as fh:
@@ -538,6 +540,32 @@ def test_stability_writes_the_pairings_its_verdicts_use(tmp_path):
     assert written == {key: str(value) for key, value in data.items() if key != "mori"}
     verdicts = json.loads((out / "verdicts.json").read_text())
     assert Fr(verdicts["gamma"]) == Fr(written["L1L2"]) / Fr(written["L1L1"]) == 2
+    with open(out / "stability_sweep.csv") as fh:
+        rows = {row[0]: row for row in list(csv.reader(fh))[1:]}
+    # r J(r) = (2/3) gamma E^3 + (E^2.L2 - 2 gamma E^2.L1) r = -4/3 + 2 r
+    assert rows["1"][1] == "2/3"
+
+
+@pytest.mark.parametrize("stability, message", [
+    ({"r_values": [], "centre": {"dd": 1, "l1d": -1, "l2d": 1, "kd": -3}},
+     "L1.D must be positive"),
+    ({"r_values": [], "facet": 9}, "facet 9 out of range"),
+    ({"r_values": [1], "class_data": {
+        "L1L1": 1, "L1L2": 2, "L2L2": 4, "KL1": -3, "KL2": -6, "KK": 9,
+        "mori": [{"name": "line", "l1": 1, "l2": 2, "k": -3}]}},
+     "'stability.class_data' needs a 'stability.centre'"),
+])
+def test_stability_checks_its_centre_before_any_output(tmp_path, capsys, stability, message):
+    # the centre is checked whatever r_values holds (at r_min when it is
+    # empty), and class data, whose surface the problem's fan does not
+    # describe, bring their own centre
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "P2-O1-O1", "stability": stability}))
+    out = tmp_path / "s"
+    assert run(["stability", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("stability, message", [
@@ -703,6 +731,28 @@ def test_flow_refuses_a_one_node_window(tmp_path, capsys):
     # the window is checked before any level runs: no balancing flow is
     # written, nor the output directory made
     assert not out.exists()
+
+
+def test_flow_refuses_a_grid_above_the_size_cap(tmp_path, capsys, monkeypatch):
+    # a grid whose arrays would pass quantisation.MAX_TORUS_BYTES exits 2
+    # with one line naming flow.grid, before any grid array is allocated
+    from jbalance import flows
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the flow job allocated its grid")
+
+    monkeypatch.setattr(cli, "comparison_window", refuse)
+    nx = math.isqrt(flows.MAX_TORUS_BYTES // (8 * flows.FLOW_GRID_ARRAYS))
+    for grid in (nx + 1, 20000):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"flow": {"grid": grid}}))
+        out = tmp_path / "f"
+        assert run(["flow", "--problem", "P1xP1-O11-O21", "--k-list", "2",
+                    "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and f"flow.grid = {grid} needs" in err
+        assert "MAX_TORUS_BYTES" in err and not out.exists()
+    flows.check_grid_size(nx)       # the largest grid under the cap passes
 
 
 def test_verify_passes_nef_monotone_on_every_preset(tmp_path, capsys):

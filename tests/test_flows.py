@@ -71,8 +71,9 @@ def test_balancing_flow_counts_halvings_by_cause(square_problem):
 
 def test_critical_residual_exact_zero(square_problem):
     pb = square_problem
-    chi = geo.ScaledPotential(pb.u_ref, pb.gamma)
-    sup, l2 = fl.critical_residual(pb.u_ref, chi, pb.gamma, pb.rule)
+    # chi = gamma omega with gamma = 1: the problem's chi is u_ref itself
+    assert pb.chi is pb.u_ref
+    sup, l2 = fl.critical_residual(pb.u_ref, pb.chi, pb.gamma, pb.rule)
     assert sup < 1e-12 and l2 < 1e-12
 
 
@@ -133,9 +134,8 @@ def test_donaldson_necessary_check():
 
 def test_jflow_stationary_exact(square_problem):
     pb = square_problem
-    chi = geo.ScaledPotential(pb.u_ref, pb.gamma)
     grid0 = fl.grid_from_potential(pb.polytope, pb.u_ref, 32)
-    out = fl.jflow_run(grid0, chi, pb.gamma, T=0.3)
+    out = fl.jflow_run(grid0, pb.chi, pb.gamma, T=0.3)
     assert out.residual_log[0][1] == 0.0
     assert np.max(np.abs(out.snapshots[0.3] - out.snapshots[0.0])) == 0.0
 
@@ -578,9 +578,8 @@ def test_quantization_comparison_stationary(square_problem):
     # chi = gamma omega: both flows are near-stationary, so all distances
     # stay within the t=0 distance plus a small slack
     pb = square_problem
-    chi = geo.ScaledPotential(pb.u_ref, pb.gamma)
     levels = [(q, q.hilb_map(pb.u_ref))
-              for q in (Quantisation(pb.polytope, chi, k, pb.rule, gamma=pb.gamma)
+              for q in (Quantisation(pb.polytope, pb.chi, k, pb.rule, gamma=pb.gamma)
                         for k in (2, 3))]
     rows, _, _ = fl.quantization_comparison(levels, pb.u_ref, T=0.4, nx=32)
     by = {(r["k"], r["t"]): r["distance"] for r in rows}

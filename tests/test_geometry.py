@@ -250,7 +250,7 @@ def test_mori_generators():
     # adjunction on a smooth rational curve: C^2 = -2 - K.C, which is the
     # diagonal entry of the intersection matrix
     self_ints = [-2 - g.k for g in gens]
-    assert self_ints == [f1.intersection_matrix[i, i] for i in (int(g.name[1:]) for g in gens)]
+    assert self_ints == [f1.int_intersection_matrix[i][i] for i in (int(g.name[1:]) for g in gens)]
     assert -1 in self_ints and 0 in self_ints  # -1-section and fiber present
 
 
@@ -376,9 +376,7 @@ def test_calibrate_rejects_nonconvex():
     sq = geo.polytope_preset("P1xP1")
     rule = geo.build_quadrature(sq, 16)
 
-    class Saddle(geo.PotentialField):
-        dim = 2
-
+    class Saddle:
         def hessian(self, X):
             # diag(1, -1): negative determinant at every node
             return np.tile(np.diag([1.0, -1.0]), (len(np.atleast_2d(X)), 1, 1))
@@ -393,6 +391,30 @@ def test_gamma_two_ways(square_o21):
     hess_v = np.asarray(pb.chi.hessian(pb.rule.nodes))
     g_quad = pb.rule.integrate(geo.mixed_density(hess_u, hess_v)) * pb.rule.c_vol / 2.0
     assert abs(g_quad / pb.gamma - 1.0) < 1e-6
+
+
+def test_chi_is_u_ref_exactly_where_l2_is_l1():
+    # where L2 = L1 as classes, one potential serves as chi and omega, and
+    # chi's Hessian is the reference Hessian, evaluated once
+    from jbalance.presets import make_problem
+    for pb in (make_problem("P2-O1-O1", resolution=16),
+               make_problem("custom", polytope="P1xP1", l2_spec=[0, 0, 1, 1], resolution=16)):
+        assert pb.chi is pb.u_ref and pb.chi_hessian is pb.ref_hessian
+    pb = make_problem("P1xP1-O11-O21", resolution=16)
+    assert pb.chi is not pb.u_ref and len(pb.chi.points) == 6
+
+
+def test_log_sum_exp_level_is_any_positive_divisor():
+    points = geo.polytope_preset("P2").lattice_points(1)
+    X = np.random.default_rng(3).uniform(-2.0, 2.0, (50, 2))
+    base = geo.LogSumExpPotential(points)
+    for level in (2, 2.0, 1.5):
+        u = geo.LogSumExpPotential(points, level=level)
+        assert np.array_equal(u.value(X), base.value(X) / level)
+        assert np.array_equal(u.hessian(X), base.hessian(X) / level)
+    for level in (0, -1.5, np.inf, np.nan):
+        with pytest.raises(geo.GeometryError, match="positive and finite"):
+            geo.LogSumExpPotential(points, level=level)
 
 
 def test_calibration_consistency_random_potentials(square_problem):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import random_diagonal, random_form
+from conftest import random_diagonal
 from jbalance import geometry as geo
 from jbalance import kernel
 from jbalance.presets import make_problem, problem_names
@@ -26,41 +26,6 @@ def test_hermitian_form_validation():
     assert H.logdet() == np.log(2.0) + np.log(3.0)
     d[0] = 5.0                  # the form holds its own copy
     assert H.diag()[0] == 2.0
-
-
-def test_hermitian_form_json_roundtrip():
-    rng = np.random.default_rng(0)
-    H = random_form(4, 3, rng)
-    H2 = HermitianForm.from_json(H.to_json())
-    assert H2.level == 3
-    assert np.array_equal(H.diag(), H2.diag())
-    # a missing or non-integer level is refused like a bad diagonal
-    for level in (None, "3", 3.0, True):
-        data = H.to_json()
-        if level is None:
-            del data["level"]
-        else:
-            data["level"] = level
-        with pytest.raises(QuantisationError, match="level"):
-            HermitianForm.from_json(data)
-
-
-@pytest.mark.parametrize("entries, match", [
-    ([[1.0], [2.0]], "1-D"),
-    (None, "diagonal"),
-    ([1.0, -2.0], "positive"),
-    ([1.0, 0.0], "positive"),
-    ([1.0, np.nan], "positive"),
-    ([[1.0], [2.0, 3.0]], "diagonal"),
-])
-def test_hermitian_form_from_json_refuses_bad_entries(entries, match):
-    # a form read from outside must be a 1-D, finite and positive diagonal;
-    # None leaves the diagonal out
-    data = {"level": 1, "basis_hash": None}
-    if entries is not None:
-        data["diagonal"] = entries
-    with pytest.raises(QuantisationError, match=match):
-        HermitianForm.from_json(data)
 
 
 def test_fs_map_round_p1(square_problem):
@@ -141,8 +106,7 @@ def test_trace_identity(square_problem):
 def test_hilb_refinement_oracle():
     # P^2, k=2, perturbed diagonal H: Gram against a much finer rule
     P2 = geo.polytope_preset("P2")
-    u_ref = geo.reference_potential(P2)
-    chi = geo.ScaledPotential(u_ref, 1.0)
+    u_ref = chi = geo.reference_potential(P2)
     rng = np.random.default_rng(5)
     coeffs = rng.uniform(-0.7, 0.7, 6)
     fine = geo.calibrate(geo.build_quadrature(P2, 1280), P2, u_ref)

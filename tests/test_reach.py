@@ -9,8 +9,10 @@ public method of a public class, must be referenced by name in one of:
 * ``perfbench/*.py``, as a name or a string constant (the tracer wraps
   functions and methods it names by string).
 
-The check matches bare names: a dead method that shares its name with a
-live one (``value``, ``hessian``) is not caught.
+A classmethod counts as reached only through ``Class.method``, so one
+class's live ``from_json`` does not hide another's dead one.  Other names
+match bare: a dead method that shares its name with a live one (``value``,
+``hessian``) is not caught.
 """
 
 import ast
@@ -28,9 +30,14 @@ ALLOWED = {
 }
 
 
+def _is_classmethod(node):
+    return any(isinstance(d, ast.Name) and d.id == "classmethod" for d in node.decorator_list)
+
+
 def public_definitions(tree):
-    """(qualified name, bare name) of the module's public top-level functions
-    and classes and of the public methods of its public classes."""
+    """(qualified name, the name a use must show) of the module's public
+    top-level functions and classes and of the public methods of its public
+    classes: the bare name, or ``Class.method`` for a classmethod."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
@@ -38,18 +45,23 @@ def public_definitions(tree):
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.name
+                    qualified = f"{node.name}.{item.name}"
+                    yield qualified, qualified if _is_classmethod(item) else item.name
 
 
 def referenced_names(tree, strings=False):
-    """The names a module uses: Name ids, Attribute attributes and imported
-    names, and with ``strings`` its string constants too."""
+    """The names a module uses: Name ids, Attribute attributes (and
+    ``Owner.attribute`` where the owner is a name or an attribute) and
+    imported names, and with ``strings`` its string constants too."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+            owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+            if owner is not None:
+                names.add(f"{owner}.{node.attr}")
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name.rpartition(".")[2] for alias in node.names)
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -61,6 +73,13 @@ def parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def unreached(tree, reached):
+    """The qualified public names of the module ``tree`` that ``reached``
+    does not show."""
+    return [qualified for qualified, name in public_definitions(tree)
+            if name not in reached and name not in ALLOWED]
+
+
 def test_every_public_name_is_reached():
     reached = set()
     for path in SRC:
@@ -68,10 +87,17 @@ def test_every_public_name_is_reached():
     reached |= referenced_names(parse(ROOT / "tests" / "test_acceptance.py"))
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         reached |= referenced_names(parse(path), strings=True)
-    unreached = [f"{path.stem}.{qualified}"
-                 for path in SRC for qualified, name in public_definitions(parse(path))
-                 if name not in reached and name not in ALLOWED]
-    assert not unreached, f"public names no workflow reaches: {unreached}"
+    missing = [f"{path.stem}.{qualified}" for path in SRC
+               for qualified in unreached(parse(path), reached)]
+    assert not missing, f"public names no workflow reaches: {missing}"
+
+
+def test_a_classmethod_is_reached_only_through_its_class():
+    module = ast.parse("class A:\n    @classmethod\n    def load(cls): pass\n\n"
+                       "class B:\n    @classmethod\n    def load(cls): pass\n"
+                       "    def save(self): pass\n")
+    uses = ast.parse("A\nB\nmod.B.load()\nx.save()\n")
+    assert unreached(module, referenced_names(uses)) == ["A.load"]
 
 
 def test_allowlist_names_exist():

@@ -46,6 +46,11 @@ def test_normal_cone_config_validation():
         st.NormalConeConfig(dd=1, l1d=1, l2d=1, kd=-3, r=0)
     with pytest.raises(st.StabilityError):
         st.NormalConeConfig(dd=1, l1d=1, l2d=1, kd=-3, r=1, r_min=2)
+    # r defaults to r_min, and a bad r_min is named as such
+    assert st.NormalConeConfig(dd=1, l1d=1, l2d=1, kd=-3, r_min="1/2").r == Fr(1, 2)
+    assert st.NormalConeConfig(dd=1, l1d=1, l2d=1, kd=-3).r == 1
+    with pytest.raises(st.StabilityError, match="r_min must be"):
+        st.NormalConeConfig(dd=1, l1d=1, l2d=1, kd=-3, r_min=0.5)
 
 
 def test_blowup_table_structure():

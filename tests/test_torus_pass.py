@@ -276,9 +276,8 @@ def interval_kernel_data(k):
                                        ("p2_problem", 4), ("p2_problem", 16),
                                        ("square_problem", 16)])
 def test_softmax_kernel_matches_longdouble_reference(request, fixture, k):
-    # dim 1 (AxisPotential's one-variable potentials reach it) and dim 2,
-    # up to N+1 = 289 (P1xP1 at k = 16), on sampled quadrature nodes and on
-    # far-field nodes where the softmax collapses
+    # dim 1 and dim 2, up to N+1 = 289 (P1xP1 at k = 16), on sampled
+    # quadrature nodes and on far-field nodes where the softmax collapses
     if fixture == "p1_sanity":
         points, logE, n_far = interval_kernel_data(k)
         n_nodes = logE.shape[1]
